@@ -266,7 +266,6 @@ _PIN_ALIASES = {
     "λ1": "lambda1",
     "λ2": "lambda2",
     "λ3": "lambda3",
-    "θ1": "theta1",
     "θ3": "theta3",
     "β": "beta",
 }
@@ -302,7 +301,6 @@ def _cmd_search_gt(args):
             pin=pin,
             tolerance=args.tol,
             max_iterations=args.max_iter,
-            fd_step=args.fd_step,
         )
     except NoConvergence as exc:
         _log(f"[search-gt] no convergence: {exc}")
@@ -367,7 +365,6 @@ def build_parser():
     p.add_argument("--pin", default="lambda1", help="coordinate pin, e.g. lambda1=2")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--fd-step", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_search_gt)
     return parser

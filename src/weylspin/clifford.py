@@ -38,16 +38,6 @@ def generators():
     return E[0].copy(), E[1].copy(), E[2].copy()
 
 
-def as_spinor(psi):
-    """Coerce to a complex length-2 vector, rejecting non-finite entries."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ShapeError(f"spinor must have shape (2,), got {psi.shape}")
-    if not np.all(np.isfinite(psi)):
-        raise ShapeError("spinor has non-finite entries")
-    return psi
-
-
 def act(v, psi):
     """Clifford multiplication (sum_k v_k e_k) psi for a real frame vector v.
 

@@ -1,7 +1,8 @@
 """Residual evaluators for the algebraic identities behind the Killing equation.
 
-Each check_* function evaluates one identity as a max-norm residual and wraps
-it in an IdentityReport. The identities, in the names used here:
+Each *_residual function evaluates one identity as a max-norm residual;
+verify_algebra sweeps them over random draws and wraps the worst in an
+IdentityReport. The identities, in the names used here:
 
   kn_contraction      mu^{34}(w kn c) = 2 Alt nu mu^2 w - 2 Alt w
   monopole            F . psi = -8 (nabla beta) . psi          with 4 nabla beta = *F
@@ -76,19 +77,11 @@ def dreieck_residual(omega, psi):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_dreieck(omega, psi, tolerance=1e-12):
-    return make_report("kn_contraction", dreieck_residual(omega, psi), 1, tolerance)
-
-
 def monopole_residual(F, psi):
     """Defect of F . psi = -8 (nabla beta) . psi with nabla beta = 1/4 *F."""
     grad = 0.25 * hodge_star(F)
     f_psi = mu_contract([1, 2], _tensor_spinor(F, psi))
     return float(np.max(np.abs(f_psi + 8.0 * act(grad, psi))))
-
-
-def check_monopole(F, psi, tolerance=1e-12):
-    return make_report("monopole", monopole_residual(F, psi), 1, tolerance)
 
 
 def first_identity_expression(F, psi, grad=None):
@@ -111,10 +104,6 @@ def first_identity_residual(F, psi, grad=None):
     return float(np.max(np.abs(first_identity_expression(F, psi, grad))))
 
 
-def check_first_identity(F, psi, tolerance=1e-12):
-    return make_report("first_identity", first_identity_residual(F, psi), 1, tolerance)
-
-
 def second_identity_expression(F, psi, grad=None):
     """Left side of the second identity as a rank-1 spinor-valued tensor."""
     if grad is None:
@@ -127,10 +116,6 @@ def second_identity_expression(F, psi, grad=None):
 
 def second_identity_residual(F, psi, grad=None):
     return float(np.max(np.abs(second_identity_expression(F, psi, grad))))
-
-
-def check_second_identity(F, psi, tolerance=1e-12):
-    return make_report("second_identity", second_identity_residual(F, psi), 1, tolerance)
 
 
 def integrability_residual(g, beta, psi, pkg=None):

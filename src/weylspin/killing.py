@@ -2,11 +2,12 @@
 
 Paths live on the simply connected model of the homogeneous geometry. An arc
 is the flow of a fixed frame direction d for a parameter length t; along it the
-Killing connection is the constant matrix sum(d_i B_i), so transport is an
-exact 2x2 matrix exponential. Loop bookkeeping uses the unit-quaternion model
-of the group when the Milnor parameters allow it (pairwise positive products;
-e_i corresponds to alpha_i q_i with alpha_i = sqrt(lambda_j lambda_k)/2) and
-the abelian R^3 model when the structure constants vanish; anything else
+Killing connection is the constant matrix sum(d_i B_i). Every B_i lies in su(2)
+(traceless and anti-Hermitian), so transport is a unit quaternion given by a
+closed-form exponential. Loop bookkeeping uses the unit-quaternion model of the group
+when the Milnor parameters allow it (pairwise positive products; e_i
+corresponds to alpha_i q_i, alpha_i = sign(lambda_i) sqrt(lambda_j lambda_k)/2)
+and the abelian R^3 model when the structure constants vanish; anything else
 raises UnsupportedModel. The quaternion logarithm keeps its rotation angle in
 [0, 2pi), i.e. quaternion angle in [0, pi], matching the simply connected
 double cover.
@@ -15,20 +16,18 @@ double cover.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .clifford import E, j_structure
 from .errors import NoConvergence, NotFlat, OpenPath, ShapeError, UnsupportedModel
 from .geometry import (
     WeightedDensity,
     analyze,
-    curvature_package,
-    density_derivative,
+    gt_residual_vector,
     milnor_geometry,
     milnor_parameters,
+    residual_scale,
 )
 from .spinconn import killing_connection, killing_curvature, spin_connection
-from .tensors import hodge_star
 
 _ID2 = np.eye(2, dtype=complex)
 _Q = -E  # unit quaternion generators as 2x2 matrices: q_i q_j = eps_ijk q_k
@@ -63,10 +62,13 @@ def arc_from_vector(v):
 
 
 def transport_operator(g, beta, arc):
-    """exp(-t sum_i d_i B_i), the parallel transport of the Killing connection."""
-    B = killing_connection(g, beta).matrices
-    M = np.einsum("i,iab->ab", np.asarray(arc.direction), B)
-    return expm(-arc.length * M)
+    """exp(-t sum_i d_i B_i), the parallel transport of the Killing connection.
+
+    Every B_i is traceless and anti-Hermitian, so the exponent is the element
+    -t sum_i d_i b[i, k] q_k of su(2) and the closed form _su2_exp is exact.
+    """
+    b = _su2_coefficients(killing_connection(g, beta).matrices)
+    return _su2_exp(-arc.length * (np.asarray(arc.direction) @ b))
 
 
 def transport_arc(g, beta, arc, psi0):
@@ -109,10 +111,17 @@ def group_model(g):
     if lam is not None:
         prods = np.array([lam[1] * lam[2], lam[2] * lam[0], lam[0] * lam[1]])
         if np.all(prods > 0.0):
-            return "su2", 0.5 * np.sqrt(prods)
+            # the bracket needs 2 alpha_i alpha_j = lambda_k alpha_k, so alpha
+            # takes the common sign of the lambdas
+            return "su2", 0.5 * np.sign(lam) * np.sqrt(prods)
     raise UnsupportedModel(
         "loop model needs abelian or definite-signature Milnor structure constants"
     )
+
+
+def _su2_coefficients(M):
+    """Real x_k of the sum x_k q_k part of M (..., 2, 2); any Id part is dropped."""
+    return -0.5 * np.real(np.einsum("kab,...ba->...k", _Q, M))
 
 
 def _su2_exp(x):
@@ -125,7 +134,7 @@ def _su2_exp(x):
 def _su2_log(M):
     """Coefficients x with exp(sum x_k q_k) = M, quaternion angle in [0, pi]."""
     a = float(np.real(np.trace(M))) / 2.0
-    b = np.array([-float(np.real(np.trace(_Q[k] @ M))) / 2.0 for k in range(3)])
+    b = _su2_coefficients(M)
     nb = float(np.linalg.norm(b))
     if nb < 1e-14:
         if a > 0.0:
@@ -263,22 +272,26 @@ def killing_residual(g, beta, basis, samples, h=1e-5):
 
     For each sample point (an arc sequence from the identity) the frame
     derivative e_i(psi) is approximated by central differences of parallel
-    transports over +-h, and the report is
-        max_i ||e_i(psi) + A_i psi - beta e_i psi|| / ||psi||
-    over all samples and both basis sections. Expected size O(h^2).
+    transports over +-h/s, and the report is
+        max_i ||e_i(psi) + A_i psi - beta e_i psi|| / (s ||psi||)
+    over all samples and both basis sections, with s = residual_scale(g, beta)
+    (1 for the zero geometry). The step h is thus dimensionless and the report
+    is O(h^2) at every scale.
     """
+    s = residual_scale(g, beta) or 1.0
+    step = h / s
     A = spin_connection(g, 0.0).matrices
-    B = killing_connection(g, beta).matrices
-    plus = [expm(-h * B[i]) for i in range(3)]
-    minus = [expm(h * B[i]) for i in range(3)]
+    b = _su2_coefficients(killing_connection(g, beta).matrices)
+    plus = [_su2_exp(-step * b[i]) for i in range(3)]
+    minus = [_su2_exp(step * b[i]) for i in range(3)]
     worst = 0.0
     for arcs in samples:
         U = basis.transport_operator(arcs)
         for psi0 in basis.base_values:
             psi = U @ psi0
-            scale = float(np.max(np.abs(psi)))
+            scale = s * float(np.max(np.abs(psi)))
             for i in range(3):
-                fd = (plus[i] @ psi - minus[i] @ psi) / (2.0 * h)
+                fd = (plus[i] @ psi - minus[i] @ psi) / (2.0 * step)
                 defect = fd + A[i] @ psi - beta.value * (E[i] @ psi)
                 worst = max(worst, float(np.max(np.abs(defect))) / scale)
     return worst
@@ -306,27 +319,11 @@ def milnor_theta3_family(params):
     return g, WeightedDensity(float(params[4]), -1.0)
 
 
-def gt_residual_vector(g, beta):
-    """Stacked Gauduchon-Tod residuals: sym0 Ric (9), R - 24 beta^2, 4 grad - *F (3)."""
-    pkg = curvature_package(g)
-    grad = density_derivative(g, beta)
-    star_f = hodge_star(pkg.faraday)
-    return np.concatenate(
-        [
-            pkg.sym0_ricci.ravel(),
-            [pkg.scalar - 24.0 * beta.value**2],
-            4.0 * grad - star_f,
-        ]
-    )
-
-
 def find_gt_parameters(
     x0,
-    family=None,
     pin=("lambda1", None),
     tolerance=1e-10,
     max_iterations=50,
-    fd_step=1e-6,
     max_halvings=20,
 ):
     """Damped Newton search for a root of the Gauduchon-Tod residual system.
@@ -334,13 +331,13 @@ def find_gt_parameters(
     One coordinate is pinned to quotient out the conformal rescaling freedom:
     pin = (name_or_index, value), with value None meaning "keep x0's entry".
     Newton steps solve the least-squares system for the stacked residual
-    vector, with a central finite-difference Jacobian and simple backtracking
-    (halve the step while the residual norm does not decrease). Success means
-    max-norm residual below tolerance within max_iterations; otherwise
+    vector of milnor_theta3_family, with simple backtracking (halve the step
+    while the residual norm does not decrease). The residuals are quadratic
+    polynomials in (l1, l2, l3, theta3, beta), so the unit-step central
+    difference 0.5 (r(x + e_k) - r(x - e_k)) is their exact Jacobian. Success
+    means max-norm residual below tolerance within max_iterations; otherwise
     NoConvergence carries the best iterate seen.
     """
-    if family is None:
-        family = milnor_theta3_family
     x = np.asarray(x0, dtype=float).copy()
     name, value = pin
     idx = _PIN_INDEX[name] if isinstance(name, str) else int(name)
@@ -349,22 +346,20 @@ def find_gt_parameters(
     free = [k for k in range(x.size) if k != idx]
 
     def residual(params):
-        g, b = family(params)
-        return gt_residual_vector(g, b)
+        return gt_residual_vector(*milnor_theta3_family(params))
 
     r = residual(x)
     norm = float(np.max(np.abs(r)))
     best_x, best_norm = x.copy(), norm
     for it in range(max_iterations):
         if norm < tolerance:
-            g, b = family(x)
-            return GTSearchResult(tuple(x), norm, it, analyze(g, b))
+            return GTSearchResult(tuple(x), norm, it, analyze(*milnor_theta3_family(x)))
         jac = np.zeros((r.size, len(free)))
         for col, k in enumerate(free):
             xp, xm = x.copy(), x.copy()
-            xp[k] += fd_step
-            xm[k] -= fd_step
-            jac[:, col] = (residual(xp) - residual(xm)) / (2.0 * fd_step)
+            xp[k] += 1.0
+            xm[k] -= 1.0
+            jac[:, col] = 0.5 * (residual(xp) - residual(xm))
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         t = 1.0
         for _ in range(max_halvings + 1):
@@ -386,8 +381,7 @@ def find_gt_parameters(
         if norm < best_norm:
             best_x, best_norm = x.copy(), norm
     if norm < tolerance:
-        g, b = family(x)
-        return GTSearchResult(tuple(x), norm, max_iterations, analyze(g, b))
+        return GTSearchResult(tuple(x), norm, max_iterations, analyze(*milnor_theta3_family(x)))
     raise NoConvergence(
         f"iteration cap {max_iterations} hit at residual {best_norm:.3e}",
         best_params=tuple(best_x),

@@ -30,7 +30,6 @@ _ID3 = np.eye(3)
 class SpinConnection:
     matrices: np.ndarray  # (3,2,2) complex
     weight: float
-    kind: str  # "plain" or "killing"
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +52,7 @@ def spin_connection(g, weight=0.0):
     a = 0.5 * (gamma - np.swapaxes(gamma, 1, 2))
     mats = 0.25 * np.einsum("ijk,jab,kbc->iac", a, E, E)
     mats = mats + weight * g.theta[:, None, None] * _ID2
-    return SpinConnection(matrices=mats, weight=float(weight), kind="plain")
+    return SpinConnection(matrices=mats, weight=float(weight))
 
 
 def commutator_curvature(mats, g):
@@ -86,7 +85,7 @@ def killing_connection(g, beta):
     """Killing connection B_i = A_i(w=0) - beta e_i."""
     base = spin_connection(g, 0.0)
     mats = base.matrices - beta.value * E
-    return SpinConnection(matrices=mats, weight=0.0, kind="killing")
+    return SpinConnection(matrices=mats, weight=0.0)
 
 
 def killing_curvature(g, beta):
@@ -99,12 +98,11 @@ def killing_curvature(g, beta):
                         an identity that holds for every geometry and beta
                         (it is how flatness reduces to the GT residuals).
     """
-    conn = killing_connection(g, beta)
-    curv = commutator_curvature(conn.matrices, g)
+    base = spin_connection(g, 0.0).matrices
+    curv = commutator_curvature(base - beta.value * E, g)  # B_i = A_i - beta e_i
     residual = float(np.max(np.abs(curv)))
 
-    base = spin_connection(g, 0.0)
-    r_s0 = commutator_curvature(base.matrices, g)
+    r_s0 = commutator_curvature(base, g)
     grad = density_derivative(g, beta)
     grad_nu = np.einsum("i,jab->ijab", grad, E)
     alt_grad_nu = grad_nu - np.einsum("ijab->jiab", grad_nu)

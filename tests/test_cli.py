@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +175,15 @@ def test_killing_command(tmp_path, capsys):
     assert report["verdict"] == "pass"
 
 
+def test_killing_command_passes_at_large_scale(tmp_path, capsys):
+    # a certified round member at lambda = 200: the pointwise check is
+    # scale-free, so its 1e3 h^2 bound holds as it does at lambda = 2
+    path = write(tmp_path, "big.json", '{"milnor_lambda": [200, 200, 200], "beta": 50}')
+    code, out, _ = run_cli(capsys, ["killing", path, "--loops", "5"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
 def test_killing_command_not_flat(tmp_path, capsys):
     path = write(tmp_path, "pert.json", PERTURBED_TEXT)
     code, out, _ = run_cli(capsys, ["killing", path])
@@ -208,6 +220,15 @@ def test_search_gt_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, ["search-gt", "--x0", "1,2,3,0,0.5", "--pin", "nope=1"])
     assert code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, weylspin.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_unknown_command_exits_2(capsys):

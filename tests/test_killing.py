@@ -13,7 +13,7 @@ from weylspin.errors import (
     ShapeError,
     UnsupportedModel,
 )
-from weylspin.geometry import WeightedDensity, analyze, milnor_geometry
+from weylspin.geometry import WeightedDensity, analyze, milnor_geometry, validate_geometry
 from weylspin.killing import (
     GroupArc,
     arc_from_vector,
@@ -33,7 +33,9 @@ from weylspin.killing import (
     transport_sequence_operator,
     triangle_loop,
 )
-from weylspin.spinconn import killing_curvature
+from weylspin.spinconn import killing_connection, killing_curvature
+
+from test_spinconn import random_geometry
 
 ROUND = milnor_geometry((2.0, 2.0, 2.0))
 HALF = WeightedDensity(0.5)
@@ -95,6 +97,28 @@ def test_transport_cross_checked_by_rk4():
         assert np.max(np.abs(doubled - exact)) <= np.max(np.abs(stepped - exact)) + 1e-12
 
 
+def test_killing_connection_is_su2_and_transport_matches_rk4():
+    # the closed-form transport assumes every B_i is traceless anti-Hermitian;
+    # check that on random Milnor data and on a non-unimodular algebra
+    # ([e1, e2] = e2, [e1, e3] = e3)
+    rng = np.random.default_rng(15)
+    book = np.zeros((3, 3, 3))
+    book[0, 1, 1], book[1, 0, 1] = 1.0, -1.0
+    book[0, 2, 2], book[2, 0, 2] = 1.0, -1.0
+    geometries = [random_geometry(rng) for _ in range(20)]
+    geometries.append(validate_geometry(book, rng.uniform(-1, 1, 3)))
+    for g in geometries:
+        beta = WeightedDensity(float(rng.uniform(-1, 1)))
+        B = killing_connection(g, beta).matrices
+        assert np.max(np.abs(np.trace(B, axis1=1, axis2=2))) < 1e-14
+        assert np.max(np.abs(B + np.conj(np.swapaxes(B, 1, 2)))) < 1e-14
+        arc = arc_from_vector(rng.uniform(-1, 1, 3))
+        exact = transport_operator(g, beta, arc)
+        for k, e in enumerate(np.eye(2, dtype=complex)):
+            stepped = rk4_transport(g, beta, arc, e, steps=512)
+            assert np.max(np.abs(exact[:, k] - stepped)) < 1e-8
+
+
 def test_collinear_arcs_compose():
     rng = np.random.default_rng(2)
     d = rng.standard_normal(3)
@@ -127,6 +151,20 @@ def test_group_model_detection():
         group_model(milnor_geometry((2.0, -1.0, 1.0)))
     with pytest.raises(UnsupportedModel):
         group_model(milnor_geometry((1.0, 0.0, 0.0)))
+
+
+def test_negative_definite_milnor_frame_is_flat_along_loops():
+    # lambda = (-2, -2, -2) is the round sphere with reversed orientation;
+    # the group model must give alpha the sign of lambda
+    g = milnor_geometry((-2.0, -2.0, -2.0))
+    beta = WeightedDensity(-0.5)
+    assert analyze(g, beta).verdict
+    assert killing_curvature(g, beta).residual < 1e-14
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        _, dev = loop_holonomy(g, beta, triangle_loop(g, rng))
+        assert dev < 1e-12
+    assert path_independence_residual(g, beta, rng, pairs=8) < 1e-12
 
 
 def test_triangle_loops_close():
