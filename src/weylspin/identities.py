@@ -1,8 +1,8 @@
 """Residual evaluators for the algebraic identities behind the Killing equation.
 
 Each *_residual function evaluates one identity as a max-norm residual;
-verify_algebra sweeps them over random draws and wraps the worst in an
-IdentityReport. The identities, in the names used here:
+verify_algebra sweeps the SWEEPS table over random draws and wraps the worst
+of each in an IdentityReport. The identities, in the names used here:
 
   kn_contraction      mu^{34}(w kn c) = 2 Alt nu mu^2 w - 2 Alt w
   monopole            F . psi = -8 (nabla beta) . psi          with 4 nabla beta = *F
@@ -46,11 +46,9 @@ def make_report(name, residual, trials, tolerance):
     return IdentityReport(name, residual, int(trials), float(tolerance), residual < tolerance)
 
 
-def random_spinor(rng, unit=True):
+def random_spinor(rng):
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    if unit:
-        z = z / np.linalg.norm(z)
-    return z
+    return z / np.linalg.norm(z)
 
 
 def random_rank2(rng):
@@ -69,6 +67,46 @@ def _tensor_spinor(T, psi):
     return np.einsum("...,s->...s", np.asarray(T), np.asarray(psi, dtype=complex))
 
 
+def clifford_relations_residual():
+    """Defect of e_i e_j + e_j e_i = -2 delta_ij over all generator pairs."""
+    return max(
+        float(np.max(np.abs(E[i] @ E[j] + E[j] @ E[i] + 2.0 * (i == j) * np.eye(2))))
+        for i in range(3)
+        for j in range(3)
+    )
+
+
+def product_rule_residual(psi):
+    """Defect of e_i e_j psi = -eps_ijk e_k psi over all pairs i != j."""
+    worst = 0.0
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            lhs = E[i] @ (E[j] @ psi)
+            rhs = -np.einsum("k,kst,t->s", EPS[i, j], E, psi)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def j_equivariance_residual(v, psi):
+    """Defect of J(v . psi) = v . J(psi)."""
+    return float(np.max(np.abs(j_structure(act(v, psi)) - act(v, j_structure(psi)))))
+
+
+def mu2_nu_residual(T):
+    """Defect of mu^2 nu T = -nu mu^1 T - 2 T on a rank-1 spinor-valued T."""
+    lhs = mu_contract([2], nu_embed(T))
+    rhs = -nu_embed(mu_contract([1], T)) - 2.0 * T
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def _gradient(F, grad):
+    """grad, default 1/4 *F (any other value breaks the constraint); F must be antisymmetric."""
+    star = hodge_star(F)
+    return 0.25 * star if grad is None else grad
+
+
 def dreieck_residual(omega, psi):
     """Defect of the Kulkarni-Nomizu contraction identity for (omega, psi)."""
     lhs = mu_contract([3, 4], _tensor_spinor(kulkarni_nomizu(omega, metric()), psi))
@@ -77,23 +115,19 @@ def dreieck_residual(omega, psi):
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _monopole_defect(F, psi, grad):
+    """F . psi + 8 grad . psi, which vanishes when grad = nabla beta."""
+    return mu_contract([1, 2], _tensor_spinor(F, psi)) + 8.0 * act(grad, psi)
+
+
 def monopole_residual(F, psi):
     """Defect of F . psi = -8 (nabla beta) . psi with nabla beta = 1/4 *F."""
-    grad = 0.25 * hodge_star(F)
-    f_psi = mu_contract([1, 2], _tensor_spinor(F, psi))
-    return float(np.max(np.abs(f_psi + 8.0 * act(grad, psi))))
+    return float(np.max(np.abs(_monopole_defect(F, psi, _gradient(F, None)))))
 
 
 def first_identity_expression(F, psi, grad=None):
-    """Left side of the first identity as a rank-2 spinor-valued tensor.
-
-    grad defaults to 1/4 *F; passing anything else deliberately breaks the
-    constraint (used by the non-vacuity control).
-    """
-    if grad is None:
-        grad = 0.25 * hodge_star(F)
-    else:
-        hodge_star(F)  # still insist on an antisymmetric F
+    """Left side of the first identity as a rank-2 spinor-valued tensor."""
+    grad = _gradient(F, grad)
     term1 = 0.25 * alt(nu_embed(mu_contract([2], _tensor_spinor(F, psi))))
     term2 = alt(np.einsum("i,js->ijs", grad, nu_embed(psi)))
     term3 = 0.5 * _tensor_spinor(F, psi)
@@ -106,10 +140,7 @@ def first_identity_residual(F, psi, grad=None):
 
 def second_identity_expression(F, psi, grad=None):
     """Left side of the second identity as a rank-1 spinor-valued tensor."""
-    if grad is None:
-        grad = 0.25 * hodge_star(F)
-    else:
-        hodge_star(F)
+    grad = _gradient(F, grad)
     bracket = nu_embed(act(grad, psi)) - act(grad, nu_embed(psi))
     return bracket - 0.5 * mu_contract([2], _tensor_spinor(F, psi))
 
@@ -129,10 +160,10 @@ def integrability_residual(g, beta, psi, pkg=None):
                 (the grad (x) psi term carries coefficient 2(n-1-(n-1)/(n-2)),
                 which vanishes at n = 3; the Alt term carries 1-(n-1)/(n-2) = -1)
       reduced   mu^2 sym0(Ric') (x) psi = -(grad . nu - nu grad) . psi
-                - 1/2 mu^2 F (x) psi
+                - 1/2 mu^2 F (x) psi, the second identity's expression at grad
       scalar    R = 24 beta^2 (weighted by max|psi| so the report is uniformly
                 degree 1 in psi)
-      faraday   F . psi = -8 grad . psi
+      faraday   F . psi = -8 grad . psi, the monopole defect at grad
     """
     if pkg is None:
         pkg = curvature_package(g)
@@ -149,32 +180,59 @@ def integrability_residual(g, beta, psi, pkg=None):
     r_full = np.max(np.abs(lhs_full - rhs_full))
 
     lhs_red = mu_contract([2], _tensor_spinor(sym0(pkg.ric_prime), psi))
-    bracket = act(grad, nu_embed(psi)) - nu_embed(act(grad, psi))
-    rhs_red = -bracket - 0.5 * mu_contract([2], _tensor_spinor(pkg.faraday, psi))
-    r_red = np.max(np.abs(lhs_red - rhs_red))
+    r_red = np.max(np.abs(lhs_red - second_identity_expression(pkg.faraday, psi, grad)))
 
     r_scal = abs(pkg.scalar - 24.0 * beta.value**2) * np.max(np.abs(psi))
 
-    f_psi = mu_contract([1, 2], _tensor_spinor(pkg.faraday, psi))
-    r_far = np.max(np.abs(f_psi + 8.0 * act(grad, psi)))
+    r_far = np.max(np.abs(_monopole_defect(pkg.faraday, psi, grad)))
 
     return float(max(r_full, r_red, r_scal, r_far))
 
 
-def check_integrability(g, beta, psi, pkg=None, tolerance=1e-8, gt_tolerance=1e-8):
+_INTEGRABILITY_TOLERANCE = 1e-8
+_GT_TOLERANCE = 1e-8
+
+
+def check_integrability(g, beta, psi):
     """Integrability report; the geometry must be Gauduchon-Tod certified.
 
     The relations are only asserted for Killing spinors, and those exist
     exactly on GT geometries, so a failing GT verdict raises NotGT instead of
     reporting a meaningless residual.
     """
-    gt = analyze(g, beta, gt_tolerance)
+    gt = analyze(g, beta, _GT_TOLERANCE)
     if not gt.verdict:
         raise NotGT(
             "geometry is not Gauduchon-Tod at tolerance "
-            f"{gt_tolerance:g} (normalized residuals {gt.n_ew:.3e}, {gt.n_scal:.3e}, {gt.n_star:.3e})"
+            f"{_GT_TOLERANCE:g} (normalized residuals {gt.n_ew:.3e}, {gt.n_scal:.3e}, {gt.n_star:.3e})"
         )
-    return make_report("integrability", integrability_residual(g, beta, psi, pkg), 1, tolerance)
+    residual = integrability_residual(g, beta, psi)
+    return make_report("integrability", residual, 1, _INTEGRABILITY_TOLERANCE)
+
+
+def _two_form_and_spinor(rng):
+    return random_two_form(rng), random_spinor(rng)
+
+
+def _broken_first_identity(F, psi):
+    return first_identity_residual(F, psi, grad=1.1 * 0.25 * hodge_star(F))
+
+
+# (report name, residual, draw) in sweep order; the order fixes the RNG draw
+# sequence and with it the report bytes at a given seed
+SWEEPS = (
+    ("clifford_product_rule", product_rule_residual, lambda r: (random_spinor(r),)),
+    ("j_equivariance", j_equivariance_residual, lambda r: (r.uniform(-1, 1, 3), random_spinor(r))),
+    (
+        "mu2_nu_operator",
+        mu2_nu_residual,
+        lambda r: (r.standard_normal((3, 2)) + 1j * r.standard_normal((3, 2)),),
+    ),
+    ("kn_contraction", dreieck_residual, lambda r: (random_rank2(r), random_spinor(r))),
+    ("monopole", monopole_residual, _two_form_and_spinor),
+    ("first_identity", first_identity_residual, _two_form_and_spinor),
+    ("second_identity", second_identity_residual, _two_form_and_spinor),
+)
 
 
 def _sweep(residual_fn, draw, trials, rng):
@@ -187,107 +245,16 @@ def _sweep(residual_fn, draw, trials, rng):
 def verify_algebra(trials=1000, seed=0, tolerance=1e-12):
     """Run the full identity sweep suite; returns (reports, break_control).
 
-    reports is a list of IdentityReport, one per sweep, each carrying the max
-    residual over `trials` random draws. break_control is the max residual of
-    the first identity when 4 nabla beta = *F is deliberately broken by 10%;
-    a healthy suite has it far above the identity tolerances (the analyzer
-    treats it as a lower bound of 0.1).
+    reports is a list of IdentityReport: the draw-free clifford_relations
+    check, then one per SWEEPS entry carrying the max residual over `trials`
+    random draws. break_control is the max residual of the first identity
+    when 4 nabla beta = *F is deliberately broken by 10%; a healthy suite has
+    it far above the identity tolerances (the analyzer treats it as a lower
+    bound of 0.1).
     """
     rng = np.random.default_rng(seed)
-    reports = []
-
-    anticomm = max(
-        float(np.max(np.abs(E[i] @ E[j] + E[j] @ E[i] + 2.0 * (i == j) * np.eye(2))))
-        for i in range(3)
-        for j in range(3)
-    )
-
-    def product_rule_residual(psi):
-        worst = 0.0
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                lhs = E[i] @ (E[j] @ psi)
-                rhs = -np.einsum("k,kst,t->s", EPS[i, j], E, psi)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
-
-    reports.append(make_report("clifford_relations", anticomm, 1, tolerance))
-    reports.append(
-        make_report(
-            "clifford_product_rule",
-            _sweep(product_rule_residual, lambda r: (random_spinor(r),), trials, rng),
-            trials,
-            tolerance,
-        )
-    )
-
-    def j_equivariance_residual(v, psi):
-        return float(np.max(np.abs(j_structure(act(v, psi)) - act(v, j_structure(psi)))))
-
-    reports.append(
-        make_report(
-            "j_equivariance",
-            _sweep(
-                j_equivariance_residual,
-                lambda r: (r.uniform(-1, 1, 3), random_spinor(r)),
-                trials,
-                rng,
-            ),
-            trials,
-            tolerance,
-        )
-    )
-
-    def mu2_nu_residual(T):
-        lhs = mu_contract([2], nu_embed(T))
-        rhs = -nu_embed(mu_contract([1], T)) - 2.0 * T
-        return float(np.max(np.abs(lhs - rhs)))
-
-    def draw_rank1(r):
-        return ((r.standard_normal((3, 2)) + 1j * r.standard_normal((3, 2))),)
-
-    reports.append(
-        make_report(
-            "mu2_nu_operator",
-            _sweep(mu2_nu_residual, draw_rank1, trials, rng),
-            trials,
-            tolerance,
-        )
-    )
-
-    reports.append(
-        make_report(
-            "kn_contraction",
-            _sweep(
-                dreieck_residual,
-                lambda r: (random_rank2(r), random_spinor(r)),
-                trials,
-                rng,
-            ),
-            trials,
-            tolerance,
-        )
-    )
-    for name, fn in (
-        ("monopole", monopole_residual),
-        ("first_identity", first_identity_residual),
-        ("second_identity", second_identity_residual),
-    ):
-        reports.append(
-            make_report(
-                name,
-                _sweep(fn, lambda r: (random_two_form(r), random_spinor(r)), trials, rng),
-                trials,
-                tolerance,
-            )
-        )
-
-    def broken_first(F, psi):
-        return first_identity_residual(F, psi, grad=1.1 * 0.25 * hodge_star(F))
-
-    break_control = _sweep(
-        broken_first, lambda r: (random_two_form(r), random_spinor(r)), trials, rng
-    )
+    reports = [make_report("clifford_relations", clifford_relations_residual(), 1, tolerance)]
+    for name, residual_fn, draw in SWEEPS:
+        reports.append(make_report(name, _sweep(residual_fn, draw, trials, rng), trials, tolerance))
+    break_control = _sweep(_broken_first_identity, _two_form_and_spinor, trials, rng)
     return reports, float(break_control)

@@ -145,22 +145,22 @@ def _su2_log(M):
 
 
 def group_endpoint(g, arcs):
-    """Endpoint of the arc sequence from the identity, in the group model."""
+    """(kind, alpha, endpoint): the sequence's endpoint in the model group_model(g)."""
     kind, alpha = group_model(g)
     if kind == "abelian":
         out = np.zeros(3)
         for a in arcs:
             out = out + a.length * np.asarray(a.direction)
-        return kind, out
+        return kind, alpha, out
     out = _ID2.copy()
     for a in arcs:
         x = a.length * np.asarray(a.direction) * alpha
         out = out @ _su2_exp(x)
-    return kind, out
+    return kind, alpha, out
 
 
 def closure_defect(g, arcs):
-    kind, end = group_endpoint(g, arcs)
+    kind, _, end = group_endpoint(g, arcs)
     if kind == "abelian":
         return float(np.linalg.norm(end))
     return float(np.max(np.abs(end - _ID2)))
@@ -168,36 +168,38 @@ def closure_defect(g, arcs):
 
 def closing_arc(g, arcs):
     """Arc that closes the given sequence into a loop, via the group logarithm."""
-    kind, end = group_endpoint(g, arcs)
+    kind, alpha, end = group_endpoint(g, arcs)
     if kind == "abelian":
         return arc_from_vector(-end)
-    _, alpha = group_model(g)
     z = _su2_log(np.conj(end.T))  # inverse of an SU(2) matrix is its adjoint
     return arc_from_vector(z / alpha)
 
 
-def triangle_loop(g, rng, length_scale=1.0):
+def triangle_loop(g, rng):
     """Two random arcs plus the closing third; a closed loop by construction."""
 
     def rand_arc():
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
-        return GroupArc(tuple(d), float(rng.uniform(0.4, 1.2)) * length_scale)
+        return GroupArc(tuple(d), float(rng.uniform(0.4, 1.2)))
 
     a1, a2 = rand_arc(), rand_arc()
     return [a1, a2, closing_arc(g, [a1, a2])]
 
 
-def loop_holonomy(g, beta, arcs, closure_tolerance=1e-10):
+_CLOSURE_TOLERANCE = 1e-10
+
+
+def loop_holonomy(g, beta, arcs):
     """Holonomy of the Killing connection around a closed loop.
 
     Raises OpenPath when the arc sequence does not end at the identity of the
-    simply connected model (within closure_tolerance).
+    simply connected model (within _CLOSURE_TOLERANCE).
     """
     arcs = list(arcs)
     if arcs:
         defect = closure_defect(g, arcs)
-        if defect > closure_tolerance:
+        if defect > _CLOSURE_TOLERANCE:
             raise OpenPath(f"arc sequence does not close up (defect {defect:.3e})")
     H = transport_sequence_operator(g, beta, arcs)
     return H, float(np.max(np.abs(H - _ID2)))
@@ -251,17 +253,15 @@ def killing_basis(g, beta, flat_tolerance=1e-10):
     return KillingBasis(g, beta)
 
 
-def path_independence_residual(g, beta, rng, pairs=5, length_scale=1.0):
+def path_independence_residual(g, beta, rng, pairs=5):
     """Max transport disagreement between random path pairs to a common endpoint."""
     worst = 0.0
     for _ in range(pairs):
-        loop = triangle_loop(g, rng, length_scale)
-        two_leg = loop[:2]
-        direct = closing_arc(g, two_leg)
-        # direct closes the two-leg path, so traversing it backwards is a
-        # one-arc path to the same endpoint
-        back = GroupArc(direct.direction, -direct.length)
-        U1 = transport_sequence_operator(g, beta, two_leg)
+        loop = triangle_loop(g, rng)
+        # the closing arc loop[2] closes the two-leg path, so traversing it
+        # backwards is a one-arc path to the same endpoint
+        back = GroupArc(loop[2].direction, -loop[2].length)
+        U1 = transport_sequence_operator(g, beta, loop[:2])
         U2 = transport_sequence_operator(g, beta, [back])
         worst = max(worst, float(np.max(np.abs(U1 - U2))))
     return worst
@@ -319,13 +319,10 @@ def milnor_theta3_family(params):
     return g, WeightedDensity(float(params[4]), -1.0)
 
 
-def find_gt_parameters(
-    x0,
-    pin=("lambda1", None),
-    tolerance=1e-10,
-    max_iterations=50,
-    max_halvings=20,
-):
+_MAX_HALVINGS = 20
+
+
+def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iterations=50):
     """Damped Newton search for a root of the Gauduchon-Tod residual system.
 
     One coordinate is pinned to quotient out the conformal rescaling freedom:
@@ -362,7 +359,7 @@ def find_gt_parameters(
             jac[:, col] = 0.5 * (residual(xp) - residual(xm))
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         t = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             xt = x.copy()
             xt[free] += t * step
             rt = residual(xt)

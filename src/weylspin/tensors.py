@@ -132,12 +132,6 @@ def nu_embed(x):
     return np.einsum("ist,...t->i...s", E, x)
 
 
-def nu12(psi):
-    """Rank-2 embedding with entries e_i e_j psi."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.einsum("isu,jut,...t->ij...s", E, E, psi)
-
-
 def hodge_star(F):
     """Hodge star of an antisymmetric rank-2 frame tensor, (*F)_k = 1/2 eps_ijk F_ij."""
     F = np.asarray(F)

@@ -1,13 +1,14 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from weylspin.cli import main, parse_geometry_file
+from weylspin.cli import build_parser, main, parse_geometry_file
 from weylspin.errors import JacobiViolation, ParseError
 
 ROUND_TEXT = '{"milnor_lambda": [2.0, 2.0, 2.0], "beta": 0.5}\n'
@@ -233,6 +234,26 @@ def test_cli_import_does_not_load_scipy():
 
 def test_unknown_command_exits_2(capsys):
     assert run_cli(capsys, ["frobnicate"])[0] == 2
+
+
+def readme_commands():
+    """Arguments of every `weylspin ...` line in README's sh blocks, comments stripped."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = [shlex.split(line, comments=True) for b in blocks for line in b.splitlines()]
+    return [argv[1:] for argv in lines if argv[:1] == ["weylspin"]]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"verify-algebra", "analyze", "killing", "search-gt"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: weylspin {shlex.join(argv)}")
 
 
 def test_pin_aliases(capsys):

@@ -11,11 +11,15 @@ from weylspin.errors import NotGT
 from weylspin.geometry import WeightedDensity, milnor_geometry
 from weylspin.identities import (
     check_integrability,
+    clifford_relations_residual,
     dreieck_residual,
     first_identity_expression,
     first_identity_residual,
     integrability_residual,
+    j_equivariance_residual,
     monopole_residual,
+    mu2_nu_residual,
+    product_rule_residual,
     random_rank2,
     random_spinor,
     random_two_form,
@@ -28,14 +32,20 @@ from weylspin.tensors import hodge_star, mu_contract
 
 def test_check_functions_pass_on_random_draws():
     rng = np.random.default_rng(0)
+    assert clifford_relations_residual() < 1e-12
     for _ in range(100):
         omega = random_rank2(rng)
         F = random_two_form(rng)
         psi = random_spinor(rng)
+        v = rng.uniform(-1.0, 1.0, 3)
+        T = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         assert dreieck_residual(omega, psi) < 1e-12
         assert monopole_residual(F, psi) < 1e-12
         assert first_identity_residual(F, psi) < 1e-12
         assert second_identity_residual(F, psi) < 1e-12
+        assert product_rule_residual(psi) < 1e-12
+        assert j_equivariance_residual(v, psi) < 1e-12
+        assert mu2_nu_residual(T) < 1e-12
 
 
 def test_residuals_scale_with_input():
