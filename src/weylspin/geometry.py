@@ -118,15 +118,6 @@ def milnor_geometry(lam, theta=(0.0, 0.0, 0.0)):
     return validate_geometry(milnor_constants(lam), theta)
 
 
-def milnor_parameters(g):
-    """Recover (l1, l2, l3) when g is exactly Milnor-diagonal, else None."""
-    c = g.structure_constants
-    lam = np.array([c[1, 2, 0], c[2, 0, 1], c[0, 1, 2]])
-    if np.max(np.abs(c - milnor_constants(lam))) < 1e-12:
-        return lam
-    return None
-
-
 def weyl_connection(g):
     """Connection coefficients Gamma[i,j,k] = Gamma^k_ij of the Weyl connection.
 
@@ -230,6 +221,12 @@ def residual_scale(g, beta):
     )
 
 
+def normalized_residual(value, g, beta):
+    """value / residual_scale(g, beta)^2 for a weight -2 residual; as is for the zero geometry."""
+    scale = residual_scale(g, beta)
+    return value / (scale * scale) if scale > 0.0 else value
+
+
 def analyze(g, beta, tolerance=1e-9):
     """Gauduchon-Tod residual report for (g, beta), beta of weight -1.
 
@@ -237,18 +234,16 @@ def analyze(g, beta, tolerance=1e-9):
         r_ew   = ||sym0 Ric||
         r_scal = |R - 24 beta^2|
         r_star = ||4 nabla beta - *F||
-    Normalized versions divide by scale^2 (all three quantities have conformal
-    weight -2), with scale = max(||c||, ||theta||, |beta|); a zero scale means
-    the zero geometry and the raw residuals are reported unchanged. The verdict
-    is True when every normalized residual is below the tolerance.
+    Normalized versions go through normalized_residual (all three quantities
+    have conformal weight -2). The verdict is True when every normalized
+    residual is below the tolerance.
     """
     if beta.weight != -1:
         raise ShapeError(f"analyze needs a weight -1 density, got weight {beta.weight}")
     r = np.abs(gt_residual_vector(g, beta))
     r_ew, r_scal, r_star = float(np.max(r[:9])), float(r[9]), float(np.max(r[10:]))
     scale = residual_scale(g, beta)
-    div = scale * scale if scale > 0.0 else 1.0
-    n_ew, n_scal, n_star = r_ew / div, r_scal / div, r_star / div
+    n_ew, n_scal, n_star = (normalized_residual(x, g, beta) for x in (r_ew, r_scal, r_star))
     verdict = bool(max(n_ew, n_scal, n_star) < tolerance)
     return GTReport(r_ew, r_scal, r_star, n_ew, n_scal, n_star, scale, tolerance, verdict)
 

@@ -4,30 +4,22 @@ Paths live on the simply connected model of the homogeneous geometry. An arc
 is the flow of a fixed frame direction d for a parameter length t; along it the
 Killing connection is the constant matrix sum(d_i B_i). Every B_i lies in su(2)
 (traceless and anti-Hermitian), so transport is a unit quaternion given by a
-closed-form exponential. Loop bookkeeping uses the unit-quaternion model of the group
-when the Milnor parameters allow it (pairwise positive products; e_i
-corresponds to alpha_i q_i, alpha_i = sign(lambda_i) sqrt(lambda_j lambda_k)/2)
-and the abelian R^3 model when the structure constants vanish; anything else
-raises UnsupportedModel. The quaternion logarithm keeps its rotation angle in
-[0, 2pi), i.e. quaternion angle in [0, pi], matching the simply connected
-double cover.
+closed-form exponential. Loops close in the unit-quaternion or the abelian
+model of the group (group_model, in any frame); the model and the su(2)
+coefficients of the B_i are resolved once per (immutable) geometry. The
+quaternion logarithm keeps its quaternion angle in [0, pi], matching the
+simply connected double cover.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import E, j_structure
 from .errors import NoConvergence, NotFlat, OpenPath, ShapeError, UnsupportedModel
-from .geometry import (
-    WeightedDensity,
-    analyze,
-    gt_residual_vector,
-    milnor_geometry,
-    milnor_parameters,
-    residual_scale,
-)
-from .spinconn import killing_connection, killing_curvature, spin_connection
+from .geometry import WeightedDensity, analyze, gt_residual_vector, milnor_geometry, residual_scale
+from .spinconn import flatness, killing_connection, spin_connection
 
 _ID2 = np.eye(2, dtype=complex)
 _Q = -E  # unit quaternion generators as 2x2 matrices: q_i q_j = eps_ijk q_k
@@ -67,7 +59,7 @@ def transport_operator(g, beta, arc):
     Every B_i is traceless and anti-Hermitian, so the exponent is the element
     -t sum_i d_i b[i, k] q_k of su(2) and the closed form _su2_exp is exact.
     """
-    b = _su2_coefficients(killing_connection(g, beta).matrices)
+    b = _killing_generators(g, beta)
     return _su2_exp(-arc.length * (np.asarray(arc.direction) @ b))
 
 
@@ -102,21 +94,34 @@ def rk4_transport(g, beta, arc, psi0, steps=256):
 # simply connected group model
 
 
+@functools.lru_cache(maxsize=1)
 def group_model(g):
-    """("su2", alpha) or ("abelian", None); UnsupportedModel otherwise."""
-    c = g.structure_constants
-    if np.max(np.abs(c)) == 0.0:
+    """("su2", L) or ("abelian", None) for c = 0; UnsupportedModel otherwise.
+
+    Milnor's n (c^k_ij = eps_ijl n[l, k]) is symmetric iff the algebra is unimodular,
+    then su(2) iff adj(n) is positive definite (both to 1e-12 relative to max|n|,
+    so rounding passes no degenerate frame); e_i -> sum_k L[i, k] q_k with
+    L = sign(det n) chol(adj(n) / 4) solves the bracket relation 2 cof(L) = n L.
+    """
+    n = g.structure_constants[[1, 2, 0], [2, 0, 1]]
+    scale = np.max(np.abs(n))
+    if scale == 0.0:
         return "abelian", None
-    lam = milnor_parameters(g)
-    if lam is not None:
-        prods = np.array([lam[1] * lam[2], lam[2] * lam[0], lam[0] * lam[1]])
-        if np.all(prods > 0.0):
-            # the bracket needs 2 alpha_i alpha_j = lambda_k alpha_k, so alpha
-            # takes the common sign of the lambdas
-            return "su2", 0.5 * np.sign(lam) * np.sqrt(prods)
-    raise UnsupportedModel(
-        "loop model needs abelian or definite-signature Milnor structure constants"
-    )
+    adj = np.cross(n[[1, 2, 0]], n[[2, 0, 1]])
+    unimodular = np.max(np.abs(n - n.T)) <= 1e-12 * scale
+    if not (unimodular and np.all(np.linalg.eigvalsh(adj) > 1e-12 * scale * scale)):
+        raise UnsupportedModel("loop model needs zero or definite unimodular brackets")
+    L = np.sign(np.linalg.det(n)) * np.linalg.cholesky(adj / 4.0)
+    L.setflags(write=False)
+    return "su2", L
+
+
+@functools.lru_cache(maxsize=1)
+def _killing_generators(g, beta):
+    """Real b[i, k] with B_i = sum_k b[i, k] q_k."""
+    b = _su2_coefficients(killing_connection(g, beta).matrices)
+    b.setflags(write=False)
+    return b
 
 
 def _su2_coefficients(M):
@@ -145,34 +150,31 @@ def _su2_log(M):
 
 
 def group_endpoint(g, arcs):
-    """(kind, alpha, endpoint): the sequence's endpoint in the model group_model(g)."""
-    kind, alpha = group_model(g)
+    """The sequence's endpoint in the model group_model(g)."""
+    kind, L = group_model(g)
     if kind == "abelian":
-        out = np.zeros(3)
-        for a in arcs:
-            out = out + a.length * np.asarray(a.direction)
-        return kind, alpha, out
+        return sum((a.length * np.asarray(a.direction) for a in arcs), np.zeros(3))
     out = _ID2.copy()
     for a in arcs:
-        x = a.length * np.asarray(a.direction) * alpha
-        out = out @ _su2_exp(x)
-    return kind, alpha, out
+        out = out @ _su2_exp(a.length * np.asarray(a.direction) @ L)
+    return out
 
 
 def closure_defect(g, arcs):
-    kind, _, end = group_endpoint(g, arcs)
-    if kind == "abelian":
+    end = group_endpoint(g, arcs)
+    if group_model(g)[0] == "abelian":
         return float(np.linalg.norm(end))
     return float(np.max(np.abs(end - _ID2)))
 
 
 def closing_arc(g, arcs):
     """Arc that closes the given sequence into a loop, via the group logarithm."""
-    kind, alpha, end = group_endpoint(g, arcs)
+    kind, L = group_model(g)
+    end = group_endpoint(g, arcs)
     if kind == "abelian":
         return arc_from_vector(-end)
     z = _su2_log(np.conj(end.T))  # inverse of an SU(2) matrix is its adjoint
-    return arc_from_vector(z / alpha)
+    return arc_from_vector(np.linalg.solve(L.T, z))
 
 
 def triangle_loop(g, rng):
@@ -241,15 +243,13 @@ class KillingBasis:
 def killing_basis(g, beta, flat_tolerance=1e-10):
     """Construct the basis; the connection must actually be flat.
 
-    A curvature residual at or above flat_tolerance raises NotFlat, which by
-    the flatness-GT equivalence signals that (g, beta) is not Gauduchon-Tod.
+    A flatness (curvature residual over scale^2) at or above flat_tolerance
+    raises NotFlat, which by the flatness-GT equivalence signals that
+    (g, beta) is not Gauduchon-Tod.
     """
-    kc = killing_curvature(g, beta)
-    if not kc.residual < flat_tolerance:
-        raise NotFlat(
-            f"Killing connection curvature residual {kc.residual:.3e} "
-            f"is not below {flat_tolerance:g}"
-        )
+    flat = flatness(g, beta)
+    if not flat < flat_tolerance:
+        raise NotFlat(f"Killing connection flatness {flat:.3e} is not below {flat_tolerance:g}")
     return KillingBasis(g, beta)
 
 
@@ -281,7 +281,7 @@ def killing_residual(g, beta, basis, samples, h=1e-5):
     s = residual_scale(g, beta) or 1.0
     step = h / s
     A = spin_connection(g, 0.0).matrices
-    b = _su2_coefficients(killing_connection(g, beta).matrices)
+    b = _killing_generators(g, beta)
     plus = [_su2_exp(-step * b[i]) for i in range(3)]
     minus = [_su2_exp(step * b[i]) for i in range(3)]
     worst = 0.0

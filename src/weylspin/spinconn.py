@@ -19,7 +19,7 @@ import numpy as np
 
 from .clifford import E
 from .errors import FormulaUnavailable
-from .geometry import curvature_package, density_derivative, weyl_connection
+from .geometry import curvature_package, density_derivative, normalized_residual, weyl_connection
 from .tensors import kulkarni_nomizu
 
 _ID2 = np.eye(2, dtype=complex)
@@ -111,3 +111,8 @@ def killing_curvature(g, beta):
     expansion = r_s0 - alt_grad_nu + beta.value**2 * alt_nu12
     deviation = float(np.max(np.abs(curv - expansion)))
     return KillingCurvature(curvature=curv, residual=residual, expansion_deviation=deviation)
+
+
+def flatness(g, beta):
+    """Killing curvature residual over scale^2, normalized like the GT residuals."""
+    return normalized_residual(killing_curvature(g, beta).residual, g, beta)

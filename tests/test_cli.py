@@ -10,6 +10,9 @@ import pytest
 
 from weylspin.cli import build_parser, main, parse_geometry_file
 from weylspin.errors import JacobiViolation, ParseError
+from weylspin.geometry import gauge_rescale
+
+from test_killing import BERGER_PATH, rotated_geometry, rotation
 
 ROUND_TEXT = '{"milnor_lambda": [2.0, 2.0, 2.0], "beta": 0.5}\n'
 PERTURBED_TEXT = '{"milnor_lambda": [2.0, 2.0, 2.0], "theta": [0.0, 0.0, 0.3], "beta": 0.5}\n'
@@ -183,6 +186,37 @@ def test_killing_command_passes_at_large_scale(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["killing", path, "--loops", "5"])
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def geometry_text(g, beta):
+    return json.dumps(
+        {
+            "structure_constants": g.structure_constants.tolist(),
+            "theta": g.theta.tolist(),
+            "beta": beta.value,
+        }
+    )
+
+
+def test_killing_command_in_a_rotated_frame(tmp_path, capsys):
+    # the Berger sphere rotated about (1, 2, 3): no longer a diagonal frame
+    g, beta = parse_geometry_file(BERGER_PATH)
+    g = rotated_geometry(g, rotation((1.0, 2.0, 3.0), 0.55))
+    path = write(tmp_path, "rotated.json", geometry_text(g, beta))
+    code, out, _ = run_cli(capsys, ["killing", path, "--loops", "10"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
+def test_commands_pass_on_a_gauge_rescaled_file(tmp_path, capsys):
+    # s = -5 puts the Berger sphere at scale 297, where the raw Killing
+    # curvature residual exceeds 1e-10; the flatness gate is relative to scale^2
+    g, beta = gauge_rescale(*parse_geometry_file(BERGER_PATH), -5.0)
+    path = write(tmp_path, "rescaled.json", geometry_text(g, beta))
+    for argv in (["analyze", path], ["killing", path, "--loops", "10"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
 
 
 def test_killing_command_not_flat(tmp_path, capsys):

@@ -12,7 +12,6 @@ import pytest
 
 from weylspin.errors import JacobiViolation, ShapeError
 from weylspin.geometry import (
-    HomogeneousWeylGeometry,
     WeightedDensity,
     analyze,
     curvature_package,
@@ -22,7 +21,6 @@ from weylspin.geometry import (
     kappa_from_beta,
     milnor_constants,
     milnor_geometry,
-    milnor_parameters,
     residual_scale,
     validate_geometry,
     weyl_connection,
@@ -77,20 +75,14 @@ def test_weighted_density_finite():
     assert WeightedDensity(0.5).weight == -1.0
 
 
-def test_milnor_parameters_roundtrip():
-    g = milnor_geometry((1.5, -0.3, 2.0))
-    lam = milnor_parameters(g)
-    assert np.max(np.abs(lam - np.array([1.5, -0.3, 2.0]))) == 0.0
-    # a solvable non-unimodular bracket is a valid geometry, not Milnor form
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0
-    g2 = HomogeneousWeylGeometry(*_validated(c))
-    assert milnor_parameters(g2) is None
-
-
-def _validated(c):
-    g = validate_geometry(c, np.zeros(3))
-    return g.structure_constants, g.theta
+def test_validated_geometry_is_immutable():
+    # the loop model and the Killing generators are memoized per geometry
+    # object, which is sound only because its arrays cannot change
+    g = milnor_geometry((1.5, -0.3, 2.0), (0.1, 0.2, 0.3))
+    with pytest.raises(ValueError):
+        g.structure_constants[0, 1, 2] = 1.0
+    with pytest.raises(ValueError):
+        g.theta[0] = 1.0
 
 
 def test_connection_torsion_and_conformal_metricity():

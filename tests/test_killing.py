@@ -2,8 +2,12 @@
 the Newton search over the five-parameter family.
 """
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weylspin.clifford import E, j_structure
 from weylspin.errors import (
@@ -13,7 +17,14 @@ from weylspin.errors import (
     ShapeError,
     UnsupportedModel,
 )
-from weylspin.geometry import WeightedDensity, analyze, milnor_geometry, validate_geometry
+from weylspin.cli import parse_geometry_file
+from weylspin.geometry import (
+    WeightedDensity,
+    analyze,
+    gauge_rescale,
+    milnor_geometry,
+    validate_geometry,
+)
 from weylspin.killing import (
     GroupArc,
     arc_from_vector,
@@ -33,12 +44,26 @@ from weylspin.killing import (
     transport_sequence_operator,
     triangle_loop,
 )
-from weylspin.spinconn import killing_connection, killing_curvature
+from weylspin.spinconn import flatness, killing_connection, killing_curvature
 
 from test_spinconn import random_geometry
 
 ROUND = milnor_geometry((2.0, 2.0, 2.0))
 HALF = WeightedDensity(0.5)
+BERGER_PATH = os.path.join(os.path.dirname(__file__), "..", "geometries", "berger_theta.json")
+
+
+def rotation(axis, angle):
+    """The SO(3) rotation by angle about axis (Rodrigues)."""
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def rotated_geometry(g, R):
+    """The same geometry in the orthonormal frame e'_i = sum_a R[i, a] e_a."""
+    c = np.einsum("ia,jb,abc,kc->ijk", R, R, g.structure_constants, R)
+    return validate_geometry(c, R @ g.theta)
 
 
 def random_psi(rng):
@@ -151,6 +176,72 @@ def test_group_model_detection():
         group_model(milnor_geometry((2.0, -1.0, 1.0)))
     with pytest.raises(UnsupportedModel):
         group_model(milnor_geometry((1.0, 0.0, 0.0)))
+    # indefinite and degenerate frames stay unsupported when not diagonal;
+    # rounding in the rotation must not make a degenerate n look definite
+    for k in range(20):
+        R = rotation((1.0, 2.0, 3.0), 0.3 + 0.25 * k)
+        for lam in ((2.0, -1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 0.0)):
+            with pytest.raises(UnsupportedModel):
+                group_model(rotated_geometry(milnor_geometry(lam), R))
+    # non-unimodular: [e1, e2] = e2, [e1, e3] = e3 gives a non-symmetric n
+    book = np.zeros((3, 3, 3))
+    book[0, 1, 1], book[1, 0, 1] = 1.0, -1.0
+    book[0, 2, 2], book[2, 0, 2] = 1.0, -1.0
+    with pytest.raises(UnsupportedModel):
+        group_model(validate_geometry(book, np.zeros(3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.5, 6.0), min_size=3, max_size=3),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([-1.0, 1.0]),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda v: np.linalg.norm(v) > 0.1
+    ),
+    st.floats(0.0, 2.0 * np.pi),
+    st.integers(0, 2**32 - 1),
+)
+def test_loop_model_works_in_any_frame(lam, sign, beta_sign, axis, angle, seed):
+    # closing a loop and its holonomy cannot depend on the frame: a definite
+    # Milnor frame of either sign, rotated by a random R in SO(3)
+    rng = np.random.default_rng(seed)
+    R = rotation(axis, angle)
+    g = rotated_geometry(milnor_geometry(sign * np.asarray(lam)), R)
+    assert group_model(g)[0] == "su2"
+    for _ in range(5):
+        assert closure_defect(g, triangle_loop(g, rng)) < 1e-12
+    # the round Gauduchon-Tod member, |beta| = lambda / 4, in the same frame
+    g = rotated_geometry(milnor_geometry((sign * lam[0],) * 3), R)
+    beta = WeightedDensity(beta_sign * lam[0] / 4.0)
+    for _ in range(5):
+        _, dev = loop_holonomy(g, beta, triangle_loop(g, rng))
+        assert dev < 1e-12
+    assert path_independence_residual(g, beta, rng, pairs=3) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-10.0, 10.0))
+@example(-10.0)
+@example(10.0)
+def test_verdicts_and_holonomy_are_gauge_invariant(s):
+    # the shipped Berger sphere under g -> e^{2s} g: scale 2 e^{-s} spans
+    # 9e-5 to 4.4e4, and every verdict is dimensionless
+    g0, beta0 = parse_geometry_file(BERGER_PATH)
+    g, beta = gauge_rescale(g0, beta0, s)
+    assert analyze(g, beta).verdict
+    assert flatness(g, beta) < 1e-10
+    killing_basis(g, beta)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        _, dev = loop_holonomy(g, beta, triangle_loop(g, rng))
+        assert dev < 1e-9
+    # negative control: beta off by 2 % fails both verdicts at every scale
+    g, beta = gauge_rescale(g0, WeightedDensity(1.02 * beta0.value), s)
+    assert not analyze(g, beta).verdict
+    assert flatness(g, beta) > 1e-10
+    with pytest.raises(NotFlat):
+        killing_basis(g, beta)
 
 
 def test_negative_definite_milnor_frame_is_flat_along_loops():
