@@ -1,15 +1,20 @@
 """Command-line front end.
 
-Four subcommands (verify-algebra, analyze, killing, search-gt) run the
-verification suites and print one JSON report to stdout with top-level keys
-{tool_version, seed, sections, verdict, wall_time_ms}. Floating point numbers
-are emitted with 17 significant digits so reports round-trip exactly. Human
-readable progress goes to stderr. Exit code 0 means verdict pass, 1 means a
-check failed, 2 means a usage or input problem.
+Four subcommands (verify-algebra, analyze, killing, search-gt) each return a
+list of report sections. `main` logs them to stderr and prints one JSON report
+to stdout with top-level keys {tool_version, seed, sections, verdict,
+wall_time_ms}. Floats are written in Python's shortest round-trip form
+(non-finite ones as NaN or Infinity), so a report reads back to the same
+doubles and is byte-reproducible at a fixed seed apart from wall_time_ms.
+Exit code 0 means verdict pass, 1 means a check failed, 2 means a usage or
+input problem: a bad geometry file, or an argument that cannot earn a pass
+(--trials or --loops below 1, --max-iter or --seed below 0, a --tol that is not
+positive and finite, a malformed --x0 or --pin).
 """
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -26,6 +31,7 @@ from .errors import (
 from .geometry import WeightedDensity, analyze, milnor_geometry, validate_geometry
 from .identities import verify_algebra
 from .killing import (
+    PIN_INDEX,
     KillingBasis,
     find_gt_parameters,
     killing_residual,
@@ -123,36 +129,20 @@ def parse_geometry_file(path):
 
 
 # ---------------------------------------------------------------------------
-# report rendering
+# report
 
 
-def _render(value):
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
-    raise TypeError(f"cannot render {type(value)!r}")
-
-
-def render_report(seed, sections, started):
-    verdict = "pass" if all(s["pass"] for s in sections) else "fail"
-    report = {
-        "tool_version": __version__,
-        "seed": int(seed),
-        "sections": sections,
-        "verdict": verdict,
-        "wall_time_ms": int(round((time.perf_counter() - started) * 1000.0)),
-    }
-    return _render(report), verdict
+def render_report(seed, sections, passed, started):
+    """The report as one line of JSON; floats in shortest round-trip form."""
+    return json.dumps(
+        {
+            "tool_version": __version__,
+            "seed": seed,
+            "sections": sections,
+            "verdict": "pass" if passed else "fail",
+            "wall_time_ms": round((time.perf_counter() - started) * 1000.0),
+        }
+    )
 
 
 def _identity_section(rep):
@@ -180,68 +170,41 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _emit(seed, sections, started):
-    text, verdict = render_report(seed, sections, started)
-    print(text)
-    return 0 if verdict == "pass" else 1
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its list of report sections
 
 
 def _cmd_verify_algebra(args):
-    started = time.perf_counter()
-    reports, break_control = verify_algebra(
-        trials=args.trials, seed=args.seed, tolerance=args.tol
-    )
-    sections = [_identity_section(r) for r in reports]
-    sections.append(
+    reports, break_control = verify_algebra(trials=args.trials, seed=args.seed, tolerance=args.tol)
+    return [_identity_section(r) for r in reports] + [
         _bound_section("first_identity_break_control", break_control, 0.1, "above")
-    )
-    for s in sections:
-        _log(f"[verify-algebra] {s['name']}: {'pass' if s['pass'] else 'FAIL'}")
-    return _emit(args.seed, sections, started)
+    ]
 
 
 def _cmd_analyze(args):
-    started = time.perf_counter()
     g, beta = parse_geometry_file(args.geometry)
     rep = analyze(g, beta, tolerance=args.tol)
-    flat = flatness(g, beta)
-    sections = [
+    return [
         _bound_section("r_ew", rep.n_ew, args.tol, "below"),
         _bound_section("r_scal", rep.n_scal, args.tol, "below"),
         _bound_section("r_star", rep.n_star, args.tol, "below"),
-        _bound_section("flatness", flat, args.tol, "below"),
+        _bound_section("flatness", flatness(g, beta), args.tol, "below"),
     ]
-    for s in sections:
-        _log(f"[analyze] {s['name']} = {s['value']:.3e} ({'pass' if s['pass'] else 'FAIL'})")
-    return _emit(args.seed, sections, started)
 
 
 def _cmd_killing(args):
-    started = time.perf_counter()
     g, beta = parse_geometry_file(args.geometry)
     rng = np.random.default_rng(args.seed)
-    flat, bound = flatness(g, beta), 1e-10
-    sections = [_bound_section("flatness", flat, bound, "below")]
+    sections = [_bound_section("flatness", flatness(g, beta), 1e-10, "below")]
     if not sections[0]["pass"]:
-        _log(f"[killing] Killing connection flatness {flat:.3e} is not below {bound:g}")
-        return _emit(args.seed, sections, started)
+        return sections
     basis = KillingBasis(g, beta)
 
     loops = [triangle_loop(g, rng) for _ in range(args.loops)]
-    worst_dev = 0.0
-    for loop in loops:
-        _, dev = loop_holonomy(g, beta, loop)
-        worst_dev = max(worst_dev, dev)
+    worst_dev = max(loop_holonomy(g, beta, loop)[1] for loop in loops)
     sections.append(_bound_section("max_holonomy_deviation", worst_dev, 1e-9, "below"))
 
-    samples = []
-    for loop in loops[:10]:
-        samples.append(loop[:1])
-        samples.append(loop[:2])
+    samples = [loop[:arcs] for loop in loops[:10] for arcs in (1, 2)]
     min_sv = min(basis.min_singular_value(arcs) for arcs in samples)
     sections.append(_bound_section("min_singular_value", min_sv, 0.1, "above"))
 
@@ -251,81 +214,78 @@ def _cmd_killing(args):
     h = 1e-5
     fd = killing_residual(g, beta, basis, samples, h=h)
     sections.append(_bound_section("killing_residual", fd, 1e3 * h * h, "below"))
-
-    for s in sections:
-        _log(f"[killing] {s['name']} = {s['value']:.3e} ({'pass' if s['pass'] else 'FAIL'})")
-    return _emit(args.seed, sections, started)
-
-
-_PIN_ALIASES = {
-    "l1": "lambda1",
-    "l2": "lambda2",
-    "l3": "lambda3",
-    "λ1": "lambda1",
-    "λ2": "lambda2",
-    "λ3": "lambda3",
-    "θ3": "theta3",
-    "β": "beta",
-}
-
-
-def _parse_pin(text):
-    if "=" in text:
-        name, _, raw = text.partition("=")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(f"pin value {raw!r} is not a number", "--pin", 1, 1)
-    else:
-        name, value = text, None
-    name = _PIN_ALIASES.get(name.strip(), name.strip())
-    if name not in {"lambda1", "lambda2", "lambda3", "theta3", "beta"}:
-        raise ParseError(f"unknown pin coordinate {name!r}", "--pin", 1, 1)
-    return name, value
+    return sections
 
 
 def _cmd_search_gt(args):
-    started = time.perf_counter()
     try:
-        x0 = [float(p) for p in args.x0.split(",")]
-    except ValueError:
-        raise ParseError("--x0 must be a comma-separated list of numbers", "--x0", 1, 1)
-    if len(x0) != 5:
-        raise ParseError("--x0 needs 5 entries: l1,l2,l3,theta3,beta", "--x0", 1, 1)
-    pin = _parse_pin(args.pin)
-    try:
-        result = find_gt_parameters(
-            x0,
-            pin=pin,
-            tolerance=args.tol,
-            max_iterations=args.max_iter,
+        found = find_gt_parameters(
+            args.x0, pin=args.pin, tolerance=args.tol, max_iterations=args.max_iter
         )
     except NoConvergence as exc:
-        _log(f"[search-gt] no convergence: {exc}")
-        _log(
-            "[search-gt] best parameters: "
-            + ", ".join(format(p, ".17g") for p in exc.best_params)
-        )
-        sections = [
-            _bound_section("final_residual", exc.best_residual, args.tol, "below"),
-            _bound_section("iterations", float(exc.iterations), float(args.max_iter) + 0.5, "below"),
-        ]
-        return _emit(args.seed, sections, started)
-
-    _log(
-        "[search-gt] parameters: "
-        + ", ".join(format(p, ".17g") for p in result.params)
-    )
-    _log(f"[search-gt] residual {result.residual_norm:.3e} after {result.iterations} iterations")
-    rep = result.report
+        _log(f"[search-gt] no convergence: {exc}; best parameters: {_floats(exc.best_params)}")
+        found, residual, iterations = None, exc.best_residual, exc.iterations
+    else:
+        _log(f"[search-gt] parameters: {_floats(found.params)}")
+        residual, iterations = found.residual_norm, found.iterations
     sections = [
-        _bound_section("final_residual", result.residual_norm, args.tol, "below"),
-        _bound_section("iterations", float(result.iterations), float(args.max_iter) + 0.5, "below"),
-        _bound_section("r_ew", rep.n_ew, rep.tolerance, "below"),
-        _bound_section("r_scal", rep.n_scal, rep.tolerance, "below"),
-        _bound_section("r_star", rep.n_star, rep.tolerance, "below"),
+        _bound_section("final_residual", residual, args.tol, "below"),
+        _bound_section("iterations", iterations, args.max_iter + 0.5, "below"),
     ]
-    return _emit(args.seed, sections, started)
+    if found is not None:
+        rep = found.report
+        sections += [
+            _bound_section("r_ew", rep.n_ew, rep.tolerance, "below"),
+            _bound_section("r_scal", rep.n_scal, rep.tolerance, "below"),
+            _bound_section("r_star", rep.n_star, rep.tolerance, "below"),
+        ]
+    return sections
+
+
+def _floats(values):
+    return ", ".join(repr(float(v)) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# argument types: a value that cannot make a meaningful run exits 2 as a usage error
+
+
+def _checked(convert, ok, expected):
+    """argparse type: convert the text, then require ok(value)."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+# l1 and λ1 for lambda1 (and so on), θ3 for theta3, β for beta
+_PIN_ALIASES = {f"{a}{k}": f"lambda{k}" for a in "lλ" for k in "123"} | {"θ3": "theta3", "β": "beta"}
+
+
+def _pin(text):
+    name, eq, raw = text.partition("=")
+    name = name.strip()
+    return _PIN_ALIASES.get(name, name), float(raw) if eq else None
+
+
+_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_NON_NEGATIVE = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_TOLERANCE = _checked(float, lambda t: 0.0 < t < math.inf, "a positive finite number")
+_X0 = _checked(
+    lambda text: [float(p) for p in text.split(",")],
+    lambda x0: len(x0) == 5,
+    "5 comma-separated numbers l1,l2,l3,theta3,beta",
+)
+_PIN = _checked(
+    _pin, lambda pin: pin[0] in PIN_INDEX, f"one of {', '.join(PIN_INDEX)}, optionally =VALUE"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -340,47 +300,51 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-algebra", help="random sweeps over the identity suite")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--trials", type=_COUNT, default=1000)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    p.add_argument("--tol", type=_TOLERANCE, default=1e-12)
     p.set_defaults(func=_cmd_verify_algebra)
 
     p = sub.add_parser("analyze", help="Gauduchon-Tod residuals of a geometry file")
     p.add_argument("geometry")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_TOLERANCE, default=1e-9)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("killing", help="build the Killing basis and test holonomy")
     p.add_argument("geometry")
-    p.add_argument("--loops", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--loops", type=_COUNT, default=50)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.set_defaults(func=_cmd_killing)
 
     p = sub.add_parser("search-gt", help="Newton search for Gauduchon-Tod parameters")
-    p.add_argument("--x0", required=True, help="l1,l2,l3,theta3,beta")
-    p.add_argument("--pin", default="lambda1", help="coordinate pin, e.g. lambda1=2")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--x0", type=_X0, required=True, help="l1,l2,l3,theta3,beta")
+    p.add_argument("--pin", type=_PIN, default="lambda1", help="coordinate pin, e.g. lambda1=2")
+    p.add_argument("--tol", type=_TOLERANCE, default=1e-10)
+    p.add_argument("--max-iter", type=_NON_NEGATIVE, default=50)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.set_defaults(func=_cmd_search_gt)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one subcommand: log its sections to stderr, print the report, return the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except ParseError as exc:
+        sections = args.func(args)
+    except (ParseError, JacobiViolation, ShapeError, UnsupportedModel) as exc:
         _log(f"error: {exc}")
         return 2
-    except (JacobiViolation, ShapeError, UnsupportedModel) as exc:
-        _log(f"error: {exc}")
-        return 2
+    for s in sections:
+        value = s["residual"] if "residual" in s else s["value"]
+        _log(f"[{args.command}] {s['name']} = {value:.3e} ({'pass' if s['pass'] else 'FAIL'})")
+    passed = all(s["pass"] for s in sections)
+    print(render_report(args.seed, sections, passed, started))
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

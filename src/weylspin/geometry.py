@@ -77,8 +77,9 @@ def _jacobi_defect(c):
 def validate_geometry(structure_constants, theta):
     """Build a validated geometry from raw arrays.
 
-    Antisymmetry violations below 1e-12 are symmetrized away; larger ones are
-    rejected. The Jacobi identity must hold to 1e-10.
+    Both bounds are relative to the scale m = max|c|, so a valid frame passes
+    at any scale: antisymmetry violations up to 1e-12 m are symmetrized away,
+    larger ones are rejected, and the Jacobi identity must hold to 1e-10 m^2.
     """
     c = np.asarray(structure_constants, dtype=float)
     th = np.asarray(theta, dtype=float)
@@ -86,14 +87,15 @@ def validate_geometry(structure_constants, theta):
         raise ShapeError(f"structure constants must have shape (3,3,3), got {c.shape}")
     if th.shape != (3,):
         raise ShapeError(f"theta must have shape (3,), got {th.shape}")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(th))):
+    scale = np.max(np.abs(c))  # not finite exactly when some entry of c is not
+    if not (np.isfinite(scale) and np.all(np.isfinite(th))):
         raise ShapeError("geometry data must be finite")
     skew = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
-    if skew >= 1e-12:
+    if skew > 1e-12 * scale:
         raise ShapeError(f"structure constants not antisymmetric in the lower pair ({skew:.3e})")
     c = 0.5 * (c - np.swapaxes(c, 0, 1))
     defect = _jacobi_defect(c)
-    if defect > 1e-10:
+    if defect > 1e-10 * scale**2:
         raise JacobiViolation(f"Jacobi identity fails by {defect:.3e}")
     c = c.copy()
     th = th.copy()

@@ -309,7 +309,7 @@ class GTSearchResult:
     report: object  # GTReport at the solution
 
 
-_PIN_INDEX = {"lambda1": 0, "lambda2": 1, "lambda3": 2, "theta3": 3, "beta": 4}
+PIN_INDEX = {"lambda1": 0, "lambda2": 1, "lambda3": 2, "theta3": 3, "beta": 4}
 
 
 def milnor_theta3_family(params):
@@ -322,6 +322,7 @@ def milnor_theta3_family(params):
 _MAX_HALVINGS = 20
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is caught and reported below
 def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iterations=50):
     """Damped Newton search for a root of the Gauduchon-Tod residual system.
 
@@ -332,18 +333,27 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     while the residual norm does not decrease). The residuals are quadratic
     polynomials in (l1, l2, l3, theta3, beta), so the unit-step central
     difference 0.5 (r(x + e_k) - r(x - e_k)) is their exact Jacobian. Success
-    means max-norm residual below tolerance within max_iterations; otherwise
+    means max-norm residual below tolerance within max_iterations; otherwise,
+    or as soon as a residual or a Newton step overflows to a non-finite value,
     NoConvergence carries the best iterate seen.
     """
     x = np.asarray(x0, dtype=float).copy()
     name, value = pin
-    idx = _PIN_INDEX[name] if isinstance(name, str) else int(name)
+    idx = PIN_INDEX[name] if isinstance(name, str) else int(name)
     if value is not None:
         x[idx] = value
     free = [k for k in range(x.size) if k != idx]
 
     def residual(params):
         return gt_residual_vector(*milnor_theta3_family(params))
+
+    def stop(why, iterations):
+        return NoConvergence(
+            f"{why}, best residual {best_norm:.3e}",
+            best_params=tuple(best_x),
+            best_residual=best_norm,
+            iterations=iterations,
+        )
 
     r = residual(x)
     norm = float(np.max(np.abs(r)))
@@ -357,7 +367,11 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
             xp[k] += 1.0
             xm[k] -= 1.0
             jac[:, col] = 0.5 * (residual(xp) - residual(xm))
+        if not (np.isfinite(norm) and np.all(np.isfinite(jac))):
+            raise stop("non-finite residual", it)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            raise stop("non-finite Newton step", it)
         t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             xt = x.copy()
@@ -368,20 +382,10 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
                 break
             t *= 0.5
         else:
-            raise NoConvergence(
-                f"backtracking stalled at residual {best_norm:.3e}",
-                best_params=tuple(best_x),
-                best_residual=best_norm,
-                iterations=it,
-            )
+            raise stop("backtracking stalled", it)
         x, r, norm = xt, rt, nt
         if norm < best_norm:
             best_x, best_norm = x.copy(), norm
     if norm < tolerance:
         return GTSearchResult(tuple(x), norm, max_iterations, analyze(*milnor_theta3_family(x)))
-    raise NoConvergence(
-        f"iteration cap {max_iterations} hit at residual {best_norm:.3e}",
-        best_params=tuple(best_x),
-        best_residual=best_norm,
-        iterations=max_iterations,
-    )
+    raise stop(f"iteration cap {max_iterations} hit", max_iterations)

@@ -133,7 +133,8 @@ def test_float_rendering_roundtrips(capsys):
     _, out, _ = run_cli(capsys, ["verify-algebra", "--trials", "25"])
     report = json.loads(out)
     tol = next(s for s in report["sections"] if s["name"] == "kn_contraction")["tolerance"]
-    assert tol == 1e-12  # 17 significant digits preserve the exact double
+    assert tol == 1e-12  # the shortest round-trip repr preserves the exact double
+    assert '"tolerance": 1e-12,' in out
 
 
 def test_analyze_pass_and_fail(tmp_path, capsys):
@@ -208,6 +209,20 @@ def test_killing_command_in_a_rotated_frame(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("s", [-7.0, -9.0])
+def test_commands_pass_on_a_rescaled_rotated_file(tmp_path, capsys, s):
+    # rotating the Berger sphere at scale e^-s leaves rounding in the constants:
+    # at s = -7 a Jacobi defect of 2.5e-10, at s = -9 a skew of 1.8e-12, both
+    # far below validate_geometry's bounds relative to max|c|
+    g, beta = gauge_rescale(*parse_geometry_file(BERGER_PATH), s)
+    g = rotated_geometry(g, rotation((1.0, 2.0, 3.0), 0.55))
+    path = write(tmp_path, "rotated.json", geometry_text(g, beta))
+    for argv in (["analyze", path], ["killing", path, "--loops", "10"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
+
 def test_commands_pass_on_a_gauge_rescaled_file(tmp_path, capsys):
     # s = -5 puts the Berger sphere at scale 297, where the raw Killing
     # curvature residual exceeds 1e-10; the flatness gate is relative to scale^2
@@ -255,6 +270,43 @@ def test_search_gt_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, ["search-gt", "--x0", "1,2,3,0,0.5", "--pin", "nope=1"])
     assert code == 2
+
+
+def test_search_gt_overflow_fails_with_a_report(capsys):
+    code, out, err = run_cli(capsys, ["search-gt", "--x0", "1e200,2,2,0,0.5"])
+    assert code == 1
+    final = json.loads(out)["sections"][0]
+    assert final["name"] == "final_residual" and final["pass"] is False
+    assert "no convergence" in err
+
+
+X0 = ["--x0", "2.2,1.9,2.1,0.05,0.4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["killing", "GEOMETRY", "--loops", "0"],
+        ["killing", "GEOMETRY", "--loops", "-3"],
+        ["verify-algebra", "--trials", "0"],
+        ["verify-algebra", "--trials", "-5"],
+        ["verify-algebra", "--seed", "-1"],
+        ["killing", "GEOMETRY", "--seed", "-1"],
+        ["analyze", "GEOMETRY", "--tol", "nan"],
+        ["analyze", "GEOMETRY", "--tol", "0"],
+        ["verify-algebra", "--tol", "inf"],
+        ["search-gt", *X0, "--tol", "-0.5"],
+        ["search-gt", *X0, "--max-iter", "-1"],
+        ["search-gt", "--x0", "1,2,x,0,0.5"],
+        ["search-gt", *X0, "--pin", "lambda1=two"],
+    ],
+)
+def test_arguments_that_cannot_earn_a_pass_exit_2(tmp_path, capsys, argv):
+    path = write(tmp_path, "round.json", ROUND_TEXT)
+    code, out, err = run_cli(capsys, [path if a == "GEOMETRY" else a for a in argv])
+    assert code == 2
+    assert "error" in err
+    assert out == ""
 
 
 def test_cli_import_does_not_load_scipy():

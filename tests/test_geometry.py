@@ -65,7 +65,20 @@ def test_jacobi_violation():
     c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0
     c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
     c[2, 0, 2], c[0, 2, 2] = 1.0, -1.0
-    with pytest.raises(JacobiViolation):
+    for scale in (1.0, 1e5):
+        with pytest.raises(JacobiViolation):
+            validate_geometry(scale * c, np.zeros(3))
+
+
+def test_validation_bounds_are_relative_to_scale():
+    # c = 0 still validates: the bounds scale with max|c| but stay strict
+    validate_geometry(np.zeros((3, 3, 3)), np.zeros(3))
+    c = milnor_constants((1e5, 2e5, 3e5))
+    c[1, 0, 2] += 1e-8  # skew 1e-8, or 3e-14 of the scale: rounding, symmetrized away
+    g = validate_geometry(c, np.zeros(3))
+    assert np.array_equal(g.structure_constants, -np.swapaxes(g.structure_constants, 0, 1))
+    c[1, 0, 2] += 1.0  # 3e-6 of the scale: a real defect
+    with pytest.raises(ShapeError):
         validate_geometry(c, np.zeros(3))
 
 

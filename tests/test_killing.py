@@ -432,3 +432,11 @@ def test_transport_sequence_operator_orders_left():
     lhs = transport_sequence_operator(ROUND, HALF, [a1, a2])
     rhs = transport_operator(ROUND, HALF, a2) @ transport_operator(ROUND, HALF, a1)
     assert np.max(np.abs(lhs - rhs)) == 0.0
+
+
+def test_search_overflow_raises_no_convergence():
+    # the residuals are quadratic, so lambda1 = 1e200 overflows them
+    with pytest.raises(NoConvergence) as info:
+        find_gt_parameters((1e200, 2.0, 2.0, 0.0, 0.5))
+    assert info.value.best_params[0] == 1e200
+    assert not info.value.best_residual < 1e-10
