@@ -33,6 +33,7 @@ from .identities import verify_algebra
 from .killing import (
     PIN_INDEX,
     KillingBasis,
+    arc_from_vector,
     find_gt_parameters,
     killing_residual,
     loop_holonomy,
@@ -200,11 +201,11 @@ def _cmd_killing(args):
         return sections
     basis = KillingBasis(g, beta)
 
-    loops = [triangle_loop(g, rng) for _ in range(args.loops)]
-    worst_dev = max(loop_holonomy(g, beta, loop)[1] for loop in loops)
+    loops = triangle_loop(g, beta, rng, args.loops)
+    worst_dev = float(np.max(loop_holonomy(g, beta, loops)[1]))
     sections.append(_bound_section("max_holonomy_deviation", worst_dev, 1e-9, "below"))
 
-    samples = [loop[:arcs] for loop in loops[:10] for arcs in (1, 2)]
+    samples = [[arc_from_vector(v) for v in loop[:arcs]] for loop in loops[:10] for arcs in (1, 2)]
     min_sv = min(basis.min_singular_value(arcs) for arcs in samples)
     sections.append(_bound_section("min_singular_value", min_sv, 0.1, "above"))
 

@@ -74,13 +74,8 @@ def _jacobi_defect(c):
     return float(np.max(np.abs(total)))
 
 
-def validate_geometry(structure_constants, theta):
-    """Build a validated geometry from raw arrays.
-
-    Both bounds are relative to the scale m = max|c|, so a valid frame passes
-    at any scale: antisymmetry violations up to 1e-12 m are symmetrized away,
-    larger ones are rejected, and the Jacobi identity must hold to 1e-10 m^2.
-    """
+def _finite_arrays(structure_constants, theta):
+    """(c, theta, max|c|): float arrays of shapes (3,3,3) and (3,) with finite entries."""
     c = np.asarray(structure_constants, dtype=float)
     th = np.asarray(theta, dtype=float)
     if c.shape != (3, 3, 3):
@@ -90,6 +85,25 @@ def validate_geometry(structure_constants, theta):
     scale = np.max(np.abs(c))  # not finite exactly when some entry of c is not
     if not (np.isfinite(scale) and np.all(np.isfinite(th))):
         raise ShapeError("geometry data must be finite")
+    return c, th, scale
+
+
+def _read_only_geometry(c, th):
+    c = c.copy()
+    th = th.copy()
+    c.setflags(write=False)
+    th.setflags(write=False)
+    return HomogeneousWeylGeometry(c, th)
+
+
+def validate_geometry(structure_constants, theta):
+    """Build a validated geometry from raw arrays.
+
+    Both bounds are relative to the scale m = max|c|, so a valid frame passes
+    at any scale: antisymmetry violations up to 1e-12 m are symmetrized away,
+    larger ones are rejected, and the Jacobi identity must hold to 1e-10 m^2.
+    """
+    c, th, scale = _finite_arrays(structure_constants, theta)
     skew = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
     if skew > 1e-12 * scale:
         raise ShapeError(f"structure constants not antisymmetric in the lower pair ({skew:.3e})")
@@ -97,11 +111,7 @@ def validate_geometry(structure_constants, theta):
     defect = _jacobi_defect(c)
     if defect > 1e-10 * scale**2:
         raise JacobiViolation(f"Jacobi identity fails by {defect:.3e}")
-    c = c.copy()
-    th = th.copy()
-    c.setflags(write=False)
-    th.setflags(write=False)
-    return HomogeneousWeylGeometry(c, th)
+    return _read_only_geometry(c, th)
 
 
 def milnor_constants(lam):
@@ -117,7 +127,13 @@ def milnor_constants(lam):
 
 
 def milnor_geometry(lam, theta=(0.0, 0.0, 0.0)):
-    return validate_geometry(milnor_constants(lam), theta)
+    """The geometry of a Milnor frame with parameters lam and Weyl form theta.
+
+    Milnor constants are antisymmetric and satisfy the Jacobi identity by
+    construction, so of validate_geometry's checks only shape and finiteness run.
+    """
+    c, th, _ = _finite_arrays(milnor_constants(lam), theta)
+    return _read_only_geometry(c, th)
 
 
 def weyl_connection(g):

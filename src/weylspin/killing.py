@@ -8,7 +8,9 @@ closed-form exponential. Loops close in the unit-quaternion or the abelian
 model of the group (group_model, in any frame); the model and the su(2)
 coefficients of the B_i are resolved once per (immutable) geometry. The
 quaternion logarithm keeps its quaternion angle in [0, pi], matching the
-simply connected double cover.
+simply connected double cover. Loops come in batches, an (N, k, 3) array of
+arc frame vectors, so drawing, closing and transporting N loops are array
+operations; a single arc (GroupArc) runs on the same exponential.
 """
 
 import functools
@@ -23,6 +25,7 @@ from .spinconn import flatness, killing_connection, spin_connection
 
 _ID2 = np.eye(2, dtype=complex)
 _Q = -E  # unit quaternion generators as 2x2 matrices: q_i q_j = eps_ijk q_k
+_QUATERNION_BASIS = np.concatenate([_ID2[None], _Q]).reshape(4, 4)  # rows Id, q_1, q_2, q_3
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,11 @@ def transport_arc(g, beta, arc, psi0):
 
 
 def transport_sequence_operator(g, beta, arcs):
-    """Ordered product of arc transports; the last arc's matrix is leftmost."""
+    """Ordered product of arc transports; the last arc's matrix is leftmost.
+
+    Each arc goes through transport_operator, the per-arc entry that
+    bench/run.py wraps to spot-check transports against RK4.
+    """
     out = _ID2.copy()
     for a in arcs:
         out = transport_operator(g, beta, a) @ out
@@ -130,81 +137,106 @@ def _su2_coefficients(M):
 
 
 def _su2_exp(x):
-    """exp of sum x_k q_k in the 2x2 quaternion representation."""
-    phi = float(np.linalg.norm(x))
-    X = np.einsum("k,kab->ab", np.asarray(x, dtype=float), _Q)
-    return np.cos(phi) * _ID2 + np.sinc(phi / np.pi) * X
+    """exp of sum x_k q_k for coefficients x (..., 3), as (..., 2, 2) matrices."""
+    x = np.asarray(x, dtype=float)
+    phi = np.linalg.norm(x, axis=-1, keepdims=True)
+    quaternion = np.concatenate([np.cos(phi), np.sinc(phi / np.pi) * x], axis=-1)
+    return (quaternion @ _QUATERNION_BASIS).reshape(x.shape[:-1] + (2, 2))
 
 
 def _su2_log(M):
-    """Coefficients x with exp(sum x_k q_k) = M, quaternion angle in [0, pi]."""
-    a = float(np.real(np.trace(M))) / 2.0
+    """Coefficients x (..., 3) with exp(sum x_k q_k) = M (..., 2, 2), angle in [0, pi]."""
+    a = np.real(np.trace(M, axis1=-2, axis2=-1)) / 2.0
     b = _su2_coefficients(M)
-    nb = float(np.linalg.norm(b))
-    if nb < 1e-14:
-        if a > 0.0:
-            return np.zeros(3)
+    nb = np.linalg.norm(b, axis=-1)
+    tiny = nb < 1e-14
+    if np.any(tiny & (a <= 0.0)):
         raise UnsupportedModel("group logarithm hit the branch point (antipode)")
-    phi = float(np.arctan2(nb, a))
-    return (phi / nb) * b
+    ratio = np.arctan2(nb, a) / np.where(tiny, 1.0, nb)
+    return np.where(tiny, 0.0, ratio)[..., None] * b
 
 
-def group_endpoint(g, arcs):
-    """The sequence's endpoint in the model group_model(g)."""
-    kind, L = group_model(g)
-    if kind == "abelian":
-        return sum((a.length * np.asarray(a.direction) for a in arcs), np.zeros(3))
-    out = _ID2.copy()
-    for a in arcs:
-        out = out @ _su2_exp(a.length * np.asarray(a.direction) @ L)
+def _ordered_product(steps, later_left):
+    """Product over axis 1 of (N, k, 2, 2) matrices, the identity for k = 0."""
+    out = np.broadcast_to(_ID2, steps.shape[:1] + (2, 2))
+    for j in range(steps.shape[1]):
+        out = steps[:, j] @ out if later_left else out @ steps[:, j]
     return out
 
 
-def closure_defect(g, arcs):
-    end = group_endpoint(g, arcs)
-    if group_model(g)[0] == "abelian":
-        return float(np.linalg.norm(end))
-    return float(np.max(np.abs(end - _ID2)))
+# A batch of paths is an (N, k, 3) array: N paths of k arcs, arc j of path n
+# being the frame vector t d (direction d, length t) as arc_from_vector reads it.
 
 
-def closing_arc(g, arcs):
-    """Arc that closes the given sequence into a loop, via the group logarithm."""
+def path_transports(g, beta, paths):
+    """Transport operators (N, 2, 2) along a batch of paths; later arcs act on the left."""
+    b = _killing_generators(g, beta)
+    return _ordered_product(_su2_exp(-np.asarray(paths, dtype=float) @ b), later_left=True)
+
+
+def group_endpoint(g, paths):
+    """Endpoints of a batch of paths in group_model(g): (N, 3) sums or (N, 2, 2) SU(2)."""
     kind, L = group_model(g)
-    end = group_endpoint(g, arcs)
+    paths = np.asarray(paths, dtype=float)
     if kind == "abelian":
-        return arc_from_vector(-end)
-    z = _su2_log(np.conj(end.T))  # inverse of an SU(2) matrix is its adjoint
-    return arc_from_vector(np.linalg.solve(L.T, z))
+        return paths.sum(axis=1)
+    return _ordered_product(_su2_exp(paths @ L), later_left=False)
 
 
-def triangle_loop(g, rng):
-    """Two random arcs plus the closing third; a closed loop by construction."""
+def closure_defect(g, paths):
+    """Per path (N,), how far its endpoint lies from the identity of group_model(g)."""
+    end = group_endpoint(g, paths)
+    if group_model(g)[0] == "abelian":
+        return np.linalg.norm(end, axis=-1)
+    return np.max(np.abs(end - _ID2), axis=(-2, -1))
 
-    def rand_arc():
-        d = rng.standard_normal(3)
-        d /= np.linalg.norm(d)
-        return GroupArc(tuple(d), float(rng.uniform(0.4, 1.2)))
 
-    a1, a2 = rand_arc(), rand_arc()
-    return [a1, a2, closing_arc(g, [a1, a2])]
+def closing_arc(g, paths):
+    """Frame vectors (N, 3) of the arcs that close each path into a loop.
+
+    One batched group logarithm and one triangular solve L^T v = z for all N.
+    """
+    kind, L = group_model(g)
+    end = group_endpoint(g, paths)
+    if kind == "abelian":
+        return -end
+    z = _su2_log(np.conj(np.swapaxes(end, -2, -1)))  # inverse of an SU(2) matrix is its adjoint
+    return np.linalg.solve(L.T, z.T).T
+
+
+def triangle_loop(g, beta, rng, n):
+    """n random closed triangles (n, 3, 3): two random arcs plus the closing third.
+
+    All directions are drawn first, rng.standard_normal((n, 2, 3)), then all
+    lengths, rng.uniform(0.4, 1.2, (n, 2)), in units of 1 / residual_scale(g, beta)
+    (1 for the zero geometry), so a loop spans the same part of the group at
+    every scale.
+    """
+    d = rng.standard_normal((n, 2, 3))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    t = rng.uniform(0.4, 1.2, (n, 2)) / (residual_scale(g, beta) or 1.0)
+    legs = t[..., None] * d
+    return np.concatenate([legs, closing_arc(g, legs)[:, None]], axis=1)
 
 
 _CLOSURE_TOLERANCE = 1e-10
 
 
-def loop_holonomy(g, beta, arcs):
-    """Holonomy of the Killing connection around a closed loop.
+def loop_holonomy(g, beta, loops):
+    """Killing holonomies (N, 2, 2) around a batch of loops, and their max|H - Id| (N,).
 
-    Raises OpenPath when the arc sequence does not end at the identity of the
-    simply connected model (within _CLOSURE_TOLERANCE).
+    Raises OpenPath when any loop does not end at the identity of the simply
+    connected model (within _CLOSURE_TOLERANCE).
     """
-    arcs = list(arcs)
-    if arcs:
-        defect = closure_defect(g, arcs)
-        if defect > _CLOSURE_TOLERANCE:
-            raise OpenPath(f"arc sequence does not close up (defect {defect:.3e})")
-    H = transport_sequence_operator(g, beta, arcs)
-    return H, float(np.max(np.abs(H - _ID2)))
+    defect = closure_defect(g, loops)
+    open_loops = defect > _CLOSURE_TOLERANCE
+    if np.any(open_loops):
+        raise OpenPath(
+            f"{np.count_nonzero(open_loops)} of {defect.size} arc sequences do not close up "
+            f"(worst defect {np.max(defect):.3e})"
+        )
+    H = path_transports(g, beta, loops)
+    return H, np.max(np.abs(H - _ID2), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +287,12 @@ def killing_basis(g, beta, flat_tolerance=1e-10):
 
 def path_independence_residual(g, beta, rng, pairs=5):
     """Max transport disagreement between random path pairs to a common endpoint."""
-    worst = 0.0
-    for _ in range(pairs):
-        loop = triangle_loop(g, rng)
-        # the closing arc loop[2] closes the two-leg path, so traversing it
-        # backwards is a one-arc path to the same endpoint
-        back = GroupArc(loop[2].direction, -loop[2].length)
-        U1 = transport_sequence_operator(g, beta, loop[:2])
-        U2 = transport_sequence_operator(g, beta, [back])
-        worst = max(worst, float(np.max(np.abs(U1 - U2))))
-    return worst
+    loops = triangle_loop(g, beta, rng, pairs)
+    # each closing arc closes its two-leg path, so traversing it backwards is
+    # a one-arc path to the same endpoint
+    U1 = path_transports(g, beta, loops[:, :2])
+    U2 = path_transports(g, beta, -loops[:, 2:])
+    return float(np.max(np.abs(U1 - U2)))
 
 
 def killing_residual(g, beta, basis, samples, h=1e-5):

@@ -159,13 +159,9 @@ def test_criterion_06_round_sphere_end_to_end():
         checks.append(killing_curvature(ROUND, beta).residual < 1e-12)
     beta = WeightedDensity(0.5)
     basis = killing_basis(ROUND, beta)
-    worst_dev = 0.0
-    samples = []
-    for _ in range(50):
-        loop = triangle_loop(ROUND, rng)
-        _, dev = loop_holonomy(ROUND, beta, loop)
-        worst_dev = max(worst_dev, dev)
-        samples.append(loop[:2])
+    loops = triangle_loop(ROUND, beta, rng, 50)
+    worst_dev = float(np.max(loop_holonomy(ROUND, beta, loops)[1]))
+    samples = [[arc_from_vector(v) for v in loop[:2]] for loop in loops]
     checks.append(worst_dev < 1e-9)
     fd = killing_residual(ROUND, beta, basis, samples[:20], h=1e-5)
     checks.append(fd < 1e-7)

@@ -129,6 +129,14 @@ def test_verify_algebra_deterministic_output(capsys):
     assert strip(out1) == strip(out2)
 
 
+def test_killing_deterministic_output(capsys):
+    argv = ["killing", BERGER_PATH, "--loops", "40", "--seed", "5"]
+    _, out1, _ = run_cli(capsys, argv)
+    _, out2, _ = run_cli(capsys, argv)
+    strip = lambda s: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', s)
+    assert strip(out1) == strip(out2)
+
+
 def test_float_rendering_roundtrips(capsys):
     _, out, _ = run_cli(capsys, ["verify-algebra", "--trials", "25"])
     report = json.loads(out)
@@ -209,15 +217,17 @@ def test_killing_command_in_a_rotated_frame(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("s", [-7.0, -9.0])
+@pytest.mark.parametrize("s", [-7.0, -9.0, -12.0])
 def test_commands_pass_on_a_rescaled_rotated_file(tmp_path, capsys, s):
     # rotating the Berger sphere at scale e^-s leaves rounding in the constants:
     # at s = -7 a Jacobi defect of 2.5e-10, at s = -9 a skew of 1.8e-12, both
-    # far below validate_geometry's bounds relative to max|c|
+    # far below validate_geometry's bounds relative to max|c|; at s = -12
+    # (max|c| 3.3e5) loops of a fixed length 0.4-1.2 read a holonomy of
+    # 1.0e-9, which loop lengths in units of 1 / scale avoid
     g, beta = gauge_rescale(*parse_geometry_file(BERGER_PATH), s)
     g = rotated_geometry(g, rotation((1.0, 2.0, 3.0), 0.55))
     path = write(tmp_path, "rotated.json", geometry_text(g, beta))
-    for argv in (["analyze", path], ["killing", path, "--loops", "10"]):
+    for argv in (["analyze", path], ["killing", path, "--loops", "50"]):
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"

@@ -9,10 +9,13 @@ Heisenberg and round values below are special cases of the same formula.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylspin.errors import JacobiViolation, ShapeError
 from weylspin.geometry import (
     WeightedDensity,
+    _jacobi_defect,
     analyze,
     curvature_package,
     decomposition_residual,
@@ -42,6 +45,29 @@ def test_milnor_constants_entries():
     assert c[2, 0, 1] == 2.0 and c[0, 2, 1] == -2.0
     assert c[0, 1, 2] == 3.0 and c[1, 0, 2] == -3.0
     assert np.count_nonzero(c) == 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-1e100, 1e100), min_size=3, max_size=3),
+    st.lists(st.floats(-1e100, 1e100), min_size=3, max_size=3),
+)
+def test_milnor_geometry_needs_no_algebra_checks(lam, theta):
+    # milnor_geometry skips validate_geometry's skew and Jacobi checks; both
+    # hold exactly by construction, so the two constructors agree bit for bit
+    c = milnor_constants(lam)
+    assert np.array_equal(c, -np.swapaxes(c, 0, 1))
+    assert _jacobi_defect(c) == 0.0
+    g, v = milnor_geometry(lam, theta), validate_geometry(c, theta)
+    assert g.structure_constants.tobytes() == v.structure_constants.tobytes()
+    assert g.theta.tobytes() == v.theta.tobytes()
+
+
+def test_milnor_geometry_rejects_non_finite_data():
+    with pytest.raises(ShapeError):
+        milnor_geometry((np.inf, 1.0, 1.0))
+    with pytest.raises(ShapeError):
+        milnor_geometry((1.0, 1.0, 1.0), (0.0, np.nan, 0.0))
 
 
 def test_validate_geometry_errors():

@@ -27,6 +27,8 @@ from weylspin.geometry import (
 )
 from weylspin.killing import (
     GroupArc,
+    _su2_exp,
+    _su2_log,
     arc_from_vector,
     closing_arc,
     closure_defect,
@@ -38,6 +40,7 @@ from weylspin.killing import (
     loop_holonomy,
     milnor_theta3_family,
     path_independence_residual,
+    path_transports,
     rk4_transport,
     transport_arc,
     transport_operator,
@@ -64,6 +67,11 @@ def rotated_geometry(g, R):
     """The same geometry in the orthonormal frame e'_i = sum_a R[i, a] e_a."""
     c = np.einsum("ia,jb,abc,kc->ijk", R, R, g.structure_constants, R)
     return validate_geometry(c, R @ g.theta)
+
+
+def arcs_of(path):
+    """The GroupArc list of one path of an (N, k, 3) batch."""
+    return [arc_from_vector(v) for v in path]
 
 
 def random_psi(rng):
@@ -209,14 +217,12 @@ def test_loop_model_works_in_any_frame(lam, sign, beta_sign, axis, angle, seed):
     R = rotation(axis, angle)
     g = rotated_geometry(milnor_geometry(sign * np.asarray(lam)), R)
     assert group_model(g)[0] == "su2"
-    for _ in range(5):
-        assert closure_defect(g, triangle_loop(g, rng)) < 1e-12
+    assert np.max(closure_defect(g, triangle_loop(g, WeightedDensity(0.0), rng, 5))) < 1e-12
     # the round Gauduchon-Tod member, |beta| = lambda / 4, in the same frame
     g = rotated_geometry(milnor_geometry((sign * lam[0],) * 3), R)
     beta = WeightedDensity(beta_sign * lam[0] / 4.0)
-    for _ in range(5):
-        _, dev = loop_holonomy(g, beta, triangle_loop(g, rng))
-        assert dev < 1e-12
+    _, dev = loop_holonomy(g, beta, triangle_loop(g, beta, rng, 5))
+    assert np.max(dev) < 1e-12
     assert path_independence_residual(g, beta, rng, pairs=3) < 1e-12
 
 
@@ -233,9 +239,8 @@ def test_verdicts_and_holonomy_are_gauge_invariant(s):
     assert flatness(g, beta) < 1e-10
     killing_basis(g, beta)
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        _, dev = loop_holonomy(g, beta, triangle_loop(g, rng))
-        assert dev < 1e-9
+    _, dev = loop_holonomy(g, beta, triangle_loop(g, beta, rng, 5))
+    assert np.max(dev) < 1e-9
     # negative control: beta off by 2 % fails both verdicts at every scale
     g, beta = gauge_rescale(g0, WeightedDensity(1.02 * beta0.value), s)
     assert not analyze(g, beta).verdict
@@ -252,62 +257,117 @@ def test_negative_definite_milnor_frame_is_flat_along_loops():
     assert analyze(g, beta).verdict
     assert killing_curvature(g, beta).residual < 1e-14
     rng = np.random.default_rng(16)
-    for _ in range(20):
-        _, dev = loop_holonomy(g, beta, triangle_loop(g, rng))
-        assert dev < 1e-12
+    _, dev = loop_holonomy(g, beta, triangle_loop(g, beta, rng, 20))
+    assert np.max(dev) < 1e-12
     assert path_independence_residual(g, beta, rng, pairs=8) < 1e-12
 
 
 def test_triangle_loops_close():
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        loop = triangle_loop(ROUND, rng)
-        assert closure_defect(ROUND, loop) < 1e-10
+    loops = triangle_loop(ROUND, HALF, rng, 50)
+    assert loops.shape == (50, 3, 3)
+    assert np.max(closure_defect(ROUND, loops)) < 1e-10
+
+
+def test_triangle_loop_lengths_scale_with_the_geometry():
+    # the two drawn legs have length 0.4-1.2 in units of 1 / residual_scale
+    for g, beta, scale in (
+        (ROUND, HALF, 2.0),
+        (milnor_geometry((20.0, 20.0, 20.0)), WeightedDensity(5.0), 20.0),
+        (milnor_geometry((0.0, 0.0, 0.0)), WeightedDensity(0.0), 1.0),
+    ):
+        loops = triangle_loop(g, beta, np.random.default_rng(18), 200)
+        legs = np.linalg.norm(loops[:, :2], axis=-1)
+        assert 0.4 <= np.min(legs) * scale and np.max(legs) * scale <= 1.2
 
 
 def test_abelian_triangle_loops_close():
     g = milnor_geometry((0.0, 0.0, 0.0))
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        loop = triangle_loop(g, rng)
-        assert closure_defect(g, loop) < 1e-12
-        vec = sum(a.length * np.asarray(a.direction) for a in loop)
-        assert np.max(np.abs(vec)) < 1e-12
+    loops = triangle_loop(g, WeightedDensity(0.0), rng, 10)
+    assert np.max(closure_defect(g, loops)) < 1e-12
+    assert np.max(np.abs(loops.sum(axis=1))) < 1e-12
 
 
 def test_closing_arc_inverts_the_logarithm():
     rng = np.random.default_rng(6)
-    arcs = [arc_from_vector(rng.uniform(-0.8, 0.8, 3)) for _ in range(2)]
-    back = closing_arc(ROUND, arcs)
-    assert closure_defect(ROUND, arcs + [back]) < 1e-12
+    paths = rng.uniform(-0.8, 0.8, (4, 2, 3))
+    back = closing_arc(ROUND, paths)
+    assert back.shape == (4, 3)
+    assert np.max(closure_defect(ROUND, np.concatenate([paths, back[:, None]], axis=1))) < 1e-12
 
 
 def test_empty_loop_is_trivial():
-    H, dev = loop_holonomy(ROUND, HALF, [])
-    assert np.array_equal(H, np.eye(2))
-    assert dev == 0.0
+    H, dev = loop_holonomy(ROUND, HALF, np.zeros((1, 0, 3)))
+    assert np.array_equal(H, np.eye(2)[None])
+    assert np.array_equal(dev, [0.0])
 
 
 def test_open_path_raises():
-    arc = GroupArc((0.0, 0.0, 1.0), 0.7)
     with pytest.raises(OpenPath):
-        loop_holonomy(ROUND, HALF, [arc])
+        loop_holonomy(ROUND, HALF, [[(0.0, 0.0, 0.7)]])
+
+
+def test_one_open_loop_in_a_batch_raises():
+    loops = triangle_loop(ROUND, HALF, np.random.default_rng(19), 6)
+    loop_holonomy(ROUND, HALF, loops)
+    loops[3, 2] *= 1.001
+    assert np.count_nonzero(closure_defect(ROUND, loops) > 1e-10) == 1
+    with pytest.raises(OpenPath, match="1 of 6"):
+        loop_holonomy(ROUND, HALF, loops)
+
+
+def test_batched_holonomy_matches_per_arc_transports():
+    # the array path against the per-arc product on round, Berger, flat and
+    # rotated frames, including a loop batch of one
+    g_berger, beta_berger = parse_geometry_file(BERGER_PATH)
+    R = rotation((1.0, 2.0, 3.0), 0.55)
+    cases = [
+        (ROUND, HALF),
+        (g_berger, beta_berger),
+        (milnor_geometry((0.0, 0.0, 0.0)), WeightedDensity(0.0)),
+        (rotated_geometry(g_berger, R), beta_berger),
+        (rotated_geometry(milnor_geometry((-3.0, -3.0, -3.0)), R), WeightedDensity(0.75)),
+    ]
+    rng = np.random.default_rng(20)
+    for g, beta in cases:
+        for n in (1, 3):
+            loops = triangle_loop(g, beta, rng, n)
+            H, dev = loop_holonomy(g, beta, loops)
+            assert H.shape == (n, 2, 2) and dev.shape == (n,)
+            for loop, h, d in zip(loops, H, dev):
+                want = transport_sequence_operator(g, beta, arcs_of(loop))
+                assert np.max(np.abs(h - want)) < 1e-13
+                assert d == np.max(np.abs(h - np.eye(2)))
+            legs = path_transports(g, beta, loops[:, :2])
+            for loop, u in zip(loops, legs):
+                want = transport_sequence_operator(g, beta, arcs_of(loop[:2]))
+                assert np.max(np.abs(u - want)) < 1e-13
+
+
+def test_batched_group_log():
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-1.0, 1.0, (5, 3))
+    assert np.max(np.abs(_su2_log(_su2_exp(x)) - x)) < 1e-14
+    assert np.array_equal(_su2_log(np.eye(2, dtype=complex)), np.zeros(3))
+    # one element of the batch at the antipode -Id, where the log branches
+    M = _su2_exp(x)
+    M[2] = -np.eye(2)
+    with pytest.raises(UnsupportedModel):
+        _su2_log(M)
 
 
 def test_holonomy_trivial_on_round_sphere():
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(50):
-        _, dev = loop_holonomy(ROUND, HALF, triangle_loop(ROUND, rng))
-        worst = max(worst, dev)
-    assert worst < 1e-9
+    _, dev = loop_holonomy(ROUND, HALF, triangle_loop(ROUND, HALF, rng, 50))
+    assert np.max(dev) < 1e-9
 
 
 def test_holonomy_negative_control():
     rng = np.random.default_rng(8)
     beta = WeightedDensity(0.3)  # not GT, curvature residual 0.32
-    _, dev = loop_holonomy(ROUND, beta, triangle_loop(ROUND, rng))
-    assert dev > 1e-3
+    _, dev = loop_holonomy(ROUND, beta, triangle_loop(ROUND, beta, rng, 1))
+    assert dev[0] > 1e-3
 
 
 def test_path_independence_iff_flatness():
@@ -343,10 +403,9 @@ def test_basis_pair_is_j_related_and_independent():
     psi1, psi2 = basis.base_values
     assert np.max(np.abs(psi2 - j_structure(psi1))) == 0.0
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        loop = triangle_loop(ROUND, rng)
+    for loop in triangle_loop(ROUND, HALF, rng, 20):
         for arcs in (loop[:1], loop[:2]):
-            assert basis.min_singular_value(arcs) > 0.1
+            assert basis.min_singular_value(arcs_of(arcs)) > 0.1
 
 
 def test_flat_abelian_basis_and_residual():
@@ -361,11 +420,7 @@ def test_flat_abelian_basis_and_residual():
 def test_killing_residual_second_order():
     basis = killing_basis(ROUND, HALF)
     rng = np.random.default_rng(13)
-    samples = []
-    for _ in range(10):
-        loop = triangle_loop(ROUND, rng)
-        samples.append(loop[:1])
-        samples.append(loop[:2])
+    samples = [arcs_of(loop[:k]) for loop in triangle_loop(ROUND, HALF, rng, 10) for k in (1, 2)]
     r5 = killing_residual(ROUND, HALF, basis, samples, h=1e-5)
     assert r5 < 1e-7
     r3 = killing_residual(ROUND, HALF, basis, samples, h=1e-3)
