@@ -13,6 +13,7 @@ positive and finite, a malformed --x0 or --pin).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -293,7 +294,9 @@ _PIN = _checked(
 # entry point
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="weylspin",
         description="verification suite for real Killing spinors on 3d Weyl geometries",

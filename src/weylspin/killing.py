@@ -14,6 +14,7 @@ operations; a single arc (GroupArc) runs on the same exponential.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,6 +351,30 @@ def milnor_theta3_family(params):
 _MAX_HALVINGS = 20
 
 
+@functools.lru_cache(maxsize=1)
+def _family_quadratic_form():
+    """Read-only Q (13, 5, 5), symmetric in its last two axes, with r(x) = (Q @ x) @ x.
+
+    r(x) = gt_residual_vector(*milnor_theta3_family(x)) is a homogeneous
+    quadratic: c is linear in lambda, Gamma linear in (lambda, theta), and R4,
+    F, nabla beta and 24 beta^2 are quadratic. So r is fixed by its values at
+    the 15 points e_k and e_k + e_l (k < l):
+        Q[:, k, k] = r(e_k),  Q[:, k, l] = (r(e_k + e_l) - r(e_k) - r(e_l)) / 2.
+    """
+    def r(params):
+        return gt_residual_vector(*milnor_theta3_family(params))
+
+    eye = np.eye(5)  # the coordinates (l1, l2, l3, theta3, beta)
+    diag = [r(e) for e in eye]
+    Q = np.empty((diag[0].size, 5, 5))
+    for k in range(5):
+        Q[:, k, k] = diag[k]
+    for k, l in itertools.combinations(range(5), 2):
+        Q[:, k, l] = Q[:, l, k] = 0.5 * (r(eye[k] + eye[l]) - diag[k] - diag[l])
+    Q.setflags(write=False)
+    return Q
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught and reported below
 def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iterations=50):
     """Damped Newton search for a root of the Gauduchon-Tod residual system.
@@ -358,43 +383,50 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     pin = (name_or_index, value), with value None meaning "keep x0's entry".
     Newton steps solve the least-squares system for the stacked residual
     vector of milnor_theta3_family, with simple backtracking (halve the step
-    while the residual norm does not decrease). The residuals are quadratic
-    polynomials in (l1, l2, l3, theta3, beta), so the unit-step central
-    difference 0.5 (r(x + e_k) - r(x - e_k)) is their exact Jacobian. Success
-    means max-norm residual below tolerance within max_iterations; otherwise,
-    or as soon as a residual or a Newton step overflows to a non-finite value,
-    NoConvergence carries the best iterate seen.
+    while the residual norm does not decrease). The residuals are the
+    quadratic form r(x) = (Q @ x) @ x of _family_quadratic_form, so each step
+    evaluates Q @ x once and takes the exact Jacobian 2 (Q @ x)[:, free]; no
+    geometry is built inside the iteration. Success means a max-norm residual
+    below tolerance within max_iterations, confirmed by gt_residual_vector
+    itself: residual_norm is max|gt_residual_vector| at the root, read from
+    the analyze report. Otherwise, or as soon as a residual or a Newton step
+    overflows to a non-finite value, NoConvergence carries the last iterate,
+    which is the best one (an accepted step always lowers the norm), and
+    gt_residual_vector's max-norm there.
     """
     x = np.asarray(x0, dtype=float).copy()
     name, value = pin
     idx = PIN_INDEX[name] if isinstance(name, str) else int(name)
     if value is not None:
         x[idx] = value
+    if not np.all(np.isfinite(x)):
+        raise ShapeError("search start must be finite")
     free = [k for k in range(x.size) if k != idx]
-
-    def residual(params):
-        return gt_residual_vector(*milnor_theta3_family(params))
+    Q = _family_quadratic_form()
 
     def stop(why, iterations):
+        norm = float(np.max(np.abs(gt_residual_vector(*milnor_theta3_family(x)))))
         return NoConvergence(
-            f"{why}, best residual {best_norm:.3e}",
-            best_params=tuple(best_x),
-            best_residual=best_norm,
+            f"{why}, best residual {norm:.3e}",
+            best_params=tuple(x),
+            best_residual=norm,
             iterations=iterations,
         )
 
-    r = residual(x)
+    def converged(iterations):
+        report = analyze(*milnor_theta3_family(x))
+        norm = max(report.r_ew, report.r_scal, report.r_star)  # max|gt_residual_vector|
+        if not norm < tolerance:
+            raise stop("root of the quadratic form fails gt_residual_vector", iterations)
+        return GTSearchResult(tuple(x), norm, iterations, report)
+
+    qx = Q @ x
+    r = qx @ x
     norm = float(np.max(np.abs(r)))
-    best_x, best_norm = x.copy(), norm
     for it in range(max_iterations):
         if norm < tolerance:
-            return GTSearchResult(tuple(x), norm, it, analyze(*milnor_theta3_family(x)))
-        jac = np.zeros((r.size, len(free)))
-        for col, k in enumerate(free):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += 1.0
-            xm[k] -= 1.0
-            jac[:, col] = 0.5 * (residual(xp) - residual(xm))
+            return converged(it)
+        jac = 2.0 * qx[:, free]
         if not (np.isfinite(norm) and np.all(np.isfinite(jac))):
             raise stop("non-finite residual", it)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -404,16 +436,15 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
         for _ in range(_MAX_HALVINGS + 1):
             xt = x.copy()
             xt[free] += t * step
-            rt = residual(xt)
+            qxt = Q @ xt
+            rt = qxt @ xt
             nt = float(np.max(np.abs(rt)))
             if nt < norm:
                 break
             t *= 0.5
         else:
             raise stop("backtracking stalled", it)
-        x, r, norm = xt, rt, nt
-        if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
+        x, qx, r, norm = xt, qxt, rt, nt
     if norm < tolerance:
-        return GTSearchResult(tuple(x), norm, max_iterations, analyze(*milnor_theta3_family(x)))
+        return converged(max_iterations)
     raise stop(f"iteration cap {max_iterations} hit", max_iterations)

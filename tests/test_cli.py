@@ -11,6 +11,7 @@ import pytest
 from weylspin.cli import build_parser, main, parse_geometry_file
 from weylspin.errors import JacobiViolation, ParseError
 from weylspin.geometry import gauge_rescale
+from weylspin.killing import gt_residual_vector, milnor_theta3_family
 
 from test_killing import BERGER_PATH, rotated_geometry, rotation
 
@@ -275,6 +276,33 @@ def test_search_gt_iteration_cap(capsys):
     assert report["verdict"] == "fail"
 
 
+def test_search_gt_final_residual_is_the_formula_at_the_root(capsys):
+    code, out, err = run_cli(capsys, ["search-gt", "--pin", "lambda1=2", "--x0", "2,2,1.8,0.3,0.4"])
+    assert code == 0
+    line = next(l for l in err.splitlines() if l.startswith("[search-gt] parameters:"))
+    params = [float(v) for v in line.partition(":")[2].split(",")]
+    final = json.loads(out)["sections"][0]
+    assert final["name"] == "final_residual"
+    assert final["value"] == float(np.max(np.abs(gt_residual_vector(*milnor_theta3_family(params)))))
+
+
+def test_successive_calls_share_no_parser_state(capsys):
+    argv = ["search-gt", "--x0", "2.2,1.9,2.1,0.05,0.4", "--pin", "lambda1=2"]
+    _, out, _ = run_cli(capsys, argv + ["--max-iter", "1", "--tol", "1e-3", "--seed", "7"])
+    report = json.loads(out)
+    assert report["seed"] == 7
+    assert report["sections"][1] == {
+        "name": "iterations", "value": 1.0, "bound": 1.5, "direction": "below", "pass": True
+    }
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["seed"] == 0
+    assert report["sections"][0]["bound"] == 1e-10
+    assert report["sections"][1]["bound"] == 50.5
+    assert build_parser() is build_parser()
+
+
 def test_search_gt_usage_errors(capsys):
     code, _, _ = run_cli(capsys, ["search-gt", "--x0", "1,2,3"])
     assert code == 2
@@ -308,6 +336,7 @@ X0 = ["--x0", "2.2,1.9,2.1,0.05,0.4"]
         ["search-gt", *X0, "--tol", "-0.5"],
         ["search-gt", *X0, "--max-iter", "-1"],
         ["search-gt", "--x0", "1,2,x,0,0.5"],
+        ["search-gt", "--x0", "inf,2,2,0,0.5", "--pin", "lambda2"],
         ["search-gt", *X0, "--pin", "lambda1=two"],
     ],
 )

@@ -17,6 +17,7 @@ from weylspin.errors import (
     ShapeError,
     UnsupportedModel,
 )
+from weylspin import geometry, killing
 from weylspin.cli import parse_geometry_file
 from weylspin.geometry import (
     WeightedDensity,
@@ -27,6 +28,7 @@ from weylspin.geometry import (
 )
 from weylspin.killing import (
     GroupArc,
+    _family_quadratic_form,
     _su2_exp,
     _su2_log,
     arc_from_vector,
@@ -439,6 +441,64 @@ def test_family_and_residual_vector():
     assert np.max(np.abs(r)) > 1e-3
 
 
+def family_residual(x):
+    return gt_residual_vector(*milnor_theta3_family(x))
+
+
+def form_defect(Q, xs):
+    """Worst max|(Q @ x) @ x - r(x)| / max|x|^2 over the rows of xs."""
+    return max(
+        float(np.max(np.abs((Q @ x) @ x - family_residual(x)))) / float(np.max(np.abs(x))) ** 2
+        for x in xs
+    )
+
+
+def test_family_quadratic_form_is_the_residual():
+    Q = _family_quadratic_form()
+    assert Q.shape == (13, 5, 5)
+    assert not Q.flags.writeable
+    assert np.array_equal(Q, np.swapaxes(Q, 1, 2))
+    xs = np.random.default_rng(21).uniform(-5.0, 5.0, (1000, 5))
+    assert form_defect(Q, xs) < 1e-13
+
+
+def test_family_quadratic_form_broken_entry_fails():
+    Q = np.array(_family_quadratic_form())
+    k, i, j = np.unravel_index(np.argmax(np.abs(Q)), Q.shape)
+    Q[k, i, j] *= 1.01
+    xs = np.random.default_rng(21).uniform(-5.0, 5.0, (1000, 5))
+    assert form_defect(Q, xs) > 1e-3
+
+
+def test_family_quadratic_form_jacobian_is_the_unit_step_difference():
+    Q = _family_quadratic_form()
+    eye = np.eye(5)
+    for x in np.random.default_rng(22).uniform(-5.0, 5.0, (50, 5)):
+        central = np.stack(
+            [0.5 * (family_residual(x + e) - family_residual(x - e)) for e in eye], axis=1
+        )
+        scale = (float(np.max(np.abs(x))) + 1.0) ** 2
+        assert np.max(np.abs(2.0 * (Q @ x) - central)) < 1e-13 * scale
+
+
+def test_family_quadratic_form_vanishes_on_the_gt_variety():
+    # the Berger branch lambda = (a, a, c), theta3^2 = c (a - c), beta = c / 4, and the
+    # round member with beta = -a / 4 (the closed-form roots of the theta3 family)
+    Q = _family_quadratic_form()
+    rng = np.random.default_rng(23)
+    points = []
+    for _ in range(200):
+        a = rng.uniform(-5.0, 5.0)
+        c = a * rng.uniform(0.0, 1.0)
+        t = rng.choice([-1.0, 1.0]) * np.sqrt(c * (a - c))
+        points += [(a, a, c, t, c / 4.0), (a, a, a, 0.0, -a / 4.0)]
+    for x in np.array(points):
+        assert np.max(np.abs((Q @ x) @ x)) < 1e-14 * np.max(np.abs(x)) ** 2
+    # off the variety the form does not vanish
+    x = np.array([2.0, 2.0, 1.5, 0.5, 0.5])
+    assert np.max(np.abs((Q @ x) @ x)) > 1e-2
+
+
 def test_search_from_exact_root_takes_no_steps():
     res = find_gt_parameters((2.0, 2.0, 2.0, 0.0, 0.5))
     assert res.iterations == 0
@@ -478,6 +538,35 @@ def test_search_is_deterministic():
     b = find_gt_parameters((2.2, 1.9, 2.1, 0.05, 0.4), pin=("lambda1", 2.0))
     assert a.params == b.params
     assert a.residual_norm == b.residual_norm
+
+
+def test_search_reports_the_formula_residual_at_its_root():
+    res = find_gt_parameters((2.0, 2.0, 1.8, 0.3, 0.4), pin=("lambda1", 2.0))
+    assert res.residual_norm == float(np.max(np.abs(family_residual(res.params))))
+
+
+def test_search_evaluates_the_formula_only_at_its_root(monkeypatch):
+    _family_quadratic_form()
+    calls = []
+    package = geometry.curvature_package
+    monkeypatch.setattr(geometry, "curvature_package", lambda g: calls.append(g) or package(g))
+    res = find_gt_parameters((2.2, 1.9, 2.1, 0.05, 0.4), pin=("lambda1", 2.0))
+    assert res.iterations > 1
+    assert len(calls) == 1
+
+
+def test_search_root_of_a_wrong_form_raises_no_convergence(monkeypatch):
+    # a form that vanishes at x, where the residual formula reads 1.56: the
+    # search stops at once, and the formula turns its "root" down
+    x = np.array([2.0, 2.0, 1.8, 0.3, 0.4])
+    Q = _family_quadratic_form()
+    wrong = Q - np.einsum("i,k,l->ikl", (Q @ x) @ x, x, x) / (x @ x) ** 2
+    monkeypatch.setattr(killing, "_family_quadratic_form", lambda: wrong)
+    with pytest.raises(NoConvergence) as info:
+        find_gt_parameters(x, pin=("lambda1", 2.0))
+    assert info.value.iterations == 0
+    assert info.value.best_residual == float(np.max(np.abs(family_residual(x))))
+    assert info.value.best_residual > 1e-2
 
 
 def test_transport_sequence_operator_orders_left():
