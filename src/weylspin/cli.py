@@ -148,13 +148,16 @@ def render_report(seed, sections, passed, started):
 
 
 def _identity_section(rep):
-    return {
+    section = {
         "name": rep.name,
         "residual": float(rep.residual),
         "trials": int(rep.trials),
         "tolerance": float(rep.tolerance),
         "pass": bool(rep.passed),
     }
+    if rep.worst_trial is not None:
+        section["worst_trial"] = int(rep.worst_trial)
+    return section
 
 
 def _bound_section(name, value, bound, direction):

@@ -38,18 +38,37 @@ def generators():
     return E[0].copy(), E[1].copy(), E[2].copy()
 
 
-def act(v, psi):
+def clifford_sum(x):
+    """sum_a e_a x[a] for a sequence of three arrays with a trailing spinor axis.
+
+    Each e_a has one unit entry per row, so e_a x[a] is exact, and the three
+    terms are added in the order a = 1, 2, 3: every output entry is rounded the
+    same way whatever the shape of x, so a batch row equals its one-trial value.
+    Terms are added in place, one at a time, so at most two are held at once.
+    """
+    out = np.einsum("st,...t->...s", E[0], x[0])
+    for a in (1, 2):
+        out += np.einsum("st,...t->...s", E[a], x[a])
+    return out
+
+
+def act(v, psi, batch=0):
     """Clifford multiplication (sum_k v_k e_k) psi for a real frame vector v.
 
-    Real coefficients only; applying the same v twice gives -||v||^2 psi.
+    Real coefficients only; applying the same v twice gives -||v||^2 psi. With
+    `batch` leading axes, v has shape B + (3,) and psi shape B + (..., 2), and
+    row b of the result is act(v[b], psi[b]).
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ShapeError(f"frame vector must have shape (3,), got {v.shape}")
+    if v.shape[batch:] != (3,):
+        raise ShapeError(f"frame vector must have shape B + (3,), got {v.shape}")
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim == 0 or psi.shape[-1] != 2:
+    if psi.ndim <= batch or psi.shape[-1] != 2:
         raise ShapeError(f"spinor values need a trailing axis of length 2, got {psi.shape}")
-    return np.einsum("k,kst,...t->...s", v, E, psi)
+    if psi.shape[:batch] != v.shape[:batch]:
+        raise ShapeError(f"batch axes differ: {v.shape[:batch]} and {psi.shape[:batch]}")
+    v = v.reshape(v.shape[:batch] + (1,) * (psi.ndim - batch) + (3,))
+    return clifford_sum([v[..., k] * psi for k in range(3)])
 
 
 def vector_matrix(v):
@@ -66,6 +85,8 @@ def j_structure(psi):
     Antilinear, J^2 = -Id, commutes with Clifford multiplication by real
     vectors, preserves the norm. For psi != 0 the pair (psi, J psi) is a
     C-basis of the spinor space: det[psi, J psi] = -||psi||^2 != 0.
+    Leading axes, batch axes included, pass through: J acts on the trailing
+    spinor axis of each row.
     """
     psi = np.asarray(psi, dtype=complex)
     return np.einsum("st,...t->...s", E[1], np.conj(psi))

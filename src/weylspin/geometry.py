@@ -252,8 +252,9 @@ def analyze(g, beta, tolerance=1e-9):
         r_ew   = ||sym0 Ric||
         r_scal = |R - 24 beta^2|
         r_star = ||4 nabla beta - *F||
-    Normalized versions go through normalized_residual (all three quantities
-    have conformal weight -2). The verdict is True when every normalized
+    Normalized versions are divided by residual_scale^2, as normalized_residual
+    does (all three quantities have conformal weight -2), and equal the raw
+    ones for the zero geometry. The verdict is True when every normalized
     residual is below the tolerance.
     """
     if beta.weight != -1:
@@ -261,7 +262,8 @@ def analyze(g, beta, tolerance=1e-9):
     r = np.abs(gt_residual_vector(g, beta))
     r_ew, r_scal, r_star = float(np.max(r[:9])), float(r[9]), float(np.max(r[10:]))
     scale = residual_scale(g, beta)
-    n_ew, n_scal, n_star = (normalized_residual(x, g, beta) for x in (r_ew, r_scal, r_star))
+    norm = scale * scale if scale > 0.0 else 1.0
+    n_ew, n_scal, n_star = (x / norm for x in (r_ew, r_scal, r_star))
     verdict = bool(max(n_ew, n_scal, n_star) < tolerance)
     return GTReport(r_ew, r_scal, r_star, n_ew, n_scal, n_star, scale, tolerance, verdict)
 

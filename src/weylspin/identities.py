@@ -1,8 +1,12 @@
 """Residual evaluators for the algebraic identities behind the Killing equation.
 
-Each *_residual function evaluates one identity as a max-norm residual;
-verify_algebra sweeps the SWEEPS table over random draws and wraps the worst
-of each in an IdentityReport. The identities, in the names used here:
+Each *_residual function evaluates one identity as a max-norm residual. It
+takes the inputs of one trial, or of a batch of trials stacked on a leading
+axis, and then returns one residual per trial (row k depends on row k of the
+inputs alone, bit for bit). verify_algebra sweeps the SWEEPS table over random
+draws, CHUNK trials per call, and wraps the worst of each, with the index of
+the trial that gave it, in an IdentityReport. The identities, in the names
+used here:
 
   kn_contraction      mu^{34}(w kn c) = 2 Alt nu mu^2 w - 2 Alt w
   monopole            F . psi = -8 (nabla beta) . psi          with 4 nabla beta = *F
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import E, EPS, act, j_structure
-from .errors import NotGT
+from .errors import NotGT, ShapeError
 from .geometry import analyze, curvature_package, density_derivative
 from .tensors import alt, hodge_star, kulkarni_nomizu, metric, mu_contract, nu_embed, sym0
 
@@ -39,32 +43,58 @@ class IdentityReport:
     trials: int
     tolerance: float
     passed: bool
+    worst_trial: int | None = None  # index of the draw that gave `residual`; None when draw-free
 
 
-def make_report(name, residual, trials, tolerance):
+def make_report(name, residual, trials, tolerance, worst_trial=None):
     residual = float(residual)
-    return IdentityReport(name, residual, int(trials), float(tolerance), residual < tolerance)
+    return IdentityReport(
+        name, residual, int(trials), float(tolerance), residual < tolerance, worst_trial
+    )
 
 
-def random_spinor(rng):
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return z / np.linalg.norm(z)
+def _shape(n, *tail):
+    """Shape of one draw (n is None) or of n draws on a leading trial axis."""
+    return tail if n is None else (n, *tail)
 
 
-def random_rank2(rng):
-    return rng.uniform(-1.0, 1.0, (3, 3))
+def random_spinor(rng, n=None):
+    shape = _shape(n, 2)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def random_two_form(rng):
+def random_rank2(rng, n=None):
+    return rng.uniform(-1.0, 1.0, _shape(n, 3, 3))
+
+
+def random_two_form(rng, n=None):
     # gaussian entries at scale 2 keep the identity terms O(1), so the
     # deliberate-break control produces a residual well clear of its bound
-    a = 2.0 * rng.standard_normal((3, 3))
-    return a - a.T
+    a = 2.0 * rng.standard_normal(_shape(n, 3, 3))
+    return a - np.swapaxes(a, -1, -2)
 
 
-def _tensor_spinor(T, psi):
-    """Attach a spinor to a frame tensor: T (x) psi."""
-    return np.einsum("...,s->...s", np.asarray(T), np.asarray(psi, dtype=complex))
+def _batch(psi):
+    """Number of leading trial axes on a spinor argument (0 for a single trial)."""
+    shape = np.shape(psi)
+    if not shape or shape[-1] != 2:
+        raise ShapeError(f"a spinor needs a trailing axis of length 2, got shape {shape}")
+    return len(shape) - 1
+
+
+def _worst(d, batch):
+    """max |d| over each trial's entries: one value per trial, a scalar for one trial."""
+    return np.max(np.abs(d), axis=tuple(range(batch, np.ndim(d))))
+
+
+def _tensor_spinor(T, psi, batch=0):
+    """Attach a spinor to a frame tensor: T (x) psi, row by row over the batch axes."""
+    T = np.asarray(T)
+    psi = np.asarray(psi, dtype=complex)
+    if T.shape[:batch] != psi.shape[:batch]:
+        raise ShapeError(f"batch axes differ: {T.shape[:batch]} and {psi.shape[:batch]}")
+    return T[..., None] * psi.reshape(psi.shape[:batch] + (1,) * (T.ndim - batch) + (2,))
 
 
 def clifford_relations_residual():
@@ -78,75 +108,86 @@ def clifford_relations_residual():
 
 def product_rule_residual(psi):
     """Defect of e_i e_j psi = -eps_ijk e_k psi over all pairs i != j."""
+    batch = _batch(psi)
     worst = 0.0
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
-            lhs = E[i] @ (E[j] @ psi)
-            rhs = -np.einsum("k,kst,t->s", EPS[i, j], E, psi)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            lhs = np.einsum("st,...t->...s", E[i], np.einsum("st,...t->...s", E[j], psi))
+            rhs = -np.einsum("k,kst,...t->...s", EPS[i, j], E, psi)
+            worst = np.maximum(worst, _worst(lhs - rhs, batch))
     return worst
 
 
 def j_equivariance_residual(v, psi):
     """Defect of J(v . psi) = v . J(psi)."""
-    return float(np.max(np.abs(j_structure(act(v, psi)) - act(v, j_structure(psi)))))
+    batch = _batch(psi)
+    d = j_structure(act(v, psi, batch)) - act(v, j_structure(psi), batch)
+    return _worst(d, batch)
 
 
 def mu2_nu_residual(T):
     """Defect of mu^2 nu T = -nu mu^1 T - 2 T on a rank-1 spinor-valued T."""
-    lhs = mu_contract([2], nu_embed(T))
-    rhs = -nu_embed(mu_contract([1], T)) - 2.0 * T
-    return float(np.max(np.abs(lhs - rhs)))
+    batch = np.ndim(T) - 2
+    lhs = mu_contract([2], nu_embed(T, batch), batch)
+    rhs = -nu_embed(mu_contract([1], T, batch), batch) - 2.0 * T
+    return _worst(lhs - rhs, batch)
 
 
-def _gradient(F, grad):
+def _gradient(F, grad, batch):
     """grad, default 1/4 *F (any other value breaks the constraint); F must be antisymmetric."""
-    star = hodge_star(F)
+    star = hodge_star(F, batch)
     return 0.25 * star if grad is None else grad
 
 
 def dreieck_residual(omega, psi):
     """Defect of the Kulkarni-Nomizu contraction identity for (omega, psi)."""
-    lhs = mu_contract([3, 4], _tensor_spinor(kulkarni_nomizu(omega, metric()), psi))
-    m2 = mu_contract([2], _tensor_spinor(omega, psi))
-    rhs = 2.0 * alt(nu_embed(m2)) - 2.0 * _tensor_spinor(alt(omega), psi)
-    return float(np.max(np.abs(lhs - rhs)))
+    batch = _batch(psi)
+    g = np.broadcast_to(metric(), np.shape(omega))
+    lhs = mu_contract([3, 4], _tensor_spinor(kulkarni_nomizu(omega, g, batch), psi, batch), batch)
+    m2 = mu_contract([2], _tensor_spinor(omega, psi, batch), batch)
+    rhs = 2.0 * alt(nu_embed(m2, batch), batch)
+    rhs -= 2.0 * _tensor_spinor(alt(omega, batch), psi, batch)
+    return _worst(lhs - rhs, batch)
 
 
-def _monopole_defect(F, psi, grad):
+def _monopole_defect(F, psi, grad, batch=0):
     """F . psi + 8 grad . psi, which vanishes when grad = nabla beta."""
-    return mu_contract([1, 2], _tensor_spinor(F, psi)) + 8.0 * act(grad, psi)
+    return mu_contract([1, 2], _tensor_spinor(F, psi, batch), batch) + 8.0 * act(grad, psi, batch)
 
 
 def monopole_residual(F, psi):
     """Defect of F . psi = -8 (nabla beta) . psi with nabla beta = 1/4 *F."""
-    return float(np.max(np.abs(_monopole_defect(F, psi, _gradient(F, None)))))
+    batch = _batch(psi)
+    return _worst(_monopole_defect(F, psi, _gradient(F, None, batch), batch), batch)
 
 
 def first_identity_expression(F, psi, grad=None):
     """Left side of the first identity as a rank-2 spinor-valued tensor."""
-    grad = _gradient(F, grad)
-    term1 = 0.25 * alt(nu_embed(mu_contract([2], _tensor_spinor(F, psi))))
-    term2 = alt(np.einsum("i,js->ijs", grad, nu_embed(psi)))
-    term3 = 0.5 * _tensor_spinor(F, psi)
+    batch = _batch(psi)
+    grad = _gradient(F, grad, batch)
+    m2 = mu_contract([2], _tensor_spinor(F, psi, batch), batch)
+    term1 = 0.25 * alt(nu_embed(m2, batch), batch)
+    term2 = alt(np.einsum("...i,...js->...ijs", grad, nu_embed(psi, batch)), batch)
+    term3 = 0.5 * _tensor_spinor(F, psi, batch)
     return term1 - term2 - term3
 
 
 def first_identity_residual(F, psi, grad=None):
-    return float(np.max(np.abs(first_identity_expression(F, psi, grad))))
+    return _worst(first_identity_expression(F, psi, grad), _batch(psi))
 
 
 def second_identity_expression(F, psi, grad=None):
     """Left side of the second identity as a rank-1 spinor-valued tensor."""
-    grad = _gradient(F, grad)
-    bracket = nu_embed(act(grad, psi)) - act(grad, nu_embed(psi))
-    return bracket - 0.5 * mu_contract([2], _tensor_spinor(F, psi))
+    batch = _batch(psi)
+    grad = _gradient(F, grad, batch)
+    bracket = nu_embed(act(grad, psi, batch), batch) - act(grad, nu_embed(psi, batch), batch)
+    return bracket - 0.5 * mu_contract([2], _tensor_spinor(F, psi, batch), batch)
 
 
 def second_identity_residual(F, psi, grad=None):
-    return float(np.max(np.abs(second_identity_expression(F, psi, grad))))
+    return _worst(second_identity_expression(F, psi, grad), _batch(psi))
 
 
 def integrability_residual(g, beta, psi, pkg=None):
@@ -210,36 +251,55 @@ def check_integrability(g, beta, psi):
     return make_report("integrability", residual, 1, _INTEGRABILITY_TOLERANCE)
 
 
-def _two_form_and_spinor(rng):
-    return random_two_form(rng), random_spinor(rng)
+def _two_form_and_spinor(rng, n):
+    return random_two_form(rng, n), random_spinor(rng, n)
 
 
 def _broken_first_identity(F, psi):
-    return first_identity_residual(F, psi, grad=1.1 * 0.25 * hodge_star(F))
+    return first_identity_residual(F, psi, grad=1.1 * 0.25 * hodge_star(F, _batch(psi)))
 
 
-# (report name, residual, draw) in sweep order; the order fixes the RNG draw
-# sequence and with it the report bytes at a given seed
+# (report name, residual, draw) in sweep order. draw(rng, n) returns each input
+# for n trials in one bulk draw, in the listed order, trials on the leading
+# axis; the residual returns one worst value per trial. The table order fixes
+# the RNG draw sequence and with it the report bytes at a given seed.
 SWEEPS = (
-    ("clifford_product_rule", product_rule_residual, lambda r: (random_spinor(r),)),
-    ("j_equivariance", j_equivariance_residual, lambda r: (r.uniform(-1, 1, 3), random_spinor(r))),
+    ("clifford_product_rule", product_rule_residual, lambda r, n: (random_spinor(r, n),)),
+    (
+        "j_equivariance",
+        j_equivariance_residual,
+        lambda r, n: (r.uniform(-1, 1, (n, 3)), random_spinor(r, n)),
+    ),
     (
         "mu2_nu_operator",
         mu2_nu_residual,
-        lambda r: (r.standard_normal((3, 2)) + 1j * r.standard_normal((3, 2)),),
+        lambda r, n: (r.standard_normal((n, 3, 2)) + 1j * r.standard_normal((n, 3, 2)),),
     ),
-    ("kn_contraction", dreieck_residual, lambda r: (random_rank2(r), random_spinor(r))),
+    ("kn_contraction", dreieck_residual, lambda r, n: (random_rank2(r, n), random_spinor(r, n))),
     ("monopole", monopole_residual, _two_form_and_spinor),
     ("first_identity", first_identity_residual, _two_form_and_spinor),
     ("second_identity", second_identity_residual, _two_form_and_spinor),
 )
 
+# trials drawn and evaluated together; the sweep's memory grows with CHUNK,
+# not with the number of trials
+CHUNK = 256
+
 
 def _sweep(residual_fn, draw, trials, rng):
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, residual_fn(*draw(rng)))
-    return worst
+    """(max residual, index of the first trial reaching it) over `trials` draws.
+
+    Trials are drawn and evaluated in chunks of CHUNK, so trial t is row
+    t % CHUNK of chunk t // CHUNK. A NaN residual counts as the worst, so the
+    report fails instead of passing over it.
+    """
+    worst, worst_trial = 0.0, 0
+    for start in range(0, trials, CHUNK):
+        values = residual_fn(*draw(rng, min(CHUNK, trials - start)))
+        k = int(np.argmax(values))  # the first NaN, if there is one
+        if not values[k] <= worst and not np.isnan(worst):
+            worst, worst_trial = float(values[k]), start + k
+    return worst, worst_trial
 
 
 def verify_algebra(trials=1000, seed=0, tolerance=1e-12):
@@ -247,14 +307,15 @@ def verify_algebra(trials=1000, seed=0, tolerance=1e-12):
 
     reports is a list of IdentityReport: the draw-free clifford_relations
     check, then one per SWEEPS entry carrying the max residual over `trials`
-    random draws. break_control is the max residual of the first identity
-    when 4 nabla beta = *F is deliberately broken by 10%; a healthy suite has
-    it far above the identity tolerances (the analyzer treats it as a lower
-    bound of 0.1).
+    random draws and the index of the draw that gave it. break_control is the
+    max residual of the first identity when 4 nabla beta = *F is deliberately
+    broken by 10%; a healthy suite has it far above the identity tolerances
+    (the analyzer treats it as a lower bound of 0.1).
     """
     rng = np.random.default_rng(seed)
     reports = [make_report("clifford_relations", clifford_relations_residual(), 1, tolerance)]
     for name, residual_fn, draw in SWEEPS:
-        reports.append(make_report(name, _sweep(residual_fn, draw, trials, rng), trials, tolerance))
-    break_control = _sweep(_broken_first_identity, _two_form_and_spinor, trials, rng)
-    return reports, float(break_control)
+        worst, worst_trial = _sweep(residual_fn, draw, trials, rng)
+        reports.append(make_report(name, worst, trials, tolerance, worst_trial))
+    break_control, _ = _sweep(_broken_first_identity, _two_form_and_spinor, trials, rng)
+    return reports, break_control

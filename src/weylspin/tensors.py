@@ -5,6 +5,16 @@ carry one extra trailing axis of length 2. Since frame axes have length 3 the
 two kinds never collide, and every operation here infers the kind from the
 shape.
 
+Batch axes: alt, kulkarni_nomizu, mu_contract, nu_embed and hodge_star (and
+tensor_rank, which they use) take `batch`, a count of leading axes that index
+independent tensors, default 0. The shape rule applies to the axes after
+them, slots are still numbered from the first frame axis, and row b of the
+result is the operation on row b of the input, bit for bit: an operation that
+sums several Clifford terms adds them in a fixed order (clifford.clifford_sum),
+so rounding does not depend on the batch size. A batch axis of length 3 is
+never read as a frame axis, which is why the count is explicit and not
+inferred. Every shape, slot and symmetry check applies to the whole batch.
+
 Conventions pinned by the identity suite (see docs/CONVENTIONS.md):
 
   * Alt is unnormalized: (Alt T)_{ij...} = T_{ij...} - T_{ji...}.
@@ -17,7 +27,7 @@ Conventions pinned by the identity suite (see docs/CONVENTIONS.md):
 
 import numpy as np
 
-from .clifford import E, EPS
+from .clifford import E, EPS, clifford_sum
 from .errors import RankError, SlotError, SymmetryError
 
 _ID3 = np.eye(3)
@@ -28,14 +38,16 @@ def metric():
     return _ID3.copy()
 
 
-def tensor_rank(T):
-    """Return (rank, spinor_valued) for a dense frame tensor.
+def tensor_rank(T, batch=0):
+    """Return (rank, spinor_valued) for a dense frame tensor after `batch` leading axes.
 
     The trailing axis of length 2, if present, is the spinor axis; all other
-    axes must have length 3.
+    axes after the batch axes must have length 3.
     """
     T = np.asarray(T)
-    shape = T.shape
+    if T.ndim < batch:
+        raise RankError(f"shape {T.shape} has fewer than {batch} batch axes")
+    shape = T.shape[batch:]
     spinor = bool(shape) and shape[-1] == 2
     frame_shape = shape[:-1] if spinor else shape
     if any(n != 3 for n in frame_shape):
@@ -43,16 +55,16 @@ def tensor_rank(T):
     return len(frame_shape), spinor
 
 
-def alt(T):
+def alt(T, batch=0):
     """Antisymmetrize the first two frame slots, unnormalized (1 - (12)).
 
     Alt(Alt(T)) = 2 Alt(T). Requires rank >= 2.
     """
     T = np.asarray(T)
-    rank, _ = tensor_rank(T)
+    rank, _ = tensor_rank(T, batch)
     if rank < 2:
         raise RankError(f"alt needs rank >= 2, got rank {rank}")
-    return T - np.swapaxes(T, 0, 1)
+    return T - np.swapaxes(T, batch, batch + 1)
 
 
 def sym0(S):
@@ -64,30 +76,33 @@ def sym0(S):
     return 0.5 * (S + S.T) - (np.trace(S) / 3.0) * _ID3
 
 
-def kulkarni_nomizu(w, h):
+def kulkarni_nomizu(w, h, batch=0):
     """Kulkarni-Nomizu product of two rank-2 frame tensors.
 
     (w kn h) = [(23) + (12)(24)(34) - (24) - (12)(23)] applied to w (x) h,
     permutations acting by slot relabeling. The einsum index maps below are
     the four relabelings written out (the word (12)(24)(34) composes, right
-    to left, to the relabeling out[ijkl] = T[jlik]).
+    to left, to the relabeling out[ijkl] = T[jlik]). With batch axes both
+    factors carry the same ones.
     """
     w = np.asarray(w)
     h = np.asarray(h)
     for a in (w, h):
-        rank, spinor = tensor_rank(a)
+        rank, spinor = tensor_rank(a, batch)
         if rank != 2 or spinor:
             raise RankError(f"kulkarni_nomizu needs rank-2 tensors, got shape {a.shape}")
-    t = np.einsum("ij,kl->ijkl", w, h)
+    if w.shape[:batch] != h.shape[:batch]:
+        raise RankError(f"batch axes differ: {w.shape[:batch]} and {h.shape[:batch]}")
+    t = np.einsum("...ij,...kl->...ijkl", w, h)
     return (
-        np.einsum("ikjl->ijkl", t)
-        + np.einsum("jlik->ijkl", t)
-        - np.einsum("ilkj->ijkl", t)
-        - np.einsum("jkil->ijkl", t)
+        np.einsum("...ikjl->...ijkl", t)
+        + np.einsum("...jlik->...ijkl", t)
+        - np.einsum("...ilkj->...ijkl", t)
+        - np.einsum("...jkil->...ijkl", t)
     )
 
 
-def mu_contract(slots, T):
+def mu_contract(slots, T, batch=0):
     """Clifford-contract the listed frame slots of a spinor-valued tensor.
 
     Slots are 1-based and distinct. Each listed slot j is summed against the
@@ -97,7 +112,7 @@ def mu_contract(slots, T):
     original relative order.
     """
     T = np.asarray(T, dtype=complex)
-    rank, spinor = tensor_rank(T)
+    rank, spinor = tensor_rank(T, batch)
     if not spinor:
         raise RankError("mu_contract needs a spinor-valued tensor")
     slots = list(slots)
@@ -108,39 +123,42 @@ def mu_contract(slots, T):
     for s in slots:
         if not 1 <= s <= rank:
             raise SlotError(f"slot {s} out of range for rank {rank}")
-    listed = [s - 1 for s in slots]
-    rest = [a for a in range(rank) if a not in listed]
-    T = np.transpose(T, listed + rest + [rank])
+    listed = [batch + s - 1 for s in slots]
+    rest = [a for a in range(batch, batch + rank) if a not in listed]
+    T = np.transpose(T, list(range(batch)) + listed + rest + [batch + rank])
     # Contract the last listed slot first so earlier factors multiply on the
     # left, giving the left-to-right composition order.
     for j in reversed(range(len(listed))):
-        T = np.moveaxis(T, j, -2)
-        T = np.einsum("ast,...at->...s", E, T)
+        T = np.moveaxis(T, batch + j, 0)
+        T = clifford_sum(T)
     return T
 
 
-def nu_embed(x):
+def nu_embed(x, batch=0):
     """Prepend a frame slot with values e_i . x.
 
     Accepts a bare spinor (rank 0) or any spinor-valued tensor; the new slot
-    becomes slot 1.
+    becomes slot 1, right after the batch axes.
     """
     x = np.asarray(x, dtype=complex)
-    _, spinor = tensor_rank(x)
+    _, spinor = tensor_rank(x, batch)
     if not spinor:
         raise RankError("nu_embed needs a spinor or spinor-valued tensor")
-    return np.einsum("ist,...t->i...s", E, x)
+    return np.moveaxis(np.einsum("ist,...t->i...s", E, x), 0, batch)
 
 
-def hodge_star(F):
-    """Hodge star of an antisymmetric rank-2 frame tensor, (*F)_k = 1/2 eps_ijk F_ij."""
+def hodge_star(F, batch=0):
+    """Hodge star of an antisymmetric rank-2 frame tensor, (*F)_k = 1/2 eps_ijk F_ij.
+
+    A batch is refused if any one of its tensors is not antisymmetric.
+    """
     F = np.asarray(F)
-    rank, spinor = tensor_rank(F)
+    rank, spinor = tensor_rank(F, batch)
     if rank != 2 or spinor:
         raise RankError(f"hodge_star needs a plain rank-2 tensor, got shape {F.shape}")
-    if np.max(np.abs(F + F.T)) >= 1e-12:
+    if np.any(np.abs(F + np.swapaxes(F, -1, -2)) >= 1e-12):
         raise SymmetryError("hodge_star needs an antisymmetric input")
-    return 0.5 * np.einsum("ijk,ij->k", EPS, F)
+    return 0.5 * np.einsum("ijk,...ij->...k", EPS, F)
 
 
 def vector_to_two_form(v):

@@ -3,13 +3,23 @@ monopole reduction, the integrability relations, and the bridge identity that
 ties the first two together at arbitrary (not constrained) gradient vectors.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylspin.cli import main
 from weylspin.clifford import act, j_structure
-from weylspin.errors import NotGT
+from weylspin.errors import NotGT, RankError, ShapeError, SymmetryError
 from weylspin.geometry import WeightedDensity, milnor_geometry
 from weylspin.identities import (
+    CHUNK,
+    SWEEPS,
+    _broken_first_identity,
+    _sweep,
+    _two_form_and_spinor,
     check_integrability,
     clifford_relations_residual,
     dreieck_residual,
@@ -17,6 +27,7 @@ from weylspin.identities import (
     first_identity_residual,
     integrability_residual,
     j_equivariance_residual,
+    make_report,
     monopole_residual,
     mu2_nu_residual,
     product_rule_residual,
@@ -171,3 +182,110 @@ def test_clifford_action_j_equivariance_sweep():
         d = j_structure(act(v, psi)) - act(v, j_structure(psi))
         worst = max(worst, float(np.max(np.abs(d))))
     assert worst < 1e-10
+
+
+# batch axis -------------------------------------------------------------------
+
+BATCH_SIZES = st.sampled_from([1, 2, 3, 7])
+BREAK_CONTROL = ("first_identity_break_control", _broken_first_identity, _two_form_and_spinor)
+
+
+@settings(max_examples=20, deadline=None)
+@given(BATCH_SIZES, st.integers(0, 2**32 - 1))
+def test_batched_residuals_equal_their_rows(n, seed):
+    # bitwise: the residual of row k of a batch is the one-trial residual of
+    # row k, for every swept identity and for the break control
+    rng = np.random.default_rng(seed)
+    for _, residual_fn, draw in SWEEPS + (BREAK_CONTROL,):
+        inputs = draw(rng, n)
+        assert all(np.shape(x)[0] == n for x in inputs)
+        batched = residual_fn(*inputs)
+        assert batched.shape == (n,)
+        assert np.array_equal(batched, [residual_fn(*(x[k] for x in inputs)) for k in range(n)])
+
+
+@settings(max_examples=10, deadline=None)
+@given(BATCH_SIZES, st.integers(0, 2**32 - 1))
+def test_batched_expressions_equal_their_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    F, psi = random_two_form(rng, n), random_spinor(rng, n)
+    grad = rng.uniform(-2.0, 2.0, (n, 3))
+    for expr in (first_identity_expression, second_identity_expression):
+        for g in (None, grad):
+            rows = [expr(F[k], psi[k], None if g is None else g[k]) for k in range(n)]
+            assert np.array_equal(expr(F, psi, g), np.stack(rows))
+
+
+def test_batched_residuals_keep_shape_and_symmetry_checks():
+    rng = np.random.default_rng(8)
+    F, psi = random_two_form(rng, 3), random_spinor(rng, 3)
+    F[2] += np.eye(3)  # one trial with a symmetric part
+    for fn in (monopole_residual, first_identity_residual, second_identity_residual):
+        with pytest.raises(SymmetryError):
+            fn(F, psi)
+    with pytest.raises(SymmetryError):
+        _broken_first_identity(F, psi)
+    F[2] -= np.eye(3)
+    with pytest.raises(ShapeError):
+        monopole_residual(F, psi[:2])  # batch sizes differ
+    with pytest.raises(ShapeError):
+        first_identity_residual(F, rng.standard_normal((3, 3)))  # not spinors
+    with pytest.raises(RankError):
+        second_identity_residual(F[:, :2], psi)
+    with pytest.raises(ShapeError):
+        j_equivariance_residual(rng.uniform(-1.0, 1.0, (2, 3)), psi)
+    with pytest.raises(ShapeError):
+        dreieck_residual(random_rank2(rng, 2), psi)
+    with pytest.raises(RankError):
+        mu2_nu_residual(rng.standard_normal((3, 2, 2)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(BATCH_SIZES.flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+def test_broken_row_is_the_worst_trial(n_k):
+    # only row k has its gradient inflated to 1.1 * 1/4 *F
+    n, k = n_k
+    rng = np.random.default_rng(10 * n + k)
+    F, psi = random_two_form(rng, n), random_spinor(rng, n)
+    grad = 0.25 * hodge_star(F, 1)
+    grad[k] *= 1.1
+    values = first_identity_residual(F, psi, grad=grad)
+    assert values[k] > 1e-6
+    assert np.max(values, initial=0.0, where=np.arange(n) != k) < 1e-12
+    worst, worst_trial = _sweep(
+        lambda F, psi: first_identity_residual(F, psi, grad=grad), lambda r, m: (F, psi), n, rng
+    )
+    assert (worst, worst_trial) == (values[k], k)
+
+
+def test_nan_residual_is_the_worst_trial():
+    # a residual that is not a number must fail the sweep, not be passed over
+    rng = np.random.default_rng(12)
+    values = np.zeros(2 * CHUNK + 3)
+    values[CHUNK + 5] = np.nan
+    values[2 * CHUNK + 1] = 1.0
+    chunks = iter(np.split(values, [CHUNK, 2 * CHUNK]))
+    worst, worst_trial = _sweep(lambda x: x, lambda r, m: (next(chunks),), values.size, rng)
+    assert np.isnan(worst) and worst_trial == CHUNK + 5
+    assert not make_report("nan", worst, values.size, 1e-12, worst_trial).passed
+
+
+def test_worst_trial_replays_from_the_report(capsys):
+    # the report alone (seed, trials, worst_trial) fixes the worst draw: redraw
+    # every sweep in table order, CHUNK trials at a time, and evaluate trial
+    # worst_trial on its own
+    trials = 2 * CHUNK + 50  # three chunks, the last one short
+    assert main(["verify-algebra", "--trials", str(trials), "--seed", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    sections = {s["name"]: s for s in report["sections"]}
+    assert "worst_trial" not in sections["clifford_relations"]
+    rng = np.random.default_rng(report["seed"])
+    for name, residual_fn, draw in SWEEPS:
+        section = sections[name]
+        assert section["trials"] == trials
+        chunk, row = divmod(section["worst_trial"], CHUNK)
+        for start in range(0, trials, CHUNK):
+            inputs = draw(rng, min(CHUNK, trials - start))
+            if start == chunk * CHUNK:
+                replayed = residual_fn(*(x[row] for x in inputs))
+        assert replayed == section["residual"], name

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylspin.clifford import E, act
-from weylspin.errors import RankError, SlotError, SymmetryError
+from weylspin.clifford import E, act, j_structure
+from weylspin.errors import RankError, ShapeError, SlotError, SymmetryError
 from weylspin.tensors import (
     alt,
     hodge_star,
@@ -195,3 +195,77 @@ def test_hodge_star_rejects_symmetric_part():
 
 def test_metric_is_identity():
     assert np.array_equal(metric(), np.eye(3))
+
+
+# batch axes -------------------------------------------------------------------
+
+# n = 3 would hide a trial axis misread as a frame axis if the count were inferred
+BATCH_SIZES = st.sampled_from([1, 2, 3, 7])
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(BATCH_SIZES, st.integers(0, 2**32 - 1))
+def test_batched_operations_equal_their_rows(n, seed):
+    # bitwise: every row of a batched call is the one-tensor call on that row
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, 3, 3))
+    h = rng.standard_normal((n, 3, 3))
+    F = w - np.swapaxes(w, 1, 2)
+    v = rng.uniform(-1.0, 1.0, (n, 3))
+    psi = _complex(rng, (n, 2))
+    T2 = _complex(rng, (n, 3, 3, 2))
+    T4 = _complex(rng, (n, 3, 3, 3, 3, 2))
+    cases = [
+        (alt(w, 1), [alt(x) for x in w]),
+        (alt(T2, 1), [alt(x) for x in T2]),
+        (kulkarni_nomizu(w, h, 1), [kulkarni_nomizu(a, b) for a, b in zip(w, h)]),
+        (mu_contract([2], T2, 1), [mu_contract([2], x) for x in T2]),
+        (mu_contract([3, 4], T4, 1), [mu_contract([3, 4], x) for x in T4]),
+        (mu_contract([4, 1, 3], T4, 1), [mu_contract([4, 1, 3], x) for x in T4]),
+        (nu_embed(psi, 1), [nu_embed(x) for x in psi]),
+        (nu_embed(T2, 1), [nu_embed(x) for x in T2]),
+        (hodge_star(F, 1), [hodge_star(x) for x in F]),
+        (act(v, psi, 1), [act(a, x) for a, x in zip(v, psi)]),
+        (act(v, T2, 1), [act(a, x) for a, x in zip(v, T2)]),
+        (j_structure(T2), [j_structure(x) for x in T2]),
+    ]
+    for batched, rows in cases:
+        assert batched.shape[0] == n
+        assert np.array_equal(batched, np.stack(rows))
+
+
+def test_batched_operations_keep_their_checks():
+    F = np.zeros((3, 3, 3))
+    F[1] = np.eye(3)  # only the middle tensor has a symmetric part
+    with pytest.raises(SymmetryError):
+        hodge_star(F, 1)
+    assert hodge_star(F[[0, 2]], 1).shape == (2, 3)
+    # three rank-2 spinor-valued tensors: slot 3 exists only if the trial
+    # axis were read as a frame axis
+    T = np.zeros((3, 3, 3, 2))
+    assert mu_contract([3], T).shape == (3, 3, 2)
+    for slots in ([3], [1, 1], [0], []):
+        with pytest.raises(SlotError):
+            mu_contract(slots, T, 1)
+    with pytest.raises(RankError):
+        hodge_star(np.zeros((3, 3, 2)), 1)
+    with pytest.raises(RankError):
+        alt(np.zeros((3, 3)), 1)
+    with pytest.raises(RankError):
+        nu_embed(np.zeros((2, 3)), 1)
+    with pytest.raises(RankError):
+        mu_contract([1], np.zeros((2, 3, 3)), 1)
+    with pytest.raises(RankError):
+        kulkarni_nomizu(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), 1)
+    with pytest.raises(RankError):
+        tensor_rank(np.zeros(3), 2)
+    with pytest.raises(ShapeError):
+        act(np.zeros((2, 3)), np.zeros((3, 2)), 1)
+    with pytest.raises(ShapeError):
+        act(np.zeros(3), np.zeros((3, 2)), 1)
+    with pytest.raises(ShapeError):
+        act(np.zeros((2, 3)), np.zeros(2), 1)
