@@ -210,14 +210,15 @@ def _cmd_killing(args):
     sections.append(_bound_section("max_holonomy_deviation", worst_dev, 1e-9, "below"))
 
     samples = [[arc_from_vector(v) for v in loop[:arcs]] for loop in loops[:10] for arcs in (1, 2)]
-    min_sv = min(basis.min_singular_value(arcs) for arcs in samples)
+    transports = basis.sample_transports(samples)  # each sample transported once, per arc
+    min_sv = basis.min_singular_value(transports)
     sections.append(_bound_section("min_singular_value", min_sv, 0.1, "above"))
 
     indep = path_independence_residual(g, beta, rng, pairs=5)
     sections.append(_bound_section("path_independence", indep, 1e-9, "below"))
 
     h = 1e-5
-    fd = killing_residual(g, beta, basis, samples, h=h)
+    fd = killing_residual(g, beta, basis, transports, h=h)
     sections.append(_bound_section("killing_residual", fd, 1e3 * h * h, "below"))
     return sections
 

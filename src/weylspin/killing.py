@@ -15,6 +15,7 @@ operations; a single arc (GroupArc) runs on the same exponential.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .clifford import E, j_structure
 from .errors import NoConvergence, NotFlat, OpenPath, ShapeError, UnsupportedModel
 from .geometry import WeightedDensity, analyze, gt_residual_vector, milnor_geometry, residual_scale
-from .spinconn import flatness, killing_connection, spin_connection
+from .spinconn import flatness, killing_connection, weight0_matrices
 
 _ID2 = np.eye(2, dtype=complex)
 _Q = -E  # unit quaternion generators as 2x2 matrices: q_i q_j = eps_ijk q_k
@@ -38,19 +39,25 @@ class GroupArc:
         d = np.asarray(self.direction, dtype=float)
         if d.shape != (3,):
             raise ShapeError(f"arc direction must have shape (3,), got {d.shape}")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-10:
+        direction = tuple(d.tolist())
+        length = float(self.length)
+        if not all(map(math.isfinite, direction + (length,))):
+            raise ShapeError("arc direction and length must be finite")
+        if abs(math.hypot(*direction) - 1.0) > 1e-10:
             raise ShapeError("arc direction must be a unit vector")
-        object.__setattr__(self, "direction", tuple(float(x) for x in d))
-        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "length", length)
 
 
 def arc_from_vector(v):
     """Arc flowing along the frame vector v: direction v/||v||, length ||v||."""
     v = np.asarray(v, dtype=float)
     t = float(np.linalg.norm(v))
+    if not math.isfinite(t):
+        raise ShapeError("arc vector must be finite")
     if t == 0.0:
         return GroupArc((1.0, 0.0, 0.0), 0.0)
-    return GroupArc(tuple(v / t), t)
+    return GroupArc((v / t).tolist(), t)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +257,9 @@ class KillingBasis:
     base_values holds the spinor values at the group identity: (1, 0) and its
     quaternionic partner J (1, 0). transport(arcs) returns their values after
     parallel transport along the arc sequence; the transport matrix is
-    invertible, so the pair stays linearly independent everywhere.
+    invertible, so the pair stays linearly independent everywhere. The sample
+    checks take a stack of N transports (sample_transports) and evaluate all
+    N samples at once.
     """
 
     def __init__(self, g, beta):
@@ -266,11 +275,24 @@ class KillingBasis:
         U = self.transport_operator(arcs)
         return U @ self.base_values[0], U @ self.base_values[1]
 
-    def min_singular_value(self, arcs):
-        """Smallest singular value of the normalized transported pair."""
-        v1, v2 = self.transport(arcs)
-        m = np.stack([v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)], axis=1)
-        return float(np.linalg.svd(m, compute_uv=False)[-1])
+    def sample_transports(self, samples):
+        """Transports (N, 2, 2) along N arc sequences, each via transport_sequence_operator."""
+        return np.stack([self.transport_operator(arcs) for arcs in samples])
+
+    def sections(self, transports):
+        """Values (N, 2, 2) of both sections: [n, k] = transports[n] @ base_values[k]."""
+        return np.stack([transports @ psi for psi in self.base_values], axis=1)
+
+    def min_singular_value(self, transports):
+        """Smallest singular value of the normalized transported pair over a stack (N, 2, 2).
+
+        A non-finite transport reads NaN, which fails any bound.
+        """
+        v = self.sections(transports)
+        if not np.all(np.isfinite(v)):
+            return float("nan")
+        m = np.swapaxes(v / np.linalg.norm(v, axis=-1, keepdims=True), -2, -1)
+        return float(np.min(np.linalg.svd(m, compute_uv=False)[:, -1]))
 
 
 def killing_basis(g, beta, flat_tolerance=1e-10):
@@ -296,34 +318,30 @@ def path_independence_residual(g, beta, rng, pairs=5):
     return float(np.max(np.abs(U1 - U2)))
 
 
-def killing_residual(g, beta, basis, samples, h=1e-5):
+def killing_residual(g, beta, basis, transports, h=1e-5):
     """Finite-difference check of the Killing equation on transported sections.
 
-    For each sample point (an arc sequence from the identity) the frame
-    derivative e_i(psi) is approximated by central differences of parallel
-    transports over +-h/s, and the report is
+    transports (N, 2, 2) carry both basis sections to N sample points (see
+    KillingBasis.sample_transports). At each point the frame derivative
+    e_i(psi) is approximated by central differences of parallel transports
+    over +-h/s, and the report is
         max_i ||e_i(psi) + A_i psi - beta e_i psi|| / (s ||psi||)
     over all samples and both basis sections, with s = residual_scale(g, beta)
     (1 for the zero geometry). The step h is thus dimensionless and the report
-    is O(h^2) at every scale.
+    is O(h^2) at every scale. All samples are evaluated as one array; a
+    non-finite sample makes the report NaN, which fails any bound.
     """
     s = residual_scale(g, beta) or 1.0
     step = h / s
-    A = spin_connection(g, 0.0).matrices
     b = _killing_generators(g, beta)
-    plus = [_su2_exp(-step * b[i]) for i in range(3)]
-    minus = [_su2_exp(step * b[i]) for i in range(3)]
-    worst = 0.0
-    for arcs in samples:
-        U = basis.transport_operator(arcs)
-        for psi0 in basis.base_values:
-            psi = U @ psi0
-            scale = s * float(np.max(np.abs(psi)))
-            for i in range(3):
-                fd = (plus[i] @ psi - minus[i] @ psi) / (2.0 * step)
-                defect = fd + A[i] @ psi - beta.value * (E[i] @ psi)
-                worst = max(worst, float(np.max(np.abs(defect))) / scale)
-    return worst
+    psi = basis.sections(transports)[..., None]  # (N, 2, 2, 1): sample, section, spinor
+    plus = _su2_exp(-step * b)[:, None, None]  # (3, 1, 1, 2, 2): one step along each e_i
+    minus = _su2_exp(step * b)[:, None, None]
+    A = weight0_matrices(g)[:, None, None]
+    fd = (plus @ psi - minus @ psi) / (2.0 * step)
+    defect = fd + A @ psi - beta.value * (E[:, None, None] @ psi)  # (3, N, 2, 2, 1)
+    scale = s * np.max(np.abs(psi), axis=(-2, -1))  # (N, 2)
+    return float(np.max(np.max(np.abs(defect), axis=(-2, -1)) / scale))
 
 
 # ---------------------------------------------------------------------------

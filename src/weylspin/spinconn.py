@@ -13,6 +13,7 @@ vanishes exactly on Gauduchon-Tod geometries, which is the engine behind the
 2-dimensional solution space.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ from .tensors import kulkarni_nomizu
 
 _ID2 = np.eye(2, dtype=complex)
 _ID3 = np.eye(3)
+_NU12 = np.einsum("iab,jbc->ijac", E, E)  # the rank-2 Clifford operator e_i e_j
+_ALT_NU12 = _NU12 - np.einsum("ijab->jiab", _NU12)
+_ALT_NU12.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +59,14 @@ def spin_connection(g, weight=0.0):
     return SpinConnection(matrices=mats, weight=float(weight))
 
 
+@functools.lru_cache(maxsize=1)
+def weight0_matrices(g):
+    """Read-only matrices A_i of spin_connection(g, 0.0), built once per (immutable) geometry."""
+    mats = spin_connection(g, 0.0).matrices
+    mats.setflags(write=False)
+    return mats
+
+
 def commutator_curvature(mats, g):
     """R_ij = [M_i, M_j] - sum_k c^k_ij M_k for constant connection matrices."""
     comm = np.einsum("iab,jbc->ijac", mats, mats) - np.einsum("jab,ibc->ijac", mats, mats)
@@ -83,8 +95,7 @@ def spin_curvature(g, weight=0.0, include_formula=True):
 
 def killing_connection(g, beta):
     """Killing connection B_i = A_i(w=0) - beta e_i."""
-    base = spin_connection(g, 0.0)
-    mats = base.matrices - beta.value * E
+    mats = weight0_matrices(g) - beta.value * E
     return SpinConnection(matrices=mats, weight=0.0)
 
 
@@ -98,7 +109,7 @@ def killing_curvature(g, beta):
                         an identity that holds for every geometry and beta
                         (it is how flatness reduces to the GT residuals).
     """
-    base = spin_connection(g, 0.0).matrices
+    base = weight0_matrices(g)
     curv = commutator_curvature(base - beta.value * E, g)  # B_i = A_i - beta e_i
     residual = float(np.max(np.abs(curv)))
 
@@ -106,9 +117,7 @@ def killing_curvature(g, beta):
     grad = density_derivative(g, beta)
     grad_nu = np.einsum("i,jab->ijab", grad, E)
     alt_grad_nu = grad_nu - np.einsum("ijab->jiab", grad_nu)
-    nu12 = np.einsum("iab,jbc->ijac", E, E)
-    alt_nu12 = nu12 - np.einsum("ijab->jiab", nu12)
-    expansion = r_s0 - alt_grad_nu + beta.value**2 * alt_nu12
+    expansion = r_s0 - alt_grad_nu + beta.value**2 * _ALT_NU12
     deviation = float(np.max(np.abs(curv - expansion)))
     return KillingCurvature(curvature=curv, residual=residual, expansion_deviation=deviation)
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from weylspin import killing, spinconn
 from weylspin.cli import build_parser, main, parse_geometry_file
 from weylspin.errors import JacobiViolation, ParseError
 from weylspin.geometry import gauge_rescale
@@ -187,6 +188,33 @@ def test_killing_command(tmp_path, capsys):
         "killing_residual",
     ]
     assert report["verdict"] == "pass"
+
+
+def test_killing_sends_each_sample_arc_through_transport_operator(tmp_path, capsys, monkeypatch):
+    # bench/run.py spot-checks the first 6 arcs that `killing --loops 2` sends
+    # through killing.transport_operator against RK4; the sample sections must
+    # keep transporting arc by arc through it, or that check sees nothing
+    arcs = []
+    original = killing.transport_operator
+    spy = lambda g, beta, arc: arcs.append(arc) or original(g, beta, arc)
+    monkeypatch.setattr(killing, "transport_operator", spy)
+    path = write(tmp_path, "round.json", ROUND_TEXT)
+    code, _, _ = run_cli(capsys, ["killing", path, "--loops", "2"])
+    assert code == 0
+    assert len(arcs) >= 6
+
+
+def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypatch):
+    built = []
+    original = spinconn.spin_connection
+    spy = lambda g, weight=0.0: built.append(g) or original(g, weight)
+    monkeypatch.setattr(spinconn, "spin_connection", spy)
+    path = write(tmp_path, "round.json", ROUND_TEXT)
+    for argv in (["analyze", path], ["killing", path, "--loops", "5"]):
+        built.clear()
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert len(built) == 1
 
 
 def test_killing_command_passes_at_large_scale(tmp_path, capsys):

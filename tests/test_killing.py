@@ -24,11 +24,13 @@ from weylspin.geometry import (
     analyze,
     gauge_rescale,
     milnor_geometry,
+    residual_scale,
     validate_geometry,
 )
 from weylspin.killing import (
     GroupArc,
     _family_quadratic_form,
+    _su2_coefficients,
     _su2_exp,
     _su2_log,
     arc_from_vector,
@@ -49,7 +51,7 @@ from weylspin.killing import (
     transport_sequence_operator,
     triangle_loop,
 )
-from weylspin.spinconn import flatness, killing_connection, killing_curvature
+from weylspin.spinconn import flatness, killing_connection, killing_curvature, spin_connection
 
 from test_spinconn import random_geometry
 
@@ -90,6 +92,22 @@ def test_group_arc_validation():
     assert abs(a.length - 5.0) < 1e-15
     assert np.max(np.abs(np.asarray(a.direction) - (0.0, 0.6, 0.8))) < 1e-15
     assert arc_from_vector((0.0, 0.0, 0.0)).length == 0.0
+
+
+@pytest.mark.parametrize(
+    "direction, length",
+    [((np.nan, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), np.nan), ((1.0, 0.0, 0.0), np.inf)],
+)
+def test_group_arc_rejects_non_finite_input(direction, length):
+    # abs(nan - 1) > 1e-10 is False, so the unit-norm check alone lets NaN through
+    with pytest.raises(ShapeError):
+        GroupArc(direction, length)
+
+
+@pytest.mark.parametrize("v", [(np.nan, 0.0, 0.0), (0.0, -np.inf, 1.0)])
+def test_arc_from_vector_rejects_non_finite_input(v):
+    with pytest.raises(ShapeError):
+        arc_from_vector(v)
 
 
 def test_zero_length_transport_is_identity():
@@ -405,9 +423,8 @@ def test_basis_pair_is_j_related_and_independent():
     psi1, psi2 = basis.base_values
     assert np.max(np.abs(psi2 - j_structure(psi1))) == 0.0
     rng = np.random.default_rng(11)
-    for loop in triangle_loop(ROUND, HALF, rng, 20):
-        for arcs in (loop[:1], loop[:2]):
-            assert basis.min_singular_value(arcs_of(arcs)) > 0.1
+    samples = [arcs_of(loop[:k]) for loop in triangle_loop(ROUND, HALF, rng, 20) for k in (1, 2)]
+    assert basis.min_singular_value(basis.sample_transports(samples)) > 0.1
 
 
 def test_flat_abelian_basis_and_residual():
@@ -416,18 +433,91 @@ def test_flat_abelian_basis_and_residual():
     basis = killing_basis(g, beta)
     rng = np.random.default_rng(12)
     samples = [[arc_from_vector(rng.uniform(-1, 1, 3))] for _ in range(5)]
-    assert killing_residual(g, beta, basis, samples, h=0.05) < 1e-13
+    assert killing_residual(g, beta, basis, basis.sample_transports(samples), h=0.05) < 1e-13
 
 
 def test_killing_residual_second_order():
     basis = killing_basis(ROUND, HALF)
     rng = np.random.default_rng(13)
     samples = [arcs_of(loop[:k]) for loop in triangle_loop(ROUND, HALF, rng, 10) for k in (1, 2)]
-    r5 = killing_residual(ROUND, HALF, basis, samples, h=1e-5)
+    transports = basis.sample_transports(samples)
+    r5 = killing_residual(ROUND, HALF, basis, transports, h=1e-5)
     assert r5 < 1e-7
-    r3 = killing_residual(ROUND, HALF, basis, samples, h=1e-3)
-    r4 = killing_residual(ROUND, HALF, basis, samples, h=1e-4)
+    r3 = killing_residual(ROUND, HALF, basis, transports, h=1e-3)
+    r4 = killing_residual(ROUND, HALF, basis, transports, h=1e-4)
     assert 80.0 < r3 / r4 < 120.0
+
+
+# the per-sample loops that the batched sections replaced, kept as their reference
+
+
+def per_sample_min_singular_value(basis, samples):
+    worst = np.inf
+    for arcs in samples:
+        v1, v2 = basis.transport(arcs)
+        m = np.stack([v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)], axis=1)
+        worst = min(worst, float(np.linalg.svd(m, compute_uv=False)[-1]))
+    return worst
+
+
+def per_sample_killing_residual(g, beta, basis, samples, h):
+    s = residual_scale(g, beta) or 1.0
+    step = h / s
+    A = spin_connection(g, 0.0).matrices
+    B = killing_connection(g, beta).matrices
+    plus = [_su2_exp(-step * _su2_coefficients(B[i])) for i in range(3)]
+    minus = [_su2_exp(step * _su2_coefficients(B[i])) for i in range(3)]
+    worst = 0.0
+    for arcs in samples:
+        U = basis.transport_operator(arcs)
+        for psi0 in basis.base_values:
+            psi = U @ psi0
+            scale = s * float(np.max(np.abs(psi)))
+            for i in range(3):
+                fd = (plus[i] @ psi - minus[i] @ psi) / (2.0 * step)
+                defect = fd + A[i] @ psi - beta.value * (E[i] @ psi)
+                worst = max(worst, float(np.max(np.abs(defect))) / scale)
+    return worst
+
+
+def sample_cases():
+    """Certified (g, beta) in diagonal, rotated, abelian and negative Milnor frames."""
+    g_berger, beta_berger = parse_geometry_file(BERGER_PATH)
+    R = rotation((1.0, 2.0, 3.0), 0.55)
+    return [
+        (ROUND, HALF),
+        (rotated_geometry(g_berger, R), beta_berger),
+        (milnor_geometry((0.0, 0.0, 0.0)), WeightedDensity(0.0)),
+        (milnor_geometry((-3.0, -3.0, -3.0)), WeightedDensity(-0.75)),
+    ]
+
+
+def test_batched_sample_sections_match_the_per_sample_loop():
+    rng = np.random.default_rng(24)
+    for g, beta in sample_cases():
+        basis = killing_basis(g, beta)
+        # one- and two-arc paths, interleaved as the killing command draws them
+        samples = [arcs_of(loop[:k]) for loop in triangle_loop(g, beta, rng, 8) for k in (1, 2)]
+        transports = basis.sample_transports(samples)
+        assert transports.shape == (16, 2, 2)
+        sv = basis.min_singular_value(transports)
+        assert abs(sv - per_sample_min_singular_value(basis, samples)) < 1e-15
+        for h in (1e-3, 1e-2):
+            got = killing_residual(g, beta, basis, transports, h=h)
+            want = per_sample_killing_residual(g, beta, basis, samples, h)
+            assert abs(got - want) <= 1e-9 * want
+
+
+def test_batched_sample_sections_fail_on_a_non_finite_transport():
+    basis = killing_basis(ROUND, HALF)
+    loops = triangle_loop(ROUND, HALF, np.random.default_rng(25), 4)
+    transports = basis.sample_transports([arcs_of(loop[:2]) for loop in loops])
+    assert basis.min_singular_value(transports) > 0.1
+    assert killing_residual(ROUND, HALF, basis, transports) < 1e-7
+    transports[2, 1, 0] = np.nan
+    # NaN is the worst value: it fails the "above 0.1" and "below 1e3 h^2" bounds
+    assert not basis.min_singular_value(transports) > 0.1
+    assert not killing_residual(ROUND, HALF, basis, transports) < 1e-7
 
 
 # parameter search -----------------------------------------------------------

@@ -15,6 +15,7 @@ from weylspin.spinconn import (
     killing_curvature,
     spin_connection,
     spin_curvature,
+    weight0_matrices,
 )
 from weylspin.tensors import kulkarni_nomizu
 
@@ -38,6 +39,21 @@ def test_weight_term_is_scalar_shift():
     shifted = spin_connection(g, w).matrices
     expect = base + w * g.theta[:, None, None] * np.eye(2)
     assert np.max(np.abs(shifted - expect)) < 1e-15
+
+
+def test_weight0_matrices_are_built_once_and_read_only():
+    rng = np.random.default_rng(2)
+    lam, theta = rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3)
+    g = milnor_geometry(lam, theta)
+    A = weight0_matrices(g)
+    assert weight0_matrices(g) is A
+    assert not A.flags.writeable
+    assert np.array_equal(A, spin_connection(g, 0.0).matrices)
+    with pytest.raises(ValueError):
+        A[0, 0, 0] = 1.0
+    # the cache is keyed on the geometry object: equal data is built anew
+    A2 = weight0_matrices(milnor_geometry(lam, theta))
+    assert A2 is not A and np.array_equal(A2, A)
 
 
 def test_connection_matrices_traceless_at_weight_zero():
