@@ -3,13 +3,14 @@
 Four subcommands (verify-algebra, analyze, killing, search-gt) each return a
 list of report sections. `main` logs them to stderr and prints one JSON report
 to stdout with top-level keys {tool_version, seed, sections, verdict,
-wall_time_ms}. Floats are written in Python's shortest round-trip form
-(non-finite ones as NaN or Infinity), so a report reads back to the same
-doubles and is byte-reproducible at a fixed seed apart from wall_time_ms.
-Exit code 0 means verdict pass, 1 means a check failed, 2 means a usage or
-input problem: a bad geometry file, or an argument that cannot earn a pass
-(--trials or --loops below 1, --max-iter or --seed below 0, a --tol that is not
-positive and finite, a malformed --x0 or --pin).
+wall_time_ms}; seed is null for analyze and search-gt, which draw nothing.
+Floats are written in Python's shortest round-trip form (non-finite ones as
+NaN or Infinity), so a report reads back to the same doubles and is
+byte-reproducible at a fixed seed apart from wall_time_ms. Exit code 0 means
+verdict pass, 1 means a check failed, 2 means a usage or input problem: a bad
+geometry file (see parse_geometry_file), or an argument that cannot earn a
+pass (--trials or --loops below 1, --max-iter or --seed below 0, a --tol that
+is not positive and finite, a malformed --x0 or --pin).
 """
 
 import argparse
@@ -43,7 +44,14 @@ from .killing import (
 )
 from .spinconn import flatness
 
-_GEOMETRY_KEYS = {"milnor_lambda", "structure_constants", "theta", "beta", "beta_weight"}
+# geometry file schema: each key and the shape its finite JSON numbers nest to
+_SCHEMA = {
+    "milnor_lambda": (3,),
+    "structure_constants": (3, 3, 3),
+    "theta": (3,),
+    "beta": (),
+    "beta_weight": (),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -60,25 +68,31 @@ def _key_location(text, key):
     return line, col
 
 
-def _require_numbers(values, count, path, text, key):
-    line, col = _key_location(text, key)
-    if not isinstance(values, list) or len(values) != count:
-        raise ParseError(f'"{key}" must be a list of {count} numbers', path, line, col)
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f'"{key}" must contain only numbers', path, line, col)
-        out.append(float(v))
-    return out
+def _numbers(value, shape):
+    """value as floats nested to shape, or None unless it is finite JSON numbers of that shape."""
+    if shape:
+        if not isinstance(value, list) or len(value) != shape[0]:
+            return None
+        items = [_numbers(v, shape[1:]) for v in value]
+        return None if any(v is None for v in items) else items
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 def parse_geometry_file(path):
     """Read a geometry description file into (geometry, density).
 
-    Schema: exactly one of "milnor_lambda" (3 numbers) or "structure_constants"
-    (3x3x3 nested array), plus optional "theta" (3 numbers, default zero),
-    "beta" (number, default 0) and "beta_weight" (number, default -1). Any
-    other key is rejected with its line and column.
+    Schema (_SCHEMA): exactly one of "milnor_lambda" (3 numbers) or
+    "structure_constants" (3x3x3 nested array), plus optional "theta"
+    (3 numbers, default zero), "beta" (number, default 0) and "beta_weight"
+    (-1, the default and the only weight the commands use). Every value must be
+    finite JSON numbers nested to its key's shape. An unknown key or a bad value
+    raises ParseError at the key's line and column.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -91,43 +105,26 @@ def parse_geometry_file(path):
         raise ParseError(exc.msg, path, exc.lineno, exc.colno)
     if not isinstance(data, dict):
         raise ParseError("geometry file must contain a JSON object", path, 1, 1)
-    for key in data:
-        if key not in _GEOMETRY_KEYS:
-            line, col = _key_location(text, key)
-            raise ParseError(f'unknown key "{key}"', path, line, col)
-    has_lam = "milnor_lambda" in data
-    has_c = "structure_constants" in data
-    if has_lam == has_c:
-        raise ParseError(
-            'need exactly one of "milnor_lambda" or "structure_constants"', path, 1, 1
-        )
-
-    theta = _require_numbers(data.get("theta", [0.0, 0.0, 0.0]), 3, path, text, "theta")
-    beta_raw = data.get("beta", 0.0)
-    if isinstance(beta_raw, bool) or not isinstance(beta_raw, (int, float)):
-        line, col = _key_location(text, "beta")
-        raise ParseError('"beta" must be a number', path, line, col)
-    weight_raw = data.get("beta_weight", -1.0)
-    if isinstance(weight_raw, bool) or not isinstance(weight_raw, (int, float)):
-        line, col = _key_location(text, "beta_weight")
-        raise ParseError('"beta_weight" must be a number', path, line, col)
-
-    if has_lam:
-        lam = _require_numbers(data["milnor_lambda"], 3, path, text, "milnor_lambda")
-        g = milnor_geometry(lam, theta)
+    values = {}
+    for key, raw in data.items():
+        where = (path, *_key_location(text, key))
+        if key not in _SCHEMA:
+            raise ParseError(f'unknown key "{key}"', *where)
+        shape = _SCHEMA[key]
+        values[key] = _numbers(raw, shape)
+        if values[key] is None:
+            what = "x".join(map(str, shape)) + " finite numbers" if shape else "a finite number"
+            raise ParseError(f'"{key}" must be {what}', *where)
+        if key == "beta_weight" and values[key] != -1.0:
+            raise ParseError('"beta_weight" must be -1', *where)
+    if ("milnor_lambda" in values) == ("structure_constants" in values):
+        raise ParseError('need exactly one of "milnor_lambda" or "structure_constants"', path, 1, 1)
+    theta = values.get("theta", [0.0, 0.0, 0.0])
+    if "milnor_lambda" in values:
+        g = milnor_geometry(values["milnor_lambda"], theta)
     else:
-        rows = data["structure_constants"]
-        line, col = _key_location(text, "structure_constants")
-        try:
-            c = np.asarray(rows, dtype=float)
-        except (TypeError, ValueError):
-            raise ParseError('"structure_constants" must be numeric', path, line, col)
-        if c.shape != (3, 3, 3):
-            raise ParseError(
-                '"structure_constants" must be a 3x3x3 nested array', path, line, col
-            )
-        g = validate_geometry(c, np.asarray(theta))
-    return g, WeightedDensity(float(beta_raw), float(weight_raw))
+        g = validate_geometry(values["structure_constants"], theta)
+    return g, WeightedDensity(values.get("beta", 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +168,12 @@ def _bound_section(name, value, bound, direction):
     }
 
 
+def _gt_sections(rep):
+    """The three normalized Gauduchon-Tod residuals of a GTReport, each below its tolerance."""
+    pairs = (("r_ew", rep.n_ew), ("r_scal", rep.n_scal), ("r_star", rep.n_star))
+    return [_bound_section(name, value, rep.tolerance, "below") for name, value in pairs]
+
+
 def _log(msg):
     print(msg, file=sys.stderr)
 
@@ -188,12 +191,8 @@ def _cmd_verify_algebra(args):
 
 def _cmd_analyze(args):
     g, beta = parse_geometry_file(args.geometry)
-    rep = analyze(g, beta, tolerance=args.tol)
-    return [
-        _bound_section("r_ew", rep.n_ew, args.tol, "below"),
-        _bound_section("r_scal", rep.n_scal, args.tol, "below"),
-        _bound_section("r_star", rep.n_star, args.tol, "below"),
-        _bound_section("flatness", flatness(g, beta), args.tol, "below"),
+    return _gt_sections(analyze(g, beta, tolerance=args.tol)) + [
+        _bound_section("flatness", flatness(g, beta), args.tol, "below")
     ]
 
 
@@ -239,12 +238,7 @@ def _cmd_search_gt(args):
         _bound_section("iterations", iterations, args.max_iter + 0.5, "below"),
     ]
     if found is not None:
-        rep = found.report
-        sections += [
-            _bound_section("r_ew", rep.n_ew, rep.tolerance, "below"),
-            _bound_section("r_scal", rep.n_scal, rep.tolerance, "below"),
-            _bound_section("r_star", rep.n_star, rep.tolerance, "below"),
-        ]
+        sections += _gt_sections(found.report)
     return sections
 
 
@@ -316,8 +310,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="Gauduchon-Tod residuals of a geometry file")
     p.add_argument("geometry")
     p.add_argument("--tol", type=_TOLERANCE, default=1e-9)
-    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, seed=None)
 
     p = sub.add_parser("killing", help="build the Killing basis and test holonomy")
     p.add_argument("geometry")
@@ -330,8 +323,7 @@ def build_parser():
     p.add_argument("--pin", type=_PIN, default="lambda1", help="coordinate pin, e.g. lambda1=2")
     p.add_argument("--tol", type=_TOLERANCE, default=1e-10)
     p.add_argument("--max-iter", type=_NON_NEGATIVE, default=50)
-    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
-    p.set_defaults(func=_cmd_search_gt)
+    p.set_defaults(func=_cmd_search_gt, seed=None)
     return parser
 
 

@@ -25,10 +25,6 @@ class JacobiViolation(WeylSpinError):
     """Structure constants fail the Jacobi identity beyond tolerance."""
 
 
-class FormulaUnavailable(WeylSpinError):
-    """The closed-form spin curvature is only quoted at weight 0."""
-
-
 class NotGT(WeylSpinError):
     """Geometry fails the Gauduchon-Tod residuals at tolerance."""
 

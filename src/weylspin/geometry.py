@@ -260,11 +260,11 @@ def analyze(g, beta, tolerance=1e-9):
     if beta.weight != -1:
         raise ShapeError(f"analyze needs a weight -1 density, got weight {beta.weight}")
     r = np.abs(gt_residual_vector(g, beta))
-    r_ew, r_scal, r_star = float(np.max(r[:9])), float(r[9]), float(np.max(r[10:]))
-    scale = residual_scale(g, beta)
-    norm = scale * scale if scale > 0.0 else 1.0
-    n_ew, n_scal, n_star = (x / norm for x in (r_ew, r_scal, r_star))
+    raw = np.array([np.max(r[:9]), r[9], np.max(r[10:])])
+    r_ew, r_scal, r_star = raw.tolist()
+    n_ew, n_scal, n_star = normalized_residual(raw, g, beta).tolist()
     verdict = bool(max(n_ew, n_scal, n_star) < tolerance)
+    scale = residual_scale(g, beta)
     return GTReport(r_ew, r_scal, r_star, n_ew, n_scal, n_star, scale, tolerance, verdict)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .clifford import E, EPS, act, j_structure
 from .errors import NotGT, ShapeError
-from .geometry import analyze, curvature_package, density_derivative
+from .geometry import analyze, curvature_package, density_derivative, normalized_residual
 from .tensors import alt, hodge_star, kulkarni_nomizu, metric, mu_contract, nu_embed, sym0
 
 _ID3 = np.eye(3)
@@ -239,7 +239,9 @@ def check_integrability(g, beta, psi):
 
     The relations are only asserted for Killing spinors, and those exist
     exactly on GT geometries, so a failing GT verdict raises NotGT instead of
-    reporting a meaningless residual.
+    reporting a meaningless residual. The residual has conformal weight -2, so
+    the report carries it over scale^2 (normalized_residual), which is the same
+    at every gauge scale.
     """
     gt = analyze(g, beta, _GT_TOLERANCE)
     if not gt.verdict:
@@ -247,7 +249,7 @@ def check_integrability(g, beta, psi):
             "geometry is not Gauduchon-Tod at tolerance "
             f"{_GT_TOLERANCE:g} (normalized residuals {gt.n_ew:.3e}, {gt.n_scal:.3e}, {gt.n_star:.3e})"
         )
-    residual = integrability_residual(g, beta, psi)
+    residual = normalized_residual(integrability_residual(g, beta, psi), g, beta)
     return make_report("integrability", residual, 1, _INTEGRABILITY_TOLERANCE)
 
 

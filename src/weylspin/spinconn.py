@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import E
-from .errors import FormulaUnavailable
 from .geometry import curvature_package, density_derivative, normalized_residual, weyl_connection
 from .tensors import kulkarni_nomizu
 
@@ -73,19 +72,17 @@ def commutator_curvature(mats, g):
     return comm - np.einsum("ijk,kac->ijac", g.structure_constants, mats)
 
 
-def spin_curvature(g, weight=0.0, include_formula=True):
+def spin_curvature(g, weight=0.0):
     """Spin curvature by commutator, with the closed-form cross-check at w = 0.
 
     The formula route reads 1/4 (Ric^N kn c) as a 2-form of endomorphisms,
     contracting the last two slots with Clifford factors. It only exists at
-    weight 0; asking for it at any other weight raises FormulaUnavailable.
+    weight 0; at any other weight formula and mismatch are None.
     """
     conn = spin_connection(g, weight)
     comm = commutator_curvature(conn.matrices, g)
-    if not include_formula:
-        return SpinCurvature(commutator=comm, formula=None, mismatch=None)
     if weight != 0.0:
-        raise FormulaUnavailable("closed-form spin curvature is only available at weight 0")
+        return SpinCurvature(commutator=comm, formula=None, mismatch=None)
     pkg = curvature_package(g)
     kn = kulkarni_nomizu(pkg.ric_n, _ID3)
     formula = 0.25 * np.einsum("ijab,axy,byz->ijxz", kn, E, E)

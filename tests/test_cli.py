@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+import weylspin
 from weylspin import killing, spinconn
 from weylspin.cli import build_parser, main, parse_geometry_file
 from weylspin.errors import JacobiViolation, ParseError
-from weylspin.geometry import gauge_rescale
+from weylspin.geometry import gauge_rescale, milnor_constants
 from weylspin.killing import gt_residual_vector, milnor_theta3_family
 
 from test_killing import BERGER_PATH, rotated_geometry, rotation
@@ -100,6 +101,39 @@ def test_parse_rejects_boolean_beta(tmp_path):
         )
 
 
+BIG = "1" + "0" * 400  # a JSON integer of 401 digits, beyond the float range
+UNIT_C = json.dumps(milnor_constants((1.0, 1.0, 1.0)).tolist())  # first "1.0" is c[0][1][2]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("structure_constants", UNIT_C.replace("1.0", '"1"', 1)),
+        ("structure_constants", UNIT_C.replace("1.0", "true", 1)),
+        ("milnor_lambda", f"[1, 1, {BIG}]"),
+        ("beta", BIG),
+        ("theta", "[0, 0, NaN]"),
+        ("beta", "1e400"),
+        ("beta_weight", "3"),
+    ],
+    ids=["sc-string", "sc-bool", "lambda-big-int", "beta-big-int", "theta-nan", "beta-1e400", "weight-3"],
+)
+def test_malformed_values_exit_2_at_their_key(tmp_path, capsys, key, value):
+    # json.loads accepts each of these values; the file schema must not
+    entries = {"milnor_lambda": "[1, 1, 1]", "beta": "0.25"}
+    if key == "structure_constants":
+        del entries["milnor_lambda"]
+    entries[key] = value
+    text = "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in entries.items()) + "\n}\n"
+    path = write(tmp_path, "bad.json", text)
+    line = 2 + list(entries).index(key)
+    for argv in (["analyze", path], ["killing", path, "--loops", "2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"{path}:{line}:3: " in err
+
+
 # commands ---------------------------------------------------------------------
 
 
@@ -152,6 +186,7 @@ def test_analyze_pass_and_fail(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["analyze", round_path])
     assert code == 0
     report = json.loads(out)
+    assert report["seed"] is None
     values = {s["name"]: s["value"] for s in report["sections"]}
     assert set(values) == {"r_ew", "r_scal", "r_star", "flatness"}
     assert max(values.values()) < 1e-12
@@ -316,16 +351,18 @@ def test_search_gt_final_residual_is_the_formula_at_the_root(capsys):
 
 def test_successive_calls_share_no_parser_state(capsys):
     argv = ["search-gt", "--x0", "2.2,1.9,2.1,0.05,0.4", "--pin", "lambda1=2"]
-    _, out, _ = run_cli(capsys, argv + ["--max-iter", "1", "--tol", "1e-3", "--seed", "7"])
+    _, out, _ = run_cli(capsys, argv + ["--max-iter", "1", "--tol", "1e-3"])
     report = json.loads(out)
-    assert report["seed"] == 7
+    assert report["seed"] is None
     assert report["sections"][1] == {
         "name": "iterations", "value": 1.0, "bound": 1.5, "direction": "below", "pass": True
     }
+    _, out, _ = run_cli(capsys, ["verify-algebra", "--trials", "2", "--seed", "7"])
+    assert json.loads(out)["seed"] == 7
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     report = json.loads(out)
-    assert report["seed"] == 0
+    assert report["seed"] is None
     assert report["sections"][0]["bound"] == 1e-10
     assert report["sections"][1]["bound"] == 50.5
     assert build_parser() is build_parser()
@@ -366,6 +403,8 @@ X0 = ["--x0", "2.2,1.9,2.1,0.05,0.4"]
         ["search-gt", "--x0", "1,2,x,0,0.5"],
         ["search-gt", "--x0", "inf,2,2,0,0.5", "--pin", "lambda2"],
         ["search-gt", *X0, "--pin", "lambda1=two"],
+        ["analyze", "GEOMETRY", "--seed", "0"],  # analyze and search-gt draw nothing
+        ["search-gt", *X0, "--seed", "0"],
     ],
 )
 def test_arguments_that_cannot_earn_a_pass_exit_2(tmp_path, capsys, argv):
@@ -387,6 +426,15 @@ def test_cli_import_does_not_load_scipy():
 
 def test_unknown_command_exits_2(capsys):
     assert run_cli(capsys, ["frobnicate"])[0] == 2
+
+
+def test_distribution_name_and_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "weylspin"
+    assert project["version"] == weylspin.__version__
 
 
 def readme_commands():

@@ -10,10 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylspin.cli import main
+from weylspin.cli import main, parse_geometry_file
 from weylspin.clifford import act, j_structure
 from weylspin.errors import NotGT, RankError, ShapeError, SymmetryError
-from weylspin.geometry import WeightedDensity, milnor_geometry
+from weylspin.geometry import (
+    WeightedDensity,
+    curvature_package,
+    gauge_rescale,
+    milnor_geometry,
+    normalized_residual,
+)
 from weylspin.identities import (
     CHUNK,
     SWEEPS,
@@ -39,6 +45,8 @@ from weylspin.identities import (
     verify_algebra,
 )
 from weylspin.tensors import hodge_star, mu_contract
+
+from test_killing import BERGER_PATH
 
 
 def test_check_functions_pass_on_random_draws():
@@ -165,6 +173,22 @@ def test_integrability_j_equivariant():
         a = integrability_residual(g, beta, psi)
         b = integrability_residual(g, beta, j_structure(psi))
         assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("s", [-12.0, -9.0, 0.0, 5.0])
+def test_integrability_gate_is_scale_relative(s):
+    # the raw residual has weight -2: on the certified Berger sphere it reads
+    # about 6e-14 at s = 0, 4e-6 at s = -9 and 2e-3 at s = -12
+    g0, beta0 = parse_geometry_file(BERGER_PATH)
+    g, beta = gauge_rescale(g0, beta0, s)
+    psi = random_spinor(np.random.default_rng(0))
+    rep = check_integrability(g, beta, psi)
+    assert rep.passed and rep.residual < 1e-12
+    # negative control: the curvature of the same frame at theta3 = 0.3
+    lam = g0.structure_constants[[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    off, _ = gauge_rescale(milnor_geometry(lam, (0.0, 0.0, 0.3)), beta0, s)
+    raw = integrability_residual(g, beta, psi, pkg=curvature_package(off))
+    assert 0.1 < normalized_residual(raw, g, beta) < 0.5
 
 
 def test_integrability_rejects_non_gt():

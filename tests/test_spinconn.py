@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from weylspin.clifford import E
-from weylspin.errors import FormulaUnavailable
 from weylspin.geometry import (
     WeightedDensity,
     analyze,
@@ -87,10 +86,9 @@ def test_spin_curvature_formula_term_shape():
 
 def test_formula_unavailable_off_weight_zero():
     g = milnor_geometry((2.0, 2.0, 2.0), (0.1, 0.0, 0.0))
-    with pytest.raises(FormulaUnavailable):
-        spin_curvature(g, weight=-1.0)
-    sc = spin_curvature(g, weight=-1.0, include_formula=False)
+    sc = spin_curvature(g, weight=-1.0)
     assert sc.formula is None and sc.mismatch is None
+    assert np.array_equal(sc.commutator, commutator_curvature(spin_connection(g, -1.0).matrices, g))
 
 
 def test_killing_connection_round_sphere():
