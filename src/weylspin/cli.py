@@ -23,13 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (
-    JacobiViolation,
-    NoConvergence,
-    ParseError,
-    ShapeError,
-    UnsupportedModel,
-)
+from .errors import JacobiViolation, NoConvergence, ParseError, ShapeError
 from .geometry import WeightedDensity, analyze, milnor_geometry, validate_geometry
 from .identities import verify_algebra
 from .killing import (
@@ -40,7 +34,7 @@ from .killing import (
     killing_residual,
     loop_holonomy,
     path_independence_residual,
-    triangle_loop,
+    quadrilateral_loop,
 )
 from .spinconn import flatness
 
@@ -58,11 +52,13 @@ _SCHEMA = {
 # geometry files
 
 
-def _key_location(text, key):
-    """Line and column (1-based) of the first occurrence of a quoted key."""
-    off = text.find(f'"{key}"')
-    if off < 0:
-        return 1, 1
+def _key_location(text, key, occurrence=1):
+    """Line and column (1-based) of the given occurrence of a quoted key (default the first)."""
+    off = -1
+    for _ in range(occurrence):
+        off = text.find(f'"{key}"', off + 1)
+        if off < 0:
+            return 1, 1
     line = text.count("\n", 0, off) + 1
     col = off - (text.rfind("\n", 0, off) + 1) + 1
     return line, col
@@ -91,16 +87,27 @@ def parse_geometry_file(path):
     "structure_constants" (3x3x3 nested array), plus optional "theta"
     (3 numbers, default zero), "beta" (number, default 0) and "beta_weight"
     (-1, the default and the only weight the commands use). Every value must be
-    finite JSON numbers nested to its key's shape. An unknown key or a bad value
-    raises ParseError at the key's line and column.
+    finite JSON numbers nested to its key's shape. An unknown key, a bad value,
+    or structure constants that fail validate_geometry (antisymmetry, Jacobi)
+    raise ParseError at the key's line and column; a repeated key raises it at
+    the repeat.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path, 1, 1)
+
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f'duplicate key "{key}"', path, *_key_location(text, key, 2))
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path, exc.lineno, exc.colno)
     if not isinstance(data, dict):
@@ -123,7 +130,10 @@ def parse_geometry_file(path):
     if "milnor_lambda" in values:
         g = milnor_geometry(values["milnor_lambda"], theta)
     else:
-        g = validate_geometry(values["structure_constants"], theta)
+        try:
+            g = validate_geometry(values["structure_constants"], theta)
+        except (ShapeError, JacobiViolation) as exc:
+            raise ParseError(str(exc), path, *_key_location(text, "structure_constants"))
     return g, WeightedDensity(values.get("beta", 0.0))
 
 
@@ -204,7 +214,7 @@ def _cmd_killing(args):
         return sections
     basis = KillingBasis(g, beta)
 
-    loops = triangle_loop(g, beta, rng, args.loops)
+    loops = quadrilateral_loop(g, beta, rng, args.loops)
     worst_dev = float(np.max(loop_holonomy(g, beta, loops)[1]))
     sections.append(_bound_section("max_holonomy_deviation", worst_dev, 1e-9, "below"))
 
@@ -336,7 +346,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         sections = args.func(args)
-    except (ParseError, JacobiViolation, ShapeError, UnsupportedModel) as exc:
+    except (ParseError, ShapeError) as exc:
         _log(f"error: {exc}")
         return 2
     for s in sections:

@@ -33,14 +33,6 @@ class NotFlat(WeylSpinError):
     """Killing connection is not flat at tolerance; no global parallel basis."""
 
 
-class OpenPath(WeylSpinError):
-    """Arc sequence does not close up in the group."""
-
-
-class UnsupportedModel(WeylSpinError):
-    """No simply connected group model implemented for these structure constants."""
-
-
 class NoConvergence(WeylSpinError):
     """Newton search hit the iteration cap; carries the best iterate found."""
 

@@ -1,16 +1,16 @@
 """Killing spinor construction by parallel transport of the flat connection.
 
-Paths live on the simply connected model of the homogeneous geometry. An arc
+Paths live on the simply connected group of the homogeneous geometry. An arc
 is the flow of a fixed frame direction d for a parameter length t; along it the
 Killing connection is the constant matrix sum(d_i B_i). Every B_i lies in su(2)
 (traceless and anti-Hermitian), so transport is a unit quaternion given by a
-closed-form exponential. Loops close in the unit-quaternion or the abelian
-model of the group (group_model, in any frame); the model and the su(2)
-coefficients of the B_i are resolved once per (immutable) geometry. The
-quaternion logarithm keeps its quaternion angle in [0, pi], matching the
-simply connected double cover. Loops come in batches, an (N, k, 3) array of
-arc frame vectors, so drawing, closing and transporting N loops are array
-operations; a single arc (GroupArc) runs on the same exponential.
+closed-form exponential, and the su(2) coefficients of the B_i are resolved
+once per (immutable) geometry. Loops are quadrilaterals X, Y, -X, -Ad Y whose
+last arc comes from the adjoint action, expm of the 3x3 matrix ad_X read off
+the structure constants, so they close on every simply connected Lie group
+without a model of the group. Loops come in batches, an (N, k, 3) array of
+arc frame vectors, so drawing and transporting N loops are array operations;
+a single arc (GroupArc) runs on the same exponential.
 """
 
 import functools
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import E, j_structure
-from .errors import NoConvergence, NotFlat, OpenPath, ShapeError, UnsupportedModel
+from .errors import NoConvergence, NotFlat, ShapeError
 from .geometry import WeightedDensity, analyze, gt_residual_vector, milnor_geometry, residual_scale
 from .spinconn import flatness, killing_connection, weight0_matrices
 
@@ -105,32 +105,6 @@ def rk4_transport(g, beta, arc, psi0, steps=256):
     return psi
 
 
-# ---------------------------------------------------------------------------
-# simply connected group model
-
-
-@functools.lru_cache(maxsize=1)
-def group_model(g):
-    """("su2", L) or ("abelian", None) for c = 0; UnsupportedModel otherwise.
-
-    Milnor's n (c^k_ij = eps_ijl n[l, k]) is symmetric iff the algebra is unimodular,
-    then su(2) iff adj(n) is positive definite (both to 1e-12 relative to max|n|,
-    so rounding passes no degenerate frame); e_i -> sum_k L[i, k] q_k with
-    L = sign(det n) chol(adj(n) / 4) solves the bracket relation 2 cof(L) = n L.
-    """
-    n = g.structure_constants[[1, 2, 0], [2, 0, 1]]
-    scale = np.max(np.abs(n))
-    if scale == 0.0:
-        return "abelian", None
-    adj = np.cross(n[[1, 2, 0]], n[[2, 0, 1]])
-    unimodular = np.max(np.abs(n - n.T)) <= 1e-12 * scale
-    if not (unimodular and np.all(np.linalg.eigvalsh(adj) > 1e-12 * scale * scale)):
-        raise UnsupportedModel("loop model needs zero or definite unimodular brackets")
-    L = np.sign(np.linalg.det(n)) * np.linalg.cholesky(adj / 4.0)
-    L.setflags(write=False)
-    return "su2", L
-
-
 @functools.lru_cache(maxsize=1)
 def _killing_generators(g, beta):
     """Real b[i, k] with B_i = sum_k b[i, k] q_k."""
@@ -152,23 +126,27 @@ def _su2_exp(x):
     return (quaternion @ _QUATERNION_BASIS).reshape(x.shape[:-1] + (2, 2))
 
 
-def _su2_log(M):
-    """Coefficients x (..., 3) with exp(sum x_k q_k) = M (..., 2, 2), angle in [0, pi]."""
-    a = np.real(np.trace(M, axis1=-2, axis2=-1)) / 2.0
-    b = _su2_coefficients(M)
-    nb = np.linalg.norm(b, axis=-1)
-    tiny = nb < 1e-14
-    if np.any(tiny & (a <= 0.0)):
-        raise UnsupportedModel("group logarithm hit the branch point (antipode)")
-    ratio = np.arctan2(nb, a) / np.where(tiny, 1.0, nb)
-    return np.where(tiny, 0.0, ratio)[..., None] * b
+# ---------------------------------------------------------------------------
+# loops
 
 
-def _ordered_product(steps, later_left):
-    """Product over axis 1 of (N, k, 2, 2) matrices, the identity for k = 0."""
-    out = np.broadcast_to(_ID2, steps.shape[:1] + (2, 2))
-    for j in range(steps.shape[1]):
-        out = steps[:, j] @ out if later_left else out @ steps[:, j]
+def expm(A):
+    """exp of real square matrices A (..., n, n).
+
+    Taylor series to degree 16 of A / 2^s, squared s times, with s the
+    smallest count that brings the largest row-sum norm in the batch to 1/2
+    or below, where the dropped terms are below 1e-19.
+    """
+    A = np.asarray(A, dtype=float)
+    norm = float(np.max(np.sum(np.abs(A), axis=-1), initial=0.0))
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
+    X = A / 2.0**s
+    term = out = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
+    for k in range(1, 17):
+        term = term @ X / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
     return out
 
 
@@ -178,43 +156,19 @@ def _ordered_product(steps, later_left):
 
 def path_transports(g, beta, paths):
     """Transport operators (N, 2, 2) along a batch of paths; later arcs act on the left."""
-    b = _killing_generators(g, beta)
-    return _ordered_product(_su2_exp(-np.asarray(paths, dtype=float) @ b), later_left=True)
+    steps = _su2_exp(-np.asarray(paths, dtype=float) @ _killing_generators(g, beta))
+    out = np.broadcast_to(_ID2, steps.shape[:1] + (2, 2))
+    for j in range(steps.shape[1]):
+        out = steps[:, j] @ out
+    return out
 
 
-def group_endpoint(g, paths):
-    """Endpoints of a batch of paths in group_model(g): (N, 3) sums or (N, 2, 2) SU(2)."""
-    kind, L = group_model(g)
-    paths = np.asarray(paths, dtype=float)
-    if kind == "abelian":
-        return paths.sum(axis=1)
-    return _ordered_product(_su2_exp(paths @ L), later_left=False)
+def quadrilateral_loop(g, beta, rng, n):
+    """n random closed loops (n, 4, 3): the arcs X, Y, -X, -Z with Z = exp(ad_X) Y.
 
-
-def closure_defect(g, paths):
-    """Per path (N,), how far its endpoint lies from the identity of group_model(g)."""
-    end = group_endpoint(g, paths)
-    if group_model(g)[0] == "abelian":
-        return np.linalg.norm(end, axis=-1)
-    return np.max(np.abs(end - _ID2), axis=(-2, -1))
-
-
-def closing_arc(g, paths):
-    """Frame vectors (N, 3) of the arcs that close each path into a loop.
-
-    One batched group logarithm and one triangular solve L^T v = z for all N.
-    """
-    kind, L = group_model(g)
-    end = group_endpoint(g, paths)
-    if kind == "abelian":
-        return -end
-    z = _su2_log(np.conj(np.swapaxes(end, -2, -1)))  # inverse of an SU(2) matrix is its adjoint
-    return np.linalg.solve(L.T, z.T).T
-
-
-def triangle_loop(g, beta, rng, n):
-    """n random closed triangles (n, 3, 3): two random arcs plus the closing third.
-
+    Flowing along X, Y, -X reaches exp(X) exp(Y) exp(-X) = exp(Ad_exp(X) Y),
+    and Ad_exp(X) = expm(ad_X) with (ad_X)[k, j] = sum_i X_i c[i, j, k], so
+    the arc -Z returns to the identity on every simply connected group.
     All directions are drawn first, rng.standard_normal((n, 2, 3)), then all
     lengths, rng.uniform(0.4, 1.2, (n, 2)), in units of 1 / residual_scale(g, beta)
     (1 for the zero geometry), so a loop spans the same part of the group at
@@ -223,26 +177,14 @@ def triangle_loop(g, beta, rng, n):
     d = rng.standard_normal((n, 2, 3))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     t = rng.uniform(0.4, 1.2, (n, 2)) / (residual_scale(g, beta) or 1.0)
-    legs = t[..., None] * d
-    return np.concatenate([legs, closing_arc(g, legs)[:, None]], axis=1)
-
-
-_CLOSURE_TOLERANCE = 1e-10
+    X, Y = np.moveaxis(t[..., None] * d, 1, 0)
+    ad = np.einsum("ni,ijk->nkj", X, g.structure_constants)
+    Z = (expm(ad) @ Y[..., None])[..., 0]
+    return np.stack([X, Y, -X, -Z], axis=1)
 
 
 def loop_holonomy(g, beta, loops):
-    """Killing holonomies (N, 2, 2) around a batch of loops, and their max|H - Id| (N,).
-
-    Raises OpenPath when any loop does not end at the identity of the simply
-    connected model (within _CLOSURE_TOLERANCE).
-    """
-    defect = closure_defect(g, loops)
-    open_loops = defect > _CLOSURE_TOLERANCE
-    if np.any(open_loops):
-        raise OpenPath(
-            f"{np.count_nonzero(open_loops)} of {defect.size} arc sequences do not close up "
-            f"(worst defect {np.max(defect):.3e})"
-        )
+    """Killing holonomies (N, 2, 2) around a batch of closed loops, and their max|H - Id| (N,)."""
     H = path_transports(g, beta, loops)
     return H, np.max(np.abs(H - _ID2), axis=(-2, -1))
 
@@ -310,11 +252,11 @@ def killing_basis(g, beta, flat_tolerance=1e-10):
 
 def path_independence_residual(g, beta, rng, pairs=5):
     """Max transport disagreement between random path pairs to a common endpoint."""
-    loops = triangle_loop(g, beta, rng, pairs)
-    # each closing arc closes its two-leg path, so traversing it backwards is
-    # a one-arc path to the same endpoint
-    U1 = path_transports(g, beta, loops[:, :2])
-    U2 = path_transports(g, beta, -loops[:, 2:])
+    loops = quadrilateral_loop(g, beta, rng, pairs)
+    # each last arc closes its loop, so traversing it backwards is a one-arc
+    # path to the endpoint of the first three arcs
+    U1 = path_transports(g, beta, loops[:, :3])
+    U2 = path_transports(g, beta, -loops[:, 3:])
     return float(np.max(np.abs(U1 - U2)))
 
 

@@ -35,8 +35,8 @@ from weylspin.killing import (
     killing_residual,
     loop_holonomy,
     milnor_theta3_family,
+    quadrilateral_loop,
     transport_arc,
-    triangle_loop,
 )
 from weylspin.spinconn import killing_curvature, spin_curvature
 from weylspin.tensors import hodge_star, kulkarni_nomizu
@@ -159,7 +159,7 @@ def test_criterion_06_round_sphere_end_to_end():
         checks.append(killing_curvature(ROUND, beta).residual < 1e-12)
     beta = WeightedDensity(0.5)
     basis = killing_basis(ROUND, beta)
-    loops = triangle_loop(ROUND, beta, rng, 50)
+    loops = quadrilateral_loop(ROUND, beta, rng, 50)
     worst_dev = float(np.max(loop_holonomy(ROUND, beta, loops)[1]))
     samples = [[arc_from_vector(v) for v in loop[:2]] for loop in loops]
     checks.append(worst_dev < 1e-9)

@@ -11,11 +11,11 @@ import pytest
 import weylspin
 from weylspin import killing, spinconn
 from weylspin.cli import build_parser, main, parse_geometry_file
-from weylspin.errors import JacobiViolation, ParseError
+from weylspin.errors import ParseError
 from weylspin.geometry import gauge_rescale, milnor_constants
 from weylspin.killing import gt_residual_vector, milnor_theta3_family
 
-from test_killing import BERGER_PATH, rotated_geometry, rotation
+from test_killing import BERGER_PATH, rotated_geometry, rotation, semidirect_constants
 
 ROUND_TEXT = '{"milnor_lambda": [2.0, 2.0, 2.0], "beta": 0.5}\n'
 PERTURBED_TEXT = '{"milnor_lambda": [2.0, 2.0, 2.0], "theta": [0.0, 0.0, 0.3], "beta": 0.5}\n'
@@ -80,13 +80,34 @@ def test_parse_malformed_json_location(tmp_path):
 
 
 def test_parse_jacobi_passthrough(tmp_path):
+    # validate_geometry's JacobiViolation comes back as a ParseError at the key
     c = np.zeros((3, 3, 3))
     c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0
     c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
     c[2, 0, 2], c[0, 2, 2] = 1.0, -1.0
-    text = json.dumps({"structure_constants": c.tolist()})
-    with pytest.raises(JacobiViolation):
+    text = '{"beta": 0.5,\n "structure_constants": ' + json.dumps(c.tolist()) + "}"
+    with pytest.raises(ParseError, match="Jacobi") as info:
         parse_geometry_file(write(tmp_path, "jac.json", text))
+    assert (info.value.line, info.value.col) == (2, 2)
+
+
+def test_parse_antisymmetry_error_position(tmp_path, capsys):
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2] = 2.0  # c[1, 0, 2] left 0
+    text = '{\n  "structure_constants": ' + json.dumps(c.tolist()) + "\n}\n"
+    path = write(tmp_path, "skew.json", text)
+    for argv in (["analyze", path], ["killing", path]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"{path}:2:3: structure constants not antisymmetric" in err
+
+
+def test_parse_rejects_duplicate_keys_at_the_repeat(tmp_path):
+    # the later value is valid, so without the check the file reads silently
+    text = '{\n  "milnor_lambda": [1, 1],\n  "beta": 0.5,\n  "milnor_lambda": [2, 2, 2]\n}\n'
+    with pytest.raises(ParseError, match='duplicate key "milnor_lambda"') as info:
+        parse_geometry_file(write(tmp_path, "dup.json", text))
+    assert (info.value.line, info.value.col) == (4, 3)
 
 
 def test_parse_missing_file():
@@ -306,6 +327,36 @@ def test_commands_pass_on_a_gauge_rescaled_file(tmp_path, capsys):
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+
+
+GEOMETRY_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "geometries")
+
+
+def agreement_cases():
+    """Shipped files (as paths) and the non-compact examples (as file data), each with its verdict."""
+    shipped = sorted(f for f in os.listdir(GEOMETRY_DIR) if f.endswith(".json"))
+    cases = [pytest.param(os.path.join(GEOMETRY_DIR, f), f != "perturbed.json", id=f) for f in shipped]
+    for lam, name in (([2.0, 0.0, 2.0], "e2-202"), ([2.0, 2.0, 0.0], "e2-220")):  # flat E(2) frames
+        cases.append(pytest.param({"milnor_lambda": lam}, True, id=name))
+    # non-unimodular: Bianchi V ([e1, e2] = e2, [e1, e3] = e3) and VII_h
+    for M, name in ((np.eye(2), "bianchi-v"), ([[1.0, 1.0], [-1.0, 1.0]], "bianchi-vii")):
+        for theta1, certified in ((1.0, True), (0.0, False)):
+            data = {"structure_constants": semidirect_constants(M).tolist(), "theta": [theta1, 0.0, 0.0]}
+            cases.append(pytest.param(data, certified, id=f"{name}-theta{theta1:g}"))
+    return cases
+
+
+@pytest.mark.parametrize("source, certified", agreement_cases())
+def test_killing_verdict_equals_analyze_verdict(tmp_path, capsys, source, certified):
+    # the flatness-GT equivalence: killing certifies exactly what analyze
+    # does, on any Lie algebra, and never refuses a valid file
+    path = source if isinstance(source, str) else write(tmp_path, "g.json", json.dumps(source))
+    verdicts = []
+    for argv in (["analyze", path], ["killing", path, "--loops", "50"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == (0 if certified else 1), err
+        verdicts.append(json.loads(out)["verdict"])
+    assert verdicts == ["pass" if certified else "fail"] * 2
 
 
 def test_killing_command_not_flat(tmp_path, capsys):

@@ -10,13 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylspin.clifford import E, j_structure
-from weylspin.errors import (
-    NoConvergence,
-    NotFlat,
-    OpenPath,
-    ShapeError,
-    UnsupportedModel,
-)
+from weylspin.errors import NoConvergence, NotFlat, ShapeError
 from weylspin import geometry, killing
 from weylspin.cli import parse_geometry_file
 from weylspin.geometry import (
@@ -32,12 +26,9 @@ from weylspin.killing import (
     _family_quadratic_form,
     _su2_coefficients,
     _su2_exp,
-    _su2_log,
     arc_from_vector,
-    closing_arc,
-    closure_defect,
+    expm,
     find_gt_parameters,
-    group_model,
     gt_residual_vector,
     killing_basis,
     killing_residual,
@@ -45,11 +36,11 @@ from weylspin.killing import (
     milnor_theta3_family,
     path_independence_residual,
     path_transports,
+    quadrilateral_loop,
     rk4_transport,
     transport_arc,
     transport_operator,
     transport_sequence_operator,
-    triangle_loop,
 )
 from weylspin.spinconn import flatness, killing_connection, killing_curvature, spin_connection
 
@@ -197,26 +188,142 @@ def test_j_intertwines_transport():
 # loop bookkeeping -----------------------------------------------------------
 
 
-def test_group_model_detection():
-    assert group_model(ROUND)[0] == "su2"
-    assert group_model(milnor_geometry((0.0, 0.0, 0.0)))[0] == "abelian"
-    with pytest.raises(UnsupportedModel):
-        group_model(milnor_geometry((2.0, -1.0, 1.0)))
-    with pytest.raises(UnsupportedModel):
-        group_model(milnor_geometry((1.0, 0.0, 0.0)))
-    # indefinite and degenerate frames stay unsupported when not diagonal;
-    # rounding in the rotation must not make a degenerate n look definite
-    for k in range(20):
-        R = rotation((1.0, 2.0, 3.0), 0.3 + 0.25 * k)
-        for lam in ((2.0, -1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 0.0)):
-            with pytest.raises(UnsupportedModel):
-                group_model(rotated_geometry(milnor_geometry(lam), R))
-    # non-unimodular: [e1, e2] = e2, [e1, e3] = e3 gives a non-symmetric n
-    book = np.zeros((3, 3, 3))
-    book[0, 1, 1], book[1, 0, 1] = 1.0, -1.0
-    book[0, 2, 2], book[2, 0, 2] = 1.0, -1.0
-    with pytest.raises(UnsupportedModel):
-        group_model(validate_geometry(book, np.zeros(3)))
+def su2_embedding(g):
+    """L with e_i -> sum_k L[i, k] q_k an embedding of a definite unimodular frame in su(2).
+
+    Milnor's n (c^k_ij = eps_ijl n[l, k]) is symmetric and definite on such a
+    frame, and L = sign(det n) chol(adj(n) / 4) solves 2 cof(L) = n L.
+    """
+    n = g.structure_constants[[1, 2, 0], [2, 0, 1]]
+    adj = np.cross(n[[1, 2, 0]], n[[2, 0, 1]])
+    return np.sign(np.linalg.det(n)) * np.linalg.cholesky(adj / 4.0)
+
+
+def closure_defect(g, paths):
+    """Per path (N,), how far the endpoint of (N, k, 3) paths lies from the identity.
+
+    An independent model of the group: arcs add as vectors for c = 0, and
+    multiply as unit quaternions exp(t d L) in the su(2) embedding otherwise.
+    """
+    paths = np.asarray(paths, dtype=float)
+    if not np.any(g.structure_constants):
+        return np.linalg.norm(paths.sum(axis=1), axis=-1)
+    L = su2_embedding(g)
+    end = np.broadcast_to(np.eye(2), paths.shape[:1] + (2, 2))
+    for j in range(paths.shape[1]):
+        end = end @ _su2_exp(paths[:, j] @ L)
+    return np.max(np.abs(end - np.eye(2)), axis=(-2, -1))
+
+
+def oracle_frames():
+    """Definite unimodular frames: round, Berger, negative definite and rotated."""
+    g_berger, _ = parse_geometry_file(BERGER_PATH)
+    R = rotation((1.0, 2.0, 3.0), 0.55)
+    return [
+        ROUND,
+        g_berger,
+        milnor_geometry((-2.0, -2.0, -2.0)),
+        rotated_geometry(g_berger, R),
+        rotated_geometry(milnor_geometry((-3.0, -1.0, -2.0)), R),
+    ]
+
+
+def test_su2_embedding_is_a_homomorphism():
+    # [x_i, x_j] = sum_k c[i, j, k] x_k for x_i = sum_k L[i, k] q_k
+    for g in oracle_frames():
+        x = np.einsum("ik,kab->iab", su2_embedding(g), -E)
+        bracket = np.einsum("iab,jbc->ijac", x, x) - np.einsum("jab,ibc->ijac", x, x)
+        want = np.einsum("ijk,kab->ijab", g.structure_constants, x)
+        assert np.max(np.abs(bracket - want)) < 1e-13
+
+
+def test_quadrilateral_loops_close():
+    rng = np.random.default_rng(4)
+    for g in oracle_frames():
+        loops = quadrilateral_loop(g, WeightedDensity(0.0), rng, 50)
+        assert loops.shape == (50, 4, 3)
+        assert np.array_equal(loops[:, 2], -loops[:, 0])
+        assert np.max(closure_defect(g, loops)) < 1e-12
+
+
+def test_open_paths_fail_the_closure_oracle():
+    assert closure_defect(ROUND, [[(0.0, 0.0, 0.7)]])[0] > 0.1
+    loops = quadrilateral_loop(ROUND, HALF, np.random.default_rng(19), 6)
+    loops[3, 3] *= 1.001
+    assert np.flatnonzero(closure_defect(ROUND, loops) > 1e-10).tolist() == [3]
+
+
+def test_quadrilateral_loop_lengths_scale_with_the_geometry():
+    # the two drawn arcs have length 0.4-1.2 in units of 1 / residual_scale
+    for g, beta, scale in (
+        (ROUND, HALF, 2.0),
+        (milnor_geometry((20.0, 20.0, 20.0)), WeightedDensity(5.0), 20.0),
+        (milnor_geometry((0.0, 0.0, 0.0)), WeightedDensity(0.0), 1.0),
+    ):
+        loops = quadrilateral_loop(g, beta, np.random.default_rng(18), 200)
+        legs = np.linalg.norm(loops[:, :2], axis=-1)
+        assert 0.4 <= np.min(legs) * scale and np.max(legs) * scale <= 1.2
+
+
+def test_abelian_quadrilateral_loops_close():
+    g = milnor_geometry((0.0, 0.0, 0.0))
+    loops = quadrilateral_loop(g, WeightedDensity(0.0), np.random.default_rng(5), 10)
+    # ad_X = 0, so Z = Y and the four arcs sum to zero
+    assert np.array_equal(loops[:, 3], -loops[:, 1])
+    assert np.max(closure_defect(g, loops)) < 1e-15
+
+
+def cross_matrix(a):
+    return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+
+
+def test_expm_is_rodrigues_on_skew_matrices():
+    rng = np.random.default_rng(26)
+    for angle in (0.0, 1e-9, 0.3, 2.0, np.pi, 12.0):
+        axis = rng.standard_normal(3)
+        K = cross_matrix(axis / np.linalg.norm(axis))
+        assert np.max(np.abs(expm(angle * K) - rotation(axis, angle))) < 1e-14 * max(1.0, angle)
+    assert np.array_equal(expm(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+
+def semidirect_constants(M):
+    """[e1, e_j] = sum_k M[k - 1, j - 1] e_k and [e2, e3] = 0: Jacobi holds for any 2x2 M."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1:, 1:] = np.transpose(M)
+    c[1:, 0, 1:] = -np.transpose(M)
+    return c
+
+
+def test_expm_on_non_unimodular_ad_matrices():
+    # tr ad_X = X_1 tr M is not 0, so det expm(ad_X) = exp(tr ad_X) is not 1;
+    # M = Id is Bianchi V, and a batch mixes norms 1e-3 to 3
+    rng = np.random.default_rng(27)
+    X = rng.standard_normal((40, 3))
+    X *= (np.logspace(-3, 0.5, 40) / np.linalg.norm(X, axis=1))[:, None]
+    for M in (np.eye(2), np.array([[1.0, -2.0], [0.5, 0.3]])):
+        c = semidirect_constants(M)
+        assert geometry._jacobi_defect(c) == 0.0
+        ad = np.einsum("ni,ijk->nkj", X, c)
+        E_ad = expm(ad)
+        assert np.max(np.abs(E_ad @ expm(-ad) - np.eye(3))) < 1e-13
+        det = np.exp(np.trace(ad, axis1=-2, axis2=-1))
+        assert np.max(np.abs(np.linalg.det(E_ad) / det - 1.0)) < 1e-13
+        assert np.max(np.abs(det - 1.0)) > 1.0
+
+
+def test_loops_close_on_a_non_unimodular_algebra():
+    # Bianchi VII_h, M = [[1, 1], [-1, 1]], with theta = (1, 0, 0) is a flat
+    # Weyl structure whose Killing connection does not vanish (unlike Bianchi
+    # V's); flat, it represents the algebra in an abelian subalgebra of su(2)
+    g = validate_geometry(semidirect_constants([[1.0, 1.0], [-1.0, 1.0]]), (1.0, 0.0, 0.0))
+    beta = WeightedDensity(0.0)
+    assert analyze(g, beta).verdict and flatness(g, beta) == 0.0
+    assert np.max(np.abs(killing_connection(g, beta).matrices)) > 0.1
+    loops = quadrilateral_loop(g, beta, np.random.default_rng(28), 200)
+    assert np.max(loop_holonomy(g, beta, loops)[1]) < 1e-13
+    # negative control: open loops, the last arc lengthened by 1 %
+    loops[:, 3] *= 1.01
+    assert np.max(loop_holonomy(g, beta, loops)[1]) > 1e-4
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,12 +343,11 @@ def test_loop_model_works_in_any_frame(lam, sign, beta_sign, axis, angle, seed):
     rng = np.random.default_rng(seed)
     R = rotation(axis, angle)
     g = rotated_geometry(milnor_geometry(sign * np.asarray(lam)), R)
-    assert group_model(g)[0] == "su2"
-    assert np.max(closure_defect(g, triangle_loop(g, WeightedDensity(0.0), rng, 5))) < 1e-12
+    assert np.max(closure_defect(g, quadrilateral_loop(g, WeightedDensity(0.0), rng, 5))) < 1e-12
     # the round Gauduchon-Tod member, |beta| = lambda / 4, in the same frame
     g = rotated_geometry(milnor_geometry((sign * lam[0],) * 3), R)
     beta = WeightedDensity(beta_sign * lam[0] / 4.0)
-    _, dev = loop_holonomy(g, beta, triangle_loop(g, beta, rng, 5))
+    _, dev = loop_holonomy(g, beta, quadrilateral_loop(g, beta, rng, 5))
     assert np.max(dev) < 1e-12
     assert path_independence_residual(g, beta, rng, pairs=3) < 1e-12
 
@@ -259,7 +365,7 @@ def test_verdicts_and_holonomy_are_gauge_invariant(s):
     assert flatness(g, beta) < 1e-10
     killing_basis(g, beta)
     rng = np.random.default_rng(17)
-    _, dev = loop_holonomy(g, beta, triangle_loop(g, beta, rng, 5))
+    _, dev = loop_holonomy(g, beta, quadrilateral_loop(g, beta, rng, 5))
     assert np.max(dev) < 1e-9
     # negative control: beta off by 2 % fails both verdicts at every scale
     g, beta = gauge_rescale(g0, WeightedDensity(1.02 * beta0.value), s)
@@ -270,71 +376,21 @@ def test_verdicts_and_holonomy_are_gauge_invariant(s):
 
 
 def test_negative_definite_milnor_frame_is_flat_along_loops():
-    # lambda = (-2, -2, -2) is the round sphere with reversed orientation;
-    # the group model must give alpha the sign of lambda
+    # lambda = (-2, -2, -2) is the round sphere with reversed orientation
     g = milnor_geometry((-2.0, -2.0, -2.0))
     beta = WeightedDensity(-0.5)
     assert analyze(g, beta).verdict
     assert killing_curvature(g, beta).residual < 1e-14
     rng = np.random.default_rng(16)
-    _, dev = loop_holonomy(g, beta, triangle_loop(g, beta, rng, 20))
+    _, dev = loop_holonomy(g, beta, quadrilateral_loop(g, beta, rng, 20))
     assert np.max(dev) < 1e-12
     assert path_independence_residual(g, beta, rng, pairs=8) < 1e-12
-
-
-def test_triangle_loops_close():
-    rng = np.random.default_rng(4)
-    loops = triangle_loop(ROUND, HALF, rng, 50)
-    assert loops.shape == (50, 3, 3)
-    assert np.max(closure_defect(ROUND, loops)) < 1e-10
-
-
-def test_triangle_loop_lengths_scale_with_the_geometry():
-    # the two drawn legs have length 0.4-1.2 in units of 1 / residual_scale
-    for g, beta, scale in (
-        (ROUND, HALF, 2.0),
-        (milnor_geometry((20.0, 20.0, 20.0)), WeightedDensity(5.0), 20.0),
-        (milnor_geometry((0.0, 0.0, 0.0)), WeightedDensity(0.0), 1.0),
-    ):
-        loops = triangle_loop(g, beta, np.random.default_rng(18), 200)
-        legs = np.linalg.norm(loops[:, :2], axis=-1)
-        assert 0.4 <= np.min(legs) * scale and np.max(legs) * scale <= 1.2
-
-
-def test_abelian_triangle_loops_close():
-    g = milnor_geometry((0.0, 0.0, 0.0))
-    rng = np.random.default_rng(5)
-    loops = triangle_loop(g, WeightedDensity(0.0), rng, 10)
-    assert np.max(closure_defect(g, loops)) < 1e-12
-    assert np.max(np.abs(loops.sum(axis=1))) < 1e-12
-
-
-def test_closing_arc_inverts_the_logarithm():
-    rng = np.random.default_rng(6)
-    paths = rng.uniform(-0.8, 0.8, (4, 2, 3))
-    back = closing_arc(ROUND, paths)
-    assert back.shape == (4, 3)
-    assert np.max(closure_defect(ROUND, np.concatenate([paths, back[:, None]], axis=1))) < 1e-12
 
 
 def test_empty_loop_is_trivial():
     H, dev = loop_holonomy(ROUND, HALF, np.zeros((1, 0, 3)))
     assert np.array_equal(H, np.eye(2)[None])
     assert np.array_equal(dev, [0.0])
-
-
-def test_open_path_raises():
-    with pytest.raises(OpenPath):
-        loop_holonomy(ROUND, HALF, [[(0.0, 0.0, 0.7)]])
-
-
-def test_one_open_loop_in_a_batch_raises():
-    loops = triangle_loop(ROUND, HALF, np.random.default_rng(19), 6)
-    loop_holonomy(ROUND, HALF, loops)
-    loops[3, 2] *= 1.001
-    assert np.count_nonzero(closure_defect(ROUND, loops) > 1e-10) == 1
-    with pytest.raises(OpenPath, match="1 of 6"):
-        loop_holonomy(ROUND, HALF, loops)
 
 
 def test_batched_holonomy_matches_per_arc_transports():
@@ -352,7 +408,7 @@ def test_batched_holonomy_matches_per_arc_transports():
     rng = np.random.default_rng(20)
     for g, beta in cases:
         for n in (1, 3):
-            loops = triangle_loop(g, beta, rng, n)
+            loops = quadrilateral_loop(g, beta, rng, n)
             H, dev = loop_holonomy(g, beta, loops)
             assert H.shape == (n, 2, 2) and dev.shape == (n,)
             for loop, h, d in zip(loops, H, dev):
@@ -365,28 +421,16 @@ def test_batched_holonomy_matches_per_arc_transports():
                 assert np.max(np.abs(u - want)) < 1e-13
 
 
-def test_batched_group_log():
-    rng = np.random.default_rng(21)
-    x = rng.uniform(-1.0, 1.0, (5, 3))
-    assert np.max(np.abs(_su2_log(_su2_exp(x)) - x)) < 1e-14
-    assert np.array_equal(_su2_log(np.eye(2, dtype=complex)), np.zeros(3))
-    # one element of the batch at the antipode -Id, where the log branches
-    M = _su2_exp(x)
-    M[2] = -np.eye(2)
-    with pytest.raises(UnsupportedModel):
-        _su2_log(M)
-
-
 def test_holonomy_trivial_on_round_sphere():
     rng = np.random.default_rng(7)
-    _, dev = loop_holonomy(ROUND, HALF, triangle_loop(ROUND, HALF, rng, 50))
+    _, dev = loop_holonomy(ROUND, HALF, quadrilateral_loop(ROUND, HALF, rng, 50))
     assert np.max(dev) < 1e-9
 
 
 def test_holonomy_negative_control():
     rng = np.random.default_rng(8)
     beta = WeightedDensity(0.3)  # not GT, curvature residual 0.32
-    _, dev = loop_holonomy(ROUND, beta, triangle_loop(ROUND, beta, rng, 1))
+    _, dev = loop_holonomy(ROUND, beta, quadrilateral_loop(ROUND, beta, rng, 1))
     assert dev[0] > 1e-3
 
 
@@ -423,7 +467,7 @@ def test_basis_pair_is_j_related_and_independent():
     psi1, psi2 = basis.base_values
     assert np.max(np.abs(psi2 - j_structure(psi1))) == 0.0
     rng = np.random.default_rng(11)
-    samples = [arcs_of(loop[:k]) for loop in triangle_loop(ROUND, HALF, rng, 20) for k in (1, 2)]
+    samples = [arcs_of(loop[:k]) for loop in quadrilateral_loop(ROUND, HALF, rng, 20) for k in (1, 2)]
     assert basis.min_singular_value(basis.sample_transports(samples)) > 0.1
 
 
@@ -439,7 +483,7 @@ def test_flat_abelian_basis_and_residual():
 def test_killing_residual_second_order():
     basis = killing_basis(ROUND, HALF)
     rng = np.random.default_rng(13)
-    samples = [arcs_of(loop[:k]) for loop in triangle_loop(ROUND, HALF, rng, 10) for k in (1, 2)]
+    samples = [arcs_of(loop[:k]) for loop in quadrilateral_loop(ROUND, HALF, rng, 10) for k in (1, 2)]
     transports = basis.sample_transports(samples)
     r5 = killing_residual(ROUND, HALF, basis, transports, h=1e-5)
     assert r5 < 1e-7
@@ -497,7 +541,7 @@ def test_batched_sample_sections_match_the_per_sample_loop():
     for g, beta in sample_cases():
         basis = killing_basis(g, beta)
         # one- and two-arc paths, interleaved as the killing command draws them
-        samples = [arcs_of(loop[:k]) for loop in triangle_loop(g, beta, rng, 8) for k in (1, 2)]
+        samples = [arcs_of(loop[:k]) for loop in quadrilateral_loop(g, beta, rng, 8) for k in (1, 2)]
         transports = basis.sample_transports(samples)
         assert transports.shape == (16, 2, 2)
         sv = basis.min_singular_value(transports)
@@ -510,7 +554,7 @@ def test_batched_sample_sections_match_the_per_sample_loop():
 
 def test_batched_sample_sections_fail_on_a_non_finite_transport():
     basis = killing_basis(ROUND, HALF)
-    loops = triangle_loop(ROUND, HALF, np.random.default_rng(25), 4)
+    loops = quadrilateral_loop(ROUND, HALF, np.random.default_rng(25), 4)
     transports = basis.sample_transports([arcs_of(loop[:2]) for loop in loops])
     assert basis.min_singular_value(transports) > 0.1
     assert killing_residual(ROUND, HALF, basis, transports) < 1e-7
