@@ -215,6 +215,13 @@ def closure_defect(g, paths):
     return np.max(np.abs(end - np.eye(2)), axis=(-2, -1))
 
 
+def assert_loops_close(g, paths, tol=1e-12):
+    """Raise AssertionError naming how many of the paths the oracle finds open."""
+    n_open = np.count_nonzero(closure_defect(g, paths) > tol)
+    if n_open:
+        raise AssertionError(f"{n_open} of {len(paths)} paths open")
+
+
 def oracle_frames():
     """Definite unimodular frames: round, Berger, negative definite and rotated."""
     g_berger, _ = parse_geometry_file(BERGER_PATH)
@@ -243,14 +250,27 @@ def test_quadrilateral_loops_close():
         loops = quadrilateral_loop(g, WeightedDensity(0.0), rng, 50)
         assert loops.shape == (50, 4, 3)
         assert np.array_equal(loops[:, 2], -loops[:, 0])
-        assert np.max(closure_defect(g, loops)) < 1e-12
+        assert_loops_close(g, loops, 1e-12)
 
 
-def test_open_paths_fail_the_closure_oracle():
-    assert closure_defect(ROUND, [[(0.0, 0.0, 0.7)]])[0] > 0.1
+def test_open_path_raises():
+    # the oracle's gate refuses a one-arc path, whose transport is far from Id
+    with pytest.raises(AssertionError, match="1 of 1 paths open"):
+        assert_loops_close(ROUND, [[(0.0, 0.0, 0.7)]])
+    _, deviation = loop_holonomy(ROUND, HALF, [[(0.0, 0.0, 0.7)]])
+    assert deviation[0] > 0.1
+
+
+def test_one_open_loop_in_a_batch_raises():
     loops = quadrilateral_loop(ROUND, HALF, np.random.default_rng(19), 6)
+    assert_loops_close(ROUND, loops)
     loops[3, 3] *= 1.001
     assert np.flatnonzero(closure_defect(ROUND, loops) > 1e-10).tolist() == [3]
+    with pytest.raises(AssertionError, match="1 of 6 paths open"):
+        assert_loops_close(ROUND, loops)
+    # on the flat round connection only the open loop has a holonomy
+    _, deviation = loop_holonomy(ROUND, HALF, loops)
+    assert np.flatnonzero(deviation > 1e-10).tolist() == [3]
 
 
 def test_quadrilateral_loop_lengths_scale_with_the_geometry():
