@@ -33,11 +33,6 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 EPS.setflags(write=False)
 
 
-def generators():
-    """Return the three generator matrices (e_1, e_2, e_3) as fresh copies."""
-    return E[0].copy(), E[1].copy(), E[2].copy()
-
-
 def clifford_sum(x):
     """sum_a e_a x[a] for a sequence of three arrays with a trailing spinor axis.
 

@@ -29,10 +29,6 @@ class NotGT(WeylSpinError):
     """Geometry fails the Gauduchon-Tod residuals at tolerance."""
 
 
-class NotFlat(WeylSpinError):
-    """Killing connection is not flat at tolerance; no global parallel basis."""
-
-
 class NoConvergence(WeylSpinError):
     """Newton search hit the iteration cap; carries the best iterate found."""
 

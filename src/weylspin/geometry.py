@@ -266,14 +266,3 @@ def analyze(g, beta, tolerance=1e-9):
     verdict = bool(max(n_ew, n_scal, n_star) < tolerance)
     scale = residual_scale(g, beta)
     return GTReport(r_ew, r_scal, r_star, n_ew, n_scal, n_star, scale, tolerance, verdict)
-
-
-def kappa_from_beta(beta):
-    """Sectional constant kappa = -4 beta, read in the working gauge.
-
-    The working gauge is taken as the distinguished (invariant) one for
-    homogeneous data; the conversion is only meaningful there.
-    """
-    if beta.weight != -1:
-        raise ShapeError(f"kappa conversion needs a weight -1 density, got {beta.weight}")
-    return -4.0 * beta.value

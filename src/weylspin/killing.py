@@ -10,7 +10,10 @@ last arc comes from the adjoint action, expm of the 3x3 matrix ad_X read off
 the structure constants, so they close on every simply connected Lie group
 without a model of the group. Loops come in batches, an (N, k, 3) array of
 arc frame vectors, so drawing and transporting N loops are array operations;
-a single arc (GroupArc) runs on the same exponential.
+a single arc (GroupArc) runs on the same exponential. The 2-dimensional Killing
+spinor space is spanned by the transports of the base pair (1, 0), J (1, 0):
+sample_transports gives them as an (N, 2, 2) stack, and min_singular_value and
+killing_residual check all N samples as arrays.
 """
 
 import functools
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import E, j_structure
-from .errors import NoConvergence, NotFlat, ShapeError
+from .errors import NoConvergence, ShapeError
 from .geometry import WeightedDensity, analyze, gt_residual_vector, milnor_geometry, residual_scale
-from .spinconn import flatness, killing_connection, weight0_matrices
+from .spinconn import killing_connection, weight0_matrices
 
 _ID2 = np.eye(2, dtype=complex)
 _Q = -E  # unit quaternion generators as 2x2 matrices: q_i q_j = eps_ijk q_k
@@ -70,29 +73,13 @@ def transport_operator(g, beta, arc):
     Every B_i is traceless and anti-Hermitian, so the exponent is the element
     -t sum_i d_i b[i, k] q_k of su(2) and the closed form _su2_exp is exact.
     """
-    b = _killing_generators(g, beta)
+    b = _killing_coefficients(g, beta)
     return _su2_exp(-arc.length * (np.asarray(arc.direction) @ b))
-
-
-def transport_arc(g, beta, arc, psi0):
-    return transport_operator(g, beta, arc) @ np.asarray(psi0, dtype=complex)
-
-
-def transport_sequence_operator(g, beta, arcs):
-    """Ordered product of arc transports; the last arc's matrix is leftmost.
-
-    Each arc goes through transport_operator, the per-arc entry that
-    bench/run.py wraps to spot-check transports against RK4.
-    """
-    out = _ID2.copy()
-    for a in arcs:
-        out = transport_operator(g, beta, a) @ out
-    return out
 
 
 def rk4_transport(g, beta, arc, psi0, steps=256):
     """Independent cross-check: integrate psi' = -(sum d_i B_i) psi with RK4."""
-    B = killing_connection(g, beta).matrices
+    B = killing_connection(g, beta)
     M = -np.einsum("i,iab->ab", np.asarray(arc.direction), B)
     h = arc.length / steps
     psi = np.asarray(psi0, dtype=complex)
@@ -106,9 +93,9 @@ def rk4_transport(g, beta, arc, psi0, steps=256):
 
 
 @functools.lru_cache(maxsize=1)
-def _killing_generators(g, beta):
+def _killing_coefficients(g, beta):
     """Real b[i, k] with B_i = sum_k b[i, k] q_k."""
-    b = _su2_coefficients(killing_connection(g, beta).matrices)
+    b = _su2_coefficients(killing_connection(g, beta))
     b.setflags(write=False)
     return b
 
@@ -156,7 +143,7 @@ def expm(A):
 
 def path_transports(g, beta, paths):
     """Transport operators (N, 2, 2) along a batch of paths; later arcs act on the left."""
-    steps = _su2_exp(-np.asarray(paths, dtype=float) @ _killing_generators(g, beta))
+    steps = _su2_exp(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
     out = np.broadcast_to(_ID2, steps.shape[:1] + (2, 2))
     for j in range(steps.shape[1]):
         out = steps[:, j] @ out
@@ -192,62 +179,43 @@ def loop_holonomy(g, beta, loops):
 # ---------------------------------------------------------------------------
 # the Killing basis
 
+# Spinor values of the two basis sections at the group identity: (1, 0) and
+# its quaternionic partner J (1, 0), so the basis is J-paired by construction.
+BASE_SPINORS = np.array([[1.0, 0.0], j_structure([1.0, 0.0])], dtype=complex)
+BASE_SPINORS.setflags(write=False)
 
-class KillingBasis:
-    """Two parallel sections of the flat Killing connection.
 
-    base_values holds the spinor values at the group identity: (1, 0) and its
-    quaternionic partner J (1, 0). transport(arcs) returns their values after
-    parallel transport along the arc sequence; the transport matrix is
-    invertible, so the pair stays linearly independent everywhere. The sample
-    checks take a stack of N transports (sample_transports) and evaluate all
-    N samples at once.
+def sample_transports(g, beta, samples):
+    """Transports (N, 2, 2) along N paths, each a (k, 3) array of arc frame vectors.
+
+    Later arcs act on the left. Each arc goes once through
+    transport_operator(g, beta, arc_from_vector(v)), the per-arc entry that
+    bench/run.py wraps to spot-check transports against RK4.
     """
-
-    def __init__(self, g, beta):
-        self.geometry = g
-        self.beta = beta
-        psi1 = np.array([1.0, 0.0], dtype=complex)
-        self.base_values = (psi1, j_structure(psi1))
-
-    def transport_operator(self, arcs):
-        return transport_sequence_operator(self.geometry, self.beta, arcs)
-
-    def transport(self, arcs):
-        U = self.transport_operator(arcs)
-        return U @ self.base_values[0], U @ self.base_values[1]
-
-    def sample_transports(self, samples):
-        """Transports (N, 2, 2) along N arc sequences, each via transport_sequence_operator."""
-        return np.stack([self.transport_operator(arcs) for arcs in samples])
-
-    def sections(self, transports):
-        """Values (N, 2, 2) of both sections: [n, k] = transports[n] @ base_values[k]."""
-        return np.stack([transports @ psi for psi in self.base_values], axis=1)
-
-    def min_singular_value(self, transports):
-        """Smallest singular value of the normalized transported pair over a stack (N, 2, 2).
-
-        A non-finite transport reads NaN, which fails any bound.
-        """
-        v = self.sections(transports)
-        if not np.all(np.isfinite(v)):
-            return float("nan")
-        m = np.swapaxes(v / np.linalg.norm(v, axis=-1, keepdims=True), -2, -1)
-        return float(np.min(np.linalg.svd(m, compute_uv=False)[:, -1]))
+    out = []
+    for path in samples:
+        U = _ID2
+        for v in path:
+            U = transport_operator(g, beta, arc_from_vector(v)) @ U
+        out.append(U)
+    return np.stack(out)
 
 
-def killing_basis(g, beta, flat_tolerance=1e-10):
-    """Construct the basis; the connection must actually be flat.
+def _sections(transports):
+    """Values (N, 2, 2) of both basis sections: [n, k] = transports[n] @ BASE_SPINORS[k]."""
+    return np.stack([transports @ psi for psi in BASE_SPINORS], axis=1)
 
-    A flatness (curvature residual over scale^2) at or above flat_tolerance
-    raises NotFlat, which by the flatness-GT equivalence signals that
-    (g, beta) is not Gauduchon-Tod.
+
+def min_singular_value(transports):
+    """Smallest singular value of the normalized transported pair over a stack (N, 2, 2).
+
+    A non-finite transport reads NaN, which fails any bound.
     """
-    flat = flatness(g, beta)
-    if not flat < flat_tolerance:
-        raise NotFlat(f"Killing connection flatness {flat:.3e} is not below {flat_tolerance:g}")
-    return KillingBasis(g, beta)
+    v = _sections(transports)
+    if not np.all(np.isfinite(v)):
+        return float("nan")
+    m = np.swapaxes(v / np.linalg.norm(v, axis=-1, keepdims=True), -2, -1)
+    return float(np.min(np.linalg.svd(m, compute_uv=False)[:, -1]))
 
 
 def path_independence_residual(g, beta, rng, pairs=5):
@@ -260,13 +228,13 @@ def path_independence_residual(g, beta, rng, pairs=5):
     return float(np.max(np.abs(U1 - U2)))
 
 
-def killing_residual(g, beta, basis, transports, h=1e-5):
+def killing_residual(g, beta, transports, h=1e-5):
     """Finite-difference check of the Killing equation on transported sections.
 
     transports (N, 2, 2) carry both basis sections to N sample points (see
-    KillingBasis.sample_transports). At each point the frame derivative
-    e_i(psi) is approximated by central differences of parallel transports
-    over +-h/s, and the report is
+    sample_transports). At each point the frame derivative e_i(psi) is
+    approximated by central differences of parallel transports over +-h/s,
+    and the report is
         max_i ||e_i(psi) + A_i psi - beta e_i psi|| / (s ||psi||)
     over all samples and both basis sections, with s = residual_scale(g, beta)
     (1 for the zero geometry). The step h is thus dimensionless and the report
@@ -275,8 +243,8 @@ def killing_residual(g, beta, basis, transports, h=1e-5):
     """
     s = residual_scale(g, beta) or 1.0
     step = h / s
-    b = _killing_generators(g, beta)
-    psi = basis.sections(transports)[..., None]  # (N, 2, 2, 1): sample, section, spinor
+    b = _killing_coefficients(g, beta)
+    psi = _sections(transports)[..., None]  # (N, 2, 2, 1): sample, section, spinor
     plus = _su2_exp(-step * b)[:, None, None]  # (3, 1, 1, 2, 2): one step along each e_i
     minus = _su2_exp(step * b)[:, None, None]
     A = weight0_matrices(g)[:, None, None]

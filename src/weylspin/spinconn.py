@@ -30,12 +30,6 @@ _ALT_NU12.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
-class SpinConnection:
-    matrices: np.ndarray  # (3,2,2) complex
-    weight: float
-
-
-@dataclass(frozen=True, eq=False)
 class SpinCurvature:
     commutator: np.ndarray  # (3,3,2,2)
     formula: np.ndarray | None  # (3,3,2,2), weight 0 only
@@ -50,18 +44,17 @@ class KillingCurvature:
 
 
 def spin_connection(g, weight=0.0):
-    """Weight-w spinor connection matrices A_i for the Weyl structure."""
+    """Weight-w spinor connection matrices A_i (3, 2, 2) for the Weyl structure."""
     gamma = weyl_connection(g)
     a = 0.5 * (gamma - np.swapaxes(gamma, 1, 2))
     mats = 0.25 * np.einsum("ijk,jab,kbc->iac", a, E, E)
-    mats = mats + weight * g.theta[:, None, None] * _ID2
-    return SpinConnection(matrices=mats, weight=float(weight))
+    return mats + weight * g.theta[:, None, None] * _ID2
 
 
 @functools.lru_cache(maxsize=1)
 def weight0_matrices(g):
     """Read-only matrices A_i of spin_connection(g, 0.0), built once per (immutable) geometry."""
-    mats = spin_connection(g, 0.0).matrices
+    mats = spin_connection(g, 0.0)
     mats.setflags(write=False)
     return mats
 
@@ -79,8 +72,7 @@ def spin_curvature(g, weight=0.0):
     contracting the last two slots with Clifford factors. It only exists at
     weight 0; at any other weight formula and mismatch are None.
     """
-    conn = spin_connection(g, weight)
-    comm = commutator_curvature(conn.matrices, g)
+    comm = commutator_curvature(spin_connection(g, weight), g)
     if weight != 0.0:
         return SpinCurvature(commutator=comm, formula=None, mismatch=None)
     pkg = curvature_package(g)
@@ -91,9 +83,8 @@ def spin_curvature(g, weight=0.0):
 
 
 def killing_connection(g, beta):
-    """Killing connection B_i = A_i(w=0) - beta e_i."""
-    mats = weight0_matrices(g) - beta.value * E
-    return SpinConnection(matrices=mats, weight=0.0)
+    """Killing connection matrices B_i = A_i(w=0) - beta e_i, (3, 2, 2)."""
+    return weight0_matrices(g) - beta.value * E
 
 
 def killing_curvature(g, beta):

@@ -29,16 +29,18 @@ from weylspin.identities import (
     second_identity_residual,
 )
 from weylspin.killing import (
+    BASE_SPINORS,
     arc_from_vector,
     find_gt_parameters,
-    killing_basis,
     killing_residual,
     loop_holonomy,
     milnor_theta3_family,
+    min_singular_value,
     quadrilateral_loop,
-    transport_arc,
+    sample_transports,
+    transport_operator,
 )
-from weylspin.spinconn import killing_curvature, spin_curvature
+from weylspin.spinconn import flatness, killing_curvature, spin_curvature
 from weylspin.tensors import hodge_star, kulkarni_nomizu
 
 EPS3 = np.zeros((3, 3, 3))
@@ -158,15 +160,13 @@ def test_criterion_06_round_sphere_end_to_end():
         checks.append(abs(pkg.scalar - 24.0 * b * b) < 1e-12)
         checks.append(killing_curvature(ROUND, beta).residual < 1e-12)
     beta = WeightedDensity(0.5)
-    basis = killing_basis(ROUND, beta)
     loops = quadrilateral_loop(ROUND, beta, rng, 50)
     worst_dev = float(np.max(loop_holonomy(ROUND, beta, loops)[1]))
-    samples = [[arc_from_vector(v) for v in loop[:2]] for loop in loops]
     checks.append(worst_dev < 1e-9)
-    transports = basis.sample_transports(samples)
-    fd = killing_residual(ROUND, beta, basis, transports[:20], h=1e-5)
+    transports = sample_transports(ROUND, beta, loops[:, :2])
+    fd = killing_residual(ROUND, beta, transports[:20], h=1e-5)
     checks.append(fd < 1e-7)
-    min_sv = basis.min_singular_value(transports)
+    min_sv = min_singular_value(transports)
     checks.append(min_sv > 0.1)
     ok = all(checks)
     record(
@@ -228,15 +228,20 @@ def test_criterion_08_integrability_on_killing_spinors():
     ]
     res = find_gt_parameters((2.2, 1.9, 2.1, 0.05, 0.4), pin=("lambda1", 2.0))
     instances.append(milnor_theta3_family(res.params))
-    worst = 0.0
+    worst = worst_flat = 0.0
     for g, beta in instances:
-        basis = killing_basis(g, beta, flat_tolerance=1e-8)
+        worst_flat = max(worst_flat, flatness(g, beta))
         pkg = curvature_package(g)
         for _ in range(10):
-            arcs = [arc_from_vector(rng.uniform(-1, 1, 3)) for _ in range(2)]
-            for psi in basis.transport(arcs):
-                worst = max(worst, integrability_residual(g, beta, psi, pkg))
-    record(8, f"integrability on constructed sections {worst:.2e} < 1e-8", worst < 1e-8)
+            U = sample_transports(g, beta, [rng.uniform(-1, 1, (2, 3))])[0]
+            for psi in BASE_SPINORS:
+                worst = max(worst, integrability_residual(g, beta, U @ psi, pkg))
+    ok = worst_flat < 1e-8 and worst < 1e-8
+    record(
+        8,
+        f"flatness {worst_flat:.2e} < 1e-8, integrability on constructed sections {worst:.2e} < 1e-8",
+        ok,
+    )
 
 
 def test_criterion_09_gauge_invariance():
@@ -295,8 +300,7 @@ def test_criterion_11_quaternionic_structure():
     for _ in range(30):
         arc = arc_from_vector(rng.uniform(-1.5, 1.5, 3))
         psi = random_spinor(rng)
-        d = transport_arc(ROUND, beta, arc, j_structure(psi)) - j_structure(
-            transport_arc(ROUND, beta, arc, psi)
-        )
+        U = transport_operator(ROUND, beta, arc)
+        d = U @ j_structure(psi) - j_structure(U @ psi)
         worst = max(worst, float(np.max(np.abs(d))))
     record(11, f"quaternionic equivariance {worst:.2e} < 1e-10", worst < 1e-10)

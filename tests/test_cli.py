@@ -248,16 +248,30 @@ def test_killing_command(tmp_path, capsys):
 
 def test_killing_sends_each_sample_arc_through_transport_operator(tmp_path, capsys, monkeypatch):
     # bench/run.py spot-checks the first 6 arcs that `killing --loops 2` sends
-    # through killing.transport_operator against RK4; the sample sections must
-    # keep transporting arc by arc through it, or that check sees nothing
-    arcs = []
+    # through killing.transport_operator against RK4. The 20 sample paths (the
+    # first one and two arcs of the first ten loops) each go through it once,
+    # arc by arc, and nothing else does, so --loops 2 sends 6 arcs and the
+    # default --loops 50 sends 30
+    calls = []
     original = killing.transport_operator
-    spy = lambda g, beta, arc: arcs.append(arc) or original(g, beta, arc)
+
+    def spy(g, beta, arc):
+        U = original(g, beta, arc)
+        calls.append((g, beta, arc, U))
+        return U
+
     monkeypatch.setattr(killing, "transport_operator", spy)
     path = write(tmp_path, "round.json", ROUND_TEXT)
-    code, _, _ = run_cli(capsys, ["killing", path, "--loops", "2"])
-    assert code == 0
-    assert len(arcs) >= 6
+    counts = []
+    for loops in (["--loops", "2"], []):
+        before = len(calls)
+        code, _, _ = run_cli(capsys, ["killing", path, *loops])
+        assert code == 0
+        counts.append(len(calls) - before)
+    assert counts == [6, 30]
+    for g, beta, arc, U in calls:
+        rk4 = [killing.rk4_transport(g, beta, arc, e) for e in np.eye(2, dtype=complex)]
+        assert np.max(np.abs(U - np.stack(rk4, axis=1))) < 1e-8
 
 
 def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypatch):
@@ -488,12 +502,16 @@ def test_distribution_name_and_version():
     assert project["version"] == weylspin.__version__
 
 
-def readme_commands():
-    """Arguments of every `weylspin ...` line in README's sh blocks, comments stripped."""
+def readme_blocks(language):
+    """The code blocks of README.md fenced as `language`."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
-    lines = [shlex.split(line, comments=True) for b in blocks for line in b.splitlines()]
+        return re.findall(rf"```{language}\n(.*?)```", fh.read(), re.S)
+
+
+def readme_commands():
+    """Arguments of every `weylspin ...` line in README's sh blocks, comments stripped."""
+    lines = [shlex.split(line, comments=True) for b in readme_blocks("sh") for line in b.splitlines()]
     return [argv[1:] for argv in lines if argv[:1] == ["weylspin"]]
 
 
@@ -506,6 +524,12 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: weylspin {shlex.join(argv)}")
+
+
+def test_readme_library_block_runs(capsys):
+    (block,) = readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")
 
 
 def test_pin_aliases(capsys):

@@ -21,7 +21,6 @@ from weylspin.geometry import (
     decomposition_residual,
     density_derivative,
     gauge_rescale,
-    kappa_from_beta,
     milnor_constants,
     milnor_geometry,
     residual_scale,
@@ -212,7 +211,6 @@ def test_analyze_round_sphere():
         assert rep.verdict
         assert max(rep.r_ew, rep.r_scal, rep.r_star) < 1e-12
         assert max(rep.n_ew, rep.n_scal, rep.n_star) < 1e-12
-    assert abs(kappa_from_beta(WeightedDensity(0.5)) + 2.0) < 1e-15
 
 
 def test_analyze_negative_control():
@@ -226,8 +224,6 @@ def test_analyze_requires_weight_minus_one():
     g = milnor_geometry((2.0, 2.0, 2.0))
     with pytest.raises(ShapeError):
         analyze(g, WeightedDensity(0.5, weight=-2.0))
-    with pytest.raises(ShapeError):
-        kappa_from_beta(WeightedDensity(0.5, weight=0.0))
 
 
 def test_residual_scale_zero_guard():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylspin.clifford import E, j_structure
-from weylspin.errors import NoConvergence, NotFlat, ShapeError
+from weylspin.errors import NoConvergence, ShapeError
 from weylspin import geometry, killing
 from weylspin.cli import parse_geometry_file
 from weylspin.geometry import (
@@ -22,6 +22,7 @@ from weylspin.geometry import (
     validate_geometry,
 )
 from weylspin.killing import (
+    BASE_SPINORS,
     GroupArc,
     _family_quadratic_form,
     _su2_coefficients,
@@ -30,17 +31,16 @@ from weylspin.killing import (
     expm,
     find_gt_parameters,
     gt_residual_vector,
-    killing_basis,
     killing_residual,
     loop_holonomy,
     milnor_theta3_family,
+    min_singular_value,
     path_independence_residual,
     path_transports,
     quadrilateral_loop,
     rk4_transport,
-    transport_arc,
+    sample_transports,
     transport_operator,
-    transport_sequence_operator,
 )
 from weylspin.spinconn import flatness, killing_connection, killing_curvature, spin_connection
 
@@ -62,11 +62,6 @@ def rotated_geometry(g, R):
     """The same geometry in the orthonormal frame e'_i = sum_a R[i, a] e_a."""
     c = np.einsum("ia,jb,abc,kc->ijk", R, R, g.structure_constants, R)
     return validate_geometry(c, R @ g.theta)
-
-
-def arcs_of(path):
-    """The GroupArc list of one path of an (N, k, 3) batch."""
-    return [arc_from_vector(v) for v in path]
 
 
 def random_psi(rng):
@@ -104,7 +99,7 @@ def test_arc_from_vector_rejects_non_finite_input(v):
 def test_zero_length_transport_is_identity():
     psi0 = np.array([0.3 + 0.1j, -0.8j])
     arc = GroupArc((1.0, 0.0, 0.0), 0.0)
-    assert np.max(np.abs(transport_arc(ROUND, HALF, arc, psi0) - psi0)) == 0.0
+    assert np.max(np.abs(transport_operator(ROUND, HALF, arc) @ psi0 - psi0)) == 0.0
 
 
 def test_flat_abelian_transport_constant():
@@ -114,7 +109,7 @@ def test_flat_abelian_transport_constant():
     psi0 = random_psi(rng)
     for _ in range(10):
         arc = arc_from_vector(rng.uniform(-2, 2, 3))
-        assert np.max(np.abs(transport_arc(g, beta, arc, psi0) - psi0)) < 1e-15
+        assert np.max(np.abs(transport_operator(g, beta, arc) @ psi0 - psi0)) < 1e-15
 
 
 def test_round_sphere_closed_form_transport():
@@ -123,7 +118,7 @@ def test_round_sphere_closed_form_transport():
     psi0 = np.array([1.0, 0.0], dtype=complex)
     for t in (0.3, 1.0, np.pi):
         arc = GroupArc((0.0, 0.0, 1.0), t)
-        got = transport_arc(ROUND, HALF, arc, psi0)
+        got = transport_operator(ROUND, HALF, arc) @ psi0
         want = (np.cos(t) * np.eye(2) + np.sin(t) * E[2]) @ psi0
         assert np.max(np.abs(got - want)) < 1e-13
 
@@ -133,7 +128,7 @@ def test_transport_cross_checked_by_rk4():
     for _ in range(5):
         arc = arc_from_vector(rng.uniform(-1.5, 1.5, 3))
         psi0 = random_psi(rng)
-        exact = transport_arc(ROUND, HALF, arc, psi0)
+        exact = transport_operator(ROUND, HALF, arc) @ psi0
         stepped = rk4_transport(ROUND, HALF, arc, psi0, steps=256)
         doubled = rk4_transport(ROUND, HALF, arc, psi0, steps=512)
         assert np.max(np.abs(exact - doubled)) < 1e-8
@@ -153,7 +148,7 @@ def test_killing_connection_is_su2_and_transport_matches_rk4():
     geometries.append(validate_geometry(book, rng.uniform(-1, 1, 3)))
     for g in geometries:
         beta = WeightedDensity(float(rng.uniform(-1, 1)))
-        B = killing_connection(g, beta).matrices
+        B = killing_connection(g, beta)
         assert np.max(np.abs(np.trace(B, axis1=1, axis2=2))) < 1e-14
         assert np.max(np.abs(B + np.conj(np.swapaxes(B, 1, 2)))) < 1e-14
         arc = arc_from_vector(rng.uniform(-1, 1, 3))
@@ -180,8 +175,9 @@ def test_j_intertwines_transport():
     for _ in range(20):
         arc = arc_from_vector(rng.uniform(-1.5, 1.5, 3))
         psi0 = random_psi(rng)
-        lhs = transport_arc(ROUND, HALF, arc, j_structure(psi0))
-        rhs = j_structure(transport_arc(ROUND, HALF, arc, psi0))
+        U = transport_operator(ROUND, HALF, arc)
+        lhs = U @ j_structure(psi0)
+        rhs = j_structure(U @ psi0)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -338,7 +334,7 @@ def test_loops_close_on_a_non_unimodular_algebra():
     g = validate_geometry(semidirect_constants([[1.0, 1.0], [-1.0, 1.0]]), (1.0, 0.0, 0.0))
     beta = WeightedDensity(0.0)
     assert analyze(g, beta).verdict and flatness(g, beta) == 0.0
-    assert np.max(np.abs(killing_connection(g, beta).matrices)) > 0.1
+    assert np.max(np.abs(killing_connection(g, beta))) > 0.1
     loops = quadrilateral_loop(g, beta, np.random.default_rng(28), 200)
     assert np.max(loop_holonomy(g, beta, loops)[1]) < 1e-13
     # negative control: open loops, the last arc lengthened by 1 %
@@ -383,7 +379,6 @@ def test_verdicts_and_holonomy_are_gauge_invariant(s):
     g, beta = gauge_rescale(g0, beta0, s)
     assert analyze(g, beta).verdict
     assert flatness(g, beta) < 1e-10
-    killing_basis(g, beta)
     rng = np.random.default_rng(17)
     _, dev = loop_holonomy(g, beta, quadrilateral_loop(g, beta, rng, 5))
     assert np.max(dev) < 1e-9
@@ -391,8 +386,6 @@ def test_verdicts_and_holonomy_are_gauge_invariant(s):
     g, beta = gauge_rescale(g0, WeightedDensity(1.02 * beta0.value), s)
     assert not analyze(g, beta).verdict
     assert flatness(g, beta) > 1e-10
-    with pytest.raises(NotFlat):
-        killing_basis(g, beta)
 
 
 def test_negative_definite_milnor_frame_is_flat_along_loops():
@@ -431,14 +424,10 @@ def test_batched_holonomy_matches_per_arc_transports():
             loops = quadrilateral_loop(g, beta, rng, n)
             H, dev = loop_holonomy(g, beta, loops)
             assert H.shape == (n, 2, 2) and dev.shape == (n,)
-            for loop, h, d in zip(loops, H, dev):
-                want = transport_sequence_operator(g, beta, arcs_of(loop))
-                assert np.max(np.abs(h - want)) < 1e-13
-                assert d == np.max(np.abs(h - np.eye(2)))
+            assert np.max(np.abs(H - sample_transports(g, beta, loops))) < 1e-13
+            assert np.array_equal(dev, np.max(np.abs(H - np.eye(2)), axis=(-2, -1)))
             legs = path_transports(g, beta, loops[:, :2])
-            for loop, u in zip(loops, legs):
-                want = transport_sequence_operator(g, beta, arcs_of(loop[:2]))
-                assert np.max(np.abs(u - want)) < 1e-13
+            assert np.max(np.abs(legs - sample_transports(g, beta, loops[:, :2]))) < 1e-13
 
 
 def test_holonomy_trivial_on_round_sphere():
@@ -467,74 +456,71 @@ def test_path_independence_iff_flatness():
 # the basis ------------------------------------------------------------------
 
 
-def test_basis_requires_flatness():
-    with pytest.raises(NotFlat):
-        killing_basis(ROUND, WeightedDensity(0.3))
-
-
 def test_basis_constant_for_vanishing_connection():
     # beta = -1/2 makes B = 0 on the round sphere: sections are constant
-    basis = killing_basis(ROUND, WeightedDensity(-0.5))
     rng = np.random.default_rng(10)
-    arcs = [arc_from_vector(rng.uniform(-1, 1, 3)) for _ in range(3)]
-    v1, v2 = basis.transport(arcs)
-    assert np.max(np.abs(v1 - basis.base_values[0])) < 1e-14
-    assert np.max(np.abs(v2 - basis.base_values[1])) < 1e-14
+    U = sample_transports(ROUND, WeightedDensity(-0.5), [rng.uniform(-1, 1, (3, 3))])[0]
+    assert np.max(np.abs(BASE_SPINORS @ U.T - BASE_SPINORS)) < 1e-14
 
 
 def test_basis_pair_is_j_related_and_independent():
-    basis = killing_basis(ROUND, HALF)
-    psi1, psi2 = basis.base_values
+    psi1, psi2 = BASE_SPINORS
     assert np.max(np.abs(psi2 - j_structure(psi1))) == 0.0
     rng = np.random.default_rng(11)
-    samples = [arcs_of(loop[:k]) for loop in quadrilateral_loop(ROUND, HALF, rng, 20) for k in (1, 2)]
-    assert basis.min_singular_value(basis.sample_transports(samples)) > 0.1
+    samples = [loop[:k] for loop in quadrilateral_loop(ROUND, HALF, rng, 20) for k in (1, 2)]
+    assert min_singular_value(sample_transports(ROUND, HALF, samples)) > 0.1
 
 
 def test_flat_abelian_basis_and_residual():
     g = milnor_geometry((0.0, 0.0, 0.0))
     beta = WeightedDensity(0.0)
-    basis = killing_basis(g, beta)
     rng = np.random.default_rng(12)
-    samples = [[arc_from_vector(rng.uniform(-1, 1, 3))] for _ in range(5)]
-    assert killing_residual(g, beta, basis, basis.sample_transports(samples), h=0.05) < 1e-13
+    samples = [rng.uniform(-1, 1, (1, 3)) for _ in range(5)]
+    assert killing_residual(g, beta, sample_transports(g, beta, samples), h=0.05) < 1e-13
 
 
 def test_killing_residual_second_order():
-    basis = killing_basis(ROUND, HALF)
     rng = np.random.default_rng(13)
-    samples = [arcs_of(loop[:k]) for loop in quadrilateral_loop(ROUND, HALF, rng, 10) for k in (1, 2)]
-    transports = basis.sample_transports(samples)
-    r5 = killing_residual(ROUND, HALF, basis, transports, h=1e-5)
+    samples = [loop[:k] for loop in quadrilateral_loop(ROUND, HALF, rng, 10) for k in (1, 2)]
+    transports = sample_transports(ROUND, HALF, samples)
+    r5 = killing_residual(ROUND, HALF, transports, h=1e-5)
     assert r5 < 1e-7
-    r3 = killing_residual(ROUND, HALF, basis, transports, h=1e-3)
-    r4 = killing_residual(ROUND, HALF, basis, transports, h=1e-4)
+    r3 = killing_residual(ROUND, HALF, transports, h=1e-3)
+    r4 = killing_residual(ROUND, HALF, transports, h=1e-4)
     assert 80.0 < r3 / r4 < 120.0
 
 
 # the per-sample loops that the batched sections replaced, kept as their reference
 
 
-def per_sample_min_singular_value(basis, samples):
+def per_sample_transport(g, beta, path):
+    U = np.eye(2, dtype=complex)
+    for v in path:
+        U = transport_operator(g, beta, arc_from_vector(v)) @ U
+    return U
+
+
+def per_sample_min_singular_value(g, beta, samples):
     worst = np.inf
-    for arcs in samples:
-        v1, v2 = basis.transport(arcs)
+    for path in samples:
+        U = per_sample_transport(g, beta, path)
+        v1, v2 = U @ BASE_SPINORS[0], U @ BASE_SPINORS[1]
         m = np.stack([v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)], axis=1)
         worst = min(worst, float(np.linalg.svd(m, compute_uv=False)[-1]))
     return worst
 
 
-def per_sample_killing_residual(g, beta, basis, samples, h):
+def per_sample_killing_residual(g, beta, samples, h):
     s = residual_scale(g, beta) or 1.0
     step = h / s
-    A = spin_connection(g, 0.0).matrices
-    B = killing_connection(g, beta).matrices
+    A = spin_connection(g, 0.0)
+    B = killing_connection(g, beta)
     plus = [_su2_exp(-step * _su2_coefficients(B[i])) for i in range(3)]
     minus = [_su2_exp(step * _su2_coefficients(B[i])) for i in range(3)]
     worst = 0.0
-    for arcs in samples:
-        U = basis.transport_operator(arcs)
-        for psi0 in basis.base_values:
+    for path in samples:
+        U = per_sample_transport(g, beta, path)
+        for psi0 in BASE_SPINORS:
             psi = U @ psi0
             scale = s * float(np.max(np.abs(psi)))
             for i in range(3):
@@ -559,29 +545,27 @@ def sample_cases():
 def test_batched_sample_sections_match_the_per_sample_loop():
     rng = np.random.default_rng(24)
     for g, beta in sample_cases():
-        basis = killing_basis(g, beta)
         # one- and two-arc paths, interleaved as the killing command draws them
-        samples = [arcs_of(loop[:k]) for loop in quadrilateral_loop(g, beta, rng, 8) for k in (1, 2)]
-        transports = basis.sample_transports(samples)
+        samples = [loop[:k] for loop in quadrilateral_loop(g, beta, rng, 8) for k in (1, 2)]
+        transports = sample_transports(g, beta, samples)
         assert transports.shape == (16, 2, 2)
-        sv = basis.min_singular_value(transports)
-        assert abs(sv - per_sample_min_singular_value(basis, samples)) < 1e-15
+        sv = min_singular_value(transports)
+        assert abs(sv - per_sample_min_singular_value(g, beta, samples)) < 1e-15
         for h in (1e-3, 1e-2):
-            got = killing_residual(g, beta, basis, transports, h=h)
-            want = per_sample_killing_residual(g, beta, basis, samples, h)
+            got = killing_residual(g, beta, transports, h=h)
+            want = per_sample_killing_residual(g, beta, samples, h)
             assert abs(got - want) <= 1e-9 * want
 
 
 def test_batched_sample_sections_fail_on_a_non_finite_transport():
-    basis = killing_basis(ROUND, HALF)
     loops = quadrilateral_loop(ROUND, HALF, np.random.default_rng(25), 4)
-    transports = basis.sample_transports([arcs_of(loop[:2]) for loop in loops])
-    assert basis.min_singular_value(transports) > 0.1
-    assert killing_residual(ROUND, HALF, basis, transports) < 1e-7
+    transports = sample_transports(ROUND, HALF, loops[:, :2])
+    assert min_singular_value(transports) > 0.1
+    assert killing_residual(ROUND, HALF, transports) < 1e-7
     transports[2, 1, 0] = np.nan
     # NaN is the worst value: it fails the "above 0.1" and "below 1e3 h^2" bounds
-    assert not basis.min_singular_value(transports) > 0.1
-    assert not killing_residual(ROUND, HALF, basis, transports) < 1e-7
+    assert not min_singular_value(transports) > 0.1
+    assert not killing_residual(ROUND, HALF, transports) < 1e-7
 
 
 # parameter search -----------------------------------------------------------
@@ -724,11 +708,12 @@ def test_search_root_of_a_wrong_form_raises_no_convergence(monkeypatch):
 
 
 def test_transport_sequence_operator_orders_left():
-    rng = np.random.default_rng(14)
-    a1 = arc_from_vector(rng.uniform(-1, 1, 3))
-    a2 = arc_from_vector(rng.uniform(-1, 1, 3))
-    lhs = transport_sequence_operator(ROUND, HALF, [a1, a2])
-    rhs = transport_operator(ROUND, HALF, a2) @ transport_operator(ROUND, HALF, a1)
+    # sample_transports composes a path's arcs in travel order, the last leftmost
+    v1, v2 = np.random.default_rng(14).uniform(-1, 1, (2, 3))
+    lhs = sample_transports(ROUND, HALF, [np.stack([v1, v2])])[0]
+    rhs = transport_operator(ROUND, HALF, arc_from_vector(v2)) @ transport_operator(
+        ROUND, HALF, arc_from_vector(v1)
+    )
     assert np.max(np.abs(lhs - rhs)) == 0.0
 
 

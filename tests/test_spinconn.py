@@ -26,16 +26,16 @@ def random_geometry(rng, theta_scale=1.0):
 def test_round_sphere_connection_is_minus_half_clifford():
     # bi-invariant lambda = (2,2,2): A_i = -(1/2) e_i
     g = milnor_geometry((2.0, 2.0, 2.0))
-    A = spin_connection(g).matrices
+    A = spin_connection(g)
     assert np.max(np.abs(A + 0.5 * E)) < 1e-15
 
 
 def test_weight_term_is_scalar_shift():
     rng = np.random.default_rng(0)
     g = random_geometry(rng)
-    base = spin_connection(g, 0.0).matrices
+    base = spin_connection(g, 0.0)
     w = -1.0
-    shifted = spin_connection(g, w).matrices
+    shifted = spin_connection(g, w)
     expect = base + w * g.theta[:, None, None] * np.eye(2)
     assert np.max(np.abs(shifted - expect)) < 1e-15
 
@@ -47,7 +47,7 @@ def test_weight0_matrices_are_built_once_and_read_only():
     A = weight0_matrices(g)
     assert weight0_matrices(g) is A
     assert not A.flags.writeable
-    assert np.array_equal(A, spin_connection(g, 0.0).matrices)
+    assert np.array_equal(A, spin_connection(g, 0.0))
     with pytest.raises(ValueError):
         A[0, 0, 0] = 1.0
     # the cache is keyed on the geometry object: equal data is built anew
@@ -58,7 +58,7 @@ def test_weight0_matrices_are_built_once_and_read_only():
 def test_connection_matrices_traceless_at_weight_zero():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        A = spin_connection(random_geometry(rng)).matrices
+        A = spin_connection(random_geometry(rng))
         for i in range(3):
             assert abs(np.trace(A[i])) < 1e-14
 
@@ -88,14 +88,14 @@ def test_formula_unavailable_off_weight_zero():
     g = milnor_geometry((2.0, 2.0, 2.0), (0.1, 0.0, 0.0))
     sc = spin_curvature(g, weight=-1.0)
     assert sc.formula is None and sc.mismatch is None
-    assert np.array_equal(sc.commutator, commutator_curvature(spin_connection(g, -1.0).matrices, g))
+    assert np.array_equal(sc.commutator, commutator_curvature(spin_connection(g, -1.0), g))
 
 
 def test_killing_connection_round_sphere():
     g = milnor_geometry((2.0, 2.0, 2.0))
-    B_plus = killing_connection(g, WeightedDensity(0.5)).matrices
+    B_plus = killing_connection(g, WeightedDensity(0.5))
     assert np.max(np.abs(B_plus + E)) < 1e-15  # B_i = -e_i
-    B_minus = killing_connection(g, WeightedDensity(-0.5)).matrices
+    B_minus = killing_connection(g, WeightedDensity(-0.5))
     assert np.max(np.abs(B_minus)) < 1e-15  # B = 0
 
 
@@ -155,6 +155,6 @@ def test_flatness_matches_gt_verdict_both_ways():
 def test_commutator_curvature_antisymmetric():
     rng = np.random.default_rng(5)
     g = random_geometry(rng)
-    mats = spin_connection(g).matrices
+    mats = spin_connection(g)
     curv = commutator_curvature(mats, g)
     assert np.max(np.abs(curv + np.einsum("ijab->jiab", curv))) < 1e-14
