@@ -6,6 +6,11 @@ which satisfies both defining relations exactly, with entries in {0, +-1, +-i}:
     e_i e_j + e_j e_i = -2 delta_ij Id
     e_i e_j = -sum_k eps_ijk e_k   (i != j)
 
+Each e_k has exactly one nonzero entry per row, a unit in {+-1, +-i}, so
+e_k psi is a swap (or not) of the two spinor components times one unit per
+component. clifford_apply applies it that way, from column and unit tables read
+off E; no floating-point operation in it rounds.
+
 The quaternionic structure J psi = e_2 conj(psi) is antilinear, squares to -Id,
 and commutes with Clifford multiplication by real frame vectors. Its existence
 is what forces the solution space of the Killing equation to be even-dimensional.
@@ -32,18 +37,37 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPS[_j, _i, _k] = -1.0
 EPS.setflags(write=False)
 
+# Row s of e_a has its one nonzero entry in column _COL[a, s], of value
+# _UNIT[a, s]. Both tables are read off E, so E stays the one written copy.
+_COL = np.argmax(E != 0, axis=-1)
+_UNIT = np.take_along_axis(E, _COL[..., None], axis=-1)[..., 0]
+_COL.setflags(write=False)
+_UNIT.setflags(write=False)
+
+
+def clifford_apply(a, x):
+    """e_a x on the trailing spinor axis of the array x, for a in (0, 1, 2).
+
+    (e_a x)_s = _UNIT[a, s] * x_{_COL[a, s]}: a gather of the two components
+    and one multiplication by a unit, which rounds nothing. For finite x this
+    equals np.einsum("st,...t->...s", E[a], x) entry for entry; only the sign
+    of an exact zero can differ. Leading axes pass through, and x may be any
+    strided view.
+    """
+    return x[..., _COL[a]] * _UNIT[a]
+
 
 def clifford_sum(x):
     """sum_a e_a x[a] for a sequence of three arrays with a trailing spinor axis.
 
-    Each e_a has one unit entry per row, so e_a x[a] is exact, and the three
-    terms are added in the order a = 1, 2, 3: every output entry is rounded the
-    same way whatever the shape of x, so a batch row equals its one-trial value.
+    Each term is clifford_apply(a, x[a]), which is exact, and the three terms
+    are added in the order a = 1, 2, 3: every output entry is rounded the same
+    way whatever the shape of x, so a batch row equals its one-trial value.
     Terms are added in place, one at a time, so at most two are held at once.
     """
-    out = np.einsum("st,...t->...s", E[0], x[0])
+    out = clifford_apply(0, x[0])
     for a in (1, 2):
-        out += np.einsum("st,...t->...s", E[a], x[a])
+        out += clifford_apply(a, x[a])
     return out
 
 
@@ -84,4 +108,4 @@ def j_structure(psi):
     spinor axis of each row.
     """
     psi = np.asarray(psi, dtype=complex)
-    return np.einsum("st,...t->...s", E[1], np.conj(psi))
+    return clifford_apply(1, np.conj(psi))

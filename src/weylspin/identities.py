@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import E, EPS, act, j_structure
+from .clifford import E, EPS, act, clifford_apply, j_structure
 from .errors import NotGT, ShapeError
 from .geometry import analyze, curvature_package, density_derivative, normalized_residual
 from .tensors import alt, hodge_star, kulkarni_nomizu, metric, mu_contract, nu_embed, sym0
@@ -107,15 +107,22 @@ def clifford_relations_residual():
 
 
 def product_rule_residual(psi):
-    """Defect of e_i e_j psi = -eps_ijk e_k psi over all pairs i != j."""
+    """Defect of e_i e_j psi = -eps_ijk e_k psi over all pairs i != j.
+
+    For i != j the sum over k has the one term k = 3 - i - j. Both sides are
+    built with clifford_apply, so each is exact and the defect of a finite
+    spinor is 0.
+    """
     batch = _batch(psi)
+    psi = np.asarray(psi, dtype=complex)
     worst = 0.0
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
-            lhs = np.einsum("st,...t->...s", E[i], np.einsum("st,...t->...s", E[j], psi))
-            rhs = -np.einsum("k,kst,...t->...s", EPS[i, j], E, psi)
+            k = 3 - i - j
+            lhs = clifford_apply(i, clifford_apply(j, psi))
+            rhs = -EPS[i, j, k] * clifford_apply(k, psi)
             worst = np.maximum(worst, _worst(lhs - rhs, batch))
     return worst
 

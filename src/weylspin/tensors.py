@@ -27,7 +27,7 @@ Conventions pinned by the identity suite (see docs/CONVENTIONS.md):
 
 import numpy as np
 
-from .clifford import E, EPS, clifford_sum
+from .clifford import EPS, clifford_apply, clifford_sum
 from .errors import RankError, SlotError, SymmetryError
 
 _ID3 = np.eye(3)
@@ -94,12 +94,10 @@ def kulkarni_nomizu(w, h, batch=0):
     if w.shape[:batch] != h.shape[:batch]:
         raise RankError(f"batch axes differ: {w.shape[:batch]} and {h.shape[:batch]}")
     t = np.einsum("...ij,...kl->...ijkl", w, h)
-    return (
-        np.einsum("...ikjl->...ijkl", t)
-        + np.einsum("...jlik->...ijkl", t)
-        - np.einsum("...ilkj->...ijkl", t)
-        - np.einsum("...jkil->...ijkl", t)
-    )
+    out = np.einsum("...ikjl->...ijkl", t) + np.einsum("...jlik->...ijkl", t)
+    out -= np.einsum("...ilkj->...ijkl", t)
+    out -= np.einsum("...jkil->...ijkl", t)
+    return out
 
 
 def mu_contract(slots, T, batch=0):
@@ -138,13 +136,14 @@ def nu_embed(x, batch=0):
     """Prepend a frame slot with values e_i . x.
 
     Accepts a bare spinor (rank 0) or any spinor-valued tensor; the new slot
-    becomes slot 1, right after the batch axes.
+    becomes slot 1, right after the batch axes. Entry i of that slot is
+    clifford_apply(i, x), so every value is exact.
     """
     x = np.asarray(x, dtype=complex)
     _, spinor = tensor_rank(x, batch)
     if not spinor:
         raise RankError("nu_embed needs a spinor or spinor-valued tensor")
-    return np.moveaxis(np.einsum("ist,...t->i...s", E, x), 0, batch)
+    return np.stack([clifford_apply(i, x) for i in range(3)], axis=batch)
 
 
 def hodge_star(F, batch=0):

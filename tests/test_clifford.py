@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from weylspin.clifford import E, EPS, act, j_structure, vector_matrix
+from weylspin.clifford import (
+    E,
+    EPS,
+    act,
+    clifford_apply,
+    clifford_sum,
+    j_structure,
+    vector_matrix,
+)
 from weylspin.errors import ShapeError
 
 SIGMA = np.array(
@@ -23,6 +32,61 @@ def test_generators_are_i_sigma():
 def test_generators_are_write_locked():
     with pytest.raises(ValueError):
         E[0, 0, 0] = 99.0  # the module-level table is locked
+
+
+# the generators as signed swaps ----------------------------------------------
+
+# finite, and small enough that a sum of three terms cannot overflow
+FINITE = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def frame_slot_views(draw):
+    """A finite complex array with 0-3 leading axes, a frame slot and a spinor
+    axis, viewed with the frame slot moved to the front, as mu_contract hands
+    the slot's three terms to clifford_sum. Every term is a strided view."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    base = draw(arrays(np.complex128, lead + (3, 2), elements=FINITE))
+    return np.moveaxis(base, -2, 0)
+
+
+@st.composite
+def spinor_arrays(draw):
+    """Finite complex arrays with a trailing spinor axis: one term of
+    frame_slot_views, a contiguous copy of it, or a negative-stride view."""
+    x = draw(frame_slot_views())[draw(st.integers(0, 2))]
+    view = draw(st.sampled_from(["strided", "contiguous", "reversed"]))
+    if view == "strided":
+        return x
+    if view == "contiguous":
+        return np.ascontiguousarray(x)
+    return x[(slice(None, None, -1),) * (x.ndim - 1)]
+
+
+def einsum_apply(a, x):
+    return np.einsum("st,...t->...s", E[a], x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), spinor_arrays())
+def test_clifford_apply_equals_the_einsum(a, x):
+    assert np.array_equal(clifford_apply(a, x), einsum_apply(a, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_slot_views())
+def test_clifford_sum_equals_its_einsum_form(terms):
+    # the dense form clifford_sum had before the kernel, as the oracle
+    dense = einsum_apply(0, terms[0])
+    for a in (1, 2):
+        dense += einsum_apply(a, terms[a])
+    assert np.array_equal(clifford_sum(terms), dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spinor_arrays())
+def test_j_structure_equals_its_einsum_form(x):
+    assert np.array_equal(j_structure(x), einsum_apply(1, np.conj(x)))
 
 
 def test_anticommutation_exact():

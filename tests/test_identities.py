@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylspin.cli import main, parse_geometry_file
-from weylspin.clifford import act, j_structure
+from weylspin.clifford import E, EPS, act, clifford_apply, j_structure
 from weylspin.errors import NotGT, RankError, ShapeError, SymmetryError
 from weylspin.geometry import (
     WeightedDensity,
@@ -46,6 +46,7 @@ from weylspin.identities import (
 )
 from weylspin.tensors import hodge_star, mu_contract
 
+from test_clifford import spinor_arrays
 from test_killing import BERGER_PATH
 
 
@@ -292,6 +293,52 @@ def test_nan_residual_is_the_worst_trial():
     worst, worst_trial = _sweep(lambda x: x, lambda r, m: (next(chunks),), values.size, rng)
     assert np.isnan(worst) and worst_trial == CHUNK + 5
     assert not make_report("nan", worst, values.size, 1e-12, worst_trial).passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(spinor_arrays())
+def test_product_rule_equals_its_einsum_form(psi):
+    # both sides, term by term, against the dense einsum forms they had
+    # before clifford_apply; the two sides are equal, so the residual is 0
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                k = 3 - i - j
+                lhs = np.einsum("st,...t->...s", E[i], np.einsum("st,...t->...s", E[j], psi))
+                assert np.array_equal(clifford_apply(i, clifford_apply(j, psi)), lhs)
+                rhs = -np.einsum("k,kst,...t->...s", EPS[i, j], E, psi)
+                assert np.array_equal(-EPS[i, j, k] * clifford_apply(k, psi), rhs)
+    assert np.array_equal(product_rule_residual(psi), np.zeros(psi.shape[:-1]))
+
+
+@pytest.mark.parametrize("imaginary", [False, True])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_row_fails_its_report(bad, imaginary):
+    # a non-finite entry in one row of a chunk (in the real or the imaginary
+    # part of a complex input) gives that row a residual that fails its
+    # report, and leaves every other row as it was
+    n, k = 5, 3
+    rng = np.random.default_rng(14)
+    psi, omega, F = random_spinor(rng, n), random_rank2(rng, n), random_two_form(rng, n)
+    T = rng.standard_normal((n, 3, 2)) + 1j * rng.standard_normal((n, 3, 2))
+    bad_psi, bad_omega, bad_F, bad_T = psi.copy(), omega.copy(), F.copy(), T.copy()
+    bad_psi[k, 1] = bad_T[k, 2, 0] = complex(0.0, bad) if imaginary else bad
+    bad_omega[k, 2, 0] = bad
+    bad_F[k, 0, 2], bad_F[k, 2, 0] = bad, -bad
+    cases = [
+        (product_rule_residual, (psi,), (bad_psi,)),
+        (mu2_nu_residual, (T,), (bad_T,)),
+        (dreieck_residual, (omega, psi), (bad_omega, psi)),
+        (dreieck_residual, (omega, psi), (omega, bad_psi)),
+        (monopole_residual, (F, psi), (bad_F, psi)),
+        (monopole_residual, (F, psi), (F, bad_psi)),
+    ]
+    with np.errstate(all="ignore"):
+        for fn, good, broken in cases:
+            values, clean = fn(*broken), fn(*good)
+            assert not make_report(fn.__name__, values[k], n, 1e-12).passed, fn.__name__
+            others = np.arange(n) != k
+            assert np.array_equal(values[others], clean[others])
 
 
 def test_worst_trial_replays_from_the_report(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weylspin.clifford import E, act, j_structure
 from weylspin.errors import RankError, ShapeError, SlotError, SymmetryError
@@ -20,6 +21,8 @@ from weylspin.tensors import (
     tensor_rank,
     vector_to_two_form,
 )
+
+from test_clifford import FINITE
 
 
 def kn_oracle(w, h):
@@ -171,6 +174,18 @@ def test_nu_embed_on_spinor_valued_tensor():
     for i in range(3):
         for j in range(3):
             assert np.max(np.abs(nu[i, j] - E[i] @ T[j])) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=2), st.integers(0, 2), st.data())
+def test_nu_embed_equals_its_einsum_form(lead, rank, data):
+    # the dense 3-generator einsum nu_embed had before the kernel, as the
+    # oracle, on a strided view of rank 0-2 with 0-2 batch axes
+    base = data.draw(arrays(np.complex128, (*lead, *(3,) * (rank + 1), 2), elements=FINITE))
+    x = base[..., data.draw(st.integers(0, 2)), :]
+    batch = len(lead)
+    dense = np.moveaxis(np.einsum("ist,...t->i...s", E, x), 0, batch)
+    assert np.array_equal(nu_embed(x, batch), dense)
 
 
 def test_hodge_star_roundtrip():
