@@ -9,7 +9,9 @@ which satisfies both defining relations exactly, with entries in {0, +-1, +-i}:
 Each e_k has exactly one nonzero entry per row, a unit in {+-1, +-i}, so
 e_k psi is a swap (or not) of the two spinor components times one unit per
 component. clifford_apply applies it that way, from column and unit tables read
-off E; no floating-point operation in it rounds.
+off E; no floating-point operation in it rounds. A product e_a e_b has the same
+form, with a unit that is the product of two units, so clifford_pairs gives all
+nine e_a e_b psi from one gather of psi and is exact too.
 
 The quaternionic structure J psi = e_2 conj(psi) is antilinear, squares to -Id,
 and commutes with Clifford multiplication by real frame vectors. Its existence
@@ -44,6 +46,13 @@ _UNIT = np.take_along_axis(E, _COL[..., None], axis=-1)[..., 0]
 _COL.setflags(write=False)
 _UNIT.setflags(write=False)
 
+# The same tables for the nine products e_a e_b, indexed [a, b, s]: row s of
+# e_a reads row _COL[a, s] of e_b. A product of two units is a unit, exactly.
+_PAIR_COL = _COL[np.arange(3)[:, None], _COL[:, None, :]]
+_PAIR_UNIT = _UNIT[:, None, :] * _UNIT[np.arange(3)[:, None], _COL[:, None, :]]
+_PAIR_COL.setflags(write=False)
+_PAIR_UNIT.setflags(write=False)
+
 
 def clifford_apply(a, x):
     """e_a x on the trailing spinor axis of the array x, for a in (0, 1, 2).
@@ -52,9 +61,26 @@ def clifford_apply(a, x):
     and one multiplication by a unit, which rounds nothing. For finite x this
     equals np.einsum("st,...t->...s", E[a], x) entry for entry; only the sign
     of an exact zero can differ. Leading axes pass through, and x may be any
-    strided view.
+    strided view. The gather is the one new array: the unit multiplies it in
+    place.
     """
-    return x[..., _COL[a]] * _UNIT[a]
+    out = np.asarray(x, dtype=complex)[..., _COL[a]]
+    out *= _UNIT[a]
+    return out
+
+
+def clifford_pairs(x):
+    """e_a e_b x for all nine pairs (a, b), on two new axes before the spinor axis.
+
+    out[..., a, b, s] = _PAIR_UNIT[a, b, s] * x_{_PAIR_COL[a, b, s]}: one
+    gather and one multiplication by a unit, in place, so for finite x entry
+    (a, b) equals clifford_apply(a, clifford_apply(b, x)) entry for entry;
+    only the sign of an exact zero can differ. The result is C-contiguous, so
+    its float view holds the real and imaginary parts side by side.
+    """
+    out = np.take(np.asarray(x, dtype=complex), _PAIR_COL, axis=-1)
+    out *= _PAIR_UNIT
+    return out
 
 
 def clifford_sum(x):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import E, EPS, act, clifford_apply, j_structure
+from .clifford import E, EPS, act, clifford_apply, clifford_pairs, j_structure
 from .errors import NotGT, ShapeError
 from .geometry import analyze, curvature_package, density_derivative, normalized_residual
 from .tensors import alt, hodge_star, kulkarni_nomizu, metric, mu_contract, nu_embed, sym0
@@ -148,11 +148,52 @@ def _gradient(F, grad, batch):
     return 0.25 * star if grad is None else grad
 
 
+def _mu34(K, psi, batch=0):
+    """mu^{34}(K (x) psi) for a real rank-4 frame tensor K, row by row over the batch axes.
+
+    Entry (i, j) is sum_a sum_b K_ijab (e_a e_b psi), with the nine spinors
+    e_a e_b psi from clifford_pairs. The sum runs over b inside and a outside,
+    with in-place adds, which is the order in which mu_contract([3, 4], ...)
+    contracts slot 4 and then slot 3. Each e_a only permutes components and
+    multiplies them by units, so e_a (sum_b x_b) = sum_b e_a x_b and
+    K_ijab (e_a e_b psi) = e_a e_b (K_ijab psi) bit for bit: the result
+    equals mu_contract([3, 4], _tensor_spinor(K, psi, batch), batch), up to
+    the sign of an exact zero. The products are real, K times the float view
+    of the spinors, so no complex rank-4 tensor is built. Both factors are
+    copied with the batch axes last, so each product runs over the batch in
+    its inner loop.
+    """
+    K = np.asarray(K, dtype=float)
+    psi = np.asarray(psi, dtype=complex)
+    if K.shape != psi.shape[:batch] + (3, 3, 3, 3) or psi.shape[batch:] != (2,):
+        raise ShapeError(f"need shapes B + (3, 3, 3, 3) and B + (2,), got {K.shape}, {psi.shape}")
+    lead, last = range(batch), range(-batch, 0)
+    # K[a, b, i, j, 1, *B] and pairs[a, b, re/im of each component, *B]
+    K = np.ascontiguousarray(np.transpose(K, (batch + 2, batch + 3, batch, batch + 1, *lead)))
+    K = K[:, :, :, :, None]
+    pairs = np.ascontiguousarray(np.moveaxis(clifford_pairs(psi).view(float), lead, last))
+
+    def inner(a):  # sum_b K_ijab (e_a e_b psi)
+        term = K[a, 0] * pairs[a, 0]
+        for b in (1, 2):
+            term += K[a, b] * pairs[a, b]
+        return term
+
+    out = inner(0)
+    for a in (1, 2):
+        out += inner(a)
+    return np.ascontiguousarray(np.moveaxis(out, range(3, 3 + batch), lead)).view(complex)
+
+
 def dreieck_residual(omega, psi):
-    """Defect of the Kulkarni-Nomizu contraction identity for (omega, psi)."""
+    """Defect of the Kulkarni-Nomizu contraction identity for (omega, psi).
+
+    The left side mu^{34}((omega kn c) (x) psi) is contracted by _mu34,
+    against the nine spinors e_a e_b psi; omega is a real rank-2 frame tensor.
+    """
     batch = _batch(psi)
     g = np.broadcast_to(metric(), np.shape(omega))
-    lhs = mu_contract([3, 4], _tensor_spinor(kulkarni_nomizu(omega, g, batch), psi, batch), batch)
+    lhs = _mu34(kulkarni_nomizu(omega, g, batch), psi, batch)
     m2 = mu_contract([2], _tensor_spinor(omega, psi, batch), batch)
     rhs = 2.0 * alt(nu_embed(m2, batch), batch)
     rhs -= 2.0 * _tensor_spinor(alt(omega, batch), psi, batch)

@@ -122,10 +122,13 @@ def expm(A):
 
     Taylor series to degree 16 of A / 2^s, squared s times, with s the
     smallest count that brings the largest row-sum norm in the batch to 1/2
-    or below, where the dropped terms are below 1e-19.
+    or below, where the dropped terms are below 1e-19. Rows whose sum is not
+    finite do not count towards s; a matrix with an inf or NaN entry comes
+    out with non-finite entries, and the other matrices as without it.
     """
     A = np.asarray(A, dtype=float)
-    norm = float(np.max(np.sum(np.abs(A), axis=-1), initial=0.0))
+    sums = np.sum(np.abs(A), axis=-1)
+    norm = float(np.max(sums, initial=0.0, where=np.isfinite(sums)))
     s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
     X = A / 2.0**s
     term = out = np.broadcast_to(np.eye(A.shape[-1]), A.shape)

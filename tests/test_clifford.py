@@ -7,8 +7,11 @@ from hypothesis.extra.numpy import arrays
 from weylspin.clifford import (
     E,
     EPS,
+    _PAIR_COL,
+    _PAIR_UNIT,
     act,
     clifford_apply,
+    clifford_pairs,
     clifford_sum,
     j_structure,
     vector_matrix,
@@ -81,6 +84,27 @@ def test_clifford_sum_equals_its_einsum_form(terms):
     for a in (1, 2):
         dense += einsum_apply(a, terms[a])
     assert np.array_equal(clifford_sum(terms), dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spinor_arrays())
+def test_clifford_pairs_apply_two_generators(x):
+    pairs = clifford_pairs(x)
+    assert pairs.shape == x.shape[:-1] + (3, 3, 2) and pairs.flags.c_contiguous
+    for a in range(3):
+        for b in range(3):
+            assert np.array_equal(pairs[..., a, b, :], clifford_apply(a, clifford_apply(b, x)))
+
+
+def test_pair_tables_are_the_generator_products_and_write_locked():
+    for a in range(3):
+        for b in range(3):
+            dense = np.zeros((2, 2), dtype=complex)
+            dense[[0, 1], _PAIR_COL[a, b]] = _PAIR_UNIT[a, b]
+            assert np.array_equal(dense, E[a] @ E[b])
+    for table in (_PAIR_COL, _PAIR_UNIT):
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1
 
 
 @settings(max_examples=40, deadline=None)

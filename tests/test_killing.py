@@ -302,6 +302,22 @@ def test_expm_is_rodrigues_on_skew_matrices():
     assert np.array_equal(expm(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 0)])
+def test_expm_of_a_non_finite_matrix_is_non_finite(bad, entry):
+    # an inf entry once crashed the choice of the squaring count; now any
+    # non-finite matrix gives an all non-finite result, as NaN always did,
+    # and the finite matrices of the batch keep their values
+    rng = np.random.default_rng(28)
+    finite = 3.0 * rng.standard_normal((2, 3, 3))
+    A = np.concatenate([np.zeros((1, 3, 3)), finite])
+    A[(0, *entry)] = bad
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf, as numpy signals them
+        out = expm(A)
+    assert not np.any(np.isfinite(out[0]))
+    assert np.array_equal(out[1:], expm(finite))
+
+
 def semidirect_constants(M):
     """[e1, e_j] = sum_k M[k - 1, j - 1] e_k and [e2, e3] = 0: Jacobi holds for any 2x2 M."""
     c = np.zeros((3, 3, 3))
