@@ -5,15 +5,19 @@ is the flow of a fixed frame direction d for a parameter length t; along it the
 Killing connection is the constant matrix sum(d_i B_i). Every B_i lies in su(2)
 (traceless and anti-Hermitian), so transport is a unit quaternion given by a
 closed-form exponential, and the su(2) coefficients of the B_i are resolved
-once per (immutable) geometry. Loops are quadrilaterals X, Y, -X, -Ad Y whose
-last arc comes from the adjoint action, expm of the 3x3 matrix ad_X read off
-the structure constants, so they close on every simply connected Lie group
-without a model of the group. Loops come in batches, an (N, k, 3) array of
-arc frame vectors, so drawing and transporting N loops are array operations;
-a single arc (GroupArc) runs on the same exponential. The 2-dimensional Killing
-spinor space is spanned by the transports of the base pair (1, 0), J (1, 0):
-sample_transports gives them as an (N, 2, 2) stack, and min_singular_value and
-killing_residual check all N samples as arrays.
+once per (immutable) geometry. Along a path the arcs compose as real
+quaternions, by Hamilton products through a table read off the 2x2 basis,
+and each path's product becomes a 2x2 matrix once, at the end. Loops are
+quadrilaterals X, Y, -X, -Ad Y whose last arc comes from the adjoint action,
+expm of the 3x3 matrix ad_X read off the structure constants (a degree-16
+Taylor polynomial in Paterson-Stockmeyer form, scaled and squared), so they
+close on every simply connected Lie group without a model of the group.
+Loops come in batches, an (N, k, 3) array of arc frame vectors, so drawing
+and transporting N loops are array operations; a single arc (GroupArc) runs
+on the same exponential. The 2-dimensional Killing spinor space is spanned by
+the transports of the base pair (1, 0), J (1, 0): sample_transports gives
+them as an (N, 2, 2) stack, and min_singular_value and killing_residual check
+all N samples as arrays.
 """
 
 import functools
@@ -31,6 +35,16 @@ from .spinconn import killing_connection, weight0_matrices
 _ID2 = np.eye(2, dtype=complex)
 _Q = -E  # unit quaternion generators as 2x2 matrices: q_i q_j = eps_ijk q_k
 _QUATERNION_BASIS = np.concatenate([_ID2[None], _Q]).reshape(4, 4)  # rows Id, q_1, q_2, q_3
+_QUATERNION_BASIS.setflags(write=False)
+# The Hamilton product p * q = (p[:, None] * q[None]).reshape(16) @ _HAMILTON:
+# row 4a + b holds the coefficients of (basis a)(basis b) on the basis. The
+# rows of _QUATERNION_BASIS are orthogonal with squared norm 2, so projecting
+# the 16 products onto them reads the table off exactly, with entries 0 and +-1.
+_HAMILTON = 0.5 * np.real(
+    (_QUATERNION_BASIS.reshape(4, 1, 2, 2) @ _QUATERNION_BASIS.reshape(1, 4, 2, 2)).reshape(16, 4)
+    @ _QUATERNION_BASIS.conj().T
+)
+_HAMILTON.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -105,36 +119,61 @@ def _su2_coefficients(M):
     return -0.5 * np.real(np.einsum("kab,...ba->...k", _Q, M))
 
 
-def _su2_exp(x):
-    """exp of sum x_k q_k for coefficients x (..., 3), as (..., 2, 2) matrices."""
+def _su2_quaternion(x):
+    """exp of sum x_k q_k for coefficients x (..., 3), as unit quaternions (..., 4)."""
     x = np.asarray(x, dtype=float)
     phi = np.linalg.norm(x, axis=-1, keepdims=True)
-    quaternion = np.concatenate([np.cos(phi), np.sinc(phi / np.pi) * x], axis=-1)
-    return (quaternion @ _QUATERNION_BASIS).reshape(x.shape[:-1] + (2, 2))
+    return np.concatenate([np.cos(phi), np.sinc(phi / np.pi) * x], axis=-1)
+
+
+def _quaternion_matrices(p):
+    """Quaternions p (..., 4) as the (..., 2, 2) matrices p_0 Id + sum_k p_k q_k."""
+    return (p @ _QUATERNION_BASIS).reshape(p.shape[:-1] + (2, 2))
+
+
+def _su2_exp(x):
+    """exp of sum x_k q_k for coefficients x (..., 3), as (..., 2, 2) matrices."""
+    return _quaternion_matrices(_su2_quaternion(x))
 
 
 # ---------------------------------------------------------------------------
 # loops
 
 
+_TAYLOR = [1.0 / math.factorial(k) for k in range(17)]  # c_k = 1/k!
+
+
 def expm(A):
     """exp of real square matrices A (..., n, n).
 
-    Taylor series to degree 16 of A / 2^s, squared s times, with s the
-    smallest count that brings the largest row-sum norm in the batch to 1/2
-    or below, where the dropped terms are below 1e-19. Rows whose sum is not
-    finite do not count towards s; a matrix with an inf or NaN entry comes
-    out with non-finite entries, and the other matrices as without it.
+    The Taylor polynomial of degree 16 of X = A / 2^s, squared s times, with s
+    the smallest count that brings the largest row-sum norm in the batch to
+    1/2 or below, where the dropped terms are below 1e-19. X = ldexp(A, -s)
+    is exact, and cannot overflow as 2.0**s can at s > 1023. The polynomial
+    is evaluated in Paterson-Stockmeyer form: with X^2, X^3, X^4 formed
+    once, Horner's rule in X^4 over the blocks
+    c_4j Id + c_4j+1 X + c_4j+2 X^2 + c_4j+3 X^3, c_k = 1/k!, which takes
+    6 matrix products where term-by-term Taylor takes 16. Rows whose sum is
+    not finite do not count towards s; a matrix with an inf or NaN entry, or
+    whose exponential overflows, comes out with non-finite entries, and the
+    other matrices as without it.
     """
     A = np.asarray(A, dtype=float)
     sums = np.sum(np.abs(A), axis=-1)
     norm = float(np.max(sums, initial=0.0, where=np.isfinite(sums)))
     s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
-    X = A / 2.0**s
-    term = out = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
-    for k in range(1, 17):
-        term = term @ X / k
-        out = out + term
+    X = np.ldexp(A, -s)
+    X2 = X @ X
+    powers = (X, X2, X2 @ X)
+    X4 = X2 @ X2
+    diagonal = (..., *np.diag_indices(A.shape[-1]))
+    out = _TAYLOR[16] * X4
+    for j in (3, 2, 1, 0):
+        for i, Xi in enumerate(powers, start=1):
+            out += _TAYLOR[4 * j + i] * Xi
+        out[diagonal] += _TAYLOR[4 * j]
+        if j:
+            out = X4 @ out
     for _ in range(s):
         out = out @ out
     return out
@@ -145,12 +184,17 @@ def expm(A):
 
 
 def path_transports(g, beta, paths):
-    """Transport operators (N, 2, 2) along a batch of paths; later arcs act on the left."""
-    steps = _su2_exp(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
-    out = np.broadcast_to(_ID2, steps.shape[:1] + (2, 2))
-    for j in range(steps.shape[1]):
-        out = steps[:, j] @ out
-    return out
+    """Transport operators (N, 2, 2) along a batch of paths; later arcs act on the left.
+
+    The arcs compose as real unit quaternions through _HAMILTON, and the N
+    products become 2x2 matrices once, at the end.
+    """
+    steps = _su2_quaternion(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
+    n, k, _ = steps.shape
+    out = steps[:, 0] if k else np.broadcast_to([1.0, 0.0, 0.0, 0.0], (n, 4))
+    for j in range(1, k):
+        out = (steps[:, j, :, None] * out[:, None, :]).reshape(n, 16) @ _HAMILTON
+    return _quaternion_matrices(out)
 
 
 def quadrilateral_loop(g, beta, rng, n):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -487,6 +488,25 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_span_names_resolve_in_the_package():
+    # bench/tracing.py skips a name the package does not define, so a rename
+    # would read 0 in every per-layer metric of that span without an error;
+    # the three loop helpers below left the package in 0.11.0
+    dropped = {"killing.triangle_loop", "killing.closing_arc", "killing.group_endpoint"}
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
+    with open(path, encoding="utf-8") as fh:
+        names = [metric["name"] for metric in json.load(fh)["per_layer"]]
+    stats = ("calls", "self_ms", "us_per_call")
+    spans = {n.rpartition(".")[0] for n in names if n.rpartition(".")[2] in stats}
+    assert {"killing.expm", "killing.loop_holonomy", "killing.transport_operator"} <= spans
+    missing = set()
+    for span in spans:
+        module, _, name = span.partition(".")
+        if not callable(getattr(importlib.import_module(f"weylspin.{module}"), name, None)):
+            missing.add(span)
+    assert missing <= dropped
 
 
 def test_unknown_command_exits_2(capsys):

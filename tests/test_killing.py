@@ -2,6 +2,7 @@
 the Newton search over the five-parameter family.
 """
 
+import math
 import os
 
 import numpy as np
@@ -24,7 +25,10 @@ from weylspin.geometry import (
 from weylspin.killing import (
     BASE_SPINORS,
     GroupArc,
+    _HAMILTON,
     _family_quadratic_form,
+    _killing_coefficients,
+    _quaternion_matrices,
     _su2_coefficients,
     _su2_exp,
     arc_from_vector,
@@ -179,6 +183,56 @@ def test_j_intertwines_transport():
         lhs = U @ j_structure(psi0)
         rhs = j_structure(U @ psi0)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def hamilton_product(p, q):
+    """p * q for quaternion batches (N, 4), the way path_transports composes arcs."""
+    return (p[:, :, None] * q[:, None, :]).reshape(len(p), 16) @ _HAMILTON
+
+
+def test_hamilton_table_is_the_matrix_product_and_write_locked():
+    rng = np.random.default_rng(40)
+    p, q = rng.standard_normal((2, 200, 4))
+    lhs = _quaternion_matrices(p) @ _quaternion_matrices(q)
+    scale = np.linalg.norm(p, axis=1) * np.linalg.norm(q, axis=1)
+    err = np.max(np.abs(lhs - _quaternion_matrices(hamilton_product(p, q))), axis=(1, 2))
+    assert np.all(err <= 1e-15 * scale)
+    # the table is read off the basis exactly: one unit entry per row
+    assert np.array_equal(np.count_nonzero(_HAMILTON, axis=1), np.ones(16))
+    assert np.array_equal(np.abs(_HAMILTON).sum(axis=1), np.ones(16))
+    assert not _HAMILTON.flags.writeable
+    with pytest.raises(ValueError):
+        _HAMILTON[0, 0] = 2.0
+
+
+def matrix_path_transports(g, beta, paths):
+    """The per-arc product of complex 2x2 transports, as path_transports composed before."""
+    steps = _su2_exp(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
+    out = np.broadcast_to(np.eye(2, dtype=complex), steps.shape[:1] + (2, 2))
+    for j in range(steps.shape[1]):
+        out = steps[:, j] @ out
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 250])
+@pytest.mark.parametrize("k", [0, 1, 4, 16])
+def test_quaternion_composition_matches_the_matrix_product(n, k):
+    g_berger, beta_berger = parse_geometry_file(BERGER_PATH)
+    R = rotation((1.0, 2.0, 3.0), 0.55)
+    rng = np.random.default_rng(41 + 16 * n + k)
+    for g, beta in (
+        (ROUND, HALF),
+        (rotated_geometry(g_berger, R), beta_berger),
+        (validate_geometry(semidirect_constants(np.eye(2)), (0.0, 0.0, 0.0)), WeightedDensity(0.0)),
+    ):
+        paths = rng.standard_normal((n, k, 3)) / (residual_scale(g, beta) or 1.0)
+        U = path_transports(g, beta, paths)
+        assert U.shape == (n, 2, 2)
+        assert np.max(np.abs(U - matrix_path_transports(g, beta, paths)), initial=0.0) <= 1e-15 * k
+        # the composed quaternions (Re tr U / 2, su(2) part) stay on the unit sphere
+        q0 = np.real(np.trace(U, axis1=1, axis2=2)) / 2
+        norm = np.hypot(q0, np.linalg.norm(_su2_coefficients(U), axis=1))
+        assert np.max(np.abs(norm - 1.0), initial=0.0) < 1e-14
 
 
 # loop bookkeeping -----------------------------------------------------------
@@ -341,6 +395,67 @@ def test_expm_on_non_unimodular_ad_matrices():
         det = np.exp(np.trace(ad, axis1=-2, axis2=-1))
         assert np.max(np.abs(np.linalg.det(E_ad) / det - 1.0)) < 1e-13
         assert np.max(np.abs(det - 1.0)) > 1.0
+
+
+def taylor_expm(A):
+    """The degree-16 Taylor series of A / 2^s term by term, squared s times, as expm evaluated before.
+
+    Returns the result and the squaring count s.
+    """
+    A = np.asarray(A, dtype=float)
+    sums = np.sum(np.abs(A), axis=-1)
+    norm = float(np.max(sums, initial=0.0, where=np.isfinite(sums)))
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
+    X = A / 2.0**s
+    term = out = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
+    for k in range(1, 17):
+        term = term @ X / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out, s
+
+
+def assert_expm_is_taylor(A):
+    # both evaluations round the polynomial to a few ulps, and each squaring
+    # doubles a relative error, so they may differ by a few 2^s eps
+    want, s = taylor_expm(A)
+    err = np.max(np.abs(expm(A) - want), axis=(-2, -1))
+    tol = 8.0 * 2.0**s * np.finfo(float).eps
+    assert np.all(err <= tol * np.maximum(1.0, np.max(np.abs(want), axis=(-2, -1))))
+
+
+def test_expm_matches_the_term_by_term_taylor_series():
+    # the Paterson-Stockmeyer evaluation of the same polynomial, on random
+    # matrices of row-sum norm 1e-3 to 20, one batch and one at a time, on
+    # rotations and on non-unimodular ad_X
+    rng = np.random.default_rng(42)
+    norms = np.logspace(-3, np.log10(20.0), 60)
+    A = rng.standard_normal((60, 3, 3))
+    A *= (norms / np.max(np.sum(np.abs(A), axis=-1), axis=-1))[:, None, None]
+    assert_expm_is_taylor(A)
+    for a in A[::6]:
+        assert_expm_is_taylor(a)
+    axes = rng.standard_normal((40, 3))
+    angles = np.linspace(0.0, 20.0, 40)
+    K = np.stack([cross_matrix(angle * a / np.linalg.norm(a)) for a, angle in zip(axes, angles)])
+    assert_expm_is_taylor(K)
+    X = rng.standard_normal((40, 3)) * np.logspace(-3, 1, 40)[:, None]
+    for M in (np.eye(2), np.array([[1.0, -2.0], [0.5, 0.3]])):
+        assert_expm_is_taylor(np.einsum("ni,ijk->nkj", X, semidirect_constants(M)))
+
+
+def test_expm_of_huge_finite_matrices_does_not_raise():
+    # a row-sum norm near the float maximum needs s = 1025 squarings, and
+    # 2.0**1025 once raised OverflowError; the scaling is now exact
+    A = np.zeros((3, 3, 3))
+    A[0, 0, 1] = 1.7e308  # nilpotent, so exp(A) = Id + A
+    A[1, 1, 2] = 0.5  # scaled to a subnormal and squared back exactly
+    A[2] = np.diag([1e308, 0.0, 0.0])  # exp(A) overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expm(A)
+    assert np.array_equal(out[:2], np.eye(3) + A[:2])
+    assert not np.all(np.isfinite(out[2]))
 
 
 def test_loops_close_on_a_non_unimodular_algebra():
