@@ -38,6 +38,9 @@ from .killing import (
 )
 from .spinconn import flatness
 
+# analyze's default --tol, and the bound of killing's analyze sections
+ANALYZE_TOL = 1e-9
+
 # geometry file schema: each key and the shape its finite JSON numbers nest to
 _SCHEMA = {
     "milnor_lambda": (3,),
@@ -184,6 +187,13 @@ def _gt_sections(rep):
     return [_bound_section(name, value, rep.tolerance, "below") for name, value in pairs]
 
 
+def _geometry_sections(g, beta, tol):
+    """analyze's sections: the three Gauduchon-Tod residuals and the flatness, each below tol."""
+    return _gt_sections(analyze(g, beta, tolerance=tol)) + [
+        _bound_section("flatness", flatness(g, beta), tol, "below")
+    ]
+
+
 def _log(msg):
     print(msg, file=sys.stderr)
 
@@ -200,17 +210,16 @@ def _cmd_verify_algebra(args):
 
 
 def _cmd_analyze(args):
-    g, beta = parse_geometry_file(args.geometry)
-    return _gt_sections(analyze(g, beta, tolerance=args.tol)) + [
-        _bound_section("flatness", flatness(g, beta), args.tol, "below")
-    ]
+    return _geometry_sections(*parse_geometry_file(args.geometry), args.tol)
 
 
 def _cmd_killing(args):
     g, beta = parse_geometry_file(args.geometry)
     rng = np.random.default_rng(args.seed)
-    sections = [_bound_section("flatness", flatness(g, beta), 1e-10, "below")]
-    if not sections[0]["pass"]:
+    # transports are only path-independent on a flat connection, so killing
+    # goes on only where analyze would pass
+    sections = _geometry_sections(g, beta, ANALYZE_TOL)
+    if not all(s["pass"] for s in sections):
         return sections
 
     loops = quadrilateral_loop(g, beta, rng, args.loops)
@@ -318,7 +327,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="Gauduchon-Tod residuals of a geometry file")
     p.add_argument("geometry")
-    p.add_argument("--tol", type=_TOLERANCE, default=1e-9)
+    p.add_argument("--tol", type=_TOLERANCE, default=ANALYZE_TOL)
     p.set_defaults(func=_cmd_analyze, seed=None)
 
     p = sub.add_parser("killing", help="build the Killing basis and test holonomy")

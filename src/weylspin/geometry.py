@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import JacobiViolation, ShapeError
-from .tensors import hodge_star, kulkarni_nomizu, sym0
+from .tensors import hodge_star, sym0
 
 _ID3 = np.eye(3)
 
@@ -158,8 +158,7 @@ def curvature_package(g):
 
     The full curvature satisfies the decomposition
         R4 = Ric^N kn c + F (x) c
-    with Ric^N = -sym0 Ric - (1/12) R c + (1/2) F, which downstream code and
-    tests use as the defining cross-check.
+    with Ric^N = -sym0 Ric - (1/12) R c + (1/2) F, which the tests check.
     """
     gamma = weyl_connection(g)
     c = g.structure_constants
@@ -183,12 +182,6 @@ def curvature_package(g):
         ric_n=ric_n,
         ric_prime=ric_prime,
     )
-
-
-def decomposition_residual(pkg):
-    """Max-norm defect of R4 - Ric^N kn c - F (x) c."""
-    target = kulkarni_nomizu(pkg.ric_n, _ID3) + np.einsum("ij,kl->ijkl", pkg.faraday, _ID3)
-    return float(np.max(np.abs(pkg.full_curvature - target)))
 
 
 def density_derivative(g, beta):

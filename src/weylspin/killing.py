@@ -159,7 +159,8 @@ def expm(A):
     other matrices as without it.
     """
     A = np.asarray(A, dtype=float)
-    sums = np.sum(np.abs(A), axis=-1)
+    with np.errstate(over="ignore"):  # a sum that overflows is left out of s below
+        sums = np.sum(np.abs(A), axis=-1)
     norm = float(np.max(sums, initial=0.0, where=np.isfinite(sums)))
     s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
     X = np.ldexp(A, -s)

@@ -12,7 +12,6 @@ from weylspin.geometry import (
     WeightedDensity,
     analyze,
     curvature_package,
-    decomposition_residual,
     gauge_rescale,
     milnor_geometry,
 )
@@ -40,8 +39,11 @@ from weylspin.killing import (
     sample_transports,
     transport_operator,
 )
-from weylspin.spinconn import flatness, killing_curvature, spin_curvature
+from weylspin.spinconn import flatness, killing_curvature
 from weylspin.tensors import hodge_star, kulkarni_nomizu
+
+from test_geometry import decomposition_residual
+from test_spinconn import spin_curvature_mismatch
 
 EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -145,7 +147,7 @@ def test_criterion_04_curvature_decomposition():
 def test_criterion_05_spin_curvature_cross_check():
     worst = 0.0
     for g in milnor_sweep(104, 200):  # same sweep distribution as criterion 4
-        worst = max(worst, spin_curvature(g).mismatch)
+        worst = max(worst, spin_curvature_mismatch(g))
     record(5, f"spin curvature formula vs commutator {worst:.2e} < 1e-10", worst < 1e-10)
 
 

@@ -11,10 +11,17 @@ import pytest
 
 import weylspin
 from weylspin import killing, spinconn
-from weylspin.cli import build_parser, main, parse_geometry_file
+from weylspin.cli import ANALYZE_TOL, build_parser, main, parse_geometry_file
 from weylspin.errors import ParseError
-from weylspin.geometry import gauge_rescale, milnor_constants
+from weylspin.geometry import (
+    WeightedDensity,
+    analyze,
+    gauge_rescale,
+    milnor_constants,
+    milnor_geometry,
+)
 from weylspin.killing import gt_residual_vector, milnor_theta3_family
+from weylspin.spinconn import flatness
 
 from test_killing import BERGER_PATH, rotated_geometry, rotation, semidirect_constants
 
@@ -238,6 +245,9 @@ def test_killing_command(tmp_path, capsys):
     report = json.loads(out)
     names = [s["name"] for s in report["sections"]]
     assert names == [
+        "r_ew",
+        "r_scal",
+        "r_star",
         "flatness",
         "max_holonomy_deviation",
         "min_singular_value",
@@ -278,7 +288,7 @@ def test_killing_sends_each_sample_arc_through_transport_operator(tmp_path, caps
 def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypatch):
     built = []
     original = spinconn.spin_connection
-    spy = lambda g, weight=0.0: built.append(g) or original(g, weight)
+    spy = lambda g: built.append(g) or original(g)
     monkeypatch.setattr(spinconn, "spin_connection", spy)
     path = write(tmp_path, "round.json", ROUND_TEXT)
     for argv in (["analyze", path], ["killing", path, "--loops", "5"]):
@@ -379,8 +389,52 @@ def test_killing_command_not_flat(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["killing", path])
     assert code == 1
     report = json.loads(out)
-    assert report["sections"][0]["name"] == "flatness"
-    assert report["sections"][0]["pass"] is False
+    # killing stops after analyze's sections when one of them fails
+    sections = {s["name"]: s for s in report["sections"]}
+    assert list(sections) == ["r_ew", "r_scal", "r_star", "flatness"]
+    assert sections["flatness"]["pass"] is False
+
+
+@pytest.mark.parametrize("lambda3, code", [(2.0000000015, 0), (2.000000004, 1)])
+def test_killing_exit_code_equals_analyze_near_the_tolerance(tmp_path, capsys, lambda3, code):
+    # at lambda3 = 2 + 4e-9 flatness reads 5.0e-10 but r_scal 2.0e-9, so no
+    # bound on flatness alone matches analyze's verdict on both geometries
+    path = write(tmp_path, "g.json", json.dumps({"milnor_lambda": [2, 2, lambda3], "beta": 0.5}))
+    for argv in (["analyze", path], ["killing", path]):
+        assert run_cli(capsys, argv)[0] == code, argv
+
+
+def analyze_worst(g, beta):
+    """The largest of analyze's four sections, which its verdict holds below ANALYZE_TOL."""
+    rep = analyze(g, beta)
+    return max(rep.n_ew, rep.n_scal, rep.n_star, flatness(g, beta))
+
+
+def test_killing_exit_code_equals_analyze_across_the_tolerance(tmp_path, capsys):
+    # random perturbations of the round member (2, 2, 2, 0, 0.5) at random
+    # gauge scales, bisected to geometries just inside and just outside
+    # analyze's tolerance: killing passes exactly where analyze does
+    rng = np.random.default_rng(16)
+    for n in range(20):
+        d_lam, d_theta = rng.standard_normal((2, 3))
+        d_beta, s = rng.standard_normal(), rng.uniform(-3, 3)
+
+        def member(t):
+            g = milnor_geometry(2.0 + t * d_lam, t * d_theta)
+            return gauge_rescale(g, WeightedDensity(0.5 + t * d_beta), s)
+
+        inside, outside = 0.0, 1.0
+        assert analyze_worst(*member(inside)) < ANALYZE_TOL <= analyze_worst(*member(outside))
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            if analyze_worst(*member(mid)) < ANALYZE_TOL:
+                inside = mid
+            else:
+                outside = mid
+        for t, code in ((inside, 0), (outside, 1)):
+            path = write(tmp_path, f"{n}-{code}.json", geometry_text(*member(t)))
+            for argv in (["analyze", path], ["killing", path]):
+                assert run_cli(capsys, argv)[0] == code, (n, t, argv)
 
 
 def test_search_gt_command(capsys):

@@ -18,7 +18,6 @@ from weylspin.geometry import (
     _jacobi_defect,
     analyze,
     curvature_package,
-    decomposition_residual,
     density_derivative,
     gauge_rescale,
     milnor_constants,
@@ -27,6 +26,7 @@ from weylspin.geometry import (
     validate_geometry,
     weyl_connection,
 )
+from weylspin.tensors import kulkarni_nomizu
 
 
 def ricci_oracle_diagonal(lam):
@@ -174,6 +174,13 @@ def test_faraday_and_ricci_antisymmetry():
         anti = 0.5 * (pkg.ricci - pkg.ricci.T)
         assert np.max(np.abs(anti + 1.5 * pkg.faraday)) < 1e-13
         assert np.max(np.abs(pkg.faraday + pkg.faraday.T)) == 0.0
+
+
+def decomposition_residual(pkg):
+    """Max-norm defect of R4 - Ric^N kn c - F (x) c, the decomposition of the full curvature."""
+    eye = np.eye(3)
+    target = kulkarni_nomizu(pkg.ric_n, eye) + np.einsum("ij,kl->ijkl", pkg.faraday, eye)
+    return float(np.max(np.abs(pkg.full_curvature - target)))
 
 
 def test_curvature_decomposition_sweep():

@@ -4,6 +4,7 @@ the Newton search over the five-parameter family.
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,17 @@ def test_expm_of_huge_finite_matrices_does_not_raise():
     assert not np.all(np.isfinite(out[2]))
 
 
+def test_expm_of_a_row_whose_sum_overflows_warns_nothing():
+    # each entry is finite but the row sum is not; it is left out of the
+    # squaring count without numpy's overflow warning, and the matrix is
+    # nilpotent, so exp(A) = Id + A
+    A = np.array([[0.0, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = expm(A)
+    assert np.array_equal(out, np.eye(3) + A)
+
+
 def test_loops_close_on_a_non_unimodular_algebra():
     # Bianchi VII_h, M = [[1, 1], [-1, 1]], with theta = (1, 0, 0) is a flat
     # Weyl structure whose Killing connection does not vanish (unlike Bianchi
@@ -644,7 +656,7 @@ def per_sample_min_singular_value(g, beta, samples):
 def per_sample_killing_residual(g, beta, samples, h):
     s = residual_scale(g, beta) or 1.0
     step = h / s
-    A = spin_connection(g, 0.0)
+    A = spin_connection(g)
     B = killing_connection(g, beta)
     plus = [_su2_exp(-step * _su2_coefficients(B[i])) for i in range(3)]
     minus = [_su2_exp(step * _su2_coefficients(B[i])) for i in range(3)]
