@@ -13,11 +13,13 @@ expm of the 3x3 matrix ad_X read off the structure constants (a degree-16
 Taylor polynomial in Paterson-Stockmeyer form, scaled and squared), so they
 close on every simply connected Lie group without a model of the group.
 Loops come in batches, an (N, k, 3) array of arc frame vectors, so drawing
-and transporting N loops are array operations; a single arc (GroupArc) runs
-on the same exponential. The 2-dimensional Killing spinor space is spanned by
-the transports of the base pair (1, 0), J (1, 0): sample_transports gives
-them as an (N, 2, 2) stack, and min_singular_value and killing_residual check
-all N samples as arrays.
+and transporting N loops are array operations. A single arc (GroupArc) runs
+the same closed form on Python floats, where numpy's per-call cost would
+dominate a 3-vector, and becomes a 2x2 matrix through the same quaternion
+basis. The 2-dimensional Killing spinor space is spanned by the transports
+of the base pair (1, 0), J (1, 0): sample_transports gives them as an
+(N, 2, 2) stack, and min_singular_value and killing_residual check all N
+samples as arrays.
 """
 
 import functools
@@ -47,16 +49,23 @@ _HAMILTON = 0.5 * np.real(
 _HAMILTON.setflags(write=False)
 
 
+def _float_triple(v, what):
+    """v as three Python floats; ShapeError unless it has shape (3,)."""
+    v = v.tolist() if isinstance(v, np.ndarray) else v
+    try:
+        x, y, z = map(float, v)
+    except (TypeError, ValueError) as exc:  # not iterable, nested, or not 3 numbers
+        raise ShapeError(f"{what} must be 3 numbers, shape (3,)") from exc
+    return x, y, z
+
+
 @dataclass(frozen=True)
 class GroupArc:
     direction: tuple  # unit vector of frame coefficients
     length: float
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if d.shape != (3,):
-            raise ShapeError(f"arc direction must have shape (3,), got {d.shape}")
-        direction = tuple(d.tolist())
+        direction = _float_triple(self.direction, "arc direction")
         length = float(self.length)
         if not all(map(math.isfinite, direction + (length,))):
             raise ShapeError("arc direction and length must be finite")
@@ -68,13 +77,13 @@ class GroupArc:
 
 def arc_from_vector(v):
     """Arc flowing along the frame vector v: direction v/||v||, length ||v||."""
-    v = np.asarray(v, dtype=float)
-    t = float(np.linalg.norm(v))
+    v = _float_triple(v, "arc vector")
+    t = math.hypot(*v)
     if not math.isfinite(t):
-        raise ShapeError("arc vector must be finite")
+        raise ShapeError("arc vector and its length must be finite")
     if t == 0.0:
         return GroupArc((1.0, 0.0, 0.0), 0.0)
-    return GroupArc((v / t).tolist(), t)
+    return GroupArc(tuple(c / t for c in v), t)
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +94,16 @@ def transport_operator(g, beta, arc):
     """exp(-t sum_i d_i B_i), the parallel transport of the Killing connection.
 
     Every B_i is traceless and anti-Hermitian, so the exponent is the element
-    -t sum_i d_i b[i, k] q_k of su(2) and the closed form _su2_exp is exact.
+    x = -t sum_i d_i b[i, k] q_k of su(2), and its exponential is the unit
+    quaternion [cos phi, (sin phi / phi) x], phi = |x|, exactly. x and the
+    quaternion are formed on Python floats (_float_quaternion) from the
+    columns of b memoized per geometry; one _quaternion_matrices call makes
+    the 2x2 matrix. An exponent whose norm overflows gives NaN entries.
     """
-    b = _killing_coefficients(g, beta)
-    return _su2_exp(-arc.length * (np.asarray(arc.direction) @ b))
+    d1, d2, d3 = arc.direction
+    t = -arc.length
+    x = [t * (d1 * b1 + d2 * b2 + d3 * b3) for b1, b2, b3 in _killing_columns(g, beta)]
+    return _quaternion_matrices(np.array(_float_quaternion(x)))
 
 
 def rk4_transport(g, beta, arc, psi0, steps=256):
@@ -114,26 +129,50 @@ def _killing_coefficients(g, beta):
     return b
 
 
+@functools.lru_cache(maxsize=1)
+def _killing_columns(g, beta):
+    """The columns b[:, k] of _killing_coefficients as triples of Python floats."""
+    return tuple(zip(*_killing_coefficients(g, beta).tolist()))
+
+
 def _su2_coefficients(M):
     """Real x_k of the sum x_k q_k part of M (..., 2, 2); any Id part is dropped."""
     return -0.5 * np.real(np.einsum("kab,...ba->...k", _Q, M))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing exponent gives NaN below
 def _su2_quaternion(x):
-    """exp of sum x_k q_k for coefficients x (..., 3), as unit quaternions (..., 4)."""
+    """exp of sum x_k q_k for coefficients x (..., 3), as unit quaternions (..., 4).
+
+    [cos phi, (sin phi / phi) x] with phi = sqrt(sum x_k^2), and (1, 0, 0, 0)
+    exactly where phi = 0. Where the sum of squares overflows the quaternion
+    is NaN, with no warning.
+    """
     x = np.asarray(x, dtype=float)
-    phi = np.linalg.norm(x, axis=-1, keepdims=True)
-    return np.concatenate([np.cos(phi), np.sinc(phi / np.pi) * x], axis=-1)
+    phi = np.sqrt(np.einsum("...k,...k->...", x, x))[..., None]
+    sinc = np.divide(np.sin(phi), phi, out=np.ones_like(phi), where=phi != 0.0)
+    return np.concatenate([np.cos(phi), sinc * x], axis=-1)
+
+
+def _float_quaternion(x):
+    """_su2_quaternion for one exponent x of three Python floats, as four floats.
+
+    phi = hypot(x), which neither overflows nor underflows before phi itself
+    does; phi = 0 gives (1, 0, 0, 0) exactly, and a phi that is not finite
+    gives NaN (math.sin would raise on it).
+    """
+    phi = math.hypot(*x)
+    if phi == 0.0:
+        return 1.0, 0.0, 0.0, 0.0
+    if not phi < math.inf:
+        return (math.nan,) * 4
+    s = math.sin(phi) / phi
+    return math.cos(phi), s * x[0], s * x[1], s * x[2]
 
 
 def _quaternion_matrices(p):
     """Quaternions p (..., 4) as the (..., 2, 2) matrices p_0 Id + sum_k p_k q_k."""
     return (p @ _QUATERNION_BASIS).reshape(p.shape[:-1] + (2, 2))
-
-
-def _su2_exp(x):
-    """exp of sum x_k q_k for coefficients x (..., 3), as (..., 2, 2) matrices."""
-    return _quaternion_matrices(_su2_quaternion(x))
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +223,13 @@ def expm(A):
 # being the frame vector t d (direction d, length t) as arc_from_vector reads it.
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows makes its path NaN
 def path_transports(g, beta, paths):
     """Transport operators (N, 2, 2) along a batch of paths; later arcs act on the left.
 
     The arcs compose as real unit quaternions through _HAMILTON, and the N
-    products become 2x2 matrices once, at the end.
+    products become 2x2 matrices once, at the end. A path with an arc whose
+    exponent overflows comes out NaN, and the other paths as without it.
     """
     steps = _su2_quaternion(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
     n, k, _ = steps.shape
@@ -291,10 +332,12 @@ def killing_residual(g, beta, transports, h=1e-5):
     """
     s = residual_scale(g, beta) or 1.0
     step = h / s
-    b = _killing_coefficients(g, beta)
     psi = _sections(transports)[..., None]  # (N, 2, 2, 1): sample, section, spinor
-    plus = _su2_exp(-step * b)[:, None, None]  # (3, 1, 1, 2, 2): one step along each e_i
-    minus = _su2_exp(step * b)[:, None, None]
+    # plus and minus (3, 1, 1, 2, 2): steps of -step and +step along each e_i,
+    # single arcs, so on the float kernel
+    rows = _killing_coefficients(g, beta).tolist()
+    steps = [_float_quaternion([sign * step * v for v in row]) for sign in (-1, 1) for row in rows]
+    plus, minus = _quaternion_matrices(np.array(steps)).reshape(2, 3, 1, 1, 2, 2)
     A = weight0_matrices(g)[:, None, None]
     fd = (plus @ psi - minus @ psi) / (2.0 * step)
     defect = fd + A @ psi - beta.value * (E[:, None, None] @ psi)  # (3, N, 2, 2, 1)

@@ -371,6 +371,30 @@ def agreement_cases():
     return cases
 
 
+ANALYZE_SECTIONS = ("r_ew", "r_scal", "r_star", "flatness")
+FROZEN_REPORTS = os.path.join(os.path.dirname(__file__), "data", "killing_reports_v0.16.0.json")
+
+
+def test_killing_reports_match_v0_16_0_to_rounding(capsys):
+    # the v0.16.0 reports of `killing FILE --loops 50 --seed 0` on the shipped
+    # files: verdicts, section names and analyze's sections are exact, and
+    # the transport sections may move at rounding level only
+    with open(FROZEN_REPORTS, encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    assert sorted(frozen) == sorted(f for f in os.listdir(GEOMETRY_DIR) if f.endswith(".json"))
+    for name, want in frozen.items():
+        argv = ["killing", os.path.join(GEOMETRY_DIR, name), "--loops", "50", "--seed", "0"]
+        got = json.loads(run_cli(capsys, argv)[1])
+        assert (got["seed"], got["verdict"]) == (want["seed"], want["verdict"]), name
+        assert [s["name"] for s in got["sections"]] == [s["name"] for s in want["sections"]], name
+        for g, w in zip(got["sections"], want["sections"]):
+            if g["name"] in ANALYZE_SECTIONS:
+                assert json.dumps(g) == json.dumps(w), (name, g["name"])
+            else:
+                assert {**g, "value": None} == {**w, "value": None}, (name, g["name"])
+                assert abs(g["value"] - w["value"]) <= 1e-14, (name, g["name"])
+
+
 @pytest.mark.parametrize("source, certified", agreement_cases())
 def test_killing_verdict_equals_analyze_verdict(tmp_path, capsys, source, certified):
     # the flatness-GT equivalence: killing certifies exactly what analyze

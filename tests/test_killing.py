@@ -5,6 +5,7 @@ the Newton search over the five-parameter family.
 import math
 import os
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from weylspin.killing import (
     _killing_coefficients,
     _quaternion_matrices,
     _su2_coefficients,
-    _su2_exp,
+    _su2_quaternion,
     arc_from_vector,
     expm,
     find_gt_parameters,
@@ -69,9 +70,73 @@ def rotated_geometry(g, R):
     return validate_geometry(c, R @ g.theta)
 
 
+def su2_exp(x):
+    """exp of sum x_k q_k for coefficients x (..., 3) as (..., 2, 2) matrices, by the batch kernel."""
+    return _quaternion_matrices(_su2_quaternion(x))
+
+
 def random_psi(rng):
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return z / np.linalg.norm(z)
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [
+        np.array([[1.0], [0.0], [0.0]]),  # (3, 1)
+        np.array([1.0, 0.0]),  # (2,)
+        (1.0, 0.0, 0.0, 0.0),
+        ((1.0,), (0.0,), (0.0,)),
+        np.array(1.0),
+        1.0,
+        None,
+        (0.6, 0.8 + 1e-9, 0.0),  # 8e-10 off unit length
+        (2.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0),
+    ],
+)
+def test_group_arc_rejects_what_is_not_a_unit_3_vector(direction):
+    with pytest.raises(ShapeError):
+        GroupArc(direction, 0.5)
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [
+        [0.0, 0.6, 0.8],
+        (0.0, 0.6, 0.8 + 1e-11),  # 8e-12 off unit length
+        np.array([0.0, 0.6, 0.8]),
+        np.eye(3)[2],
+        np.eye(3, dtype=int)[1],
+    ],
+)
+def test_group_arc_accepts_lists_tuples_and_numpy_rows(direction):
+    arc = GroupArc(direction, np.float64(0.5))
+    assert arc.direction == tuple(float(c) for c in np.asarray(direction))
+    assert all(type(c) is float for c in arc.direction + (arc.length,))
+
+
+@pytest.mark.parametrize("v", [np.zeros((3, 1)), np.ones((3, 1)), np.ones(2), (1.0, 2.0, 3.0, 4.0), 5.0])
+def test_arc_from_vector_rejects_other_shapes(v):
+    with pytest.raises(ShapeError):
+        arc_from_vector(v)
+
+
+def test_arc_from_vector_is_v_over_its_norm_to_one_ulp():
+    # against v / ||v|| in 60-digit decimals: math.hypot rounds the length
+    # correctly here, and each direction entry is one division off the exact
+    # value (v / np.linalg.norm(v) is up to 2 ulp off on the same vectors)
+    rng = np.random.default_rng(42)
+    vs = rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-5, 5, (500, 1))
+    for v in list(vs) + [v.tolist() for v in vs[:20]]:
+        arc = arc_from_vector(v)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = [Decimal(float(c)) for c in v]
+            norm = sum(c * c for c in exact).sqrt()
+            want = np.array([float(c / norm) for c in exact])
+        assert arc.length == float(norm)
+        assert np.all(np.abs(np.asarray(arc.direction) - want) <= np.spacing(np.abs(want)))
 
 
 def test_group_arc_validation():
@@ -186,6 +251,70 @@ def test_j_intertwines_transport():
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def single_arc_cases():
+    """Round, Berger, flat R^3, flat Bianchi V and a rotated Berger frame, each with its beta."""
+    g_berger, beta_berger = parse_geometry_file(BERGER_PATH)
+    geometries = os.path.join(os.path.dirname(__file__), "..", "geometries")
+    return [
+        (ROUND, HALF),
+        (g_berger, beta_berger),
+        parse_geometry_file(os.path.join(geometries, "flat.json")),
+        parse_geometry_file(os.path.join(geometries, "bianchi_v_flat.json")),
+        (rotated_geometry(g_berger, rotation((1.0, 2.0, 3.0), 0.55)), beta_berger),
+    ]
+
+
+def test_single_arc_and_batch_routes_agree():
+    # transport_operator runs the closed form on Python floats, path_transports
+    # on arrays; both are the same formula, so they differ by rounding only
+    rng = np.random.default_rng(43)
+    for g, beta in single_arc_cases():
+        scale = residual_scale(g, beta) or 1.0
+        for v in rng.standard_normal((40, 3)) * rng.uniform(0.1, 3.0, (40, 1)) / scale:
+            arc = arc_from_vector(v)
+            single = transport_operator(g, beta, arc)
+            batch = path_transports(g, beta, [[arc.length * np.asarray(arc.direction)]])[0]
+            assert np.max(np.abs(single - batch)) <= 2e-15
+        # phi = 0 gives Id exactly: a zero length, or any arc on a vanishing connection
+        arcs = [GroupArc((0.0, 0.0, 1.0), 0.0)]
+        if not np.any(_killing_coefficients(g, beta)):
+            arcs.append(arc_from_vector(rng.standard_normal(3)))
+        for arc in arcs:
+            v = arc.length * np.asarray(arc.direction)
+            assert np.array_equal(transport_operator(g, beta, arc), np.eye(2))
+            assert np.array_equal(path_transports(g, beta, [[v]])[0], np.eye(2))
+
+
+@pytest.mark.parametrize("phi", [1e-300, 5e-324, 1e-170])
+def test_tiny_exponents_give_finite_unitary_transports(phi):
+    # on round at beta = 1/2, B_i = -e_i = q_i, so an arc of length t along e_3 has phi = t
+    arc = GroupArc((0.0, 0.0, 1.0), phi)
+    for U in (transport_operator(ROUND, HALF, arc), path_transports(ROUND, HALF, [[(0.0, 0.0, phi)]])[0]):
+        assert np.all(np.isfinite(U))
+        assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-15
+        assert np.max(np.abs(U - np.eye(2))) <= 2 * phi
+
+
+def test_overflowing_exponents_give_nan_transports_silently():
+    # at lambda = 200, beta = 50 an arc of length 1.7e308 overflows the su(2)
+    # exponent; both kernels give NaN, as expm does, and warn nothing
+    g, beta = milnor_geometry((200.0, 200.0, 200.0)), WeightedDensity(50.0)
+    arc = GroupArc((1.0, 0.0, 0.0), 1.7e308)
+    paths = np.array([[(1.7e308, 0.0, 0.0)], [(0.3, 0.0, 0.0)], [(1e308, -1e308, 1e308)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        U = transport_operator(g, beta, arc)
+        batch = path_transports(g, beta, paths)
+        quaternions = _su2_quaternion([(1e200, 0.0, 0.0), (np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0)])
+        sv = min_singular_value(np.stack([U, batch[1]]))
+        batch_sv = min_singular_value(batch)
+    assert U.shape == (2, 2) and np.all(np.isnan(U))
+    assert np.all(np.isnan(batch[[0, 2]]))
+    assert np.array_equal(batch[1], path_transports(g, beta, paths[1:2])[0])  # the others unharmed
+    assert np.all(np.isnan(quaternions))
+    assert math.isnan(sv) and math.isnan(batch_sv)
+
+
 def hamilton_product(p, q):
     """p * q for quaternion batches (N, 4), the way path_transports composes arcs."""
     return (p[:, :, None] * q[:, None, :]).reshape(len(p), 16) @ _HAMILTON
@@ -208,7 +337,7 @@ def test_hamilton_table_is_the_matrix_product_and_write_locked():
 
 def matrix_path_transports(g, beta, paths):
     """The per-arc product of complex 2x2 transports, as path_transports composed before."""
-    steps = _su2_exp(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
+    steps = su2_exp(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
     out = np.broadcast_to(np.eye(2, dtype=complex), steps.shape[:1] + (2, 2))
     for j in range(steps.shape[1]):
         out = steps[:, j] @ out
@@ -262,7 +391,7 @@ def closure_defect(g, paths):
     L = su2_embedding(g)
     end = np.broadcast_to(np.eye(2), paths.shape[:1] + (2, 2))
     for j in range(paths.shape[1]):
-        end = end @ _su2_exp(paths[:, j] @ L)
+        end = end @ su2_exp(paths[:, j] @ L)
     return np.max(np.abs(end - np.eye(2)), axis=(-2, -1))
 
 
@@ -658,8 +787,8 @@ def per_sample_killing_residual(g, beta, samples, h):
     step = h / s
     A = spin_connection(g)
     B = killing_connection(g, beta)
-    plus = [_su2_exp(-step * _su2_coefficients(B[i])) for i in range(3)]
-    minus = [_su2_exp(step * _su2_coefficients(B[i])) for i in range(3)]
+    plus = [su2_exp(-step * _su2_coefficients(B[i])) for i in range(3)]
+    minus = [su2_exp(step * _su2_coefficients(B[i])) for i in range(3)]
     worst = 0.0
     for path in samples:
         U = per_sample_transport(g, beta, path)
