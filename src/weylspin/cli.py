@@ -30,10 +30,10 @@ from .killing import (
     PIN_INDEX,
     find_gt_parameters,
     killing_residual,
+    loop_batch,
     loop_holonomy,
     min_singular_value,
     path_independence_residual,
-    quadrilateral_loop,
     sample_transports,
 )
 from .spinconn import flatness
@@ -222,16 +222,17 @@ def _cmd_killing(args):
     if not all(s["pass"] for s in sections):
         return sections
 
-    loops = quadrilateral_loop(g, beta, rng, args.loops)
-    worst_dev = float(np.max(loop_holonomy(g, beta, loops)[1]))
+    # the loops and the path pairs are drawn, closed and transported as one batch
+    batch = loop_batch(g, beta, rng, args.loops, pairs=5)
+    worst_dev = float(np.max(loop_holonomy(batch)[1]))
     sections.append(_bound_section("max_holonomy_deviation", worst_dev, 1e-9, "below"))
 
-    samples = [loop[:arcs] for loop in loops[:10] for arcs in (1, 2)]
+    samples = [loop[:arcs] for loop in batch.paths[: min(args.loops, 10)] for arcs in (1, 2)]
     transports = sample_transports(g, beta, samples)  # each sample transported once, per arc
     min_sv = min_singular_value(transports)
     sections.append(_bound_section("min_singular_value", min_sv, 0.1, "above"))
 
-    indep = path_independence_residual(g, beta, rng, pairs=5)
+    indep = path_independence_residual(batch)
     sections.append(_bound_section("path_independence", indep, 1e-9, "below"))
 
     h = 1e-5

@@ -16,6 +16,7 @@ flatness-equivalence audits, see docs/CONVENTIONS.md):
   * (nabla beta)_i = w theta_i beta  for a frame-constant density of weight w
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,14 @@ def weyl_connection(g):
     return lc + wt
 
 
+@functools.lru_cache(maxsize=1)
+def weyl_coefficients(g):
+    """Read-only Gamma of weyl_connection(g), built once per (immutable) geometry."""
+    gamma = weyl_connection(g)
+    gamma.setflags(write=False)
+    return gamma
+
+
 def curvature_package(g):
     """All curvature data of the Weyl structure in the frame.
 
@@ -160,7 +169,7 @@ def curvature_package(g):
         R4 = Ric^N kn c + F (x) c
     with Ric^N = -sym0 Ric - (1/12) R c + (1/2) F, which the tests check.
     """
-    gamma = weyl_connection(g)
+    gamma = weyl_coefficients(g)
     c = g.structure_constants
     r4 = (
         np.einsum("jkm,iml->ijkl", gamma, gamma)
@@ -221,8 +230,13 @@ def gt_residual_vector(g, beta):
     )
 
 
+@functools.lru_cache(maxsize=1)
 def residual_scale(g, beta):
-    """Scale used to normalize weight -2 residuals: max coefficient magnitude."""
+    """Scale used to normalize weight -2 residuals: max coefficient magnitude.
+
+    Computed once per (immutable) geometry and density: a killing call reads
+    it from analyze, flatness, the loop lengths and killing_residual.
+    """
     return float(
         max(
             np.max(np.abs(g.structure_constants)),

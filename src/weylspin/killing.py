@@ -13,7 +13,10 @@ expm of the 3x3 matrix ad_X read off the structure constants (a degree-16
 Taylor polynomial in Paterson-Stockmeyer form, scaled and squared), so they
 close on every simply connected Lie group without a model of the group.
 Loops come in batches, an (N, k, 3) array of arc frame vectors, so drawing
-and transporting N loops are array operations. A single arc (GroupArc) runs
+and transporting N loops are array operations; loop_batch draws the loops
+and the path pairs of one killing check together, closes them with one expm
+and transports them as one stack, which loop_holonomy and
+path_independence_residual each read a slice of. A single arc (GroupArc) runs
 the same closed form on Python floats, where numpy's per-call cost would
 dominate a 3-vector, and becomes a 2x2 matrix through the same quaternion
 basis. The 2-dimensional Killing spinor space is spanned by the transports
@@ -65,25 +68,31 @@ class GroupArc:
     length: float
 
     def __post_init__(self):
-        direction = _float_triple(self.direction, "arc direction")
-        length = float(self.length)
-        if not all(map(math.isfinite, direction + (length,))):
-            raise ShapeError("arc direction and length must be finite")
-        if abs(math.hypot(*direction) - 1.0) > 1e-10:
-            raise ShapeError("arc direction must be a unit vector")
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "length", length)
+        _set_arc(self, _float_triple(self.direction, "arc direction"), float(self.length))
+
+
+def _set_arc(arc, direction, length):
+    """Store direction (3 floats) and length (a float) on arc; ShapeError unless a finite unit arc."""
+    if not all(map(math.isfinite, direction + (length,))):
+        raise ShapeError("arc direction and length must be finite")
+    if abs(math.hypot(*direction) - 1.0) > 1e-10:
+        raise ShapeError("arc direction must be a unit vector")
+    object.__setattr__(arc, "direction", direction)
+    object.__setattr__(arc, "length", length)
+    return arc
 
 
 def arc_from_vector(v):
-    """Arc flowing along the frame vector v: direction v/||v||, length ||v||."""
+    """Arc flowing along the frame vector v: direction v/||v||, length ||v||.
+
+    The arc is checked once, by the same _set_arc as GroupArc(direction,
+    length), without converting the direction it computes a second time.
+    """
     v = _float_triple(v, "arc vector")
     t = math.hypot(*v)
-    if not math.isfinite(t):
-        raise ShapeError("arc vector and its length must be finite")
     if t == 0.0:
         return GroupArc((1.0, 0.0, 0.0), 0.0)
-    return GroupArc(tuple(c / t for c in v), t)
+    return _set_arc(object.__new__(GroupArc), tuple(c / t for c in v), t)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +154,17 @@ def _su2_quaternion(x):
     """exp of sum x_k q_k for coefficients x (..., 3), as unit quaternions (..., 4).
 
     [cos phi, (sin phi / phi) x] with phi = sqrt(sum x_k^2), and (1, 0, 0, 0)
-    exactly where phi = 0. Where the sum of squares overflows the quaternion
-    is NaN, with no warning.
+    exactly where phi = 0. Where the sum of squares overflows, phi is
+    m sqrt(sum (x_k / m)^2) with m = max|x_k| instead, so phi overflows where
+    _float_quaternion's hypot does, and every other phi keeps its bits. A
+    non-finite phi gives a NaN quaternion, with no warning.
     """
     x = np.asarray(x, dtype=float)
     phi = np.sqrt(np.einsum("...k,...k->...", x, x))[..., None]
+    big = np.isinf(phi[..., 0])
+    if np.any(big):
+        m = np.max(np.abs(x[big]), axis=-1, keepdims=True)
+        phi[big] = m * np.sqrt(np.sum((x[big] / m) ** 2, axis=-1, keepdims=True))
     sinc = np.divide(np.sin(phi), phi, out=np.ones_like(phi), where=phi != 0.0)
     return np.concatenate([np.cos(phi), sinc * x], axis=-1)
 
@@ -239,6 +254,21 @@ def path_transports(g, beta, paths):
     return _quaternion_matrices(out)
 
 
+def _loop_legs(g, beta, rng, n):
+    """The first two arcs X, Y (2, n, 3) of n loops, drawn as quadrilateral_loop describes."""
+    d = rng.standard_normal((n, 2, 3))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    t = rng.uniform(0.4, 1.2, (n, 2)) / (residual_scale(g, beta) or 1.0)
+    return np.moveaxis(t[..., None] * d, 1, 0)
+
+
+def _closed_loops(g, X, Y):
+    """The loops X, Y, -X, -Z (n, 4, 3) with Z = expm(ad_X) Y, from one expm of the batch."""
+    ad = np.einsum("ni,ijk->nkj", X, g.structure_constants)
+    Z = (expm(ad) @ Y[..., None])[..., 0]
+    return np.stack([X, Y, -X, -Z], axis=1)
+
+
 def quadrilateral_loop(g, beta, rng, n):
     """n random closed loops (n, 4, 3): the arcs X, Y, -X, -Z with Z = exp(ad_X) Y.
 
@@ -250,19 +280,55 @@ def quadrilateral_loop(g, beta, rng, n):
     (1 for the zero geometry), so a loop spans the same part of the group at
     every scale.
     """
-    d = rng.standard_normal((n, 2, 3))
-    d /= np.linalg.norm(d, axis=-1, keepdims=True)
-    t = rng.uniform(0.4, 1.2, (n, 2)) / (residual_scale(g, beta) or 1.0)
-    X, Y = np.moveaxis(t[..., None] * d, 1, 0)
-    ad = np.einsum("ni,ijk->nkj", X, g.structure_constants)
-    Z = (expm(ad) @ Y[..., None])[..., 0]
-    return np.stack([X, Y, -X, -Z], axis=1)
+    return _closed_loops(g, *_loop_legs(g, beta, rng, n))
 
 
-def loop_holonomy(g, beta, loops):
-    """Killing holonomies (N, 2, 2) around a batch of closed loops, and their max|H - Id| (N,)."""
-    H = path_transports(g, beta, loops)
+@dataclass(frozen=True, eq=False)
+class LoopBatch:
+    """Closed loops and path pairs, drawn together, with their transports as one stack.
+
+    paths (loops + 2 pairs, 4, 3) holds the loops X, Y, -X, -Z, then each
+    pair's first path X, Y, -X, 0, then its second path Z, 0, 0, 0, the
+    closing arc reversed; a pair's two paths end at the same point. A zero
+    arc transports as the identity quaternion exactly, so the padding changes
+    no transport. transports (loops + 2 pairs, 2, 2) = path_transports(paths).
+    """
+
+    paths: np.ndarray
+    transports: np.ndarray
+    loops: int
+    pairs: int
+
+
+def loop_batch(g, beta, rng, loops, pairs=5):
+    """Draw `loops` closed loops and `pairs` path pairs, and transport them as one LoopBatch.
+
+    The draws are those of quadrilateral_loop(g, beta, rng, loops) followed by
+    quadrilateral_loop(g, beta, rng, pairs): the loops' directions, the loops'
+    lengths, the pairs' directions, the pairs' lengths. All loops + pairs
+    close through one expm and all their paths go through one path_transports.
+    """
+    X, Y = np.concatenate([_loop_legs(g, beta, rng, loops), _loop_legs(g, beta, rng, pairs)], axis=1)
+    closed = _closed_loops(g, X, Y)
+    first = closed[loops:].copy()
+    first[:, 3] = 0.0
+    second = np.zeros_like(first)
+    second[:, 0] = -closed[loops:, 3]
+    paths = np.concatenate([closed[:loops], first, second])
+    return LoopBatch(paths, path_transports(g, beta, paths), loops, pairs)
+
+
+def loop_holonomy(batch):
+    """Killing holonomies (loops, 2, 2) around the batch's loops, and their max|H - Id| (loops,)."""
+    H = batch.transports[: batch.loops]
     return H, np.max(np.abs(H - _ID2), axis=(-2, -1))
+
+
+def path_independence_residual(batch):
+    """Max transport disagreement between the two paths of each of the batch's pairs."""
+    first = batch.transports[batch.loops : batch.loops + batch.pairs]
+    second = batch.transports[batch.loops + batch.pairs :]
+    return float(np.max(np.abs(first - second)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +343,8 @@ BASE_SPINORS.setflags(write=False)
 def sample_transports(g, beta, samples):
     """Transports (N, 2, 2) along N paths, each a (k, 3) array of arc frame vectors.
 
-    Later arcs act on the left. Each arc goes once through
+    Later arcs act on the left, and a path of one arc is that arc's
+    transport. Each arc goes once through
     transport_operator(g, beta, arc_from_vector(v)), the per-arc entry that
     bench/run.py wraps to spot-check transports against RK4.
     """
@@ -285,7 +352,8 @@ def sample_transports(g, beta, samples):
     for path in samples:
         U = _ID2
         for v in path:
-            U = transport_operator(g, beta, arc_from_vector(v)) @ U
+            T = transport_operator(g, beta, arc_from_vector(v))
+            U = T if U is _ID2 else T @ U
         out.append(U)
     return np.stack(out)
 
@@ -305,16 +373,6 @@ def min_singular_value(transports):
         return float("nan")
     m = np.swapaxes(v / np.linalg.norm(v, axis=-1, keepdims=True), -2, -1)
     return float(np.min(np.linalg.svd(m, compute_uv=False)[:, -1]))
-
-
-def path_independence_residual(g, beta, rng, pairs=5):
-    """Max transport disagreement between random path pairs to a common endpoint."""
-    loops = quadrilateral_loop(g, beta, rng, pairs)
-    # each last arc closes its loop, so traversing it backwards is a one-arc
-    # path to the endpoint of the first three arcs
-    U1 = path_transports(g, beta, loops[:, :3])
-    U2 = path_transports(g, beta, -loops[:, 3:])
-    return float(np.max(np.abs(U1 - U2)))
 
 
 def killing_residual(g, beta, transports, h=1e-5):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import E
-from .geometry import normalized_residual, weyl_connection
+from .geometry import normalized_residual, weyl_coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +30,7 @@ class KillingCurvature:
 
 def spin_connection(g):
     """Spinor connection matrices A_i (3, 2, 2) for the Weyl structure."""
-    gamma = weyl_connection(g)
+    gamma = weyl_coefficients(g)
     a = 0.5 * (gamma - np.swapaxes(gamma, 1, 2))
     return 0.25 * np.einsum("ijk,jab,kbc->iac", a, E, E)
 

@@ -32,10 +32,10 @@ from weylspin.killing import (
     arc_from_vector,
     find_gt_parameters,
     killing_residual,
+    loop_batch,
     loop_holonomy,
     milnor_theta3_family,
     min_singular_value,
-    quadrilateral_loop,
     sample_transports,
     transport_operator,
 )
@@ -162,10 +162,10 @@ def test_criterion_06_round_sphere_end_to_end():
         checks.append(abs(pkg.scalar - 24.0 * b * b) < 1e-12)
         checks.append(killing_curvature(ROUND, beta).residual < 1e-12)
     beta = WeightedDensity(0.5)
-    loops = quadrilateral_loop(ROUND, beta, rng, 50)
-    worst_dev = float(np.max(loop_holonomy(ROUND, beta, loops)[1]))
+    batch = loop_batch(ROUND, beta, rng, 50, pairs=0)
+    worst_dev = float(np.max(loop_holonomy(batch)[1]))
     checks.append(worst_dev < 1e-9)
-    transports = sample_transports(ROUND, beta, loops[:, :2])
+    transports = sample_transports(ROUND, beta, batch.paths[:, :2])
     fd = killing_residual(ROUND, beta, transports[:20], h=1e-5)
     checks.append(fd < 1e-7)
     min_sv = min_singular_value(transports)

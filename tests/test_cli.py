@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import weylspin
-from weylspin import killing, spinconn
+from weylspin import geometry, killing, spinconn
 from weylspin.cli import ANALYZE_TOL, build_parser, main, parse_geometry_file
 from weylspin.errors import ParseError
 from weylspin.geometry import (
@@ -296,6 +296,51 @@ def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypa
         code, _, _ = run_cli(capsys, argv)
         assert code == 0
         assert len(built) == 1
+
+
+def test_one_weyl_connection_and_scale_per_geometry_and_command(tmp_path, capsys, monkeypatch):
+    # analyze and flatness both need Gamma, and five places need the scale:
+    # each is computed once per geometry and read from its memo after that
+    built = []
+    original = geometry.weyl_connection
+    spy = lambda g: built.append(g) or original(g)
+    monkeypatch.setattr(geometry, "weyl_connection", spy)
+    path = write(tmp_path, "round.json", ROUND_TEXT)
+    for argv in (["analyze", path], ["killing", path, "--loops", "5"]):
+        built.clear()
+        geometry.residual_scale.cache_clear()
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert len(built) == 1
+        scale_reads = geometry.residual_scale.cache_info()
+        assert scale_reads.misses == 1 and scale_reads.hits >= 1
+
+
+def test_memoized_connection_and_scale_keep_their_bits():
+    g, beta = parse_geometry_file(BERGER_PATH)
+    gamma = geometry.weyl_coefficients(g)
+    assert gamma.tobytes() == geometry.weyl_connection(g).tobytes()
+    assert not gamma.flags.writeable
+    with pytest.raises(ValueError):
+        gamma[0, 0, 0] = 1.0
+    want = max(np.max(np.abs(g.structure_constants)), np.max(np.abs(g.theta)), abs(beta.value))
+    assert geometry.residual_scale(g, beta) == want
+
+
+def test_one_loop_batch_per_certified_killing_call(tmp_path, capsys, monkeypatch):
+    # the loops and the path-independence pairs close through one expm and
+    # are transported by one path_transports call
+    calls = []
+    for name in ("expm", "path_transports"):
+        original = getattr(killing, name)
+        spy = lambda *args, name=name, original=original: calls.append(name) or original(*args)
+        monkeypatch.setattr(killing, name, spy)
+    path = write(tmp_path, "round.json", ROUND_TEXT)
+    for loops in ("1", "20"):
+        calls.clear()
+        code, out, _ = run_cli(capsys, ["killing", path, "--loops", loops])
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+        assert sorted(calls) == ["expm", "path_transports"]
 
 
 def test_killing_command_passes_at_large_scale(tmp_path, capsys):

@@ -27,6 +27,7 @@ from weylspin.geometry import (
 from weylspin.killing import (
     BASE_SPINORS,
     GroupArc,
+    LoopBatch,
     _HAMILTON,
     _family_quadratic_form,
     _killing_coefficients,
@@ -38,6 +39,7 @@ from weylspin.killing import (
     find_gt_parameters,
     gt_residual_vector,
     killing_residual,
+    loop_batch,
     loop_holonomy,
     milnor_theta3_family,
     min_singular_value,
@@ -305,7 +307,7 @@ def test_overflowing_exponents_give_nan_transports_silently():
         warnings.simplefilter("error")
         U = transport_operator(g, beta, arc)
         batch = path_transports(g, beta, paths)
-        quaternions = _su2_quaternion([(1e200, 0.0, 0.0), (np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0)])
+        quaternions = _su2_quaternion([(1.5e308, 1.5e308, 0.0), (np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0)])
         sv = min_singular_value(np.stack([U, batch[1]]))
         batch_sv = min_singular_value(batch)
     assert U.shape == (2, 2) and np.all(np.isnan(U))
@@ -313,6 +315,28 @@ def test_overflowing_exponents_give_nan_transports_silently():
     assert np.array_equal(batch[1], path_transports(g, beta, paths[1:2])[0])  # the others unharmed
     assert np.all(np.isnan(quaternions))
     assert math.isnan(sv) and math.isnan(batch_sv)
+
+
+@pytest.mark.parametrize("t", [1.4e154, 1e160, 1e200, 1e300])
+def test_both_kernels_overflow_at_the_same_norm(t):
+    # on round at beta = 1/2 the arc t e_1 has the exponent x = (-t, 0, 0):
+    # its sum of squares overflows from t of about 1.3e154, but phi = t does
+    # not, so both kernels give the same finite unit quaternion
+    arc = GroupArc((1.0, 0.0, 0.0), t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = transport_operator(ROUND, HALF, arc)
+        batch = path_transports(ROUND, HALF, [[(t, 0.0, 0.0)], [(0.3, 0.0, 0.0)]])
+    for U in (single, batch[0]):
+        assert np.all(np.isfinite(U))
+        assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(single - batch[0])) <= 2e-15
+    # only the paths whose sum of squares overflows are rescaled
+    assert np.array_equal(batch[1], path_transports(ROUND, HALF, [[(0.3, 0.0, 0.0)]])[0])
+    # an exponent along no axis: finite and unit where its norm is
+    q = _su2_quaternion([(t, -t, 0.5 * t), (1.5e308, 1.5e308, 0.0)])
+    assert np.all(np.isfinite(q[0])) and abs(np.linalg.norm(q[0]) - 1.0) <= 1e-15
+    assert np.all(np.isnan(q[1]))
 
 
 def hamilton_product(p, q):
@@ -433,11 +457,17 @@ def test_quadrilateral_loops_close():
         assert_loops_close(g, loops, 1e-12)
 
 
+def transported(g, beta, loops):
+    """A LoopBatch of the given paths as its loops, with no pairs, for loop_holonomy."""
+    loops = np.asarray(loops, dtype=float)
+    return LoopBatch(loops, path_transports(g, beta, loops), len(loops), 0)
+
+
 def test_open_path_raises():
     # the oracle's gate refuses a one-arc path, whose transport is far from Id
     with pytest.raises(AssertionError, match="1 of 1 paths open"):
         assert_loops_close(ROUND, [[(0.0, 0.0, 0.7)]])
-    _, deviation = loop_holonomy(ROUND, HALF, [[(0.0, 0.0, 0.7)]])
+    _, deviation = loop_holonomy(transported(ROUND, HALF, [[(0.0, 0.0, 0.7)]]))
     assert deviation[0] > 0.1
 
 
@@ -449,7 +479,7 @@ def test_one_open_loop_in_a_batch_raises():
     with pytest.raises(AssertionError, match="1 of 6 paths open"):
         assert_loops_close(ROUND, loops)
     # on the flat round connection only the open loop has a holonomy
-    _, deviation = loop_holonomy(ROUND, HALF, loops)
+    _, deviation = loop_holonomy(transported(ROUND, HALF, loops))
     assert np.flatnonzero(deviation > 1e-10).tolist() == [3]
 
 
@@ -608,10 +638,10 @@ def test_loops_close_on_a_non_unimodular_algebra():
     assert analyze(g, beta).verdict and flatness(g, beta) == 0.0
     assert np.max(np.abs(killing_connection(g, beta))) > 0.1
     loops = quadrilateral_loop(g, beta, np.random.default_rng(28), 200)
-    assert np.max(loop_holonomy(g, beta, loops)[1]) < 1e-13
+    assert np.max(loop_holonomy(transported(g, beta, loops))[1]) < 1e-13
     # negative control: open loops, the last arc lengthened by 1 %
     loops[:, 3] *= 1.01
-    assert np.max(loop_holonomy(g, beta, loops)[1]) > 1e-4
+    assert np.max(loop_holonomy(transported(g, beta, loops))[1]) > 1e-4
 
 
 @settings(max_examples=40, deadline=None)
@@ -635,9 +665,9 @@ def test_loop_model_works_in_any_frame(lam, sign, beta_sign, axis, angle, seed):
     # the round Gauduchon-Tod member, |beta| = lambda / 4, in the same frame
     g = rotated_geometry(milnor_geometry((sign * lam[0],) * 3), R)
     beta = WeightedDensity(beta_sign * lam[0] / 4.0)
-    _, dev = loop_holonomy(g, beta, quadrilateral_loop(g, beta, rng, 5))
-    assert np.max(dev) < 1e-12
-    assert path_independence_residual(g, beta, rng, pairs=3) < 1e-12
+    batch = loop_batch(g, beta, rng, 5, pairs=3)
+    assert np.max(loop_holonomy(batch)[1]) < 1e-12
+    assert path_independence_residual(batch) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -652,7 +682,7 @@ def test_verdicts_and_holonomy_are_gauge_invariant(s):
     assert analyze(g, beta).verdict
     assert flatness(g, beta) < 1e-10
     rng = np.random.default_rng(17)
-    _, dev = loop_holonomy(g, beta, quadrilateral_loop(g, beta, rng, 5))
+    _, dev = loop_holonomy(loop_batch(g, beta, rng, 5))
     assert np.max(dev) < 1e-9
     # negative control: beta off by 2 % fails both verdicts at every scale
     g, beta = gauge_rescale(g0, WeightedDensity(1.02 * beta0.value), s)
@@ -667,13 +697,13 @@ def test_negative_definite_milnor_frame_is_flat_along_loops():
     assert analyze(g, beta).verdict
     assert killing_curvature(g, beta).residual < 1e-14
     rng = np.random.default_rng(16)
-    _, dev = loop_holonomy(g, beta, quadrilateral_loop(g, beta, rng, 20))
-    assert np.max(dev) < 1e-12
-    assert path_independence_residual(g, beta, rng, pairs=8) < 1e-12
+    batch = loop_batch(g, beta, rng, 20, pairs=8)
+    assert np.max(loop_holonomy(batch)[1]) < 1e-12
+    assert path_independence_residual(batch) < 1e-12
 
 
 def test_empty_loop_is_trivial():
-    H, dev = loop_holonomy(ROUND, HALF, np.zeros((1, 0, 3)))
+    H, dev = loop_holonomy(transported(ROUND, HALF, np.zeros((1, 0, 3))))
     assert np.array_equal(H, np.eye(2)[None])
     assert np.array_equal(dev, [0.0])
 
@@ -693,8 +723,9 @@ def test_batched_holonomy_matches_per_arc_transports():
     rng = np.random.default_rng(20)
     for g, beta in cases:
         for n in (1, 3):
-            loops = quadrilateral_loop(g, beta, rng, n)
-            H, dev = loop_holonomy(g, beta, loops)
+            batch = loop_batch(g, beta, rng, n)
+            loops = batch.paths[:n]
+            H, dev = loop_holonomy(batch)
             assert H.shape == (n, 2, 2) and dev.shape == (n,)
             assert np.max(np.abs(H - sample_transports(g, beta, loops))) < 1e-13
             assert np.array_equal(dev, np.max(np.abs(H - np.eye(2)), axis=(-2, -1)))
@@ -704,14 +735,14 @@ def test_batched_holonomy_matches_per_arc_transports():
 
 def test_holonomy_trivial_on_round_sphere():
     rng = np.random.default_rng(7)
-    _, dev = loop_holonomy(ROUND, HALF, quadrilateral_loop(ROUND, HALF, rng, 50))
+    _, dev = loop_holonomy(loop_batch(ROUND, HALF, rng, 50))
     assert np.max(dev) < 1e-9
 
 
 def test_holonomy_negative_control():
     rng = np.random.default_rng(8)
     beta = WeightedDensity(0.3)  # not GT, curvature residual 0.32
-    _, dev = loop_holonomy(ROUND, beta, quadrilateral_loop(ROUND, beta, rng, 1))
+    _, dev = loop_holonomy(loop_batch(ROUND, beta, rng, 1))
     assert dev[0] > 1e-3
 
 
@@ -719,10 +750,97 @@ def test_path_independence_iff_flatness():
     rng = np.random.default_rng(9)
     flat_res = killing_curvature(ROUND, HALF).residual
     assert flat_res < 1e-10
-    assert path_independence_residual(ROUND, HALF, rng, pairs=8) < 1e-8
+    assert path_independence_residual(loop_batch(ROUND, HALF, rng, 0, pairs=8)) < 1e-8
     beta = WeightedDensity(0.3)
     assert killing_curvature(ROUND, beta).residual > 1e-10
-    assert path_independence_residual(ROUND, beta, rng, pairs=8) > 1e-8
+    assert path_independence_residual(loop_batch(ROUND, beta, rng, 0, pairs=8)) > 1e-8
+
+
+# the fused loop batch ---------------------------------------------------------
+
+
+def separate_calls(g, beta, rng, loops, pairs):
+    """The oracle: killing's loop sections as separate calls, as before the fused batch.
+
+    Two quadrilateral_loop draws, each closed by its own expm, and three
+    path_transports calls. Returns the loops, their deviations max|H - Id|,
+    the pairs' loops and the path-independence residual.
+    """
+    closed = quadrilateral_loop(g, beta, rng, loops)
+    deviation = np.max(np.abs(path_transports(g, beta, closed) - np.eye(2)), axis=(-2, -1))
+    pair_loops = quadrilateral_loop(g, beta, rng, pairs)
+    first = path_transports(g, beta, pair_loops[:, :3])
+    second = path_transports(g, beta, -pair_loops[:, 3:])
+    return closed, deviation, pair_loops, float(np.max(np.abs(first - second), initial=0.0))
+
+
+def batch_cases():
+    """Certified (g, beta): round, Berger, flat R^3, flat Bianchi V, a rotated Berger
+    frame, a negative Milnor frame and the round member at scale 200."""
+    return single_arc_cases() + [
+        (milnor_geometry((-3.0, -3.0, -3.0)), WeightedDensity(-0.75)),
+        (milnor_geometry((200.0, 200.0, 200.0)), WeightedDensity(50.0)),
+    ]
+
+
+BATCH_SIZES = [(1, 5), (20, 5), (50, 5), (7, 0), (0, 8)]
+
+
+def test_loop_batch_draws_what_two_quadrilateral_loop_calls_draw():
+    for g, beta in batch_cases():
+        unit = 1.0 / (residual_scale(g, beta) or 1.0)
+        for loops, pairs in BATCH_SIZES:
+            batch = loop_batch(g, beta, np.random.default_rng(30), loops, pairs)
+            closed, _, pair_loops, _ = separate_calls(g, beta, np.random.default_rng(30), loops, pairs)
+            n = loops + 2 * pairs
+            assert (batch.loops, batch.pairs) == (loops, pairs)
+            assert batch.paths.shape == (n, 4, 3) and batch.transports.shape == (n, 2, 2)
+            loop_paths, first, second = np.split(batch.paths, [loops, loops + pairs])
+            # X, Y and -X bitwise; the closing arcs share one expm, whose
+            # scaling may differ from either separate call's: rounding only
+            assert np.array_equal(loop_paths[:, :3], closed[:, :3])
+            assert np.array_equal(first[:, :3], pair_loops[:, :3])
+            assert np.max(np.abs(loop_paths[:, 3] - closed[:, 3]), initial=0.0) <= 1e-15 * unit
+            assert np.max(np.abs(second[:, 0] + pair_loops[:, 3]), initial=0.0) <= 1e-15 * unit
+            # the zero arcs padding the pairs' paths to four arcs
+            assert not np.any(first[:, 3]) and not np.any(second[:, 1:])
+
+
+def test_loop_batch_sections_match_the_separate_calls():
+    for g, beta in batch_cases():
+        for loops, pairs in BATCH_SIZES:
+            batch = loop_batch(g, beta, np.random.default_rng(31), loops, pairs)
+            _, deviation, _, independence = separate_calls(g, beta, np.random.default_rng(31), loops, pairs)
+            H, dev = loop_holonomy(batch)
+            assert H.shape == (loops, 2, 2) and dev.shape == (loops,)
+            assert np.max(np.abs(dev - deviation), initial=0.0) <= 1e-15
+            if pairs:
+                assert abs(path_independence_residual(batch) - independence) <= 1e-15
+
+
+def test_zero_arcs_pad_a_path_bitwise():
+    # a zero arc is the identity quaternion exactly, and a Hamilton product
+    # with it multiplies by 0 and 1 and adds zeros, so padding moves no bit
+    rng = np.random.default_rng(32)
+    for g, beta in batch_cases():
+        for k in (0, 1, 2, 3):
+            paths = rng.standard_normal((20, k, 3)) / (residual_scale(g, beta) or 1.0)
+            want = path_transports(g, beta, paths)
+            for pad in range(1, 5 - k):
+                padded = np.concatenate([paths, np.zeros((20, pad, 3))], axis=1)
+                assert path_transports(g, beta, padded).tobytes() == want.tobytes()
+
+
+def test_path_independence_of_the_batch_trips_off_the_gauduchon_tod_family():
+    # the negative control at killing's own sizes: beta off by 2 % on a
+    # certified round member gives transports that depend on the path
+    for lam in (2.0, 200.0):
+        g = milnor_geometry((lam, lam, lam))
+        for beta, certified in ((lam / 4.0, True), (1.02 * lam / 4.0, False)):
+            batch = loop_batch(g, WeightedDensity(beta), np.random.default_rng(33), 20, pairs=5)
+            indep = path_independence_residual(batch)
+            worst = float(np.max(loop_holonomy(batch)[1]))
+            assert (indep < 1e-8, worst < 1e-8) == (certified, certified)
 
 
 # the basis ------------------------------------------------------------------
