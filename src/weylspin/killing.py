@@ -1,28 +1,27 @@
 """Killing spinor construction by parallel transport of the flat connection.
 
 Paths live on the simply connected group of the homogeneous geometry. An arc
-is the flow of a fixed frame direction d for a parameter length t; along it the
-Killing connection is the constant matrix sum(d_i B_i). Every B_i lies in su(2)
-(traceless and anti-Hermitian), so transport is a unit quaternion given by a
-closed-form exponential, and the su(2) coefficients of the B_i are resolved
-once per (immutable) geometry. Along a path the arcs compose as real
-quaternions, by Hamilton products through a table read off the 2x2 basis,
-and each path's product becomes a 2x2 matrix once, at the end. Loops are
+is the flow of a fixed frame vector v for unit parameter time (GroupArc); along
+it the Killing connection is the constant matrix sum(v_i B_i). Every B_i lies
+in su(2) (traceless and anti-Hermitian), so transport is a unit quaternion
+given by a closed-form exponential, and the su(2) coefficients of the B_i are
+resolved once per (immutable) geometry. Along a path the arcs compose as real
+quaternions, by Hamilton products through a table read off the 2x2 basis, and
+each path's product becomes a 2x2 matrix once, at the end. Loops are
 quadrilaterals X, Y, -X, -Ad Y whose last arc comes from the adjoint action,
 expm of the 3x3 matrix ad_X read off the structure constants (a degree-16
 Taylor polynomial in Paterson-Stockmeyer form, scaled and squared), so they
 close on every simply connected Lie group without a model of the group.
-Loops come in batches, an (N, k, 3) array of arc frame vectors, so drawing
+Paths come in batches, an (N, k, 3) array of arc frame vectors, so drawing
 and transporting N loops are array operations; loop_batch draws the loops
 and the path pairs of one killing check together, closes them with one expm
 and transports them as one stack, which loop_holonomy and
-path_independence_residual each read a slice of. A single arc (GroupArc) runs
-the same closed form on Python floats, where numpy's per-call cost would
-dominate a 3-vector, and becomes a 2x2 matrix through the same quaternion
-basis. The 2-dimensional Killing spinor space is spanned by the transports
-of the base pair (1, 0), J (1, 0): sample_transports gives them as an
-(N, 2, 2) stack, and min_singular_value and killing_residual check all N
-samples as arrays.
+path_independence_residual each read a slice of. A single arc runs the same
+closed form on Python floats, where numpy's per-call cost would dominate a
+3-vector, and becomes a 2x2 matrix through the same quaternion basis. The
+2-dimensional Killing spinor space is spanned by the transports of the base
+pair (1, 0), J (1, 0): sample_transports gives them as an (N, 2, 2) stack,
+and min_singular_value and killing_residual check all N samples as arrays.
 """
 
 import functools
@@ -52,47 +51,38 @@ _HAMILTON = 0.5 * np.real(
 _HAMILTON.setflags(write=False)
 
 
-def _float_triple(v, what):
-    """v as three Python floats; ShapeError unless it has shape (3,)."""
+def _float_triple(v):
+    """v as three finite Python floats; ShapeError unless it is 3 finite numbers, shape (3,).
+
+    Text is refused, whole or entry by entry: float() reads "1" as 1.0, so a
+    str or bytes of three characters would otherwise pass as three numbers.
+    """
     v = v.tolist() if isinstance(v, np.ndarray) else v
     try:
-        x, y, z = map(float, v)
-    except (TypeError, ValueError) as exc:  # not iterable, nested, or not 3 numbers
-        raise ShapeError(f"{what} must be 3 numbers, shape (3,)") from exc
-    return x, y, z
+        x, y, z = v
+        if any(isinstance(c, (str, bytes)) for c in (v, x, y, z)):
+            raise TypeError("text is not a number")
+        v = float(x), float(y), float(z)
+    except (TypeError, ValueError) as exc:  # not iterable, nested, text, or not 3 numbers
+        raise ShapeError("arc vector must be 3 numbers, shape (3,)") from exc
+    if not all(map(math.isfinite, v)):
+        raise ShapeError("arc vector must be finite")
+    return v
 
 
 @dataclass(frozen=True)
 class GroupArc:
-    direction: tuple  # unit vector of frame coefficients
-    length: float
+    """The flow of the frame vector `vector` (three finite floats) for unit parameter time."""
+
+    vector: tuple
 
     def __post_init__(self):
-        _set_arc(self, _float_triple(self.direction, "arc direction"), float(self.length))
+        object.__setattr__(self, "vector", _float_triple(self.vector))
 
-
-def _set_arc(arc, direction, length):
-    """Store direction (3 floats) and length (a float) on arc; ShapeError unless a finite unit arc."""
-    if not all(map(math.isfinite, direction + (length,))):
-        raise ShapeError("arc direction and length must be finite")
-    if abs(math.hypot(*direction) - 1.0) > 1e-10:
-        raise ShapeError("arc direction must be a unit vector")
-    object.__setattr__(arc, "direction", direction)
-    object.__setattr__(arc, "length", length)
-    return arc
-
-
-def arc_from_vector(v):
-    """Arc flowing along the frame vector v: direction v/||v||, length ||v||.
-
-    The arc is checked once, by the same _set_arc as GroupArc(direction,
-    length), without converting the direction it computes a second time.
-    """
-    v = _float_triple(v, "arc vector")
-    t = math.hypot(*v)
-    if t == 0.0:
-        return GroupArc((1.0, 0.0, 0.0), 0.0)
-    return _set_arc(object.__new__(GroupArc), tuple(c / t for c in v), t)
+    @property
+    def length(self):
+        """|vector|, by math.hypot."""
+        return math.hypot(*self.vector)
 
 
 # ---------------------------------------------------------------------------
@@ -100,26 +90,25 @@ def arc_from_vector(v):
 
 
 def transport_operator(g, beta, arc):
-    """exp(-t sum_i d_i B_i), the parallel transport of the Killing connection.
+    """exp(-sum_i v_i B_i), the parallel transport of the Killing connection along arc.
 
     Every B_i is traceless and anti-Hermitian, so the exponent is the element
-    x = -t sum_i d_i b[i, k] q_k of su(2), and its exponential is the unit
+    x = -sum_i v_i b[i, k] q_k of su(2), and its exponential is the unit
     quaternion [cos phi, (sin phi / phi) x], phi = |x|, exactly. x and the
     quaternion are formed on Python floats (_float_quaternion) from the
     columns of b memoized per geometry; one _quaternion_matrices call makes
     the 2x2 matrix. An exponent whose norm overflows gives NaN entries.
     """
-    d1, d2, d3 = arc.direction
-    t = -arc.length
-    x = [t * (d1 * b1 + d2 * b2 + d3 * b3) for b1, b2, b3 in _killing_columns(g, beta)]
+    v1, v2, v3 = arc.vector
+    x = [-(v1 * b1 + v2 * b2 + v3 * b3) for b1, b2, b3 in _killing_columns(g, beta)]
     return _quaternion_matrices(np.array(_float_quaternion(x)))
 
 
 def rk4_transport(g, beta, arc, psi0, steps=256):
-    """Independent cross-check: integrate psi' = -(sum d_i B_i) psi with RK4."""
+    """Independent cross-check: integrate psi' = -(sum v_i B_i) psi over unit time with RK4."""
     B = killing_connection(g, beta)
-    M = -np.einsum("i,iab->ab", np.asarray(arc.direction), B)
-    h = arc.length / steps
+    M = -np.einsum("i,iab->ab", np.asarray(arc.vector), B)
+    h = 1.0 / steps
     psi = np.asarray(psi0, dtype=complex)
     for _ in range(steps):
         k1 = M @ psi
@@ -234,13 +223,9 @@ def expm(A):
     return out
 
 
-# A batch of paths is an (N, k, 3) array: N paths of k arcs, arc j of path n
-# being the frame vector t d (direction d, length t) as arc_from_vector reads it.
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows makes its path NaN
 def path_transports(g, beta, paths):
-    """Transport operators (N, 2, 2) along a batch of paths; later arcs act on the left.
+    """Transports (N, 2, 2) along paths (N, k, 3) of arc frame vectors; later arcs act on the left.
 
     The arcs compose as real unit quaternions through _HAMILTON, and the N
     products become 2x2 matrices once, at the end. A path with an arc whose
@@ -255,32 +240,15 @@ def path_transports(g, beta, paths):
 
 
 def _loop_legs(g, beta, rng, n):
-    """The first two arcs X, Y (2, n, 3) of n loops, drawn as quadrilateral_loop describes."""
+    """The first two arcs X, Y (2, n, 3) of n loops: all directions, then all lengths.
+
+    Lengths are 0.4-1.2 in units of 1 / residual_scale(g, beta) (1 for the
+    zero geometry), so a loop spans the same part of the group at every scale.
+    """
     d = rng.standard_normal((n, 2, 3))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     t = rng.uniform(0.4, 1.2, (n, 2)) / (residual_scale(g, beta) or 1.0)
     return np.moveaxis(t[..., None] * d, 1, 0)
-
-
-def _closed_loops(g, X, Y):
-    """The loops X, Y, -X, -Z (n, 4, 3) with Z = expm(ad_X) Y, from one expm of the batch."""
-    ad = np.einsum("ni,ijk->nkj", X, g.structure_constants)
-    Z = (expm(ad) @ Y[..., None])[..., 0]
-    return np.stack([X, Y, -X, -Z], axis=1)
-
-
-def quadrilateral_loop(g, beta, rng, n):
-    """n random closed loops (n, 4, 3): the arcs X, Y, -X, -Z with Z = exp(ad_X) Y.
-
-    Flowing along X, Y, -X reaches exp(X) exp(Y) exp(-X) = exp(Ad_exp(X) Y),
-    and Ad_exp(X) = expm(ad_X) with (ad_X)[k, j] = sum_i X_i c[i, j, k], so
-    the arc -Z returns to the identity on every simply connected group.
-    All directions are drawn first, rng.standard_normal((n, 2, 3)), then all
-    lengths, rng.uniform(0.4, 1.2, (n, 2)), in units of 1 / residual_scale(g, beta)
-    (1 for the zero geometry), so a loop spans the same part of the group at
-    every scale.
-    """
-    return _closed_loops(g, *_loop_legs(g, beta, rng, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,17 +271,21 @@ class LoopBatch:
 def loop_batch(g, beta, rng, loops, pairs=5):
     """Draw `loops` closed loops and `pairs` path pairs, and transport them as one LoopBatch.
 
-    The draws are those of quadrilateral_loop(g, beta, rng, loops) followed by
-    quadrilateral_loop(g, beta, rng, pairs): the loops' directions, the loops'
-    lengths, the pairs' directions, the pairs' lengths. All loops + pairs
-    close through one expm and all their paths go through one path_transports.
+    Each loop (and each pair) is the arcs X, Y, -X, -Z with Z = expm(ad_X) Y:
+    flowing along X, Y, -X reaches exp(X) exp(Y) exp(-X) = exp(Ad_exp(X) Y),
+    and Ad_exp(X) = expm(ad_X) with (ad_X)[k, j] = sum_i X_i c[i, j, k], so
+    the arc -Z returns to the identity on every simply connected group. The
+    loops' legs are drawn before the pairs', so pairs=0 gives the loops alone.
+    All loops + pairs close through one expm and go through one path_transports.
     """
     X, Y = np.concatenate([_loop_legs(g, beta, rng, loops), _loop_legs(g, beta, rng, pairs)], axis=1)
-    closed = _closed_loops(g, X, Y)
+    ad = np.einsum("ni,ijk->nkj", X, g.structure_constants)
+    Z = (expm(ad) @ Y[..., None])[..., 0]
+    closed = np.stack([X, Y, -X, -Z], axis=1)
     first = closed[loops:].copy()
     first[:, 3] = 0.0
     second = np.zeros_like(first)
-    second[:, 0] = -closed[loops:, 3]
+    second[:, 0] = Z[loops:]
     paths = np.concatenate([closed[:loops], first, second])
     return LoopBatch(paths, path_transports(g, beta, paths), loops, pairs)
 
@@ -344,15 +316,15 @@ def sample_transports(g, beta, samples):
     """Transports (N, 2, 2) along N paths, each a (k, 3) array of arc frame vectors.
 
     Later arcs act on the left, and a path of one arc is that arc's
-    transport. Each arc goes once through
-    transport_operator(g, beta, arc_from_vector(v)), the per-arc entry that
-    bench/run.py wraps to spot-check transports against RK4.
+    transport. Each arc goes once through transport_operator(g, beta,
+    GroupArc(v)), the per-arc entry that bench/run.py wraps to spot-check
+    transports against RK4.
     """
     out = []
     for path in samples:
         U = _ID2
         for v in path:
-            T = transport_operator(g, beta, arc_from_vector(v))
+            T = transport_operator(g, beta, GroupArc(v))
             U = T if U is _ID2 else T @ U
         out.append(U)
     return np.stack(out)
@@ -457,7 +429,7 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     """Damped Newton search for a root of the Gauduchon-Tod residual system.
 
     One coordinate is pinned to quotient out the conformal rescaling freedom:
-    pin = (name_or_index, value), with value None meaning "keep x0's entry".
+    pin = (name or index 0..4, value), with value None meaning "keep x0's entry".
     Newton steps solve the least-squares system for the stacked residual
     vector of milnor_theta3_family, with simple backtracking (halve the step
     while the residual norm does not decrease). The residuals are the
@@ -474,6 +446,8 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     x = np.asarray(x0, dtype=float).copy()
     name, value = pin
     idx = PIN_INDEX[name] if isinstance(name, str) else int(name)
+    if not 0 <= idx < len(PIN_INDEX):
+        raise ShapeError(f"pin index {idx} is not one of 0..{len(PIN_INDEX) - 1}")
     if value is not None:
         x[idx] = value
     if not np.all(np.isfinite(x)):

@@ -29,7 +29,7 @@ from weylspin.identities import (
 )
 from weylspin.killing import (
     BASE_SPINORS,
-    arc_from_vector,
+    GroupArc,
     find_gt_parameters,
     killing_residual,
     loop_batch,
@@ -300,7 +300,7 @@ def test_criterion_11_quaternionic_structure():
         )
     beta = WeightedDensity(0.5)
     for _ in range(30):
-        arc = arc_from_vector(rng.uniform(-1.5, 1.5, 3))
+        arc = GroupArc(rng.uniform(-1.5, 1.5, 3))
         psi = random_spinor(rng)
         U = transport_operator(ROUND, beta, arc)
         d = U @ j_structure(psi) - j_structure(U @ psi)

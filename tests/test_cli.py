@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import re
 import shlex
@@ -262,7 +263,8 @@ def test_killing_sends_each_sample_arc_through_transport_operator(tmp_path, caps
     # through killing.transport_operator against RK4. The 20 sample paths (the
     # first one and two arcs of the first ten loops) each go through it once,
     # arc by arc, and nothing else does, so --loops 2 sends 6 arcs and the
-    # default --loops 50 sends 30
+    # default --loops 50 sends 30. Each must match RK4 at the default step
+    # count and at the benchmark's, 256 max(1, ceil(length scale))
     calls = []
     original = killing.transport_operator
 
@@ -281,8 +283,10 @@ def test_killing_sends_each_sample_arc_through_transport_operator(tmp_path, caps
         counts.append(len(calls) - before)
     assert counts == [6, 30]
     for g, beta, arc, U in calls:
-        rk4 = [killing.rk4_transport(g, beta, arc, e) for e in np.eye(2, dtype=complex)]
-        assert np.max(np.abs(U - np.stack(rk4, axis=1))) < 1e-8
+        bench_steps = 256 * max(1, math.ceil(arc.length * geometry.residual_scale(g, beta)))
+        for steps in (256, bench_steps):
+            rk4 = [killing.rk4_transport(g, beta, arc, e, steps) for e in np.eye(2, dtype=complex)]
+            assert np.max(np.abs(U - np.stack(rk4, axis=1))) < 1e-8
 
 
 def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypatch):

@@ -34,7 +34,6 @@ from weylspin.killing import (
     _quaternion_matrices,
     _su2_coefficients,
     _su2_quaternion,
-    arc_from_vector,
     expm,
     find_gt_parameters,
     gt_residual_vector,
@@ -45,7 +44,6 @@ from weylspin.killing import (
     min_singular_value,
     path_independence_residual,
     path_transports,
-    quadrilateral_loop,
     rk4_transport,
     sample_transports,
     transport_operator,
@@ -92,64 +90,82 @@ def random_psi(rng):
         np.array(1.0),
         1.0,
         None,
-        (0.6, 0.8 + 1e-9, 0.0),  # 8e-10 off unit length
-        (2.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0),
     ],
 )
 def test_group_arc_rejects_what_is_not_a_unit_3_vector(direction):
     with pytest.raises(ShapeError):
-        GroupArc(direction, 0.5)
+        GroupArc(direction)
 
 
 @pytest.mark.parametrize(
     "direction",
     [
         [0.0, 0.6, 0.8],
-        (0.0, 0.6, 0.8 + 1e-11),  # 8e-12 off unit length
+        (0.0, 0.6, 0.8 + 1e-11),
         np.array([0.0, 0.6, 0.8]),
         np.eye(3)[2],
         np.eye(3, dtype=int)[1],
     ],
 )
 def test_group_arc_accepts_lists_tuples_and_numpy_rows(direction):
-    arc = GroupArc(direction, np.float64(0.5))
-    assert arc.direction == tuple(float(c) for c in np.asarray(direction))
-    assert all(type(c) is float for c in arc.direction + (arc.length,))
+    arc = GroupArc(direction)
+    assert arc.vector == tuple(float(c) for c in np.asarray(direction))
+    assert all(type(c) is float for c in arc.vector + (arc.length,))
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        (2, -3, 6),
+        np.array([2, -3, 6], dtype=np.int64),
+        [np.float32(0.5), np.int8(-1), 0],
+        (0.0, 0.0, 0.0),
+    ],
+)
+def test_group_arc_holds_any_finite_vector_as_three_floats(vector):
+    arc = GroupArc(vector)
+    assert arc.vector == tuple(float(c) for c in np.asarray(vector, dtype=float))
+    assert all(type(c) is float for c in arc.vector + (arc.length,))
+    assert arc.length == math.hypot(*arc.vector)
+
+
+@pytest.mark.parametrize(
+    "text", ["100", "340", b"100", ["1", "0", "0"], np.array(["1", "0", "0"]), (1.0, "0", 0.0)]
+)
+def test_group_arc_rejects_text(text):
+    # float() parses "1" as 1.0, so a 3-character string would read as 3 numbers
+    with pytest.raises(ShapeError):
+        GroupArc(text)
 
 
 @pytest.mark.parametrize("v", [np.zeros((3, 1)), np.ones((3, 1)), np.ones(2), (1.0, 2.0, 3.0, 4.0), 5.0])
 def test_arc_from_vector_rejects_other_shapes(v):
     with pytest.raises(ShapeError):
-        arc_from_vector(v)
+        GroupArc(v)
 
 
-def test_arc_from_vector_is_v_over_its_norm_to_one_ulp():
-    # against v / ||v|| in 60-digit decimals: math.hypot rounds the length
-    # correctly here, and each direction entry is one division off the exact
-    # value (v / np.linalg.norm(v) is up to 2 ulp off on the same vectors)
+def test_arc_length_is_the_correctly_rounded_norm():
+    # against ||v|| in 60-digit decimals: math.hypot rounds the length
+    # correctly here, and the vector is held bit for bit
     rng = np.random.default_rng(42)
     vs = rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-5, 5, (500, 1))
     for v in list(vs) + [v.tolist() for v in vs[:20]]:
-        arc = arc_from_vector(v)
+        arc = GroupArc(v)
         with localcontext() as ctx:
             ctx.prec = 60
-            exact = [Decimal(float(c)) for c in v]
-            norm = sum(c * c for c in exact).sqrt()
-            want = np.array([float(c / norm) for c in exact])
-        assert arc.length == float(norm)
-        assert np.all(np.abs(np.asarray(arc.direction) - want) <= np.spacing(np.abs(want)))
+            norm = sum(Decimal(float(c)) ** 2 for c in v).sqrt()
+        assert arc.vector == tuple(float(c) for c in v)
+        assert arc.length == math.hypot(*arc.vector) == float(norm)
 
 
 def test_group_arc_validation():
     with pytest.raises(ShapeError):
-        GroupArc((1.0, 1.0, 0.0), 0.5)
-    with pytest.raises(ShapeError):
-        GroupArc((1.0, 0.0), 0.5)
-    a = arc_from_vector((0.0, 3.0, 4.0))
-    assert abs(a.length - 5.0) < 1e-15
-    assert np.max(np.abs(np.asarray(a.direction) - (0.0, 0.6, 0.8))) < 1e-15
-    assert arc_from_vector((0.0, 0.0, 0.0)).length == 0.0
+        GroupArc((1.0, 0.0))
+    with pytest.raises(TypeError):
+        GroupArc((1.0, 0.0, 0.0), 0.5)  # an arc is its vector alone
+    a = GroupArc((0.0, 3.0, 4.0))
+    assert a.vector == (0.0, 3.0, 4.0) and a.length == 5.0
+    assert GroupArc((0.0, 0.0, 0.0)).length == 0.0
 
 
 @pytest.mark.parametrize(
@@ -157,21 +173,27 @@ def test_group_arc_validation():
     [((np.nan, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), np.nan), ((1.0, 0.0, 0.0), np.inf)],
 )
 def test_group_arc_rejects_non_finite_input(direction, length):
-    # abs(nan - 1) > 1e-10 is False, so the unit-norm check alone lets NaN through
+    # a direction scaled by its length: any non-finite factor is refused
     with pytest.raises(ShapeError):
-        GroupArc(direction, length)
+        GroupArc([length * c for c in direction])
 
 
 @pytest.mark.parametrize("v", [(np.nan, 0.0, 0.0), (0.0, -np.inf, 1.0)])
 def test_arc_from_vector_rejects_non_finite_input(v):
     with pytest.raises(ShapeError):
-        arc_from_vector(v)
+        GroupArc(v)
 
 
 def test_zero_length_transport_is_identity():
+    # the zero vector gives the exponent -0 and the identity quaternion
+    # exactly, on every geometry, with no special case
     psi0 = np.array([0.3 + 0.1j, -0.8j])
-    arc = GroupArc((1.0, 0.0, 0.0), 0.0)
-    assert np.max(np.abs(transport_operator(ROUND, HALF, arc) @ psi0 - psi0)) == 0.0
+    for g, beta in single_arc_cases():
+        for zero in ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), np.zeros(3, dtype=int)):
+            arc = GroupArc(zero)
+            assert arc.length == 0.0
+            assert np.array_equal(transport_operator(g, beta, arc), np.eye(2))
+            assert np.array_equal(rk4_transport(g, beta, arc, psi0, steps=4), psi0)
 
 
 def test_flat_abelian_transport_constant():
@@ -180,7 +202,7 @@ def test_flat_abelian_transport_constant():
     rng = np.random.default_rng(0)
     psi0 = random_psi(rng)
     for _ in range(10):
-        arc = arc_from_vector(rng.uniform(-2, 2, 3))
+        arc = GroupArc(rng.uniform(-2, 2, 3))
         assert np.max(np.abs(transport_operator(g, beta, arc) @ psi0 - psi0)) < 1e-15
 
 
@@ -189,7 +211,7 @@ def test_round_sphere_closed_form_transport():
     # exp(t e_3) = cos t + sin t e_3
     psi0 = np.array([1.0, 0.0], dtype=complex)
     for t in (0.3, 1.0, np.pi):
-        arc = GroupArc((0.0, 0.0, 1.0), t)
+        arc = GroupArc((0.0, 0.0, t))
         got = transport_operator(ROUND, HALF, arc) @ psi0
         want = (np.cos(t) * np.eye(2) + np.sin(t) * E[2]) @ psi0
         assert np.max(np.abs(got - want)) < 1e-13
@@ -198,7 +220,7 @@ def test_round_sphere_closed_form_transport():
 def test_transport_cross_checked_by_rk4():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        arc = arc_from_vector(rng.uniform(-1.5, 1.5, 3))
+        arc = GroupArc(rng.uniform(-1.5, 1.5, 3))
         psi0 = random_psi(rng)
         exact = transport_operator(ROUND, HALF, arc) @ psi0
         stepped = rk4_transport(ROUND, HALF, arc, psi0, steps=256)
@@ -223,7 +245,7 @@ def test_killing_connection_is_su2_and_transport_matches_rk4():
         B = killing_connection(g, beta)
         assert np.max(np.abs(np.trace(B, axis1=1, axis2=2))) < 1e-14
         assert np.max(np.abs(B + np.conj(np.swapaxes(B, 1, 2)))) < 1e-14
-        arc = arc_from_vector(rng.uniform(-1, 1, 3))
+        arc = GroupArc(rng.uniform(-1, 1, 3))
         exact = transport_operator(g, beta, arc)
         for k, e in enumerate(np.eye(2, dtype=complex)):
             stepped = rk4_transport(g, beta, arc, e, steps=512)
@@ -235,9 +257,9 @@ def test_collinear_arcs_compose():
     d = rng.standard_normal(3)
     d /= np.linalg.norm(d)
     t1, t2 = 0.7, 0.45
-    lhs = transport_operator(ROUND, HALF, GroupArc(tuple(d), t1 + t2))
-    rhs = transport_operator(ROUND, HALF, GroupArc(tuple(d), t2)) @ transport_operator(
-        ROUND, HALF, GroupArc(tuple(d), t1)
+    lhs = transport_operator(ROUND, HALF, GroupArc((t1 + t2) * d))
+    rhs = transport_operator(ROUND, HALF, GroupArc(t2 * d)) @ transport_operator(
+        ROUND, HALF, GroupArc(t1 * d)
     )
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -245,7 +267,7 @@ def test_collinear_arcs_compose():
 def test_j_intertwines_transport():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        arc = arc_from_vector(rng.uniform(-1.5, 1.5, 3))
+        arc = GroupArc(rng.uniform(-1.5, 1.5, 3))
         psi0 = random_psi(rng)
         U = transport_operator(ROUND, HALF, arc)
         lhs = U @ j_structure(psi0)
@@ -273,24 +295,23 @@ def test_single_arc_and_batch_routes_agree():
     for g, beta in single_arc_cases():
         scale = residual_scale(g, beta) or 1.0
         for v in rng.standard_normal((40, 3)) * rng.uniform(0.1, 3.0, (40, 1)) / scale:
-            arc = arc_from_vector(v)
+            arc = GroupArc(v)
             single = transport_operator(g, beta, arc)
-            batch = path_transports(g, beta, [[arc.length * np.asarray(arc.direction)]])[0]
+            batch = path_transports(g, beta, [[arc.vector]])[0]
             assert np.max(np.abs(single - batch)) <= 2e-15
         # phi = 0 gives Id exactly: a zero length, or any arc on a vanishing connection
-        arcs = [GroupArc((0.0, 0.0, 1.0), 0.0)]
+        arcs = [GroupArc((0.0, 0.0, 0.0))]
         if not np.any(_killing_coefficients(g, beta)):
-            arcs.append(arc_from_vector(rng.standard_normal(3)))
+            arcs.append(GroupArc(rng.standard_normal(3)))
         for arc in arcs:
-            v = arc.length * np.asarray(arc.direction)
             assert np.array_equal(transport_operator(g, beta, arc), np.eye(2))
-            assert np.array_equal(path_transports(g, beta, [[v]])[0], np.eye(2))
+            assert np.array_equal(path_transports(g, beta, [[arc.vector]])[0], np.eye(2))
 
 
 @pytest.mark.parametrize("phi", [1e-300, 5e-324, 1e-170])
 def test_tiny_exponents_give_finite_unitary_transports(phi):
     # on round at beta = 1/2, B_i = -e_i = q_i, so an arc of length t along e_3 has phi = t
-    arc = GroupArc((0.0, 0.0, 1.0), phi)
+    arc = GroupArc((0.0, 0.0, phi))
     for U in (transport_operator(ROUND, HALF, arc), path_transports(ROUND, HALF, [[(0.0, 0.0, phi)]])[0]):
         assert np.all(np.isfinite(U))
         assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-15
@@ -301,7 +322,7 @@ def test_overflowing_exponents_give_nan_transports_silently():
     # at lambda = 200, beta = 50 an arc of length 1.7e308 overflows the su(2)
     # exponent; both kernels give NaN, as expm does, and warn nothing
     g, beta = milnor_geometry((200.0, 200.0, 200.0)), WeightedDensity(50.0)
-    arc = GroupArc((1.0, 0.0, 0.0), 1.7e308)
+    arc = GroupArc((1.7e308, 0.0, 0.0))
     paths = np.array([[(1.7e308, 0.0, 0.0)], [(0.3, 0.0, 0.0)], [(1e308, -1e308, 1e308)]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -322,7 +343,7 @@ def test_both_kernels_overflow_at_the_same_norm(t):
     # on round at beta = 1/2 the arc t e_1 has the exponent x = (-t, 0, 0):
     # its sum of squares overflows from t of about 1.3e154, but phi = t does
     # not, so both kernels give the same finite unit quaternion
-    arc = GroupArc((1.0, 0.0, 0.0), t)
+    arc = GroupArc((t, 0.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         single = transport_operator(ROUND, HALF, arc)
@@ -451,7 +472,7 @@ def test_su2_embedding_is_a_homomorphism():
 def test_quadrilateral_loops_close():
     rng = np.random.default_rng(4)
     for g in oracle_frames():
-        loops = quadrilateral_loop(g, WeightedDensity(0.0), rng, 50)
+        loops = loop_batch(g, WeightedDensity(0.0), rng, 50, pairs=0).paths
         assert loops.shape == (50, 4, 3)
         assert np.array_equal(loops[:, 2], -loops[:, 0])
         assert_loops_close(g, loops, 1e-12)
@@ -472,7 +493,7 @@ def test_open_path_raises():
 
 
 def test_one_open_loop_in_a_batch_raises():
-    loops = quadrilateral_loop(ROUND, HALF, np.random.default_rng(19), 6)
+    loops = loop_batch(ROUND, HALF, np.random.default_rng(19), 6, pairs=0).paths
     assert_loops_close(ROUND, loops)
     loops[3, 3] *= 1.001
     assert np.flatnonzero(closure_defect(ROUND, loops) > 1e-10).tolist() == [3]
@@ -490,14 +511,14 @@ def test_quadrilateral_loop_lengths_scale_with_the_geometry():
         (milnor_geometry((20.0, 20.0, 20.0)), WeightedDensity(5.0), 20.0),
         (milnor_geometry((0.0, 0.0, 0.0)), WeightedDensity(0.0), 1.0),
     ):
-        loops = quadrilateral_loop(g, beta, np.random.default_rng(18), 200)
+        loops = loop_batch(g, beta, np.random.default_rng(18), 200, pairs=0).paths
         legs = np.linalg.norm(loops[:, :2], axis=-1)
         assert 0.4 <= np.min(legs) * scale and np.max(legs) * scale <= 1.2
 
 
 def test_abelian_quadrilateral_loops_close():
     g = milnor_geometry((0.0, 0.0, 0.0))
-    loops = quadrilateral_loop(g, WeightedDensity(0.0), np.random.default_rng(5), 10)
+    loops = loop_batch(g, WeightedDensity(0.0), np.random.default_rng(5), 10, pairs=0).paths
     # ad_X = 0, so Z = Y and the four arcs sum to zero
     assert np.array_equal(loops[:, 3], -loops[:, 1])
     assert np.max(closure_defect(g, loops)) < 1e-15
@@ -637,7 +658,7 @@ def test_loops_close_on_a_non_unimodular_algebra():
     beta = WeightedDensity(0.0)
     assert analyze(g, beta).verdict and flatness(g, beta) == 0.0
     assert np.max(np.abs(killing_connection(g, beta))) > 0.1
-    loops = quadrilateral_loop(g, beta, np.random.default_rng(28), 200)
+    loops = loop_batch(g, beta, np.random.default_rng(28), 200, pairs=0).paths
     assert np.max(loop_holonomy(transported(g, beta, loops))[1]) < 1e-13
     # negative control: open loops, the last arc lengthened by 1 %
     loops[:, 3] *= 1.01
@@ -661,7 +682,8 @@ def test_loop_model_works_in_any_frame(lam, sign, beta_sign, axis, angle, seed):
     rng = np.random.default_rng(seed)
     R = rotation(axis, angle)
     g = rotated_geometry(milnor_geometry(sign * np.asarray(lam)), R)
-    assert np.max(closure_defect(g, quadrilateral_loop(g, WeightedDensity(0.0), rng, 5))) < 1e-12
+    loops = loop_batch(g, WeightedDensity(0.0), rng, 5, pairs=0).paths
+    assert np.max(closure_defect(g, loops)) < 1e-12
     # the round Gauduchon-Tod member, |beta| = lambda / 4, in the same frame
     g = rotated_geometry(milnor_geometry((sign * lam[0],) * 3), R)
     beta = WeightedDensity(beta_sign * lam[0] / 4.0)
@@ -762,13 +784,14 @@ def test_path_independence_iff_flatness():
 def separate_calls(g, beta, rng, loops, pairs):
     """The oracle: killing's loop sections as separate calls, as before the fused batch.
 
-    Two quadrilateral_loop draws, each closed by its own expm, and three
-    path_transports calls. Returns the loops, their deviations max|H - Id|,
-    the pairs' loops and the path-independence residual.
+    Two consecutive loop_batch(..., pairs=0) draws on one rng, each closed
+    by its own expm, and three path_transports calls. Returns the loops,
+    their deviations max|H - Id|, the pairs' loops and the
+    path-independence residual.
     """
-    closed = quadrilateral_loop(g, beta, rng, loops)
+    closed = loop_batch(g, beta, rng, loops, pairs=0).paths
     deviation = np.max(np.abs(path_transports(g, beta, closed) - np.eye(2)), axis=(-2, -1))
-    pair_loops = quadrilateral_loop(g, beta, rng, pairs)
+    pair_loops = loop_batch(g, beta, rng, loops=pairs, pairs=0).paths
     first = path_transports(g, beta, pair_loops[:, :3])
     second = path_transports(g, beta, -pair_loops[:, 3:])
     return closed, deviation, pair_loops, float(np.max(np.abs(first - second), initial=0.0))
@@ -857,7 +880,7 @@ def test_basis_pair_is_j_related_and_independent():
     psi1, psi2 = BASE_SPINORS
     assert np.max(np.abs(psi2 - j_structure(psi1))) == 0.0
     rng = np.random.default_rng(11)
-    samples = [loop[:k] for loop in quadrilateral_loop(ROUND, HALF, rng, 20) for k in (1, 2)]
+    samples = [loop[:k] for loop in loop_batch(ROUND, HALF, rng, 20, pairs=0).paths for k in (1, 2)]
     assert min_singular_value(sample_transports(ROUND, HALF, samples)) > 0.1
 
 
@@ -871,7 +894,7 @@ def test_flat_abelian_basis_and_residual():
 
 def test_killing_residual_second_order():
     rng = np.random.default_rng(13)
-    samples = [loop[:k] for loop in quadrilateral_loop(ROUND, HALF, rng, 10) for k in (1, 2)]
+    samples = [loop[:k] for loop in loop_batch(ROUND, HALF, rng, 10, pairs=0).paths for k in (1, 2)]
     transports = sample_transports(ROUND, HALF, samples)
     r5 = killing_residual(ROUND, HALF, transports, h=1e-5)
     assert r5 < 1e-7
@@ -886,7 +909,7 @@ def test_killing_residual_second_order():
 def per_sample_transport(g, beta, path):
     U = np.eye(2, dtype=complex)
     for v in path:
-        U = transport_operator(g, beta, arc_from_vector(v)) @ U
+        U = transport_operator(g, beta, GroupArc(v)) @ U
     return U
 
 
@@ -936,7 +959,7 @@ def test_batched_sample_sections_match_the_per_sample_loop():
     rng = np.random.default_rng(24)
     for g, beta in sample_cases():
         # one- and two-arc paths, interleaved as the killing command draws them
-        samples = [loop[:k] for loop in quadrilateral_loop(g, beta, rng, 8) for k in (1, 2)]
+        samples = [loop[:k] for loop in loop_batch(g, beta, rng, 8, pairs=0).paths for k in (1, 2)]
         transports = sample_transports(g, beta, samples)
         assert transports.shape == (16, 2, 2)
         sv = min_singular_value(transports)
@@ -948,7 +971,7 @@ def test_batched_sample_sections_match_the_per_sample_loop():
 
 
 def test_batched_sample_sections_fail_on_a_non_finite_transport():
-    loops = quadrilateral_loop(ROUND, HALF, np.random.default_rng(25), 4)
+    loops = loop_batch(ROUND, HALF, np.random.default_rng(25), 4, pairs=0).paths
     transports = sample_transports(ROUND, HALF, loops[:, :2])
     assert min_singular_value(transports) > 0.1
     assert killing_residual(ROUND, HALF, transports) < 1e-7
@@ -1050,6 +1073,14 @@ def test_search_pin_by_index_and_value_none():
     assert res.residual_norm < 1e-10
 
 
+@pytest.mark.parametrize("pin", [(-1, 0.4), (-6, 2.0), (5, None), (7, None)])
+def test_search_rejects_a_pin_index_out_of_range(pin):
+    # x[-1] = 0.4 would set beta and then leave all five coordinates free, and
+    # an index past the end would pin nothing: the conformal freedom would stay
+    with pytest.raises(ShapeError, match="pin index"):
+        find_gt_parameters((2.2, 1.9, 2.1, 0.05, 0.4), pin=pin)
+
+
 def test_search_no_convergence_payload():
     with pytest.raises(NoConvergence) as info:
         find_gt_parameters(
@@ -1101,8 +1132,8 @@ def test_transport_sequence_operator_orders_left():
     # sample_transports composes a path's arcs in travel order, the last leftmost
     v1, v2 = np.random.default_rng(14).uniform(-1, 1, (2, 3))
     lhs = sample_transports(ROUND, HALF, [np.stack([v1, v2])])[0]
-    rhs = transport_operator(ROUND, HALF, arc_from_vector(v2)) @ transport_operator(
-        ROUND, HALF, arc_from_vector(v1)
+    rhs = transport_operator(ROUND, HALF, GroupArc(v2)) @ transport_operator(
+        ROUND, HALF, GroupArc(v1)
     )
     assert np.max(np.abs(lhs - rhs)) == 0.0
 
