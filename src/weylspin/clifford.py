@@ -116,14 +116,6 @@ def act(v, psi, batch=0):
     return clifford_sum([v[..., k] * psi for k in range(3)])
 
 
-def vector_matrix(v):
-    """The 2x2 matrix of Clifford multiplication by the real frame vector v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ShapeError(f"frame vector must have shape (3,), got {v.shape}")
-    return np.einsum("k,kst->st", v, E)
-
-
 def j_structure(psi):
     """Quaternionic structure J psi = e_2 conj(psi).
 

@@ -5,6 +5,13 @@ gauge metric with [e_i, e_j] = sum_k c^k_ij e_k (stored as c[i,j,k] = c^k_ij)
 and the Weyl 1-form theta in that frame. All coefficients are constants, so
 every curvature quantity is exact finite-dimensional algebra.
 
+Every Gauduchon-Tod residual and every entry of the Killing curvature is a
+homogeneous quadratic form in 13 coordinates of (g, beta). analyze and
+spinconn.flatness read them off one cached form, evaluated on coordinates
+prescaled by a power of two, so the normalized residuals are the same at
+every finite scale; gt_residual_vector, curvature_package and
+spinconn.killing_curvature stay the definitions the form is built from.
+
 Sign and trace conventions (pinned by the curvature-decomposition and
 flatness-equivalence audits, see docs/CONVENTIONS.md):
 
@@ -17,10 +24,13 @@ flatness-equivalence audits, see docs/CONVENTIONS.md):
 """
 
 import functools
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from .clifford import EPS
 from .errors import JacobiViolation, ShapeError
 from .tensors import hodge_star, sym0
 
@@ -141,15 +151,18 @@ def weyl_connection(g):
     """Connection coefficients Gamma[i,j,k] = Gamma^k_ij of the Weyl connection.
 
     Torsion-free for the bracket (Gamma^k_ij - Gamma^k_ji = c^k_ij) and
-    conformally metric with nabla g = -2 theta (x) g.
+    conformally metric with nabla g = -2 theta (x) g. Like every formula from
+    here to gt_residual_vector (and spinconn's), it also takes a geometry
+    whose arrays carry leading batch axes, with a density whose value is an
+    array over the same axes, and gives each row the unbatched result.
     """
     c = g.structure_constants
     th = g.theta
-    lc = 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
+    lc = 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
     wt = (
-        np.einsum("i,jk->ijk", th, _ID3)
-        + np.einsum("j,ik->ijk", th, _ID3)
-        - np.einsum("ij,k->ijk", _ID3, th)
+        np.einsum("...i,jk->...ijk", th, _ID3)
+        + np.einsum("...j,ik->...ijk", th, _ID3)
+        - np.einsum("ij,...k->...ijk", _ID3, th)
     )
     return lc + wt
 
@@ -172,21 +185,22 @@ def curvature_package(g):
     gamma = weyl_coefficients(g)
     c = g.structure_constants
     r4 = (
-        np.einsum("jkm,iml->ijkl", gamma, gamma)
-        - np.einsum("ikm,jml->ijkl", gamma, gamma)
-        - np.einsum("ijm,mkl->ijkl", c, gamma)
+        np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+        - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
+        - np.einsum("...ijm,...mkl->...ijkl", c, gamma)
     )
-    ric = np.einsum("zxyz->xy", r4)
-    scal = float(np.trace(ric))
-    faraday = -np.einsum("k,ijk->ij", g.theta, c)
-    s0 = sym0(ric)
-    ric_n = -s0 - (scal / 12.0) * _ID3 + 0.5 * faraday
-    ric_prime = s0 + (scal / 3.0) * _ID3 - 0.5 * faraday
+    ric = np.einsum("...zxyz->...xy", r4)
+    scal = ric.trace(axis1=-2, axis2=-1)
+    faraday = -np.einsum("...k,...ijk->...ij", g.theta, c)
+    s0 = sym0(ric, ric.ndim - 2)
+    scal_id = scal[..., None, None]
+    ric_n = -s0 - (scal_id / 12.0) * _ID3 + 0.5 * faraday
+    ric_prime = s0 + (scal_id / 3.0) * _ID3 - 0.5 * faraday
     return CurvaturePackage(
         full_curvature=r4,
         ricci=ric,
         sym0_ricci=s0,
-        scalar=scal,
+        scalar=scal if scal.ndim else float(scal),
         faraday=faraday,
         ric_n=ric_n,
         ric_prime=ric_prime,
@@ -200,7 +214,7 @@ def density_derivative(g, beta):
     flatness of the Killing connection coincide (the opposite sign fails that
     audit).
     """
-    return beta.weight * g.theta * beta.value
+    return beta.weight * g.theta * np.asarray(beta.value)[..., None]
 
 
 def gauge_rescale(g, beta, s):
@@ -220,13 +234,15 @@ def gt_residual_vector(g, beta):
     """Stacked Gauduchon-Tod residuals: sym0 Ric (9), R - 24 beta^2, 4 grad - *F (3)."""
     pkg = curvature_package(g)
     grad = density_derivative(g, beta)
-    star_f = hodge_star(pkg.faraday)
+    batch = pkg.ricci.shape[:-2]
+    star_f = hodge_star(pkg.faraday, len(batch))
     return np.concatenate(
         [
-            pkg.sym0_ricci.ravel(),
-            [pkg.scalar - 24.0 * beta.value**2],
+            pkg.sym0_ricci.reshape(batch + (9,)),
+            np.asarray(pkg.scalar - 24.0 * beta.value**2)[..., None],
             4.0 * grad - star_f,
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -246,10 +262,132 @@ def residual_scale(g, beta):
     )
 
 
+def prescale(g, beta):
+    """(e, m) with residual_scale(g, beta) = m 2^e, 1/2 <= m < 1; (0, 1.0) for the zero geometry.
+
+    Dividing a coordinate by 2^e and a weight -2 residual by 2^(2e) is exact
+    wherever the result is a normal float, so residuals normalized through
+    the prescale keep the bits of residual / scale^2, and stay finite and
+    nonzero at scales where scale^2 itself would over- or underflow.
+    """
+    m, e = math.frexp(residual_scale(g, beta))
+    return e, m or 1.0
+
+
 def normalized_residual(value, g, beta):
-    """value / residual_scale(g, beta)^2 for a weight -2 residual; as is for the zero geometry."""
+    """value / residual_scale(g, beta)^2 for a weight -2 residual; as is for the zero geometry.
+
+    Computed as (value / 2^(2e)) / m^2 with (e, m) = prescale(g, beta).
+    """
+    e, m = prescale(g, beta)
+    return np.ldexp(value, -2 * e) / (m * m)
+
+
+# The 13 coordinates x = (N, theta, beta) of a geometry: c^k_ij = sum_l eps_ijl N[l, k]
+# holds for every 3-dimensional Lie algebra, so row l of N is c[i, j] with (i, j, l) a
+# cyclic order of (0, 1, 2). Every Gauduchon-Tod residual and every entry of the Killing
+# curvature is a homogeneous quadratic form in x: c is linear in N, Gamma linear in
+# (N, theta), B linear in (Gamma, beta), and R4, F, nabla beta, 24 beta^2 and
+# [B_i, B_j] - c^k_ij B_k are quadratic.
+_N_ENTRIES = np.arange(27).reshape(3, 3, 3)[[1, 2, 0], [2, 0, 1]].ravel()  # of c, flattened
+
+
+def form_coordinates(g, beta):
+    """x (13,) = (N.ravel(), theta, beta.value), read off exactly: N = c[[1, 2, 0], [2, 0, 1]]."""
+    return np.concatenate((g.structure_constants.take(_N_ENTRIES), g.theta, (beta.value,)))
+
+
+@functools.lru_cache(maxsize=1)
+def quadratic_form():
+    """Read-only Q (85, 13, 13), symmetric in its last two axes: r(x) = (Q @ x) @ x.
+
+    r(x) stacks, at x = form_coordinates(g, beta), gt_residual_vector (rows
+    0-12) and the real (rows 13-48) and imaginary parts (rows 49-84) of
+    spinconn.killing_curvature's 36 entries. Each row is a homogeneous
+    quadratic in x, so Q is fixed by its values at the 91 points e_k and
+    e_k + e_l (k < l), which one batched evaluation of both formulas gives:
+        Q[:, k, k] = r(e_k),  Q[:, k, l] = (r(e_k + e_l) - r(e_k) - r(e_l)) / 2.
+    These are the polarized values, rounding included; quadratic_form_24
+    holds the exact coefficients. Built on first use, not at import.
+    """
+    from .spinconn import killing_curvature  # spinconn imports this module
+
+    n = 13  # coordinates
+    eye = np.eye(n)
+    k, l = np.triu_indices(n, 1)
+    x = np.concatenate([eye, eye[k] + eye[l]])
+    N = x[:, :9].reshape(-1, 3, 3)
+    g = HomogeneousWeylGeometry(np.einsum("ijl,plk->pijk", EPS, N), x[:, 9:12])
+    beta = SimpleNamespace(value=x[:, 12], weight=-1.0)  # the formulas read only these
+    curv = killing_curvature(g, beta).curvature.reshape(len(x), 36)  # R^beta[i, j, a, b], C order
+    r = np.concatenate([gt_residual_vector(g, beta), curv.real, curv.imag], axis=1).T
+    diag = r[:, :n]
+    Q = np.empty((len(r), n, n))
+    Q[:, range(n), range(n)] = diag
+    Q[:, k, l] = Q[:, l, k] = 0.5 * (r[:, n:] - diag[:, k] - diag[:, l])
+    Q.setflags(write=False)
+    return Q
+
+
+@functools.lru_cache(maxsize=1)
+def quadratic_form_24():
+    """Read-only 24 Q (85, 13, 13) of quadratic_form, rounded to the integers it is.
+
+    Every coefficient of the 85 rows is a multiple of 1/24, and the tests
+    check that 24 Q is within 1e-12 of this table. The polarized Q also
+    carries coefficients of about 1e-16 where the exact one is 0, which
+    would read a certified geometry's residuals as about 1e-16 instead of 0;
+    find_gt_parameters keeps the polarized values, for the bits of its
+    iterates.
+    """
+    form = np.rint(24.0 * quadratic_form())
+    form.setflags(write=False)
+    return form
+
+
+@functools.lru_cache(maxsize=1)
+def form_rows(g, beta):
+    """Read-only rows r(x) / 2^(2e) (85,) of quadratic_form_24 / 24, at x = form_coordinates / 2^e.
+
+    (e, m) = prescale(g, beta), so the prescaled x has max|x| = m in
+    [1/2, 1) and its squares neither over- nor underflow at any scale; row
+    / m^2 is the row over residual_scale^2. Evaluated once per (immutable)
+    geometry and density: analyze and spinconn.flatness both read it.
+    """
+    e, _ = prescale(g, beta)
+    x = np.ldexp(form_coordinates(g, beta), -e)
+    rows = (quadratic_form_24() @ x) @ x / 24.0
+    rows.setflags(write=False)
+    return rows
+
+
+def _blocks(residuals):
+    """max|.| of the three Gauduchon-Tod blocks of 13 residuals: sym0 Ric, scalar, monopole."""
+    r = np.abs(residuals)
+    return np.array([r[:9].max(), r[9], r[10:].max()])
+
+
+def _report(raw, scaled, g, beta, tolerance):
+    """GTReport from the block maxima raw and scaled = raw / 2^(2e), (e, m) = prescale(g, beta)."""
+    if beta.weight != -1:
+        raise ShapeError(f"analyze needs a weight -1 density, got weight {beta.weight}")
+    _, m = prescale(g, beta)
+    r_ew, r_scal, r_star = raw.tolist()
+    n_ew, n_scal, n_star = (scaled / (m * m)).tolist()
+    verdict = bool(max(n_ew, n_scal, n_star) < tolerance)
     scale = residual_scale(g, beta)
-    return value / (scale * scale) if scale > 0.0 else value
+    return GTReport(r_ew, r_scal, r_star, n_ew, n_scal, n_star, scale, tolerance, verdict)
+
+
+def gt_report(g, beta, residuals):
+    """analyze's report, at its default tolerance, on the given residuals (13,) of (g, beta).
+
+    find_gt_parameters passes gt_residual_vector's, so that a root of its
+    quadratic form is confirmed by the formula, never by a form.
+    """
+    raw = _blocks(residuals)
+    e, _ = prescale(g, beta)
+    return _report(raw, np.ldexp(raw, -2 * e), g, beta, 1e-9)
 
 
 def analyze(g, beta, tolerance=1e-9):
@@ -259,17 +397,16 @@ def analyze(g, beta, tolerance=1e-9):
         r_ew   = ||sym0 Ric||
         r_scal = |R - 24 beta^2|
         r_star = ||4 nabla beta - *F||
-    Normalized versions are divided by residual_scale^2, as normalized_residual
-    does (all three quantities have conformal weight -2), and equal the raw
-    ones for the zero geometry. The verdict is True when every normalized
-    residual is below the tolerance.
+    Normalized versions are divided by residual_scale^2 (all three
+    quantities have conformal weight -2), and equal the raw ones for the
+    zero geometry. The verdict is True when every normalized residual is
+    below the tolerance. All of them are read off form_rows, the quadratic
+    form's rows on the prescaled coordinates, so the normalized residuals
+    are finite at every finite scale; a raw residual beyond the float range
+    reads inf.
     """
-    if beta.weight != -1:
-        raise ShapeError(f"analyze needs a weight -1 density, got weight {beta.weight}")
-    r = np.abs(gt_residual_vector(g, beta))
-    raw = np.array([np.max(r[:9]), r[9], np.max(r[10:])])
-    r_ew, r_scal, r_star = raw.tolist()
-    n_ew, n_scal, n_star = normalized_residual(raw, g, beta).tolist()
-    verdict = bool(max(n_ew, n_scal, n_star) < tolerance)
-    scale = residual_scale(g, beta)
-    return GTReport(r_ew, r_scal, r_star, n_ew, n_scal, n_star, scale, tolerance, verdict)
+    scaled = _blocks(form_rows(g, beta)[:13])
+    e, _ = prescale(g, beta)
+    with np.errstate(over="ignore"):  # a raw residual beyond the float range reads inf
+        raw = np.ldexp(scaled, 2 * e)
+    return _report(raw, scaled, g, beta, tolerance)

@@ -18,28 +18,49 @@ and the path pairs of one killing check together, closes them with one expm
 and transports them as one stack, which loop_holonomy and
 path_independence_residual each read a slice of. A single arc runs the same
 closed form on Python floats, where numpy's per-call cost would dominate a
-3-vector, and becomes a 2x2 matrix through the same quaternion basis. The
+3-vector, and its 2x2 matrix is formed from the quaternion's four floats by
+the unit entries of the same quaternion basis the batch kernel uses. The
 2-dimensional Killing spinor space is spanned by the transports of the base
 pair (1, 0), J (1, 0): sample_transports gives them as an (N, 2, 2) stack,
 and min_singular_value and killing_residual check all N samples as arrays.
 """
 
 import functools
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import E, j_structure
 from .errors import NoConvergence, ShapeError
-from .geometry import WeightedDensity, analyze, gt_residual_vector, milnor_geometry, residual_scale
+from .geometry import (
+    WeightedDensity,
+    gt_report,
+    gt_residual_vector,
+    milnor_geometry,
+    quadratic_form,
+    residual_scale,
+)
 from .spinconn import killing_connection, weight0_matrices
 
 _ID2 = np.eye(2, dtype=complex)
 _Q = -E  # unit quaternion generators as 2x2 matrices: q_i q_j = eps_ijk q_k
 _QUATERNION_BASIS = np.concatenate([_ID2[None], _Q]).reshape(4, 4)  # rows Id, q_1, q_2, q_3
 _QUATERNION_BASIS.setflags(write=False)
+# Each column of _QUATERNION_BASIS, one entry of the flattened 2x2 matrix, holds one
+# real and one imaginary unit: entry k of p @ _QUATERNION_BASIS is complex(a p_i, b p_j)
+# for _ENTRY_TERMS[k] = (i, a, j, b). Read off the basis, so E stays the one written copy.
+_RE_ROW = np.argmax(_QUATERNION_BASIS.real != 0, axis=0)
+_IM_ROW = np.argmax(_QUATERNION_BASIS.imag != 0, axis=0)
+_ENTRY_TERMS = tuple(
+    zip(
+        _RE_ROW.tolist(),
+        _QUATERNION_BASIS.real[_RE_ROW, range(4)].tolist(),
+        _IM_ROW.tolist(),
+        _QUATERNION_BASIS.imag[_IM_ROW, range(4)].tolist(),
+    )
+)
 # The Hamilton product p * q = (p[:, None] * q[None]).reshape(16) @ _HAMILTON:
 # row 4a + b holds the coefficients of (basis a)(basis b) on the basis. The
 # rows of _QUATERNION_BASIS are orthogonal with squared norm 2, so projecting
@@ -56,13 +77,18 @@ def _float_triple(v):
 
     Text is refused, whole or entry by entry: float() reads "1" as 1.0, so a
     str or bytes of three characters would otherwise pass as three numbers.
+    Three entries that are Python floats already (a row of .tolist()) are
+    taken as they are.
     """
     v = v.tolist() if isinstance(v, np.ndarray) else v
     try:
         x, y, z = v
-        if any(isinstance(c, (str, bytes)) for c in (v, x, y, z)):
+        if type(x) is type(y) is type(z) is float:
+            v = x, y, z
+        elif any(isinstance(c, (str, bytes)) for c in (v, x, y, z)):
             raise TypeError("text is not a number")
-        v = float(x), float(y), float(z)
+        else:
+            v = float(x), float(y), float(z)
     except (TypeError, ValueError) as exc:  # not iterable, nested, text, or not 3 numbers
         raise ShapeError("arc vector must be 3 numbers, shape (3,)") from exc
     if not all(map(math.isfinite, v)):
@@ -96,12 +122,15 @@ def transport_operator(g, beta, arc):
     x = -sum_i v_i b[i, k] q_k of su(2), and its exponential is the unit
     quaternion [cos phi, (sin phi / phi) x], phi = |x|, exactly. x and the
     quaternion are formed on Python floats (_float_quaternion) from the
-    columns of b memoized per geometry; one _quaternion_matrices call makes
-    the 2x2 matrix. An exponent whose norm overflows gives NaN entries.
+    columns of b memoized per geometry, and the 2x2 matrix
+    p_0 Id + sum_k p_k q_k is formed from the four floats by _ENTRY_TERMS:
+    the values of _quaternion_matrices, up to the sign of a zero. An
+    exponent whose norm overflows gives NaN entries.
     """
     v1, v2, v3 = arc.vector
     x = [-(v1 * b1 + v2 * b2 + v3 * b3) for b1, b2, b3 in _killing_columns(g, beta)]
-    return _quaternion_matrices(np.array(_float_quaternion(x)))
+    p = _float_quaternion(x)
+    return np.array([complex(a * p[i], b * p[j]) for i, a, j, b in _ENTRY_TERMS]).reshape(2, 2)
 
 
 def rk4_transport(g, beta, arc, psi0, steps=256):
@@ -323,7 +352,7 @@ def sample_transports(g, beta, samples):
     out = []
     for path in samples:
         U = _ID2
-        for v in path:
+        for v in path.tolist() if isinstance(path, np.ndarray) else path:
             T = transport_operator(g, beta, GroupArc(v))
             U = T if U is _ID2 else T @ U
         out.append(U)
@@ -404,24 +433,34 @@ _MAX_HALVINGS = 20
 def _family_quadratic_form():
     """Read-only Q (13, 5, 5), symmetric in its last two axes, with r(x) = (Q @ x) @ x.
 
-    r(x) = gt_residual_vector(*milnor_theta3_family(x)) is a homogeneous
-    quadratic: c is linear in lambda, Gamma linear in (lambda, theta), and R4,
-    F, nabla beta and 24 beta^2 are quadratic. So r is fixed by its values at
-    the 15 points e_k and e_k + e_l (k < l):
-        Q[:, k, k] = r(e_k),  Q[:, k, l] = (r(e_k + e_l) - r(e_k) - r(e_l)) / 2.
+    r(x) = gt_residual_vector(*milnor_theta3_family(x)): the slice P^T Q P
+    of geometry.quadratic_form's Gauduchon-Tod rows, P picking the family's
+    coordinates: N = diag(l1, l2, l3) and theta = (0, 0, theta3) among
+    geometry.form_coordinates. Its polarized values are the ones the family
+    polarized itself, so the iterates, and search-gt's output, keep their bits.
     """
-    def r(params):
-        return gt_residual_vector(*milnor_theta3_family(params))
-
-    eye = np.eye(5)  # the coordinates (l1, l2, l3, theta3, beta)
-    diag = [r(e) for e in eye]
-    Q = np.empty((diag[0].size, 5, 5))
-    for k in range(5):
-        Q[:, k, k] = diag[k]
-    for k, l in itertools.combinations(range(5), 2):
-        Q[:, k, l] = Q[:, l, k] = 0.5 * (r(eye[k] + eye[l]) - diag[k] - diag[l])
+    idx = [0, 4, 8, 11, 12]
+    # in C order: the bits of Q @ x depend on the layout of Q
+    Q = np.ascontiguousarray(quadratic_form()[:13][:, idx][:, :, idx])
     Q.setflags(write=False)
     return Q
+
+
+def _pin_index(name):
+    """The coordinate a pin names: a PIN_INDEX key, or an integer 0..4 that is not a bool."""
+    if isinstance(name, str):
+        if name not in PIN_INDEX:
+            raise ShapeError(f"unknown pin {name!r}, expected one of {', '.join(PIN_INDEX)}")
+        return PIN_INDEX[name]
+    if isinstance(name, (bool, np.bool_)):
+        raise ShapeError(f"pin {name!r} is a bool, not an index 0..4")
+    try:
+        idx = operator.index(name)
+    except TypeError as exc:
+        raise ShapeError(f"pin {name!r} is not an integer index 0..4") from exc
+    if not 0 <= idx < len(PIN_INDEX):
+        raise ShapeError(f"pin index {idx} is not one of 0..{len(PIN_INDEX) - 1}")
+    return idx
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught and reported below
@@ -429,7 +468,8 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     """Damped Newton search for a root of the Gauduchon-Tod residual system.
 
     One coordinate is pinned to quotient out the conformal rescaling freedom:
-    pin = (name or index 0..4, value), with value None meaning "keep x0's entry".
+    pin = (name or index 0..4, value), with value None meaning "keep x0's entry";
+    any other name or index raises ShapeError.
     Newton steps solve the least-squares system for the stacked residual
     vector of milnor_theta3_family, with simple backtracking (halve the step
     while the residual norm does not decrease). The residuals are the
@@ -437,17 +477,16 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     evaluates Q @ x once and takes the exact Jacobian 2 (Q @ x)[:, free]; no
     geometry is built inside the iteration. Success means a max-norm residual
     below tolerance within max_iterations, confirmed by gt_residual_vector
-    itself: residual_norm is max|gt_residual_vector| at the root, read from
-    the analyze report. Otherwise, or as soon as a residual or a Newton step
-    overflows to a non-finite value, NoConvergence carries the last iterate,
+    itself: residual_norm is max|gt_residual_vector| at the root, and the
+    report is geometry.gt_report on those residuals, never the form's.
+    Otherwise, or as soon as a residual or a Newton step overflows to a
+    non-finite value, NoConvergence carries the last iterate,
     which is the best one (an accepted step always lowers the norm), and
     gt_residual_vector's max-norm there.
     """
     x = np.asarray(x0, dtype=float).copy()
     name, value = pin
-    idx = PIN_INDEX[name] if isinstance(name, str) else int(name)
-    if not 0 <= idx < len(PIN_INDEX):
-        raise ShapeError(f"pin index {idx} is not one of 0..{len(PIN_INDEX) - 1}")
+    idx = _pin_index(name)
     if value is not None:
         x[idx] = value
     if not np.all(np.isfinite(x)):
@@ -465,7 +504,8 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
         )
 
     def converged(iterations):
-        report = analyze(*milnor_theta3_family(x))
+        g, beta = milnor_theta3_family(x)
+        report = gt_report(g, beta, gt_residual_vector(g, beta))
         norm = max(report.r_ew, report.r_scal, report.r_star)  # max|gt_residual_vector|
         if not norm < tolerance:
             raise stop("root of the quadratic form fails gt_residual_vector", iterations)

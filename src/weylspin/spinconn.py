@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import E
-from .geometry import normalized_residual, weyl_coefficients
+from .geometry import form_rows, prescale, weyl_coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +31,8 @@ class KillingCurvature:
 def spin_connection(g):
     """Spinor connection matrices A_i (3, 2, 2) for the Weyl structure."""
     gamma = weyl_coefficients(g)
-    a = 0.5 * (gamma - np.swapaxes(gamma, 1, 2))
-    return 0.25 * np.einsum("ijk,jab,kbc->iac", a, E, E)
+    a = 0.5 * (gamma - np.swapaxes(gamma, -2, -1))
+    return 0.25 * np.einsum("...ijk,jab,kbc->...iac", a, E, E)
 
 
 @functools.lru_cache(maxsize=1)
@@ -45,8 +45,9 @@ def weight0_matrices(g):
 
 def commutator_curvature(mats, g):
     """R_ij = [M_i, M_j] - sum_k c^k_ij M_k for constant connection matrices."""
-    comm = np.einsum("iab,jbc->ijac", mats, mats) - np.einsum("jab,ibc->ijac", mats, mats)
-    return comm - np.einsum("ijk,kac->ijac", g.structure_constants, mats)
+    comm = np.einsum("...iab,...jbc->...ijac", mats, mats)
+    comm -= np.einsum("...jab,...ibc->...ijac", mats, mats)
+    return comm - np.einsum("...ijk,...kac->...ijac", g.structure_constants, mats)
 
 
 def killing_connection(g, beta):
@@ -55,11 +56,22 @@ def killing_connection(g, beta):
 
 
 def killing_curvature(g, beta):
-    """Curvature R^beta_ij = [B_i,B_j] - c^k_ij B_k and its max entry, the residual."""
-    curv = commutator_curvature(weight0_matrices(g) - beta.value * E, g)  # B_i = A_i - beta e_i
+    """Curvature R^beta_ij = [B_i,B_j] - c^k_ij B_k and its max entry, the residual.
+
+    B_i = A_i - beta e_i. A batch of geometries gives a batch of curvatures,
+    and the residual is the max entry over all of them.
+    """
+    curv = commutator_curvature(weight0_matrices(g) - np.multiply.outer(beta.value, E), g)
     return KillingCurvature(curvature=curv, residual=float(np.max(np.abs(curv))))
 
 
 def flatness(g, beta):
-    """Killing curvature residual over scale^2, normalized like the GT residuals."""
-    return normalized_residual(killing_curvature(g, beta).residual, g, beta)
+    """Killing curvature residual over scale^2, normalized like the GT residuals.
+
+    Read off geometry.form_rows, the evaluation analyze reads too: the
+    moduli of the 36 entries of R^beta from their real parts (rows 13-48)
+    and imaginary parts (rows 49-84), on the prescaled coordinates.
+    """
+    rows = form_rows(g, beta)
+    _, m = prescale(g, beta)
+    return np.hypot(rows[13:49], rows[49:]).max().item() / (m * m)

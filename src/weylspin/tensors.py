@@ -5,7 +5,7 @@ carry one extra trailing axis of length 2. Since frame axes have length 3 the
 two kinds never collide, and every operation here infers the kind from the
 shape.
 
-Batch axes: alt, kulkarni_nomizu, mu_contract, nu_embed and hodge_star (and
+Batch axes: alt, sym0, kulkarni_nomizu, mu_contract, nu_embed and hodge_star (and
 tensor_rank, which they use) take `batch`, a count of leading axes that index
 independent tensors, default 0. The shape rule applies to the axes after
 them, slots are still numbered from the first frame axis, and row b of the
@@ -67,13 +67,14 @@ def alt(T, batch=0):
     return T - np.swapaxes(T, batch, batch + 1)
 
 
-def sym0(S):
+def sym0(S, batch=0):
     """Symmetric trace-free part of a rank-2 frame tensor."""
     S = np.asarray(S)
-    rank, spinor = tensor_rank(S)
+    rank, spinor = tensor_rank(S, batch)
     if rank != 2 or spinor:
         raise RankError(f"sym0 needs a plain rank-2 tensor, got shape {S.shape}")
-    return 0.5 * (S + S.T) - (np.trace(S) / 3.0) * _ID3
+    trace = S.trace(axis1=-2, axis2=-1)[..., None, None]
+    return 0.5 * (S + S.swapaxes(-2, -1)) - (trace / 3.0) * _ID3
 
 
 def kulkarni_nomizu(w, h, batch=0):
@@ -159,10 +160,3 @@ def hodge_star(F, batch=0):
         raise SymmetryError("hodge_star needs an antisymmetric input")
     return 0.5 * np.einsum("ijk,...ij->...k", EPS, F)
 
-
-def vector_to_two_form(v):
-    """Inverse of hodge_star on this pair of spaces: F_ij = sum_k eps_ijk v_k."""
-    v = np.asarray(v)
-    if v.shape != (3,):
-        raise RankError(f"need a rank-1 frame tensor, got shape {v.shape}")
-    return np.einsum("ijk,k->ij", EPS, v)

@@ -290,32 +290,36 @@ def test_killing_sends_each_sample_arc_through_transport_operator(tmp_path, caps
 
 
 def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypatch):
+    # analyze reads the quadratic form; killing builds the connection once
+    geometry.quadratic_form_24()
     built = []
     original = spinconn.spin_connection
     spy = lambda g: built.append(g) or original(g)
     monkeypatch.setattr(spinconn, "spin_connection", spy)
     path = write(tmp_path, "round.json", ROUND_TEXT)
-    for argv in (["analyze", path], ["killing", path, "--loops", "5"]):
+    for argv, builds in ((["analyze", path], 0), (["killing", path, "--loops", "5"], 1)):
         built.clear()
         code, _, _ = run_cli(capsys, argv)
         assert code == 0
-        assert len(built) == 1
+        assert len(built) == builds
 
 
 def test_one_weyl_connection_and_scale_per_geometry_and_command(tmp_path, capsys, monkeypatch):
-    # analyze and flatness both need Gamma, and five places need the scale:
-    # each is computed once per geometry and read from its memo after that
+    # analyze and flatness read the quadratic form and need no Gamma, the
+    # transports need it once, and several places need the scale: each is
+    # computed once per geometry and read from its memo after that
+    geometry.quadratic_form_24()
     built = []
     original = geometry.weyl_connection
     spy = lambda g: built.append(g) or original(g)
     monkeypatch.setattr(geometry, "weyl_connection", spy)
     path = write(tmp_path, "round.json", ROUND_TEXT)
-    for argv in (["analyze", path], ["killing", path, "--loops", "5"]):
+    for argv, builds in ((["analyze", path], 0), (["killing", path, "--loops", "5"], 1)):
         built.clear()
         geometry.residual_scale.cache_clear()
         code, _, _ = run_cli(capsys, argv)
         assert code == 0
-        assert len(built) == 1
+        assert len(built) == builds
         scale_reads = geometry.residual_scale.cache_info()
         assert scale_reads.misses == 1 and scale_reads.hits >= 1
 
@@ -354,6 +358,25 @@ def test_killing_command_passes_at_large_scale(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["killing", path, "--loops", "5"])
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_commands_give_scale_free_verdicts_at_extreme_scales(tmp_path, capsys, lam):
+    # the round member at lambda passes both commands, and with beta 2 % off
+    # fails them with r_scal = |1.5 - 24 (1.02 / 4)^2| = 0.0606 at every scale;
+    # the squares of these coefficients under- or overflow, the prescaled ones
+    # do not
+    for factor, code in ((1.0, 0), (1.02, 1)):
+        text = json.dumps({"milnor_lambda": [lam] * 3, "beta": factor * lam / 4.0})
+        path = write(tmp_path, "round.json", text)
+        for argv in (["analyze", path], ["killing", path, "--loops", "5"]):
+            got, out, err = run_cli(capsys, argv)
+            assert got == code, err
+            sections = {s["name"]: s["value"] for s in json.loads(out)["sections"]}
+            if factor == 1.0:
+                assert max(sections[n] for n in ("r_ew", "r_scal", "r_star", "flatness")) <= 1.5e-16
+            else:
+                assert abs(sections["r_scal"] - 0.0606) < 1e-12
 
 
 def geometry_text(g, beta):
@@ -420,14 +443,14 @@ def agreement_cases():
     return cases
 
 
-ANALYZE_SECTIONS = ("r_ew", "r_scal", "r_star", "flatness")
 FROZEN_REPORTS = os.path.join(os.path.dirname(__file__), "data", "killing_reports_v0.16.0.json")
 
 
 def test_killing_reports_match_v0_16_0_to_rounding(capsys):
     # the v0.16.0 reports of `killing FILE --loops 50 --seed 0` on the shipped
-    # files: verdicts, section names and analyze's sections are exact, and
-    # the transport sections may move at rounding level only
+    # files: verdicts, section names, bounds and pass flags are exact, and
+    # every value may move at rounding level only (analyze's sections are
+    # read off the quadratic form since v0.20.0, the transports' since v0.17.0)
     with open(FROZEN_REPORTS, encoding="utf-8") as fh:
         frozen = json.load(fh)
     assert sorted(frozen) == sorted(f for f in os.listdir(GEOMETRY_DIR) if f.endswith(".json"))
@@ -437,11 +460,8 @@ def test_killing_reports_match_v0_16_0_to_rounding(capsys):
         assert (got["seed"], got["verdict"]) == (want["seed"], want["verdict"]), name
         assert [s["name"] for s in got["sections"]] == [s["name"] for s in want["sections"]], name
         for g, w in zip(got["sections"], want["sections"]):
-            if g["name"] in ANALYZE_SECTIONS:
-                assert json.dumps(g) == json.dumps(w), (name, g["name"])
-            else:
-                assert {**g, "value": None} == {**w, "value": None}, (name, g["name"])
-                assert abs(g["value"] - w["value"]) <= 1e-14, (name, g["name"])
+            assert {**g, "value": None} == {**w, "value": None}, (name, g["name"])
+            assert abs(g["value"] - w["value"]) <= 1e-14, (name, g["name"])
 
 
 @pytest.mark.parametrize("source, certified", agreement_cases())
@@ -615,6 +635,16 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_builds_no_quadratic_form():
+    # the form is built on first use, so importing the command line costs nothing more
+    code = "import weylspin.cli, weylspin.geometry as g; print(g.quadratic_form.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_benchmark_span_names_resolve_in_the_package():

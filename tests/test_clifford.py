@@ -14,7 +14,6 @@ from weylspin.clifford import (
     clifford_pairs,
     clifford_sum,
     j_structure,
-    vector_matrix,
 )
 from weylspin.errors import ShapeError
 
@@ -134,6 +133,11 @@ def test_product_rule_dimension_three():
                 lhs = E[i] @ (E[j] @ psi)
                 rhs = -np.einsum("k,kst,t->s", EPS[i, j], E, psi)
                 assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+
+def vector_matrix(v):
+    """The 2x2 matrix of Clifford multiplication by the real frame vector v."""
+    return np.einsum("k,kst->st", v, E)
 
 
 def test_act_matches_matrix():

@@ -7,11 +7,15 @@ the orthonormal frame is diag(2 mu_2 mu_3, 2 mu_3 mu_1, 2 mu_1 mu_2). The
 Heisenberg and round values below are special cases of the same formula.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylspin import geometry
+from weylspin.clifford import EPS
 from weylspin.errors import JacobiViolation, ShapeError
 from weylspin.geometry import (
     WeightedDensity,
@@ -19,14 +23,23 @@ from weylspin.geometry import (
     analyze,
     curvature_package,
     density_derivative,
+    form_coordinates,
+    form_rows,
     gauge_rescale,
+    gt_residual_vector,
     milnor_constants,
     milnor_geometry,
+    normalized_residual,
+    quadratic_form,
+    quadratic_form_24,
     residual_scale,
     validate_geometry,
     weyl_connection,
 )
+from weylspin.spinconn import flatness, killing_curvature
 from weylspin.tensors import kulkarni_nomizu
+
+from test_killing import rotated_geometry, rotation, semidirect_constants
 
 
 def ricci_oracle_diagonal(lam):
@@ -264,3 +277,136 @@ def test_gauge_covariance_of_normalized_residuals():
             assert abs(rep.n_scal - rep2.n_scal) < 1e-12
             assert abs(rep.n_star - rep2.n_star) < 1e-12
             assert rep.verdict == rep2.verdict
+
+
+# the quadratic form --------------------------------------------------------
+
+
+def formula_rows(g, beta):
+    """The 85 rows of the form by the formulas: GT residuals, then Re and Im of R^beta."""
+    curv = killing_curvature(g, beta).curvature.ravel()
+    return np.concatenate([gt_residual_vector(g, beta), curv.real, curv.imag])
+
+
+def form_defect(Q, g, beta):
+    """max|(Q @ x) @ x - formula_rows| / max|x|^2 at x = form_coordinates(g, beta) (1 for x = 0)."""
+    x = form_coordinates(g, beta)
+    defect = float(np.max(np.abs((Q @ x) @ x - formula_rows(g, beta))))
+    return defect / (float(np.max(np.abs(x))) or 1.0) ** 2
+
+
+def integrality_defect(Q):
+    """max distance of an entry of 24 Q from an integer."""
+    return float(np.max(np.abs(24.0 * Q - np.rint(24.0 * Q))))
+
+
+# coefficients below 1e-100 are flushed to 0: their products are subnormal, where
+# the formulas themselves lose digits (the power-of-two rescaling test below
+# covers the form at every scale)
+coefficient = st.floats(-3.0, 3.0).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+
+
+@st.composite
+def geometries(draw):
+    """Milnor frames, rotated ones, and non-unimodular semidirect algebras (Bianchi V, VII, ...)."""
+    kind = draw(st.sampled_from(["milnor", "rotated", "semidirect"]))
+    theta = draw(st.lists(coefficient, min_size=3, max_size=3))
+    if kind == "semidirect":
+        M = np.array(draw(st.lists(coefficient, min_size=4, max_size=4))).reshape(2, 2)
+        g = validate_geometry(semidirect_constants(M), theta)
+    else:
+        g = milnor_geometry(draw(st.lists(coefficient, min_size=3, max_size=3)), theta)
+        if kind == "rotated":
+            axis = draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
+            g = rotated_geometry(g, rotation(axis, draw(st.floats(0.0, 6.3))))
+    return g, WeightedDensity(draw(coefficient))
+
+
+def test_batched_formulas_equal_their_rows():
+    # the form is built from one batched call of both formulas: each row must
+    # be the one-geometry call, bit for bit
+    rng = np.random.default_rng(33)
+    c = np.einsum("ijl,plk->pijk", EPS, rng.standard_normal((5, 3, 3)))
+    theta, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
+    batch = geometry.HomogeneousWeylGeometry(c, theta), SimpleNamespace(value=b, weight=-1.0)
+    rows = [
+        (geometry.HomogeneousWeylGeometry(*a), WeightedDensity(float(v))) for *a, v in zip(c, theta, b)
+    ]
+    assert np.array_equal(gt_residual_vector(*batch), [gt_residual_vector(*r) for r in rows])
+    got = killing_curvature(*batch).curvature
+    assert np.array_equal(got, [killing_curvature(*r).curvature for r in rows])
+
+
+def test_form_coordinates_are_the_structure_constants_exactly():
+    g = milnor_geometry((1.0, -0.5, 2.0), (0.3, 0.1, -0.2))
+    g, beta = rotated_geometry(g, rotation((1, 2, 3), 0.7)), WeightedDensity(0.4)
+    x = form_coordinates(g, beta)
+    N = x[:9].reshape(3, 3)
+    assert np.array_equal(np.einsum("ijl,lk->ijk", EPS, N), g.structure_constants)
+    assert np.array_equal(x[9:], [*g.theta, beta.value])
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometries())
+def test_quadratic_form_is_the_two_formulas(case):
+    g, beta = case
+    assert form_defect(quadratic_form_24() / 24.0, g, beta) < 1e-13
+
+
+def test_quadratic_form_is_24ths_of_integers():
+    Q, Q24 = quadratic_form(), quadratic_form_24()
+    assert Q24.shape == (85, 13, 13)
+    assert not Q.flags.writeable and not Q24.flags.writeable
+    assert np.array_equal(Q24, np.swapaxes(Q24, 1, 2))
+    assert integrality_defect(Q) < 1e-12
+    assert np.array_equal(Q24, np.rint(24.0 * Q))
+
+
+def test_quadratic_form_broken_entry_fails():
+    # one coefficient off by 1/24 breaks the agreement with the formulas, and
+    # a polarized value off by 1e-6 breaks the integrality
+    Q = quadratic_form_24() / 24.0
+    Q[np.unravel_index(np.argmax(np.abs(Q[13:])), Q[13:].shape)] += 1.0 / 24.0
+    rng = np.random.default_rng(31)
+    g = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3))
+    assert form_defect(Q, g, WeightedDensity(0.4)) > 1e-3
+    broken = np.array(quadratic_form())
+    broken[0, 0, 0] += 1e-6
+    assert integrality_defect(broken) > 1e-6
+
+
+def test_analyze_and_flatness_read_the_form_rows():
+    rng = np.random.default_rng(32)
+    for _ in range(50):
+        g = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3))
+        beta = WeightedDensity(float(rng.uniform(-1, 1)))
+        rows, s2 = form_rows(g, beta), residual_scale(g, beta) ** 2
+        want = formula_rows(g, beta) / s2
+        rep = analyze(g, beta)
+        got = [rep.n_ew, rep.n_scal, rep.n_star]
+        blocks = [np.max(np.abs(want[:9])), abs(want[9]), np.max(np.abs(want[10:13]))]
+        assert np.max(np.abs(np.subtract(got, blocks))) < 1e-14
+        curv = np.max(np.abs(killing_curvature(g, beta).curvature)) / s2
+        assert abs(flatness(g, beta) - curv) < 1e-14
+        assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize("k", [-1000, -540, 540, 1000])
+def test_normalized_residuals_keep_their_bits_under_power_of_two_rescaling(k):
+    # 2^k times a Berger geometry: the prescaled coordinates are the same
+    # bits at every k, so are the normalized residuals, even where scale^2
+    # (2^(2k) times about 4) over- or underflows
+    lam, theta = (2.0, 2.0, 1.9985228041705743), (0.0, 0.0, 0.054334239217389883)
+    b = 0.49963070104264679
+    g, beta = milnor_geometry(lam, theta), WeightedDensity(b)
+    g2 = milnor_geometry(np.ldexp(lam, k), np.ldexp(theta, k))
+    beta2 = WeightedDensity(float(np.ldexp(b, k)))
+    rep, rep2 = analyze(g, beta), analyze(g2, beta2)
+    assert (rep2.n_ew, rep2.n_scal, rep2.n_star) == (rep.n_ew, rep.n_scal, rep.n_star)
+    assert rep2.verdict and flatness(g2, beta2) == flatness(g, beta)
+
+
+def test_normalized_residual_never_forms_scale_squared():
+    # scale 2^-540: scale^2 = 2^-1080 is below the smallest float
+    g = milnor_geometry(np.ldexp([1.0, 1.0, 1.0], -540))
+    assert normalized_residual(np.ldexp(1.0, -1000), g, WeightedDensity(0.0)) == 2.0**80

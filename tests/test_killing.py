@@ -30,7 +30,9 @@ from weylspin.killing import (
     LoopBatch,
     _HAMILTON,
     _family_quadratic_form,
+    _float_quaternion,
     _killing_coefficients,
+    _killing_columns,
     _quaternion_matrices,
     _su2_coefficients,
     _su2_quaternion,
@@ -306,6 +308,22 @@ def test_single_arc_and_batch_routes_agree():
         for arc in arcs:
             assert np.array_equal(transport_operator(g, beta, arc), np.eye(2))
             assert np.array_equal(path_transports(g, beta, [[arc.vector]])[0], np.eye(2))
+
+
+def test_transport_operator_is_the_quaternion_basis_matrix():
+    # the 2x2 matrix is formed from the quaternion's four floats by the entry
+    # terms read off the basis; its values are _quaternion_matrices', and only
+    # the sign of a zero may differ
+    rng = np.random.default_rng(44)
+    for g, beta in single_arc_cases():
+        cols = _killing_columns(g, beta)
+        scale = residual_scale(g, beta) or 1.0
+        vectors = rng.standard_normal((40, 3)) * rng.uniform(0.1, 3.0, (40, 1)) / scale
+        for v in [*vectors, (0.0, 0.0, 0.0), (1.7e308, 0.0, 0.0)]:
+            arc = GroupArc(v)
+            x = [-sum(a * b for a, b in zip(arc.vector, col)) for col in cols]
+            want = _quaternion_matrices(np.array(_float_quaternion(x)))
+            assert np.array_equal(transport_operator(g, beta, arc), want, equal_nan=True)
 
 
 @pytest.mark.parametrize("phi", [1e-300, 5e-324, 1e-170])
@@ -1013,6 +1031,17 @@ def test_family_quadratic_form_is_the_residual():
     assert form_defect(Q, xs) < 1e-13
 
 
+def test_family_quadratic_form_is_the_slice_of_the_geometry_form():
+    # N = diag(l1, l2, l3) and theta = (0, 0, theta3) among the 13 coordinates
+    Q = _family_quadratic_form()
+    idx = [0, 4, 8, 11, 12]
+    want = np.ascontiguousarray(geometry.quadratic_form()[:13][:, idx][:, :, idx])
+    assert Q.tobytes() == want.tobytes() and Q.flags.c_contiguous
+    x = np.array([2.0, 1.5, 1.0, 0.3, 0.4])
+    g, beta = milnor_theta3_family(x)
+    assert np.array_equal(geometry.form_coordinates(g, beta)[idx], x)
+
+
 def test_family_quadratic_form_broken_entry_fails():
     Q = np.array(_family_quadratic_form())
     k, i, j = np.unravel_index(np.argmax(np.abs(Q)), Q.shape)
@@ -1079,6 +1108,18 @@ def test_search_rejects_a_pin_index_out_of_range(pin):
     # an index past the end would pin nothing: the conformal freedom would stay
     with pytest.raises(ShapeError, match="pin index"):
         find_gt_parameters((2.2, 1.9, 2.1, 0.05, 0.4), pin=pin)
+
+
+@pytest.mark.parametrize("name", [1.5, True, np.True_, "lambda4", "1", None, (1,)])
+def test_search_rejects_a_pin_that_names_no_coordinate(name):
+    # 1.5 and True would pin lambda2 by truncation, "lambda4" was a KeyError
+    with pytest.raises(ShapeError, match="pin"):
+        find_gt_parameters((2.2, 1.9, 2.1, 0.05, 0.4), pin=(name, None))
+
+
+def test_search_pin_by_numpy_integer():
+    res = find_gt_parameters((2.0, 2.1, 1.95, 0.01, 0.45), pin=(np.int64(4), None))
+    assert res.params == find_gt_parameters((2.0, 2.1, 1.95, 0.01, 0.45), pin=("beta", None)).params
 
 
 def test_search_no_convergence_payload():

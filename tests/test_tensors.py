@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from weylspin.clifford import E, act, j_structure
+from weylspin.clifford import E, EPS, act, j_structure
 from weylspin.errors import RankError, ShapeError, SlotError, SymmetryError
 from weylspin.tensors import (
     alt,
@@ -19,7 +19,6 @@ from weylspin.tensors import (
     nu_embed,
     sym0,
     tensor_rank,
-    vector_to_two_form,
 )
 
 from test_clifford import FINITE
@@ -188,6 +187,11 @@ def test_nu_embed_equals_its_einsum_form(lead, rank, data):
     assert np.array_equal(nu_embed(x, batch), dense)
 
 
+def vector_to_two_form(v):
+    """Inverse of hodge_star on this pair of spaces: F_ij = sum_k eps_ijk v_k."""
+    return np.einsum("ijk,k->ij", EPS, v)
+
+
 def test_hodge_star_roundtrip():
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -237,6 +241,7 @@ def test_batched_operations_equal_their_rows(n, seed):
     cases = [
         (alt(w, 1), [alt(x) for x in w]),
         (alt(T2, 1), [alt(x) for x in T2]),
+        (sym0(w, 1), [sym0(x) for x in w]),
         (kulkarni_nomizu(w, h, 1), [kulkarni_nomizu(a, b) for a, b in zip(w, h)]),
         (mu_contract([2], T2, 1), [mu_contract([2], x) for x in T2]),
         (mu_contract([3, 4], T4, 1), [mu_contract([3, 4], x) for x in T4]),
