@@ -25,10 +25,6 @@ class JacobiViolation(WeylSpinError):
     """Structure constants fail the Jacobi identity beyond tolerance."""
 
 
-class NotGT(WeylSpinError):
-    """Geometry fails the Gauduchon-Tod residuals at tolerance."""
-
-
 class NoConvergence(WeylSpinError):
     """Newton search hit the iteration cap; carries the best iterate found."""
 

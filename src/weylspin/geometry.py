@@ -110,18 +110,22 @@ def _read_only_geometry(c, th):
 def validate_geometry(structure_constants, theta):
     """Build a validated geometry from raw arrays.
 
-    Both bounds are relative to the scale m = max|c|, so a valid frame passes
-    at any scale: antisymmetry violations up to 1e-12 m are symmetrized away,
-    larger ones are rejected, and the Jacobi identity must hold to 1e-10 m^2.
+    Both bounds are relative to the scale s = max|c|, so a valid frame passes
+    at any scale: antisymmetry violations up to 1e-12 s are symmetrized away,
+    larger ones are rejected, and the Jacobi identity must hold to 1e-10 s^2.
+    The Jacobi defect is taken of c / 2^e, with s = m 2^e and 1/2 <= m < 1,
+    against 1e-10 m^2: the same verdict wherever s^2 is a normal float, and
+    no over- or underflow of the quadratic defect at any finite scale.
     """
     c, th, scale = _finite_arrays(structure_constants, theta)
     skew = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
     if skew > 1e-12 * scale:
         raise ShapeError(f"structure constants not antisymmetric in the lower pair ({skew:.3e})")
     c = 0.5 * (c - np.swapaxes(c, 0, 1))
-    defect = _jacobi_defect(c)
-    if defect > 1e-10 * scale**2:
-        raise JacobiViolation(f"Jacobi identity fails by {defect:.3e}")
+    m, e = math.frexp(scale)
+    defect = _jacobi_defect(np.ldexp(c, -e))
+    if defect > 1e-10 * m * m:
+        raise JacobiViolation(f"Jacobi identity fails by {defect / (m * m):.3e} max|c|^2")
     return _read_only_geometry(c, th)
 
 
@@ -239,7 +243,7 @@ def gt_residual_vector(g, beta):
     return np.concatenate(
         [
             pkg.sym0_ricci.reshape(batch + (9,)),
-            np.asarray(pkg.scalar - 24.0 * beta.value**2)[..., None],
+            np.asarray(pkg.scalar - 24.0 * beta.value * beta.value)[..., None],
             4.0 * grad - star_f,
         ],
         axis=-1,
@@ -274,15 +278,6 @@ def prescale(g, beta):
     return e, m or 1.0
 
 
-def normalized_residual(value, g, beta):
-    """value / residual_scale(g, beta)^2 for a weight -2 residual; as is for the zero geometry.
-
-    Computed as (value / 2^(2e)) / m^2 with (e, m) = prescale(g, beta).
-    """
-    e, m = prescale(g, beta)
-    return np.ldexp(value, -2 * e) / (m * m)
-
-
 # The 13 coordinates x = (N, theta, beta) of a geometry: c^k_ij = sum_l eps_ijl N[l, k]
 # holds for every 3-dimensional Lie algebra, so row l of N is c[i, j] with (i, j, l) a
 # cyclic order of (0, 1, 2). Every Gauduchon-Tod residual and every entry of the Killing
@@ -298,8 +293,8 @@ def form_coordinates(g, beta):
 
 
 @functools.lru_cache(maxsize=1)
-def quadratic_form():
-    """Read-only Q (85, 13, 13), symmetric in its last two axes: r(x) = (Q @ x) @ x.
+def quadratic_form_24():
+    """Read-only 24 Q (85, 13, 13), integers, symmetric in its last two axes: r(x) = (Q @ x) @ x.
 
     r(x) stacks, at x = form_coordinates(g, beta), gt_residual_vector (rows
     0-12) and the real (rows 13-48) and imaginary parts (rows 49-84) of
@@ -307,8 +302,10 @@ def quadratic_form():
     quadratic in x, so Q is fixed by its values at the 91 points e_k and
     e_k + e_l (k < l), which one batched evaluation of both formulas gives:
         Q[:, k, k] = r(e_k),  Q[:, k, l] = (r(e_k + e_l) - r(e_k) - r(e_l)) / 2.
-    These are the polarized values, rounding included; quadratic_form_24
-    holds the exact coefficients. Built on first use, not at import.
+    Every coefficient is a multiple of 1/24, so 24 Q is rounded to the
+    integers it is, which drops the rounding of the evaluations (about 1e-16
+    where the exact coefficient is 0); a polarized 24 Q more than 1e-12 from
+    integers is refused. Built on first use, not at import.
     """
     from .spinconn import killing_curvature  # spinconn imports this module
 
@@ -321,26 +318,16 @@ def quadratic_form():
     beta = SimpleNamespace(value=x[:, 12], weight=-1.0)  # the formulas read only these
     curv = killing_curvature(g, beta).curvature.reshape(len(x), 36)  # R^beta[i, j, a, b], C order
     r = np.concatenate([gt_residual_vector(g, beta), curv.real, curv.imag], axis=1).T
+    r *= 24.0
     diag = r[:, :n]
-    Q = np.empty((len(r), n, n))
-    Q[:, range(n), range(n)] = diag
-    Q[:, k, l] = Q[:, l, k] = 0.5 * (r[:, n:] - diag[:, k] - diag[:, l])
-    Q.setflags(write=False)
-    return Q
-
-
-@functools.lru_cache(maxsize=1)
-def quadratic_form_24():
-    """Read-only 24 Q (85, 13, 13) of quadratic_form, rounded to the integers it is.
-
-    Every coefficient of the 85 rows is a multiple of 1/24, and the tests
-    check that 24 Q is within 1e-12 of this table. The polarized Q also
-    carries coefficients of about 1e-16 where the exact one is 0, which
-    would read a certified geometry's residuals as about 1e-16 instead of 0;
-    find_gt_parameters keeps the polarized values, for the bits of its
-    iterates.
-    """
-    form = np.rint(24.0 * quadratic_form())
+    polarized = np.empty((len(r), n, n))
+    polarized[:, range(n), range(n)] = diag
+    polarized[:, k, l] = polarized[:, l, k] = 0.5 * (r[:, n:] - diag[:, k] - diag[:, l])
+    form = np.rint(polarized)
+    polarized -= form
+    defect = float(np.max(np.abs(polarized, out=polarized)))
+    if not defect <= 1e-12:
+        raise RuntimeError(f"polarized 24 Q is {defect:.3e} from integers")
     form.setflags(write=False)
     return form
 

@@ -15,13 +15,15 @@ used here:
   second_identity     nu(nabla beta . psi) - nabla beta . (nu psi)
                       - 1/2 mu^2 F (x) psi = 0                  with 4 nabla beta = *F
   integrability       the weight-0 Killing integrability relations at n = 3
-                      (see check_integrability)
+                      (integrability_residual)
 
 In second_identity the composition order is fixed by the identity suite: the
 Clifford factor (nabla beta .) acts on the spinor values of nu psi. The first
 four identities are pointwise algebra in a free antisymmetric F once
 4 nabla beta = *F is imposed, so they are tested with random F independent of
-any geometry; integrability needs a Gauduchon-Tod certified geometry.
+any geometry. The integrability relations hold only on a Gauduchon-Tod
+geometry, where Killing spinors exist; no command evaluates them yet, and the
+tests call integrability_residual on certified geometries.
 """
 
 from dataclasses import dataclass
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import E, EPS, act, clifford_apply, clifford_pairs, j_structure
-from .errors import NotGT, ShapeError
-from .geometry import analyze, curvature_package, density_derivative, normalized_residual
+from .errors import ShapeError
+from .geometry import curvature_package, density_derivative
 from .tensors import alt, hodge_star, kulkarni_nomizu, metric, mu_contract, nu_embed, sym0
 
 _ID3 = np.eye(3)
@@ -271,34 +273,11 @@ def integrability_residual(g, beta, psi, pkg=None):
     lhs_red = mu_contract([2], _tensor_spinor(sym0(pkg.ric_prime), psi))
     r_red = np.max(np.abs(lhs_red - second_identity_expression(pkg.faraday, psi, grad)))
 
-    r_scal = abs(pkg.scalar - 24.0 * beta.value**2) * np.max(np.abs(psi))
+    r_scal = abs(pkg.scalar - 24.0 * beta.value * beta.value) * np.max(np.abs(psi))
 
     r_far = np.max(np.abs(_monopole_defect(pkg.faraday, psi, grad)))
 
     return float(max(r_full, r_red, r_scal, r_far))
-
-
-_INTEGRABILITY_TOLERANCE = 1e-8
-_GT_TOLERANCE = 1e-8
-
-
-def check_integrability(g, beta, psi):
-    """Integrability report; the geometry must be Gauduchon-Tod certified.
-
-    The relations are only asserted for Killing spinors, and those exist
-    exactly on GT geometries, so a failing GT verdict raises NotGT instead of
-    reporting a meaningless residual. The residual has conformal weight -2, so
-    the report carries it over scale^2 (normalized_residual), which is the same
-    at every gauge scale.
-    """
-    gt = analyze(g, beta, _GT_TOLERANCE)
-    if not gt.verdict:
-        raise NotGT(
-            "geometry is not Gauduchon-Tod at tolerance "
-            f"{_GT_TOLERANCE:g} (normalized residuals {gt.n_ew:.3e}, {gt.n_scal:.3e}, {gt.n_star:.3e})"
-        )
-    residual = normalized_residual(integrability_residual(g, beta, psi), g, beta)
-    return make_report("integrability", residual, 1, _INTEGRABILITY_TOLERANCE)
 
 
 def _two_form_and_spinor(rng, n):

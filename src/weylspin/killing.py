@@ -39,7 +39,7 @@ from .geometry import (
     gt_report,
     gt_residual_vector,
     milnor_geometry,
-    quadratic_form,
+    quadratic_form_24,
     residual_scale,
 )
 from .spinconn import killing_connection, weight0_matrices
@@ -434,14 +434,12 @@ def _family_quadratic_form():
     """Read-only Q (13, 5, 5), symmetric in its last two axes, with r(x) = (Q @ x) @ x.
 
     r(x) = gt_residual_vector(*milnor_theta3_family(x)): the slice P^T Q P
-    of geometry.quadratic_form's Gauduchon-Tod rows, P picking the family's
-    coordinates: N = diag(l1, l2, l3) and theta = (0, 0, theta3) among
-    geometry.form_coordinates. Its polarized values are the ones the family
-    polarized itself, so the iterates, and search-gt's output, keep their bits.
+    of the Gauduchon-Tod rows of geometry.quadratic_form_24 / 24, P picking
+    the family's coordinates: N = diag(l1, l2, l3) and theta = (0, 0, theta3)
+    among geometry.form_coordinates.
     """
     idx = [0, 4, 8, 11, 12]
-    # in C order: the bits of Q @ x depend on the layout of Q
-    Q = np.ascontiguousarray(quadratic_form()[:13][:, idx][:, :, idx])
+    Q = quadratic_form_24()[:13][:, idx][:, :, idx] / 24.0
     Q.setflags(write=False)
     return Q
 
@@ -472,7 +470,10 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     any other name or index raises ShapeError.
     Newton steps solve the least-squares system for the stacked residual
     vector of milnor_theta3_family, with simple backtracking (halve the step
-    while the residual norm does not decrease). The residuals are the
+    while the residual norm does not decrease). Singular values of the
+    Jacobian below 1e-12 of the largest are dropped: the roots form curves,
+    along which the Jacobian loses rank, and a step along a singular value
+    of rounding size is rounding noise that backtracking cannot halve away. The residuals are the
     quadratic form r(x) = (Q @ x) @ x of _family_quadratic_form, so each step
     evaluates Q @ x once and takes the exact Jacobian 2 (Q @ x)[:, free]; no
     geometry is built inside the iteration. Success means a max-norm residual
@@ -520,7 +521,7 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
         jac = 2.0 * qx[:, free]
         if not (np.isfinite(norm) and np.all(np.isfinite(jac))):
             raise stop("non-finite residual", it)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=1e-12)
         if not np.all(np.isfinite(step)):
             raise stop("non-finite Newton step", it)
         t = 1.0

@@ -362,21 +362,31 @@ def test_killing_command_passes_at_large_scale(tmp_path, capsys):
 
 @pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
 def test_commands_give_scale_free_verdicts_at_extreme_scales(tmp_path, capsys, lam):
-    # the round member at lambda passes both commands, and with beta 2 % off
-    # fails them with r_scal = |1.5 - 24 (1.02 / 4)^2| = 0.0606 at every scale;
-    # the squares of these coefficients under- or overflow, the prescaled ones
+    # the round member at lambda, as Milnor parameters or as structure
+    # constants, passes both commands, and with beta 2 % off fails them with
+    # r_scal = |1.5 - 24 (1.02 / 4)^2| = 0.0606 at every scale; structure
+    # constants that break the Jacobi identity exit 2 at every scale. The
+    # squares of these coefficients under- or overflow, the prescaled ones
     # do not
+    commands = (["analyze"], ["killing", "--loops", "5"])
+    sources = ({"milnor_lambda": [lam] * 3}, {"structure_constants": milnor_constants([lam] * 3).tolist()})
     for factor, code in ((1.0, 0), (1.02, 1)):
-        text = json.dumps({"milnor_lambda": [lam] * 3, "beta": factor * lam / 4.0})
-        path = write(tmp_path, "round.json", text)
-        for argv in (["analyze", path], ["killing", path, "--loops", "5"]):
-            got, out, err = run_cli(capsys, argv)
-            assert got == code, err
-            sections = {s["name"]: s["value"] for s in json.loads(out)["sections"]}
-            if factor == 1.0:
-                assert max(sections[n] for n in ("r_ew", "r_scal", "r_star", "flatness")) <= 1.5e-16
-            else:
-                assert abs(sections["r_scal"] - 0.0606) < 1e-12
+        for source in sources:
+            path = write(tmp_path, "round.json", json.dumps({**source, "beta": factor * lam / 4.0}))
+            for command, *options in commands:
+                got, out, err = run_cli(capsys, [command, path, *options])
+                assert got == code, err
+                sections = {s["name"]: s["value"] for s in json.loads(out)["sections"]}
+                if factor == 1.0:
+                    assert max(sections[n] for n in ("r_ew", "r_scal", "r_star", "flatness")) <= 1.5e-16
+                else:
+                    assert abs(sections["r_scal"] - 0.0606) < 1e-12
+    a = np.random.default_rng(0).standard_normal((3, 3, 3))
+    bad = lam * (a - np.swapaxes(a, 0, 1))
+    path = write(tmp_path, "bad.json", json.dumps({"structure_constants": bad.tolist()}))
+    for command, *options in commands:
+        got, out, err = run_cli(capsys, [command, path, *options])
+        assert (got, out) == (2, "") and "Jacobi" in err
 
 
 def geometry_text(g, beta):
@@ -589,11 +599,15 @@ def test_search_gt_usage_errors(capsys):
 
 
 def test_search_gt_overflow_fails_with_a_report(capsys):
-    code, out, err = run_cli(capsys, ["search-gt", "--x0", "1e200,2,2,0,0.5"])
-    assert code == 1
-    final = json.loads(out)["sections"][0]
-    assert final["name"] == "final_residual" and final["pass"] is False
-    assert "no convergence" in err
+    # lambda1 or beta at 1e200: the quadratic residuals overflow, and the
+    # formula reads the start as nan or inf
+    for x0 in ("1e200,2,2,0,0.5", "1,1,1,1,1e200"):
+        code, out, err = run_cli(capsys, ["search-gt", "--x0", x0])
+        assert code == 1
+        final = json.loads(out)["sections"][0]
+        assert final["name"] == "final_residual" and final["pass"] is False
+        assert not math.isfinite(final["value"])
+        assert "no convergence" in err
 
 
 X0 = ["--x0", "2.2,1.9,2.1,0.05,0.4"]
@@ -639,7 +653,7 @@ def test_cli_import_does_not_load_scipy():
 
 def test_cli_import_builds_no_quadratic_form():
     # the form is built on first use, so importing the command line costs nothing more
-    code = "import weylspin.cli, weylspin.geometry as g; print(g.quadratic_form.cache_info().currsize)"
+    code = "import weylspin.cli, weylspin.geometry as g; print(g.quadratic_form_24.cache_info().currsize)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True

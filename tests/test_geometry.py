@@ -29,8 +29,6 @@ from weylspin.geometry import (
     gt_residual_vector,
     milnor_constants,
     milnor_geometry,
-    normalized_residual,
-    quadratic_form,
     quadratic_form_24,
     residual_scale,
     validate_geometry,
@@ -295,11 +293,6 @@ def form_defect(Q, g, beta):
     return defect / (float(np.max(np.abs(x))) or 1.0) ** 2
 
 
-def integrality_defect(Q):
-    """max distance of an entry of 24 Q from an integer."""
-    return float(np.max(np.abs(24.0 * Q - np.rint(24.0 * Q))))
-
-
 # coefficients below 1e-100 are flushed to 0: their products are subnormal, where
 # the formulas themselves lose digits (the power-of-two rescaling test below
 # covers the form at every scale)
@@ -354,25 +347,26 @@ def test_quadratic_form_is_the_two_formulas(case):
 
 
 def test_quadratic_form_is_24ths_of_integers():
-    Q, Q24 = quadratic_form(), quadratic_form_24()
+    Q24 = quadratic_form_24()
     assert Q24.shape == (85, 13, 13)
-    assert not Q.flags.writeable and not Q24.flags.writeable
+    assert not Q24.flags.writeable
     assert np.array_equal(Q24, np.swapaxes(Q24, 1, 2))
-    assert integrality_defect(Q) < 1e-12
-    assert np.array_equal(Q24, np.rint(24.0 * Q))
+    assert np.array_equal(Q24, np.rint(Q24))
+    assert np.array_equal(quadratic_form_24.__wrapped__(), Q24)  # a fresh build, same table
 
 
-def test_quadratic_form_broken_entry_fails():
+def test_quadratic_form_broken_entry_fails(monkeypatch):
     # one coefficient off by 1/24 breaks the agreement with the formulas, and
-    # a polarized value off by 1e-6 breaks the integrality
+    # evaluations off by 1e-6 leave 24 Q up to 2.4e-5 from integers, which the build refuses
     Q = quadratic_form_24() / 24.0
     Q[np.unravel_index(np.argmax(np.abs(Q[13:])), Q[13:].shape)] += 1.0 / 24.0
     rng = np.random.default_rng(31)
     g = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3))
     assert form_defect(Q, g, WeightedDensity(0.4)) > 1e-3
-    broken = np.array(quadratic_form())
-    broken[0, 0, 0] += 1e-6
-    assert integrality_defect(broken) > 1e-6
+    formula = geometry.gt_residual_vector  # the form is polarized from it
+    monkeypatch.setattr(geometry, "gt_residual_vector", lambda g, beta: formula(g, beta) + 1e-6)
+    with pytest.raises(RuntimeError, match="from integers"):
+        quadratic_form_24.__wrapped__()
 
 
 def test_analyze_and_flatness_read_the_form_rows():
@@ -404,9 +398,3 @@ def test_normalized_residuals_keep_their_bits_under_power_of_two_rescaling(k):
     rep, rep2 = analyze(g, beta), analyze(g2, beta2)
     assert (rep2.n_ew, rep2.n_scal, rep2.n_star) == (rep.n_ew, rep.n_scal, rep.n_star)
     assert rep2.verdict and flatness(g2, beta2) == flatness(g, beta)
-
-
-def test_normalized_residual_never_forms_scale_squared():
-    # scale 2^-540: scale^2 = 2^-1080 is below the smallest float
-    g = milnor_geometry(np.ldexp([1.0, 1.0, 1.0], -540))
-    assert normalized_residual(np.ldexp(1.0, -1000), g, WeightedDensity(0.0)) == 2.0**80

@@ -15,13 +15,13 @@ from hypothesis.extra.numpy import arrays
 from weylspin import identities
 from weylspin.cli import main, parse_geometry_file
 from weylspin.clifford import E, EPS, act, clifford_apply, j_structure
-from weylspin.errors import NotGT, RankError, ShapeError, SymmetryError
+from weylspin.errors import RankError, ShapeError, SymmetryError
 from weylspin.geometry import (
     WeightedDensity,
     curvature_package,
     gauge_rescale,
     milnor_geometry,
-    normalized_residual,
+    residual_scale,
 )
 from weylspin.identities import (
     CHUNK,
@@ -31,7 +31,6 @@ from weylspin.identities import (
     _sweep,
     _tensor_spinor,
     _two_form_and_spinor,
-    check_integrability,
     clifford_relations_residual,
     dreieck_residual,
     first_identity_expression,
@@ -164,10 +163,7 @@ def test_integrability_on_round_sphere():
     for b in (0.5, -0.5):
         beta = WeightedDensity(b)
         for _ in range(20):
-            psi = random_spinor(rng)
-            rep = check_integrability(g, beta, psi)
-            assert rep.passed
-            assert rep.residual < 1e-8
+            assert integrability_residual(g, beta, random_spinor(rng)) < 1e-12
 
 
 def test_integrability_j_equivariant():
@@ -184,23 +180,18 @@ def test_integrability_j_equivariant():
 @pytest.mark.parametrize("s", [-12.0, -9.0, 0.0, 5.0])
 def test_integrability_gate_is_scale_relative(s):
     # the raw residual has weight -2: on the certified Berger sphere it reads
-    # about 6e-14 at s = 0, 4e-6 at s = -9 and 2e-3 at s = -12
+    # about 6e-14 at s = 0, 4e-6 at s = -9 and 2e-3 at s = -12, and over
+    # residual_scale^2 it reads below 1e-12 at every s
     g0, beta0 = parse_geometry_file(BERGER_PATH)
     g, beta = gauge_rescale(g0, beta0, s)
     psi = random_spinor(np.random.default_rng(0))
-    rep = check_integrability(g, beta, psi)
-    assert rep.passed and rep.residual < 1e-12
+    scale2 = residual_scale(g, beta) ** 2
+    assert integrability_residual(g, beta, psi) / scale2 < 1e-12
     # negative control: the curvature of the same frame at theta3 = 0.3
     lam = g0.structure_constants[[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     off, _ = gauge_rescale(milnor_geometry(lam, (0.0, 0.0, 0.3)), beta0, s)
     raw = integrability_residual(g, beta, psi, pkg=curvature_package(off))
-    assert 0.1 < normalized_residual(raw, g, beta) < 0.5
-
-
-def test_integrability_rejects_non_gt():
-    g = milnor_geometry((2.0, 2.0, 2.0), (0.0, 0.0, 0.3))
-    with pytest.raises(NotGT):
-        check_integrability(g, WeightedDensity(0.5), np.array([1.0, 0.0]))
+    assert 0.1 < raw / scale2 < 0.5
 
 
 def test_clifford_action_j_equivariance_sweep():
