@@ -89,7 +89,7 @@ def parse_geometry_file(path):
     Schema (_SCHEMA): exactly one of "milnor_lambda" (3 numbers) or
     "structure_constants" (3x3x3 nested array), plus optional "theta"
     (3 numbers, default zero), "beta" (number, default 0) and "beta_weight"
-    (-1, the default and the only weight the commands use). Every value must be
+    (-1, the default and the only weight a WeightedDensity takes). Every value must be
     finite JSON numbers nested to its key's shape. An unknown key, a bad value,
     or structure constants that fail validate_geometry (antisymmetry, Jacobi)
     raise ParseError at the key's line and column; a repeated key raises it at

@@ -11,6 +11,7 @@ spinconn.flatness read them off one cached form, evaluated on coordinates
 prescaled by a power of two, so the normalized residuals are the same at
 every finite scale; gt_residual_vector, curvature_package and
 spinconn.killing_curvature stay the definitions the form is built from.
+residual_scale is the one unit: every residual (weight -2) is read in scale^2.
 
 Sign and trace conventions (pinned by the curvature-decomposition and
 flatness-equivalence audits, see docs/CONVENTIONS.md):
@@ -20,7 +21,7 @@ flatness-equivalence audits, see docs/CONVENTIONS.md):
                  + theta_i d_jk + theta_j d_ik - d_ij theta_k
   * R4[i,j,k,l] = c(R(e_i,e_j) e_k, e_l),  Ric_xy = sum_z R4[z,x,y,z]
   * F_ij = -sum_k theta_k c^k_ij  (the exterior derivative of theta)
-  * (nabla beta)_i = w theta_i beta  for a frame-constant density of weight w
+  * (nabla beta)_i = -theta_i beta  for a frame-constant density of weight -1
 """
 
 import functools
@@ -35,6 +36,7 @@ from .errors import JacobiViolation, ShapeError
 from .tensors import hodge_star, sym0
 
 _ID3 = np.eye(3)
+_LOWER = np.tril(np.ones((3, 3), dtype=bool), -1)[..., None]  # the entries c[i, j, k] with i > j
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,12 +47,16 @@ class HomogeneousWeylGeometry:
 
 @dataclass(frozen=True)
 class WeightedDensity:
-    value: float  # units length^weight
+    """A frame-constant density beta of conformal weight -1, the only weight it takes."""
+
+    value: float  # units 1/length
     weight: float = -1.0
 
     def __post_init__(self):
         if not np.isfinite(self.value):
             raise ShapeError("density value must be finite")
+        if self.weight != -1:
+            raise ShapeError(f"beta must have weight -1, got weight {self.weight}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,15 +72,11 @@ class CurvaturePackage:
 
 @dataclass(frozen=True)
 class GTReport:
-    """Gauduchon-Tod residuals: Einstein-Weyl, scalar pinning, monopole."""
+    """Gauduchon-Tod residuals over residual_scale^2: Einstein-Weyl, scalar pinning, monopole."""
 
-    r_ew: float
-    r_scal: float
-    r_star: float
     n_ew: float
     n_scal: float
     n_star: float
-    scale: float
     tolerance: float
     verdict: bool
 
@@ -115,16 +117,24 @@ def validate_geometry(structure_constants, theta):
     larger ones are rejected, and the Jacobi identity must hold to 1e-10 s^2.
     The Jacobi defect is taken of c / 2^e, with s = m 2^e and 1/2 <= m < 1,
     against 1e-10 m^2: the same verdict wherever s^2 is a normal float, and
-    no over- or underflow of the quadratic defect at any finite scale.
+    no over- or underflow of the quadratic defect at any finite scale. The
+    antisymmetric part is c - (c + c^T) / 2, which stays finite up to the
+    float maximum and keeps the bits of an exactly antisymmetric c; where a
+    pair's sum rounded, the entry below the diagonal is set to the negative
+    of the one above, so the result is exactly antisymmetric.
     """
     c, th, scale = _finite_arrays(structure_constants, theta)
-    skew = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
+    with np.errstate(over="ignore"):  # a sum that overflows is a skew above any bound
+        sym = c + np.swapaxes(c, 0, 1)
+    skew = np.max(np.abs(sym))
     if skew > 1e-12 * scale:
         raise ShapeError(f"structure constants not antisymmetric in the lower pair ({skew:.3e})")
-    c = 0.5 * (c - np.swapaxes(c, 0, 1))
+    c = c - 0.5 * sym
+    flip = -np.swapaxes(c, 0, 1)
+    c = np.where(_LOWER & (c != flip), flip, c)
     m, e = math.frexp(scale)
     defect = _jacobi_defect(np.ldexp(c, -e))
-    if defect > 1e-10 * m * m:
+    if not defect <= 1e-10 * m * m:
         raise JacobiViolation(f"Jacobi identity fails by {defect / (m * m):.3e} max|c|^2")
     return _read_only_geometry(c, th)
 
@@ -160,13 +170,13 @@ def weyl_connection(g):
     whose arrays carry leading batch axes, with a density whose value is an
     array over the same axes, and gives each row the unbatched result.
     """
-    c = g.structure_constants
+    # halving c first, and one nonzero term per entry of the theta part, keeps every
+    # partial sum within max|c|; halving is exact wherever nothing is subnormal
+    half = 0.5 * g.structure_constants
     th = g.theta
-    lc = 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
-    wt = (
-        np.einsum("...i,jk->...ijk", th, _ID3)
-        + np.einsum("...j,ik->...ijk", th, _ID3)
-        - np.einsum("ij,...k->...ijk", _ID3, th)
+    lc = half - np.einsum("...jki->...ijk", half) + np.einsum("...kij->...ijk", half)
+    wt = np.einsum("...i,jk->...ijk", th, _ID3) + (
+        np.einsum("...j,ik->...ijk", th, _ID3) - np.einsum("ij,...k->...ijk", _ID3, th)
     )
     return lc + wt
 
@@ -212,26 +222,24 @@ def curvature_package(g):
 
 
 def density_derivative(g, beta):
-    """(nabla beta)_i = w theta_i beta for a frame-constant weight-w density.
+    """(nabla beta)_i = -theta_i beta for a frame-constant density of weight -1.
 
     The sign is the one under which vanishing Gauduchon-Tod residuals and
     flatness of the Killing connection coincide (the opposite sign fails that
     audit).
     """
-    return beta.weight * g.theta * np.asarray(beta.value)[..., None]
+    return -g.theta * np.asarray(beta.value)[..., None]
 
 
 def gauge_rescale(g, beta, s):
     """Constant gauge change g -> e^{2s} g.
 
-    The orthonormal frame rescales by e^{-s}, hence structure constants and
-    theta pick up e^{-s}; a weight-w density representative picks up e^{ws}.
-    All dimensionless verdicts are invariant.
+    The orthonormal frame rescales by e^{-s}, hence structure constants,
+    theta and the weight -1 density beta all pick up e^{-s}. All
+    dimensionless verdicts are invariant.
     """
     f = float(np.exp(-s))
-    g2 = validate_geometry(g.structure_constants * f, g.theta * f)
-    b2 = WeightedDensity(beta.value * float(np.exp(beta.weight * s)), beta.weight)
-    return g2, b2
+    return validate_geometry(g.structure_constants * f, g.theta * f), WeightedDensity(beta.value * f)
 
 
 def gt_residual_vector(g, beta):
@@ -252,22 +260,20 @@ def gt_residual_vector(g, beta):
 
 @functools.lru_cache(maxsize=1)
 def residual_scale(g, beta):
-    """Scale used to normalize weight -2 residuals: max coefficient magnitude.
+    """The geometry's unit of 1/length: max coefficient magnitude, and 1 for the zero geometry.
 
-    Computed once per (immutable) geometry and density: a killing call reads
-    it from analyze, flatness, the loop lengths and killing_residual.
+    Weight -2 residuals are normalized by its square, and loop lengths and
+    killing_residual's step are taken in its inverse. The zero geometry has
+    all residuals 0, so its scale of 1 leaves them as they are. Computed
+    once per (immutable) geometry and density: a killing call reads it from
+    analyze, flatness, the loop lengths and killing_residual.
     """
-    return float(
-        max(
-            np.max(np.abs(g.structure_constants)),
-            np.max(np.abs(g.theta)),
-            abs(beta.value),
-        )
-    )
+    scale = max(np.max(np.abs(g.structure_constants)), np.max(np.abs(g.theta)), abs(beta.value))
+    return float(scale) or 1.0
 
 
 def prescale(g, beta):
-    """(e, m) with residual_scale(g, beta) = m 2^e, 1/2 <= m < 1; (0, 1.0) for the zero geometry.
+    """(e, m) with residual_scale(g, beta) = m 2^e, 1/2 <= m < 1.
 
     Dividing a coordinate by 2^e and a weight -2 residual by 2^(2e) is exact
     wherever the result is a normal float, so residuals normalized through
@@ -275,7 +281,7 @@ def prescale(g, beta):
     nonzero at scales where scale^2 itself would over- or underflow.
     """
     m, e = math.frexp(residual_scale(g, beta))
-    return e, m or 1.0
+    return e, m
 
 
 # The 13 coordinates x = (N, theta, beta) of a geometry: c^k_ij = sum_l eps_ijl N[l, k]
@@ -315,7 +321,7 @@ def quadratic_form_24():
     x = np.concatenate([eye, eye[k] + eye[l]])
     N = x[:, :9].reshape(-1, 3, 3)
     g = HomogeneousWeylGeometry(np.einsum("ijl,plk->pijk", EPS, N), x[:, 9:12])
-    beta = SimpleNamespace(value=x[:, 12], weight=-1.0)  # the formulas read only these
+    beta = SimpleNamespace(value=x[:, 12])  # the formulas read only beta.value
     curv = killing_curvature(g, beta).curvature.reshape(len(x), 36)  # R^beta[i, j, a, b], C order
     r = np.concatenate([gt_residual_vector(g, beta), curv.real, curv.imag], axis=1).T
     r *= 24.0
@@ -354,16 +360,11 @@ def _blocks(residuals):
     return np.array([r[:9].max(), r[9], r[10:].max()])
 
 
-def _report(raw, scaled, g, beta, tolerance):
-    """GTReport from the block maxima raw and scaled = raw / 2^(2e), (e, m) = prescale(g, beta)."""
-    if beta.weight != -1:
-        raise ShapeError(f"analyze needs a weight -1 density, got weight {beta.weight}")
+def _report(scaled, g, beta, tolerance):
+    """GTReport from the block maxima scaled = raw / 2^(2e), (e, m) = prescale(g, beta)."""
     _, m = prescale(g, beta)
-    r_ew, r_scal, r_star = raw.tolist()
     n_ew, n_scal, n_star = (scaled / (m * m)).tolist()
-    verdict = bool(max(n_ew, n_scal, n_star) < tolerance)
-    scale = residual_scale(g, beta)
-    return GTReport(r_ew, r_scal, r_star, n_ew, n_scal, n_star, scale, tolerance, verdict)
+    return GTReport(n_ew, n_scal, n_star, tolerance, max(n_ew, n_scal, n_star) < tolerance)
 
 
 def gt_report(g, beta, residuals):
@@ -372,28 +373,20 @@ def gt_report(g, beta, residuals):
     find_gt_parameters passes gt_residual_vector's, so that a root of its
     quadratic form is confirmed by the formula, never by a form.
     """
-    raw = _blocks(residuals)
     e, _ = prescale(g, beta)
-    return _report(raw, np.ldexp(raw, -2 * e), g, beta, 1e-9)
+    return _report(np.ldexp(_blocks(residuals), -2 * e), g, beta, 1e-9)
 
 
 def analyze(g, beta, tolerance=1e-9):
-    """Gauduchon-Tod residual report for (g, beta), beta of weight -1.
+    """Gauduchon-Tod residual report for (g, beta).
 
-    Raw residuals (max-norm of the three blocks of gt_residual_vector):
-        r_ew   = ||sym0 Ric||
-        r_scal = |R - 24 beta^2|
-        r_star = ||4 nabla beta - *F||
-    Normalized versions are divided by residual_scale^2 (all three
-    quantities have conformal weight -2), and equal the raw ones for the
-    zero geometry. The verdict is True when every normalized residual is
-    below the tolerance. All of them are read off form_rows, the quadratic
-    form's rows on the prescaled coordinates, so the normalized residuals
-    are finite at every finite scale; a raw residual beyond the float range
-    reads inf.
+    The max-norms of the three blocks of gt_residual_vector, each divided by
+    residual_scale^2 (all three have conformal weight -2):
+        n_ew   = ||sym0 Ric|| / scale^2
+        n_scal = |R - 24 beta^2| / scale^2
+        n_star = ||4 nabla beta - *F|| / scale^2
+    The verdict is True when every one is below the tolerance. They are
+    read off form_rows, the quadratic form's rows on the prescaled
+    coordinates, so they are finite at every finite scale.
     """
-    scaled = _blocks(form_rows(g, beta)[:13])
-    e, _ = prescale(g, beta)
-    with np.errstate(over="ignore"):  # a raw residual beyond the float range reads inf
-        raw = np.ldexp(scaled, 2 * e)
-    return _report(raw, scaled, g, beta, tolerance)
+    return _report(_blocks(form_rows(g, beta)[:13]), g, beta, tolerance)

@@ -163,8 +163,8 @@ def _killing_columns(g, beta):
 
 
 def _su2_coefficients(M):
-    """Real x_k of the sum x_k q_k part of M (..., 2, 2); any Id part is dropped."""
-    return -0.5 * np.real(np.einsum("kab,...ba->...k", _Q, M))
+    """Real x_k = -tr(q_k M) / 2 of the sum x_k q_k part of M (..., 2, 2); any Id part is dropped."""
+    return -np.real(np.einsum("kab,...ba->...k", 0.5 * _Q, M))  # q_k halved first: no overflow
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing exponent gives NaN below
@@ -271,12 +271,13 @@ def path_transports(g, beta, paths):
 def _loop_legs(g, beta, rng, n):
     """The first two arcs X, Y (2, n, 3) of n loops: all directions, then all lengths.
 
-    Lengths are 0.4-1.2 in units of 1 / residual_scale(g, beta) (1 for the
-    zero geometry), so a loop spans the same part of the group at every scale.
+    Lengths are 0.4-1.2 in units of 1 / residual_scale(g, beta), so a loop
+    spans the same part of the group at every normal scale. At a subnormal
+    scale they are near the float maximum and a loop can overflow.
     """
     d = rng.standard_normal((n, 2, 3))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
-    t = rng.uniform(0.4, 1.2, (n, 2)) / (residual_scale(g, beta) or 1.0)
+    t = rng.uniform(0.4, 1.2, (n, 2)) / residual_scale(g, beta)
     return np.moveaxis(t[..., None] * d, 1, 0)
 
 
@@ -384,24 +385,24 @@ def killing_residual(g, beta, transports, h=1e-5):
     approximated by central differences of parallel transports over +-h/s,
     and the report is
         max_i ||e_i(psi) + A_i psi - beta e_i psi|| / (s ||psi||)
-    over all samples and both basis sections, with s = residual_scale(g, beta)
-    (1 for the zero geometry). The step h is thus dimensionless and the report
-    is O(h^2) at every scale. All samples are evaluated as one array; a
-    non-finite sample makes the report NaN, which fails any bound.
+    over all samples and both basis sections, with s = residual_scale(g, beta).
+    The step h is thus dimensionless and the report is O(h^2) at every scale.
+    It is taken in units of s, exponents +-h b / s, quotient by 2h and
+    A_i psi - beta e_i psi over s, so no 2h/s overflows its reciprocal near
+    the float maximum. All samples are evaluated as one array; a non-finite
+    sample makes the report NaN, which fails any bound.
     """
-    s = residual_scale(g, beta) or 1.0
-    step = h / s
+    s = residual_scale(g, beta)
     psi = _sections(transports)[..., None]  # (N, 2, 2, 1): sample, section, spinor
-    # plus and minus (3, 1, 1, 2, 2): steps of -step and +step along each e_i,
+    # plus and minus (3, 1, 1, 2, 2): steps of -h/s and +h/s along each e_i,
     # single arcs, so on the float kernel
-    rows = _killing_coefficients(g, beta).tolist()
-    steps = [_float_quaternion([sign * step * v for v in row]) for sign in (-1, 1) for row in rows]
+    rows = (_killing_coefficients(g, beta) / s).tolist()
+    steps = [_float_quaternion([sign * h * v for v in row]) for sign in (-1, 1) for row in rows]
     plus, minus = _quaternion_matrices(np.array(steps)).reshape(2, 3, 1, 1, 2, 2)
     A = weight0_matrices(g)[:, None, None]
-    fd = (plus @ psi - minus @ psi) / (2.0 * step)
-    defect = fd + A @ psi - beta.value * (E[:, None, None] @ psi)  # (3, N, 2, 2, 1)
-    scale = s * np.max(np.abs(psi), axis=(-2, -1))  # (N, 2)
-    return float(np.max(np.max(np.abs(defect), axis=(-2, -1)) / scale))
+    fd = (plus @ psi - minus @ psi) / (2.0 * h)
+    defect = fd + (A @ psi - beta.value * (E[:, None, None] @ psi)) / s  # (3, N, 2, 2, 1)
+    return float(np.max(np.max(np.abs(defect), axis=(-2, -1)) / np.max(np.abs(psi), axis=(-2, -1))))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +424,7 @@ def milnor_theta3_family(params):
     """(l1, l2, l3, theta3, beta) -> Milnor geometry with theta = (0, 0, theta3)."""
     params = np.asarray(params, dtype=float)
     g = milnor_geometry(params[:3], (0.0, 0.0, params[3]))
-    return g, WeightedDensity(float(params[4]), -1.0)
+    return g, WeightedDensity(float(params[4]))
 
 
 _MAX_HALVINGS = 20
@@ -506,11 +507,11 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
 
     def converged(iterations):
         g, beta = milnor_theta3_family(x)
-        report = gt_report(g, beta, gt_residual_vector(g, beta))
-        norm = max(report.r_ew, report.r_scal, report.r_star)  # max|gt_residual_vector|
+        residuals = gt_residual_vector(g, beta)
+        norm = float(np.max(np.abs(residuals)))
         if not norm < tolerance:
             raise stop("root of the quadratic form fails gt_residual_vector", iterations)
-        return GTSearchResult(tuple(x), norm, iterations, report)
+        return GTSearchResult(tuple(x), norm, iterations, gt_report(g, beta, residuals))
 
     qx = Q @ x
     r = qx @ x

@@ -30,9 +30,9 @@ class KillingCurvature:
 
 def spin_connection(g):
     """Spinor connection matrices A_i (3, 2, 2) for the Weyl structure."""
-    gamma = weyl_coefficients(g)
-    a = 0.5 * (gamma - np.swapaxes(gamma, -2, -1))
-    return 0.25 * np.einsum("...ijk,jab,kbc->...iac", a, E, E)
+    # a / 4 = gamma / 8 - gamma^T / 8 before the sums keeps them within max|gamma| (exact)
+    eighth = 0.125 * weyl_coefficients(g)
+    return np.einsum("...ijk,jab,kbc->...iac", eighth - np.swapaxes(eighth, -2, -1), E, E)
 
 
 @functools.lru_cache(maxsize=1)

@@ -13,6 +13,7 @@ from weylspin.geometry import (
     analyze,
     curvature_package,
     gauge_rescale,
+    gt_residual_vector,
     milnor_geometry,
 )
 from weylspin.identities import (
@@ -157,8 +158,8 @@ def test_criterion_06_round_sphere_end_to_end():
     checks = [abs(pkg.scalar - 6.0) < 1e-12]
     for b in (0.5, -0.5):
         beta = WeightedDensity(b)
-        rep = analyze(beta=beta, g=ROUND)
-        checks.append(max(rep.r_ew, rep.r_scal, rep.r_star) < 1e-12)
+        checks.append(analyze(beta=beta, g=ROUND).verdict)
+        checks.append(np.max(np.abs(gt_residual_vector(ROUND, beta))) < 1e-12)
         checks.append(abs(pkg.scalar - 24.0 * b * b) < 1e-12)
         checks.append(killing_curvature(ROUND, beta).residual < 1e-12)
     beta = WeightedDensity(0.5)

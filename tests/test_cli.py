@@ -360,14 +360,15 @@ def test_killing_command_passes_at_large_scale(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+@pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300, 1e304, 1e306, 1.7e308])
 def test_commands_give_scale_free_verdicts_at_extreme_scales(tmp_path, capsys, lam):
     # the round member at lambda, as Milnor parameters or as structure
     # constants, passes both commands, and with beta 2 % off fails them with
     # r_scal = |1.5 - 24 (1.02 / 4)^2| = 0.0606 at every scale; structure
     # constants that break the Jacobi identity exit 2 at every scale. The
     # squares of these coefficients under- or overflow, the prescaled ones
-    # do not
+    # do not; near the float maximum neither 2 max|c| nor the step 2h / scale
+    # of killing_residual's difference may be formed
     commands = (["analyze"], ["killing", "--loops", "5"])
     sources = ({"milnor_lambda": [lam] * 3}, {"structure_constants": milnor_constants([lam] * 3).tolist()})
     for factor, code in ((1.0, 0), (1.02, 1)):
@@ -378,11 +379,28 @@ def test_commands_give_scale_free_verdicts_at_extreme_scales(tmp_path, capsys, l
                 assert got == code, err
                 sections = {s["name"]: s["value"] for s in json.loads(out)["sections"]}
                 if factor == 1.0:
-                    assert max(sections[n] for n in ("r_ew", "r_scal", "r_star", "flatness")) <= 1.5e-16
+                    # rounding only, which depends on lam's mantissa, not its
+                    # exponent: 1.7e308 reads 1.87e-16, and over 2000 mantissas in
+                    # [1/2, 1) the worst reads 3.6e-16
+                    bound = 2.0 * np.finfo(float).eps if lam == 1.7e308 else 1.5e-16
+                    assert max(sections[n] for n in ("r_ew", "r_scal", "r_star", "flatness")) <= bound
                 else:
                     assert abs(sections["r_scal"] - 0.0606) < 1e-12
+    # the certified sample files, in their frames and rotated, at max coefficient lam:
+    # no partial sum of the connection may outgrow the coefficients, where
+    # bianchi_v_flat's c - c_jki + c_kij reads 2 lam
+    for name in ("round_s3", "berger_theta", "bianchi_v_flat"):
+        g, beta = parse_geometry_file(os.path.join(os.path.dirname(BERGER_PATH), name + ".json"))
+        for frame in (g, rotated_geometry(g, rotation((1.0, 2.0, 3.0), 0.55))):
+            s = geometry.residual_scale(frame, beta)
+            scaled = geometry.validate_geometry(frame.structure_constants / s * lam, frame.theta / s * lam)
+            path = write(tmp_path, "sample.json", geometry_text(scaled, WeightedDensity(beta.value / s * lam)))
+            for command, *options in commands:
+                got, out, err = run_cli(capsys, [command, path, *options])
+                assert got == 0, (name, command, out, err)
     a = np.random.default_rng(0).standard_normal((3, 3, 3))
-    bad = lam * (a - np.swapaxes(a, 0, 1))
+    a -= np.swapaxes(a, 0, 1)
+    bad = lam * (a / np.max(np.abs(a)))  # max|c| = lam, finite up to the float maximum
     path = write(tmp_path, "bad.json", json.dumps({"structure_constants": bad.tolist()}))
     for command, *options in commands:
         got, out, err = run_cli(capsys, [command, path, *options])

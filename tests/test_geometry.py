@@ -93,6 +93,10 @@ def test_validate_geometry_errors():
     nanc[0, 1, 2], nanc[1, 0, 2] = np.nan, -np.nan
     with pytest.raises(ShapeError):
         validate_geometry(nanc, np.zeros(3))
+    big = np.zeros((3, 3, 3))
+    big[0, 1, 2] = big[1, 0, 2] = 1e308  # c + c^T overflows: a skew above any bound, no warning
+    with pytest.raises(ShapeError, match="antisymmetric"):
+        validate_geometry(big, np.zeros(3))
 
 
 def test_jacobi_violation():
@@ -101,7 +105,7 @@ def test_jacobi_violation():
     c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0
     c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
     c[2, 0, 2], c[0, 2, 2] = 1.0, -1.0
-    for scale in (1.0, 1e5):
+    for scale in (1.0, 1e5, 1.7e308):  # at 1.7e308, c - c^T is beyond the float range
         with pytest.raises(JacobiViolation):
             validate_geometry(scale * c, np.zeros(3))
 
@@ -116,6 +120,12 @@ def test_validation_bounds_are_relative_to_scale():
     c[1, 0, 2] += 1.0  # 3e-6 of the scale: a real defect
     with pytest.raises(ShapeError):
         validate_geometry(c, np.zeros(3))
+    c = milnor_constants((1.5e308, 1.5e308, 1.5e308))  # an exact frame validates as it is
+    assert np.array_equal(validate_geometry(c, np.zeros(3)).structure_constants, c)
+    c = milnor_constants((2.0, 1.0, -0.5))
+    c[0, 1, 0], c[1, 0, 0] = -3.763370959790291e-14, -1.533471020548487e-15  # their sum rounds
+    g = validate_geometry(c, np.zeros(3))
+    assert np.array_equal(g.structure_constants, -np.swapaxes(g.structure_constants, 0, 1))
 
 
 def test_weighted_density_finite():
@@ -218,8 +228,6 @@ def test_density_derivative_sign_and_weight():
     beta = WeightedDensity(0.5, -1.0)
     grad = density_derivative(g, beta)
     assert np.max(np.abs(grad - (-0.5) * g.theta)) == 0.0
-    grad2 = density_derivative(g, WeightedDensity(0.5, 2.0))
-    assert np.max(np.abs(grad2 - g.theta)) == 0.0
 
 
 def test_analyze_round_sphere():
@@ -227,7 +235,7 @@ def test_analyze_round_sphere():
     for b in (0.5, -0.5):
         rep = analyze(g, WeightedDensity(b))
         assert rep.verdict
-        assert max(rep.r_ew, rep.r_scal, rep.r_star) < 1e-12
+        assert np.max(np.abs(gt_residual_vector(g, WeightedDensity(b)))) < 1e-12
         assert max(rep.n_ew, rep.n_scal, rep.n_star) < 1e-12
 
 
@@ -239,17 +247,22 @@ def test_analyze_negative_control():
 
 
 def test_analyze_requires_weight_minus_one():
-    g = milnor_geometry((2.0, 2.0, 2.0))
-    with pytest.raises(ShapeError):
-        analyze(g, WeightedDensity(0.5, weight=-2.0))
+    # beta has weight -1 by construction: a density of any other weight is
+    # refused where it is built, so analyze, flatness and the form, which
+    # all read beta as weight -1, never see one
+    for weight in (2.0, -2.0, 0.0, np.nan):
+        with pytest.raises(ShapeError, match="weight -1"):
+            WeightedDensity(0.5, weight)
+    assert WeightedDensity(0.5, -1.0) == WeightedDensity(0.5)
 
 
 def test_residual_scale_zero_guard():
     g = milnor_geometry((0.0, 0.0, 0.0))
     beta = WeightedDensity(0.0)
-    assert residual_scale(g, beta) == 0.0
+    # the zero geometry's scale is 1: its residuals, all 0, stay as they are
+    assert residual_scale(g, beta) == 1.0
     rep = analyze(g, beta)  # flat abelian with beta = 0 is GT
-    assert rep.verdict
+    assert rep.verdict and (rep.n_ew, rep.n_scal, rep.n_star) == (0.0, 0.0, 0.0)
 
 
 def test_gauge_rescale_action():
@@ -287,10 +300,10 @@ def formula_rows(g, beta):
 
 
 def form_defect(Q, g, beta):
-    """max|(Q @ x) @ x - formula_rows| / max|x|^2 at x = form_coordinates(g, beta) (1 for x = 0)."""
+    """max|(Q @ x) @ x - formula_rows| / residual_scale^2 at x = form_coordinates(g, beta)."""
     x = form_coordinates(g, beta)
     defect = float(np.max(np.abs((Q @ x) @ x - formula_rows(g, beta))))
-    return defect / (float(np.max(np.abs(x))) or 1.0) ** 2
+    return defect / residual_scale(g, beta) ** 2
 
 
 # coefficients below 1e-100 are flushed to 0: their products are subnormal, where
@@ -321,7 +334,7 @@ def test_batched_formulas_equal_their_rows():
     rng = np.random.default_rng(33)
     c = np.einsum("ijl,plk->pijk", EPS, rng.standard_normal((5, 3, 3)))
     theta, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
-    batch = geometry.HomogeneousWeylGeometry(c, theta), SimpleNamespace(value=b, weight=-1.0)
+    batch = geometry.HomogeneousWeylGeometry(c, theta), SimpleNamespace(value=b)
     rows = [
         (geometry.HomogeneousWeylGeometry(*a), WeightedDensity(float(v))) for *a, v in zip(c, theta, b)
     ]
