@@ -117,16 +117,15 @@ def parse_geometry_file(path):
         raise ParseError("geometry file must contain a JSON object", path, 1, 1)
     values = {}
     for key, raw in data.items():
-        where = (path, *_key_location(text, key))
         if key not in _SCHEMA:
-            raise ParseError(f'unknown key "{key}"', *where)
+            raise ParseError(f'unknown key "{key}"', path, *_key_location(text, key))
         shape = _SCHEMA[key]
         values[key] = _numbers(raw, shape)
         if values[key] is None:
             what = "x".join(map(str, shape)) + " finite numbers" if shape else "a finite number"
-            raise ParseError(f'"{key}" must be {what}', *where)
+            raise ParseError(f'"{key}" must be {what}', path, *_key_location(text, key))
         if key == "beta_weight" and values[key] != -1.0:
-            raise ParseError('"beta_weight" must be -1', *where)
+            raise ParseError('"beta_weight" must be -1', path, *_key_location(text, key))
     if ("milnor_lambda" in values) == ("structure_constants" in values):
         raise ParseError('need exactly one of "milnor_lambda" or "structure_constants"', path, 1, 1)
     theta = values.get("theta", [0.0, 0.0, 0.0])
@@ -227,7 +226,8 @@ def _cmd_killing(args):
     worst_dev = float(np.max(loop_holonomy(batch)[1]))
     sections.append(_bound_section("max_holonomy_deviation", worst_dev, 1e-9, "below"))
 
-    samples = [loop[:arcs] for loop in batch.paths[: min(args.loops, 10)] for arcs in (1, 2)]
+    # the first ten loops' paths [X] and [X, Y], as lists of Python floats
+    samples = [leg[:arcs] for leg in batch.legs[: min(args.loops, 10)].tolist() for arcs in (1, 2)]
     transports = sample_transports(g, beta, samples)  # each sample transported once, per arc
     min_sv = min_singular_value(transports)
     sections.append(_bound_section("min_singular_value", min_sv, 0.1, "above"))

@@ -2,27 +2,20 @@
 
 Paths live on the simply connected group of the homogeneous geometry. An arc
 is the flow of a fixed frame vector v for unit parameter time (GroupArc); along
-it the Killing connection is the constant matrix sum(v_i B_i). Every B_i lies
-in su(2) (traceless and anti-Hermitian), so transport is a unit quaternion
-given by a closed-form exponential, and the su(2) coefficients of the B_i are
-resolved once per (immutable) geometry. Along a path the arcs compose as real
-quaternions, by Hamilton products through a table read off the 2x2 basis, and
-each path's product becomes a 2x2 matrix once, at the end. Loops are
-quadrilaterals X, Y, -X, -Ad Y whose last arc comes from the adjoint action,
-expm of the 3x3 matrix ad_X read off the structure constants (a degree-16
-Taylor polynomial in Paterson-Stockmeyer form, scaled and squared), so they
-close on every simply connected Lie group without a model of the group.
-Paths come in batches, an (N, k, 3) array of arc frame vectors, so drawing
-and transporting N loops are array operations; loop_batch draws the loops
-and the path pairs of one killing check together, closes them with one expm
-and transports them as one stack, which loop_holonomy and
+it the Killing connection is the constant sum(v_i B_i), with every B_i in su(2),
+so transport is a unit quaternion given by a closed-form exponential. Arcs
+compose as real quaternions, by Hamilton products through a table read off the
+2x2 basis. Loops are quadrilaterals X, Y, -X, -Z with Z = Ad_exp(X) Y, so they
+close on every simply connected Lie group without a model of the group;
+closing_arc evaluates exp(ad_X) Y in closed form from the Bianchi decomposition
+of the structure constants. loop_batch draws, closes and transports the loops
+and path pairs of one killing check as one batch, which loop_holonomy and
 path_independence_residual each read a slice of. A single arc runs the same
-closed form on Python floats, where numpy's per-call cost would dominate a
-3-vector, and its 2x2 matrix is formed from the quaternion's four floats by
-the unit entries of the same quaternion basis the batch kernel uses. The
-2-dimensional Killing spinor space is spanned by the transports of the base
-pair (1, 0), J (1, 0): sample_transports gives them as an (N, 2, 2) stack,
-and min_singular_value and killing_residual check all N samples as arrays.
+closed form on Python floats (transport_operator), where numpy's per-call cost
+would dominate a 3-vector. The 2-dimensional Killing spinor space is spanned by
+the transports of the base pair (1, 0), J (1, 0): sample_transports gives them
+as an (N, 2, 2) stack, and min_singular_value and killing_residual check all N
+samples as arrays.
 """
 
 import functools
@@ -36,9 +29,11 @@ from .clifford import E, j_structure
 from .errors import NoConvergence, ShapeError
 from .geometry import (
     WeightedDensity,
+    form_coordinates,
     gt_report,
     gt_residual_vector,
     milnor_geometry,
+    prescale,
     quadratic_form_24,
     residual_scale,
 )
@@ -169,22 +164,21 @@ def _su2_coefficients(M):
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing exponent gives NaN below
 def _su2_quaternion(x):
-    """exp of sum x_k q_k for coefficients x (..., 3), as unit quaternions (..., 4).
+    """exp of sum x_k q_k for coefficients x (3, ...), as unit quaternions (4, ...).
 
     [cos phi, (sin phi / phi) x] with phi = sqrt(sum x_k^2), and (1, 0, 0, 0)
-    exactly where phi = 0. Where the sum of squares overflows, phi is
-    m sqrt(sum (x_k / m)^2) with m = max|x_k| instead, so phi overflows where
-    _float_quaternion's hypot does, and every other phi keeps its bits. A
-    non-finite phi gives a NaN quaternion, with no warning.
+    exactly where phi = 0. Where the sum of squares overflows, phi is m sqrt(sum
+    (x_k / m)^2), m = max|x_k|, so phi overflows where _float_quaternion's hypot
+    does; every other phi keeps its bits. A non-finite phi gives NaN, silently.
     """
     x = np.asarray(x, dtype=float)
-    phi = np.sqrt(np.einsum("...k,...k->...", x, x))[..., None]
-    big = np.isinf(phi[..., 0])
+    phi = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    big = np.isinf(phi)
     if np.any(big):
-        m = np.max(np.abs(x[big]), axis=-1, keepdims=True)
-        phi[big] = m * np.sqrt(np.sum((x[big] / m) ** 2, axis=-1, keepdims=True))
+        m = np.max(np.abs(x[:, big]), axis=0)
+        phi[big] = m * np.sqrt(np.sum((x[:, big] / m) ** 2, axis=0))
     sinc = np.divide(np.sin(phi), phi, out=np.ones_like(phi), where=phi != 0.0)
-    return np.concatenate([np.cos(phi), sinc * x], axis=-1)
+    return np.concatenate([np.cos(phi)[None], sinc * x])
 
 
 def _float_quaternion(x):
@@ -212,125 +206,125 @@ def _quaternion_matrices(p):
 # loops
 
 
-_TAYLOR = [1.0 / math.factorial(k) for k in range(17)]  # c_k = 1/k!
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # (u x v)_i = u_next v_last - u_last v_next
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
+_MODULUS_ROWS, _MODULUS_COLUMNS = np.array(sorted(set(zip(_RE_ROW.tolist(), _IM_ROW.tolist())))).T
 
 
-def expm(A):
-    """exp of real square matrices A (..., n, n).
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite leg makes its row non-finite
+def closing_arc(g, beta, legs):
+    """Z = Ad_exp(X) Y = exp(ad_X) Y (N, 3) for the legs X, Y of legs (N, 2, 3), in closed form.
 
-    The Taylor polynomial of degree 16 of X = A / 2^s, squared s times, with s
-    the smallest count that brings the largest row-sum norm in the batch to
-    1/2 or below, where the dropped terms are below 1e-19. X = ldexp(A, -s)
-    is exact, and cannot overflow as 2.0**s can at s > 1023. The polynomial
-    is evaluated in Paterson-Stockmeyer form: with X^2, X^3, X^4 formed
-    once, Horner's rule in X^4 over the blocks
-    c_4j Id + c_4j+1 X + c_4j+2 X^2 + c_4j+3 X^3, c_k = 1/k!, which takes
-    6 matrix products where term-by-term Taylor takes 16. Rows whose sum is
-    not finite do not count towards s; a matrix with an inf or NaN entry, or
-    whose exponential overflows, comes out with non-finite entries, and the
-    other matrices as without it.
+    c^k_ij = sum_l eps_ijl N[l, k] (N from form_coordinates), and N = n + [a]x
+    with n = N/2 + N^T/2 and a = (M[2, 1], M[0, 2], M[1, 0]), M = N/2 - N^T/2.
+    Then ad_X Y = n (X x Y) + (a.X) Y - (a.Y) X = U Y + V Y; the Jacobi identity
+    n a = 0 makes U and V commute, so exp(ad_X) = exp(U) exp(V), where V^2 = k V,
+    k = a.X, gives exp(V) Y = e^k Y - phi_1(k) (a.Y) X, phi_1(k) = expm1(k) / k,
+    and U^3 = -d U, d = X^T adj(n) X, gives exp(U) = Id + S(d) U + S(d/4)^2 U^2 / 2,
+    S(d) = sin(sqrt d) / sqrt d (sinh(sqrt -d) / sqrt -d for d < 0, S(0) = 1).
+    The legs are taken in units of 2^-e and N in units of 2^e, (e, m) =
+    prescale(g, beta): exact, and finite at every scale. Every operation is
+    elementwise on rows (3, N), so row k of Z depends on row k of legs alone.
+    A non-finite X makes its row NaN, a non-finite Y non-finite.
     """
-    A = np.asarray(A, dtype=float)
-    with np.errstate(over="ignore"):  # a sum that overflows is left out of s below
-        sums = np.sum(np.abs(A), axis=-1)
-    norm = float(np.max(sums, initial=0.0, where=np.isfinite(sums)))
-    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
-    X = np.ldexp(A, -s)
-    X2 = X @ X
-    powers = (X, X2, X2 @ X)
-    X4 = X2 @ X2
-    diagonal = (..., *np.diag_indices(A.shape[-1]))
-    out = _TAYLOR[16] * X4
-    for j in (3, 2, 1, 0):
-        for i, Xi in enumerate(powers, start=1):
-            out += _TAYLOR[4 * j + i] * Xi
-        out[diagonal] += _TAYLOR[4 * j]
-        if j:
-            out = X4 @ out
-    for _ in range(s):
-        out = out @ out
-    return out
+    e, _ = prescale(g, beta)
+    N = np.ldexp(form_coordinates(g, beta)[:9].reshape(3, 3), -e)
+    n, M = 0.5 * N + 0.5 * N.T, 0.5 * N - 0.5 * N.T
+    u, v = n.take(_NEXT, axis=0), n.take(_LAST, axis=0)
+    adj = u.take(_NEXT, axis=1) * v.take(_LAST, axis=1) - u.take(_LAST, axis=1) * v.take(_NEXT, axis=1)
+    a1, a2, a3 = M[_LAST, _NEXT].tolist()
+    X, Y = XY = np.ldexp(legs.transpose(1, 2, 0), e, order="C")
+    k, aY = a1 * XY[:, 0] + a2 * XY[:, 1] + a3 * XY[:, 2]
+    phi1 = np.divide(np.expm1(k), k, out=np.ones_like(k), where=k != 0.0)
+    W = np.exp(k) * Y - phi1 * aY * X  # exp(V) Y
+    U = u.T[..., None] * X.take(_LAST, axis=0) - v.T[..., None] * X.take(_NEXT, axis=0)  # n [X]x
+    UW = U[:, 0] * W[0] + U[:, 1] * W[1] + U[:, 2] * W[2]
+    UUW = U[:, 0] * UW[0] + U[:, 1] * UW[1] + U[:, 2] * UW[2]
+    AX = adj[:, :1] * X[0] + adj[:, 1:2] * X[1] + adj[:, 2:] * X[2]  # adj is symmetric
+    d = AX[0] * X[0] + AX[1] * X[1] + AX[2] * X[2]
+    r = np.sqrt(np.abs(d)) * np.array([[1.0], [0.5]])  # sqrt|d| and sqrt|d / 4|
+    s, half = np.divide(np.where(d > 0.0, np.sin(r), np.sinh(r)), r, out=np.ones_like(r), where=r != 0.0)
+    return np.ldexp(W + s * UW + 0.5 * half * half * UUW, -e).T
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows makes its path NaN
-def path_transports(g, beta, paths):
-    """Transports (N, 2, 2) along paths (N, k, 3) of arc frame vectors; later arcs act on the left.
+def _hamilton(p, q):
+    """Hamilton products p * q (4, N) of quaternions given as columns p, q (4, N), by _HAMILTON."""
+    return _HAMILTON.T @ (p[:, None] * q[None]).reshape(16, -1)
 
-    The arcs compose as real unit quaternions through _HAMILTON, and the N
-    products become 2x2 matrices once, at the end. A path with an arc whose
-    exponent overflows comes out NaN, and the other paths as without it.
+
+def _entry_gap(p, q):
+    """max_k |M(p) - M(q)|_k (N,) for quaternion columns (4, N): |complex(a p_i, b p_j)| = hypot(p_i, p_j)."""
+    gap = p - q
+    return np.hypot(gap.take(_MODULUS_ROWS, axis=0), gap.take(_MODULUS_COLUMNS, axis=0)).max(axis=0)
+
+
+def _loop_legs(g, beta, rng, loops, pairs):
+    """The arcs X, Y (loops + pairs, 2, 3): loop directions, loop lengths, then the pairs'.
+
+    Lengths are 0.4-1.2 in units of 1 / residual_scale(g, beta), so a loop spans
+    the same part of the group at every normal scale (at a subnormal one they
+    are near the float maximum, and a loop can overflow).
     """
-    steps = _su2_quaternion(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
-    n, k, _ = steps.shape
-    out = steps[:, 0] if k else np.broadcast_to([1.0, 0.0, 0.0, 0.0], (n, 4))
-    for j in range(1, k):
-        out = (steps[:, j, :, None] * out[:, None, :]).reshape(n, 16) @ _HAMILTON
-    return _quaternion_matrices(out)
-
-
-def _loop_legs(g, beta, rng, n):
-    """The first two arcs X, Y (2, n, 3) of n loops: all directions, then all lengths.
-
-    Lengths are 0.4-1.2 in units of 1 / residual_scale(g, beta), so a loop
-    spans the same part of the group at every normal scale. At a subnormal
-    scale they are near the float maximum and a loop can overflow.
-    """
-    d = rng.standard_normal((n, 2, 3))
+    draws = [(rng.standard_normal((n, 2, 3)), rng.uniform(0.4, 1.2, (n, 2))) for n in (loops, pairs)]
+    d, t = (np.concatenate(parts) for parts in zip(*draws))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
-    t = rng.uniform(0.4, 1.2, (n, 2)) / residual_scale(g, beta)
-    return np.moveaxis(t[..., None] * d, 1, 0)
+    return (t / residual_scale(g, beta))[..., None] * d
 
 
 @dataclass(frozen=True, eq=False)
 class LoopBatch:
-    """Closed loops and path pairs, drawn together, with their transports as one stack.
+    """Loops and path pairs with their transports as unit quaternions.
 
-    paths (loops + 2 pairs, 4, 3) holds the loops X, Y, -X, -Z, then each
-    pair's first path X, Y, -X, 0, then its second path Z, 0, 0, 0, the
-    closing arc reversed; a pair's two paths end at the same point. A zero
-    arc transports as the identity quaternion exactly, so the padding changes
-    no transport. transports (loops + 2 pairs, 2, 2) = path_transports(paths).
+    Row r of legs (loops + pairs, 2, 3) holds X, Y and row r of closing Z: the
+    loops X, Y, -X, -Z, then the pairs, whose paths X, Y, -X and Z both end at
+    exp(X) exp(Y) exp(-X). quaternions (4, loops + 2 pairs) holds, as columns,
+    the loops' holonomies, then the pairs' first and second transports.
     """
 
-    paths: np.ndarray
-    transports: np.ndarray
+    legs: np.ndarray
+    closing: np.ndarray
+    quaternions: np.ndarray
     loops: int
     pairs: int
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows makes its column NaN
+def transport_loops(g, beta, legs, closing, loops):
+    """The LoopBatch of legs (N, 2, 3) and closing arcs (N, 3), the first `loops` rows loops.
+
+    The transport along -v is conj q_v bitwise, so a pair's first path is U_1 =
+    conj(q_X) (q_Y q_X), its second q_Z, and a loop's holonomy conj(q_Z) U_1.
+    """
+    arcs = np.concatenate([legs.transpose(2, 1, 0).reshape(3, -1), closing.T], axis=1)  # X | Y | Z
+    q = _su2_quaternion(-_killing_coefficients(g, beta).T @ arcs)
+    q_x, q_y, q_z = q.reshape(4, 3, len(legs)).swapaxes(0, 1)
+    first = _hamilton(_CONJUGATE * q_x, _hamilton(q_y, q_x))
+    holonomy = _hamilton(_CONJUGATE * q_z[:, :loops], first[:, :loops])
+    quaternions = np.concatenate([holonomy, first[:, loops:], q_z[:, loops:]], axis=1)
+    return LoopBatch(legs, closing, quaternions, loops, len(legs) - loops)
 
 
 def loop_batch(g, beta, rng, loops, pairs=5):
     """Draw `loops` closed loops and `pairs` path pairs, and transport them as one LoopBatch.
 
-    Each loop (and each pair) is the arcs X, Y, -X, -Z with Z = expm(ad_X) Y:
-    flowing along X, Y, -X reaches exp(X) exp(Y) exp(-X) = exp(Ad_exp(X) Y),
-    and Ad_exp(X) = expm(ad_X) with (ad_X)[k, j] = sum_i X_i c[i, j, k], so
-    the arc -Z returns to the identity on every simply connected group. The
-    loops' legs are drawn before the pairs', so pairs=0 gives the loops alone.
-    All loops + pairs close through one expm and go through one path_transports.
+    X, Y, -X reaches exp(X) exp(Y) exp(-X) = exp(Ad_exp(X) Y), so the arc -Z,
+    Z = closing_arc(X, Y), returns to the identity on every simply connected
+    group. The loops' legs are drawn first, so pairs=0 gives the loops alone.
     """
-    X, Y = np.concatenate([_loop_legs(g, beta, rng, loops), _loop_legs(g, beta, rng, pairs)], axis=1)
-    ad = np.einsum("ni,ijk->nkj", X, g.structure_constants)
-    Z = (expm(ad) @ Y[..., None])[..., 0]
-    closed = np.stack([X, Y, -X, -Z], axis=1)
-    first = closed[loops:].copy()
-    first[:, 3] = 0.0
-    second = np.zeros_like(first)
-    second[:, 0] = Z[loops:]
-    paths = np.concatenate([closed[:loops], first, second])
-    return LoopBatch(paths, path_transports(g, beta, paths), loops, pairs)
+    legs = _loop_legs(g, beta, rng, loops, pairs)
+    return transport_loops(g, beta, legs, closing_arc(g, beta, legs), loops)
 
 
 def loop_holonomy(batch):
     """Killing holonomies (loops, 2, 2) around the batch's loops, and their max|H - Id| (loops,)."""
-    H = batch.transports[: batch.loops]
-    return H, np.max(np.abs(H - _ID2), axis=(-2, -1))
+    H = batch.quaternions[:, : batch.loops]
+    return _quaternion_matrices(H.T), _entry_gap(H, np.eye(4, 1))  # gap to the identity
 
 
 def path_independence_residual(batch):
     """Max transport disagreement between the two paths of each of the batch's pairs."""
-    first = batch.transports[batch.loops : batch.loops + batch.pairs]
-    second = batch.transports[batch.loops + batch.pairs :]
-    return float(np.max(np.abs(first - second)))
+    first, second = batch.quaternions[:, batch.loops :].reshape(4, 2, batch.pairs).swapaxes(0, 1)
+    return float(_entry_gap(first, second).max())
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +334,7 @@ def path_independence_residual(batch):
 # its quaternionic partner J (1, 0), so the basis is J-paired by construction.
 BASE_SPINORS = np.array([[1.0, 0.0], j_structure([1.0, 0.0])], dtype=complex)
 BASE_SPINORS.setflags(write=False)
+_SECTION_SIGNS = BASE_SPINORS.diagonal().real[:, None]  # BASE_SPINORS is diagonal: (1, -1)
 
 
 def sample_transports(g, beta, samples):
@@ -361,8 +356,11 @@ def sample_transports(g, beta, samples):
 
 
 def _sections(transports):
-    """Values (N, 2, 2) of both basis sections: [n, k] = transports[n] @ BASE_SPINORS[k]."""
-    return np.stack([transports @ psi for psi in BASE_SPINORS], axis=1)
+    """Values (N, 2, 2) of both basis sections: [n, k] = transports[n] @ BASE_SPINORS[k].
+
+    BASE_SPINORS are (1, 0) and (0, -1): the columns U[:, 0] and -U[:, 1], up to signs of zeros.
+    """
+    return np.swapaxes(transports, -1, -2) * _SECTION_SIGNS
 
 
 def min_singular_value(transports):

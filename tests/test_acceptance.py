@@ -166,7 +166,7 @@ def test_criterion_06_round_sphere_end_to_end():
     batch = loop_batch(ROUND, beta, rng, 50, pairs=0)
     worst_dev = float(np.max(loop_holonomy(batch)[1]))
     checks.append(worst_dev < 1e-9)
-    transports = sample_transports(ROUND, beta, batch.paths[:, :2])
+    transports = sample_transports(ROUND, beta, batch.legs)
     fd = killing_residual(ROUND, beta, transports[:20], h=1e-5)
     checks.append(fd < 1e-7)
     min_sv = min_singular_value(transports)

@@ -336,10 +336,10 @@ def test_memoized_connection_and_scale_keep_their_bits():
 
 
 def test_one_loop_batch_per_certified_killing_call(tmp_path, capsys, monkeypatch):
-    # the loops and the path-independence pairs close through one expm and
-    # are transported by one path_transports call
+    # the loops and the path-independence pairs close through one closing_arc
+    # call and are transported by one transport_loops call
     calls = []
-    for name in ("expm", "path_transports"):
+    for name in ("closing_arc", "transport_loops"):
         original = getattr(killing, name)
         spy = lambda *args, name=name, original=original: calls.append(name) or original(*args)
         monkeypatch.setattr(killing, name, spy)
@@ -348,7 +348,7 @@ def test_one_loop_batch_per_certified_killing_call(tmp_path, capsys, monkeypatch
         calls.clear()
         code, out, _ = run_cli(capsys, ["killing", path, "--loops", loops])
         assert code == 0 and json.loads(out)["verdict"] == "pass"
-        assert sorted(calls) == ["expm", "path_transports"]
+        assert sorted(calls) == ["closing_arc", "transport_loops"]
 
 
 def test_killing_command_passes_at_large_scale(tmp_path, capsys):
@@ -682,14 +682,15 @@ def test_cli_import_builds_no_quadratic_form():
 def test_benchmark_span_names_resolve_in_the_package():
     # bench/tracing.py skips a name the package does not define, so a rename
     # would read 0 in every per-layer metric of that span without an error;
-    # the three loop helpers below left the package in 0.11.0
-    dropped = {"killing.triangle_loop", "killing.closing_arc", "killing.group_endpoint"}
+    # triangle_loop and group_endpoint left the package in 0.11.0, and expm
+    # in 0.23.0, when closing_arc came back as the closed-form closing arc
+    dropped = {"killing.triangle_loop", "killing.group_endpoint", "killing.expm"}
     path = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
     with open(path, encoding="utf-8") as fh:
         names = [metric["name"] for metric in json.load(fh)["per_layer"]]
     stats = ("calls", "self_ms", "us_per_call")
     spans = {n.rpartition(".")[0] for n in names if n.rpartition(".")[2] in stats}
-    assert {"killing.expm", "killing.loop_holonomy", "killing.transport_operator"} <= spans
+    assert {"killing.closing_arc", "killing.loop_holonomy", "killing.transport_operator"} <= spans
     missing = set()
     for span in spans:
         module, _, name = span.partition(".")

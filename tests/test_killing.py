@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylspin.clifford import E, j_structure
+from weylspin.clifford import EPS, E, j_structure
 from weylspin.errors import NoConvergence, ShapeError
 from weylspin import geometry, killing
 from weylspin.cli import parse_geometry_file
@@ -27,16 +27,17 @@ from weylspin.geometry import (
 from weylspin.killing import (
     BASE_SPINORS,
     GroupArc,
-    LoopBatch,
     _HAMILTON,
     _family_quadratic_form,
     _float_quaternion,
+    _hamilton,
     _killing_coefficients,
     _killing_columns,
+    _loop_legs,
     _quaternion_matrices,
     _su2_coefficients,
     _su2_quaternion,
-    expm,
+    closing_arc,
     find_gt_parameters,
     gt_residual_vector,
     killing_residual,
@@ -45,9 +46,9 @@ from weylspin.killing import (
     milnor_theta3_family,
     min_singular_value,
     path_independence_residual,
-    path_transports,
     rk4_transport,
     sample_transports,
+    transport_loops,
     transport_operator,
 )
 from weylspin.spinconn import flatness, killing_connection, killing_curvature, spin_connection
@@ -74,7 +75,13 @@ def rotated_geometry(g, R):
 
 def su2_exp(x):
     """exp of sum x_k q_k for coefficients x (..., 3) as (..., 2, 2) matrices, by the batch kernel."""
-    return _quaternion_matrices(_su2_quaternion(x))
+    return _quaternion_matrices(np.moveaxis(_su2_quaternion(np.moveaxis(x, -1, 0)), 0, -1))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows gives NaN, as in transport_loops
+def batch_transports(g, beta, vectors):
+    """Transports (N, 2, 2) along single arcs, frame vectors (N, 3), by the batch kernel."""
+    return su2_exp(-np.asarray(vectors, dtype=float) @ _killing_coefficients(g, beta))
 
 
 def random_psi(rng):
@@ -291,7 +298,7 @@ def single_arc_cases():
 
 
 def test_single_arc_and_batch_routes_agree():
-    # transport_operator runs the closed form on Python floats, path_transports
+    # transport_operator runs the closed form on Python floats, _su2_quaternion
     # on arrays; both are the same formula, so they differ by rounding only
     rng = np.random.default_rng(43)
     for g, beta in single_arc_cases():
@@ -299,7 +306,7 @@ def test_single_arc_and_batch_routes_agree():
         for v in rng.standard_normal((40, 3)) * rng.uniform(0.1, 3.0, (40, 1)) / scale:
             arc = GroupArc(v)
             single = transport_operator(g, beta, arc)
-            batch = path_transports(g, beta, [[arc.vector]])[0]
+            batch = batch_transports(g, beta, [arc.vector])[0]
             assert np.max(np.abs(single - batch)) <= 2e-15
         # phi = 0 gives Id exactly: a zero length, or any arc on a vanishing connection
         arcs = [GroupArc((0.0, 0.0, 0.0))]
@@ -307,7 +314,7 @@ def test_single_arc_and_batch_routes_agree():
             arcs.append(GroupArc(rng.standard_normal(3)))
         for arc in arcs:
             assert np.array_equal(transport_operator(g, beta, arc), np.eye(2))
-            assert np.array_equal(path_transports(g, beta, [[arc.vector]])[0], np.eye(2))
+            assert np.array_equal(batch_transports(g, beta, [arc.vector])[0], np.eye(2))
 
 
 def test_transport_operator_is_the_quaternion_basis_matrix():
@@ -330,7 +337,7 @@ def test_transport_operator_is_the_quaternion_basis_matrix():
 def test_tiny_exponents_give_finite_unitary_transports(phi):
     # on round at beta = 1/2, B_i = -e_i = q_i, so an arc of length t along e_3 has phi = t
     arc = GroupArc((0.0, 0.0, phi))
-    for U in (transport_operator(ROUND, HALF, arc), path_transports(ROUND, HALF, [[(0.0, 0.0, phi)]])[0]):
+    for U in (transport_operator(ROUND, HALF, arc), batch_transports(ROUND, HALF, [arc.vector])[0]):
         assert np.all(np.isfinite(U))
         assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-15
         assert np.max(np.abs(U - np.eye(2))) <= 2 * phi
@@ -338,20 +345,20 @@ def test_tiny_exponents_give_finite_unitary_transports(phi):
 
 def test_overflowing_exponents_give_nan_transports_silently():
     # at lambda = 200, beta = 50 an arc of length 1.7e308 overflows the su(2)
-    # exponent; both kernels give NaN, as expm does, and warn nothing
+    # exponent; both kernels give NaN, as closing_arc does, and warn nothing
     g, beta = milnor_geometry((200.0, 200.0, 200.0)), WeightedDensity(50.0)
     arc = GroupArc((1.7e308, 0.0, 0.0))
-    paths = np.array([[(1.7e308, 0.0, 0.0)], [(0.3, 0.0, 0.0)], [(1e308, -1e308, 1e308)]])
+    vectors = np.array([(1.7e308, 0.0, 0.0), (0.3, 0.0, 0.0), (1e308, -1e308, 1e308)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         U = transport_operator(g, beta, arc)
-        batch = path_transports(g, beta, paths)
-        quaternions = _su2_quaternion([(1.5e308, 1.5e308, 0.0), (np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0)])
+        batch = batch_transports(g, beta, vectors)
+        quaternions = _su2_quaternion(np.transpose([(1.5e308, 1.5e308, 0.0), (np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0)]))
         sv = min_singular_value(np.stack([U, batch[1]]))
         batch_sv = min_singular_value(batch)
     assert U.shape == (2, 2) and np.all(np.isnan(U))
     assert np.all(np.isnan(batch[[0, 2]]))
-    assert np.array_equal(batch[1], path_transports(g, beta, paths[1:2])[0])  # the others unharmed
+    assert np.array_equal(batch[1], batch_transports(g, beta, vectors[1:2])[0])  # the others unharmed
     assert np.all(np.isnan(quaternions))
     assert math.isnan(sv) and math.isnan(batch_sv)
 
@@ -365,22 +372,22 @@ def test_both_kernels_overflow_at_the_same_norm(t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         single = transport_operator(ROUND, HALF, arc)
-        batch = path_transports(ROUND, HALF, [[(t, 0.0, 0.0)], [(0.3, 0.0, 0.0)]])
+        batch = batch_transports(ROUND, HALF, [(t, 0.0, 0.0), (0.3, 0.0, 0.0)])
     for U in (single, batch[0]):
         assert np.all(np.isfinite(U))
         assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-15
     assert np.max(np.abs(single - batch[0])) <= 2e-15
-    # only the paths whose sum of squares overflows are rescaled
-    assert np.array_equal(batch[1], path_transports(ROUND, HALF, [[(0.3, 0.0, 0.0)]])[0])
+    # only the exponents whose sum of squares overflows are rescaled
+    assert np.array_equal(batch[1], batch_transports(ROUND, HALF, [(0.3, 0.0, 0.0)])[0])
     # an exponent along no axis: finite and unit where its norm is
-    q = _su2_quaternion([(t, -t, 0.5 * t), (1.5e308, 1.5e308, 0.0)])
-    assert np.all(np.isfinite(q[0])) and abs(np.linalg.norm(q[0]) - 1.0) <= 1e-15
-    assert np.all(np.isnan(q[1]))
+    q = _su2_quaternion(np.transpose([(t, -t, 0.5 * t), (1.5e308, 1.5e308, 0.0)]))
+    assert np.all(np.isfinite(q[:, 0])) and abs(np.linalg.norm(q[:, 0]) - 1.0) <= 1e-15
+    assert np.all(np.isnan(q[:, 1]))
 
 
 def hamilton_product(p, q):
-    """p * q for quaternion batches (N, 4), the way path_transports composes arcs."""
-    return (p[:, :, None] * q[:, None, :]).reshape(len(p), 16) @ _HAMILTON
+    """p * q for quaternion batches (N, 4), by _hamilton on their columns."""
+    return _hamilton(p.T, q.T).T
 
 
 def test_hamilton_table_is_the_matrix_product_and_write_locked():
@@ -399,11 +406,20 @@ def test_hamilton_table_is_the_matrix_product_and_write_locked():
 
 
 def matrix_path_transports(g, beta, paths):
-    """The per-arc product of complex 2x2 transports, as path_transports composed before."""
+    """Transports (N, 2, 2) along paths (N, k, 3): the per-arc product of complex 2x2 matrices."""
     steps = su2_exp(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
     out = np.broadcast_to(np.eye(2, dtype=complex), steps.shape[:1] + (2, 2))
     for j in range(steps.shape[1]):
         out = steps[:, j] @ out
+    return out
+
+
+def quaternion_fold(g, beta, paths):
+    """Quaternion columns (4, N) of paths (N, k, 3), one _hamilton product per arc, later arcs left."""
+    steps = _su2_quaternion(np.moveaxis(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta), -1, 0))
+    out = np.broadcast_to([[1.0], [0.0], [0.0], [0.0]], (4, len(paths)))
+    for j in range(steps.shape[-1]):
+        out = _hamilton(steps[..., j], out)
     return out
 
 
@@ -419,7 +435,7 @@ def test_quaternion_composition_matches_the_matrix_product(n, k):
         (validate_geometry(semidirect_constants(np.eye(2)), (0.0, 0.0, 0.0)), WeightedDensity(0.0)),
     ):
         paths = rng.standard_normal((n, k, 3)) / residual_scale(g, beta)
-        U = path_transports(g, beta, paths)
+        U = _quaternion_matrices(quaternion_fold(g, beta, paths).T)
         assert U.shape == (n, 2, 2)
         assert np.max(np.abs(U - matrix_path_transports(g, beta, paths)), initial=0.0) <= 1e-15 * k
         # the composed quaternions (Re tr U / 2, su(2) part) stay on the unit sphere
@@ -487,31 +503,37 @@ def test_su2_embedding_is_a_homomorphism():
         assert np.max(np.abs(bracket - want)) < 1e-13
 
 
+def loop_paths(batch):
+    """The batch's loops as paths (loops, 4, 3) of arc frame vectors X, Y, -X, -Z."""
+    legs, Z = batch.legs[: batch.loops], batch.closing[: batch.loops]
+    return np.stack([legs[:, 0], legs[:, 1], -legs[:, 0], -Z], axis=1)
+
+
 def test_quadrilateral_loops_close():
     rng = np.random.default_rng(4)
     for g in oracle_frames():
-        loops = loop_batch(g, WeightedDensity(0.0), rng, 50, pairs=0).paths
-        assert loops.shape == (50, 4, 3)
-        assert np.array_equal(loops[:, 2], -loops[:, 0])
-        assert_loops_close(g, loops, 1e-12)
+        batch = loop_batch(g, WeightedDensity(0.0), rng, 50, pairs=0)
+        assert batch.legs.shape == (50, 2, 3) and batch.closing.shape == (50, 3)
+        assert_loops_close(g, loop_paths(batch), 1e-12)
 
 
 def transported(g, beta, loops):
-    """A LoopBatch of the given paths as its loops, with no pairs, for loop_holonomy."""
+    """A LoopBatch of the given loops X, Y, -X, -Z (N, 4, 3), with no pairs, for loop_holonomy."""
     loops = np.asarray(loops, dtype=float)
-    return LoopBatch(loops, path_transports(g, beta, loops), len(loops), 0)
+    return transport_loops(g, beta, loops[:, :2], -loops[:, 3], len(loops))
 
 
 def test_open_path_raises():
     # the oracle's gate refuses a one-arc path, whose transport is far from Id
     with pytest.raises(AssertionError, match="1 of 1 paths open"):
         assert_loops_close(ROUND, [[(0.0, 0.0, 0.7)]])
-    _, deviation = loop_holonomy(transported(ROUND, HALF, [[(0.0, 0.0, 0.7)]]))
+    # the same path as a loop whose legs X and Z are zero
+    _, deviation = loop_holonomy(transported(ROUND, HALF, [[(0.0, 0.0, 0.0), (0.0, 0.0, 0.7), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)]]))
     assert deviation[0] > 0.1
 
 
 def test_one_open_loop_in_a_batch_raises():
-    loops = loop_batch(ROUND, HALF, np.random.default_rng(19), 6, pairs=0).paths
+    loops = loop_paths(loop_batch(ROUND, HALF, np.random.default_rng(19), 6, pairs=0))
     assert_loops_close(ROUND, loops)
     loops[3, 3] *= 1.001
     assert np.flatnonzero(closure_defect(ROUND, loops) > 1e-10).tolist() == [3]
@@ -529,46 +551,96 @@ def test_quadrilateral_loop_lengths_scale_with_the_geometry():
         (milnor_geometry((20.0, 20.0, 20.0)), WeightedDensity(5.0), 20.0),
         (milnor_geometry((0.0, 0.0, 0.0)), WeightedDensity(0.0), 1.0),
     ):
-        loops = loop_batch(g, beta, np.random.default_rng(18), 200, pairs=0).paths
-        legs = np.linalg.norm(loops[:, :2], axis=-1)
-        assert 0.4 <= np.min(legs) * scale and np.max(legs) * scale <= 1.2
+        legs = loop_batch(g, beta, np.random.default_rng(18), 200, pairs=0).legs
+        lengths = np.linalg.norm(legs, axis=-1)
+        assert 0.4 <= np.min(lengths) * scale and np.max(lengths) * scale <= 1.2
 
 
 def test_abelian_quadrilateral_loops_close():
     g = milnor_geometry((0.0, 0.0, 0.0))
-    loops = loop_batch(g, WeightedDensity(0.0), np.random.default_rng(5), 10, pairs=0).paths
-    # ad_X = 0, so Z = Y and the four arcs sum to zero
-    assert np.array_equal(loops[:, 3], -loops[:, 1])
-    assert np.max(closure_defect(g, loops)) < 1e-15
+    batch = loop_batch(g, WeightedDensity(0.0), np.random.default_rng(5), 10, pairs=0)
+    # ad_X = 0, so Z = Y exactly and the four arcs sum to zero
+    assert np.array_equal(batch.closing, batch.legs[:, 1])
+    assert np.max(closure_defect(g, loop_paths(batch))) < 1e-15
 
 
 def cross_matrix(a):
     return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
 
 
+def from_bianchi(n, a):
+    """Structure constants c^k_ij = sum_l eps_ijl N[l, k] of N = n + [a]x."""
+    return np.einsum("ijl,lk->ijk", EPS, np.diag(n) + cross_matrix(a))
+
+
+# The eleven Bianchi types in the canonical form of Ellis and MacCallum: n
+# diagonal, a = (a, 0, 0), n a = 0; class B has h = a^2 / (n_2 n_3).
+BIANCHI_TYPES = {
+    "I": ((0.0, 0.0, 0.0), 0.0),
+    "II": ((1.0, 0.0, 0.0), 0.0),
+    "VI0": ((0.0, 1.0, -1.0), 0.0),
+    "VII0": ((0.0, 1.0, 1.0), 0.0),
+    "VIII": ((-1.0, 1.0, 1.0), 0.0),
+    "IX": ((1.0, 1.0, 1.0), 0.0),
+    "III": ((0.0, 1.0, -1.0), 1.0),
+    "IV": ((0.0, 0.0, 1.0), 1.0),
+    "V": ((0.0, 0.0, 0.0), 1.0),
+    "VIh": ((0.0, 1.0, -1.0), 0.5),
+    "VIIh": ((0.0, 1.5, 1.0), 0.7),
+}
+
+
+def bianchi_frames(scale, seed):
+    """(name, geometry) of each Bianchi type at max|c| = scale: its Milnor frame and a random rotation."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for name, (n, a) in BIANCHI_TYPES.items():
+        c = from_bianchi(n, (a, 0.0, 0.0))
+        assert geometry._jacobi_defect(c) == 0.0
+        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        for frame in (c, np.einsum("ia,jb,abc,kc->ijk", R, R, c, R)):
+            big = np.max(np.abs(frame))
+            if big:
+                frame = frame / big * scale
+            out.append((name, validate_geometry(frame, (0.0, 0.0, 0.0))))
+    return out
+
+
 def test_expm_is_rodrigues_on_skew_matrices():
+    # on the round sphere ad_X = lambda [X]x is skew, so the closing arc is
+    # Y rotated about X by lambda |X| (Rodrigues), and on the abelian algebra
+    # it is Y exactly
     rng = np.random.default_rng(26)
-    for angle in (0.0, 1e-9, 0.3, 2.0, np.pi, 12.0):
-        axis = rng.standard_normal(3)
-        K = cross_matrix(axis / np.linalg.norm(axis))
-        assert np.max(np.abs(expm(angle * K) - rotation(axis, angle))) < 1e-14 * max(1.0, angle)
-    assert np.array_equal(expm(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
+    for lam in (2.0, -3.0):
+        g = milnor_geometry((lam, lam, lam))
+        for angle in (0.0, 1e-9, 0.3, 2.0, np.pi, 12.0):
+            axis = rng.standard_normal(3)
+            X = angle / abs(lam) * axis / np.linalg.norm(axis)
+            Y = rng.standard_normal(3)
+            Z = closing_arc(g, WeightedDensity(0.0), np.array([[X, Y]]))[0]
+            want = rotation(np.sign(lam) * axis, angle) @ Y
+            assert np.max(np.abs(Z - want)) < 1e-14 * max(1.0, angle) * np.max(np.abs(Y))
+    legs = rng.standard_normal((4, 2, 3))
+    assert np.array_equal(closing_arc(milnor_geometry((0.0, 0.0, 0.0)), WeightedDensity(0.0), legs), legs[:, 1])
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 0)])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (0, 2)])
 def test_expm_of_a_non_finite_matrix_is_non_finite(bad, entry):
-    # an inf entry once crashed the choice of the squaring count; now any
-    # non-finite matrix gives an all non-finite result, as NaN always did,
-    # and the finite matrices of the batch keep their values
-    rng = np.random.default_rng(28)
-    finite = 3.0 * rng.standard_normal((2, 3, 3))
-    A = np.concatenate([np.zeros((1, 3, 3)), finite])
-    A[(0, *entry)] = bad
-    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf, as numpy signals them
-        out = expm(A)
-    assert not np.any(np.isfinite(out[0]))
-    assert np.array_equal(out[1:], expm(finite))
+    # entry (leg, component) of one row's legs is not finite: a non-finite X
+    # is a non-finite ad_X, a non-finite Y a non-finite vector. On every
+    # Bianchi type that row's closing arc is NaN, silently, and the other
+    # rows keep their bits
+    for _, g in bianchi_frames(1.0, 28):
+        beta = WeightedDensity(0.0)
+        legs = _loop_legs(g, beta, np.random.default_rng(28), 3, 0)
+        want = closing_arc(g, beta, legs)
+        legs[(0, *entry)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = closing_arc(g, beta, legs)
+        assert np.all(np.isnan(Z[0]))
+        assert Z[1:].tobytes() == want[1:].tobytes()
 
 
 def semidirect_constants(M):
@@ -579,33 +651,43 @@ def semidirect_constants(M):
     return c
 
 
+def ad_matrices(g, legs):
+    """Ad_exp(X) (N, 3, 3) as its action on the unit vectors, by closing_arc: column j is Z(X, e_j)."""
+    X = np.repeat(legs[:, :1], 3, axis=0)
+    Y = np.tile(np.eye(3), (len(legs), 1))[:, None]
+    return closing_arc(g, WeightedDensity(0.0), np.concatenate([X, Y], axis=1)).reshape(-1, 3, 3).swapaxes(1, 2)
+
+
 def test_expm_on_non_unimodular_ad_matrices():
-    # tr ad_X = X_1 tr M is not 0, so det expm(ad_X) = exp(tr ad_X) is not 1;
-    # M = Id is Bianchi V, and a batch mixes norms 1e-3 to 3
+    # tr ad_X = X_1 tr M is not 0, so det Ad_exp(X) = exp(tr ad_X) is not 1;
+    # M = Id is Bianchi V, and a batch mixes norms 1e-3 to 3. Ad_exp(-X) is
+    # the inverse of Ad_exp(X)
     rng = np.random.default_rng(27)
     X = rng.standard_normal((40, 3))
     X *= (np.logspace(-3, 0.5, 40) / np.linalg.norm(X, axis=1))[:, None]
+    legs = np.stack([X, np.zeros_like(X)], axis=1)
     for M in (np.eye(2), np.array([[1.0, -2.0], [0.5, 0.3]])):
         c = semidirect_constants(M)
         assert geometry._jacobi_defect(c) == 0.0
-        ad = np.einsum("ni,ijk->nkj", X, c)
-        E_ad = expm(ad)
-        assert np.max(np.abs(E_ad @ expm(-ad) - np.eye(3))) < 1e-13
-        det = np.exp(np.trace(ad, axis1=-2, axis2=-1))
-        assert np.max(np.abs(np.linalg.det(E_ad) / det - 1.0)) < 1e-13
+        g = validate_geometry(c, (0.0, 0.0, 0.0))
+        Ad = ad_matrices(g, legs)
+        assert np.max(np.abs(Ad @ ad_matrices(g, -legs) - np.eye(3))) < 1e-13
+        det = np.exp(np.trace(np.einsum("ni,ijk->nkj", X, c), axis1=-2, axis2=-1))
+        assert np.max(np.abs(np.linalg.det(Ad) / det - 1.0)) < 1e-13
         assert np.max(np.abs(det - 1.0)) > 1.0
 
 
 def taylor_expm(A):
-    """The degree-16 Taylor series of A / 2^s term by term, squared s times, as expm evaluated before.
+    """The degree-16 Taylor series of A / 2^s term by term, squared s times: the oracle for exp(ad_X).
 
-    Returns the result and the squaring count s.
+    s is the smallest count that brings the largest row-sum norm of the
+    batch to 1/2 or below. Returns the result and s.
     """
     A = np.asarray(A, dtype=float)
     sums = np.sum(np.abs(A), axis=-1)
     norm = float(np.max(sums, initial=0.0, where=np.isfinite(sums)))
     s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
-    X = A / 2.0**s
+    X = np.ldexp(A, -s)
     term = out = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
     for k in range(1, 17):
         term = term @ X / k
@@ -615,57 +697,87 @@ def taylor_expm(A):
     return out, s
 
 
-def assert_expm_is_taylor(A):
-    # both evaluations round the polynomial to a few ulps, and each squaring
-    # doubles a relative error, so they may differ by a few 2^s eps
-    want, s = taylor_expm(A)
-    err = np.max(np.abs(expm(A) - want), axis=(-2, -1))
-    tol = 8.0 * 2.0**s * np.finfo(float).eps
-    assert np.all(err <= tol * np.maximum(1.0, np.max(np.abs(want), axis=(-2, -1))))
+def taylor_closing_arcs(g, legs):
+    """Z = taylor_expm(ad_X) Y (N, 3), one loop at a time, with (ad_X)[k, j] = sum_i X_i c[i, j, k]."""
+    ad = np.einsum("ni,ijk->nkj", legs[:, 0], g.structure_constants)
+    return np.stack([taylor_expm(a)[0] @ y for a, y in zip(ad, legs[:, 1])])
 
 
 def test_expm_matches_the_term_by_term_taylor_series():
-    # the Paterson-Stockmeyer evaluation of the same polynomial, on random
-    # matrices of row-sum norm 1e-3 to 20, one batch and one at a time, on
-    # rotations and on non-unimodular ad_X
-    rng = np.random.default_rng(42)
-    norms = np.logspace(-3, np.log10(20.0), 60)
-    A = rng.standard_normal((60, 3, 3))
-    A *= (norms / np.max(np.sum(np.abs(A), axis=-1), axis=-1))[:, None, None]
-    assert_expm_is_taylor(A)
-    for a in A[::6]:
-        assert_expm_is_taylor(a)
-    axes = rng.standard_normal((40, 3))
-    angles = np.linspace(0.0, 20.0, 40)
-    K = np.stack([cross_matrix(angle * a / np.linalg.norm(a)) for a, angle in zip(axes, angles)])
-    assert_expm_is_taylor(K)
-    X = rng.standard_normal((40, 3)) * np.logspace(-3, 1, 40)[:, None]
-    for M in (np.eye(2), np.array([[1.0, -2.0], [0.5, 0.3]])):
-        assert_expm_is_taylor(np.einsum("ni,ijk->nkj", X, semidirect_constants(M)))
+    # the closed form against the Taylor oracle on all eleven Bianchi types,
+    # in their Milnor frames and in rotated ones, at gauge scales from 1e-300
+    # to the float maximum: the legs are drawn as killing draws them, so
+    # ad_X has norm of order 1 at every scale (the error reads up to 5.6e-15)
+    for scale in (1e-300, 1e-150, 1e-5, 1.0, 3e4, 1e150, 1e300, 1.7e308):
+        for name, g in bianchi_frames(scale, 42):
+            beta = WeightedDensity(0.0)
+            legs = _loop_legs(g, beta, np.random.default_rng(42), 40, 0)
+            Z = closing_arc(g, beta, legs)
+            want = taylor_closing_arcs(g, legs)
+            err = np.max(np.abs(Z - want), axis=1) / np.max(np.abs(legs[:, 1]), axis=1)
+            assert np.max(err) <= 1e-14, (scale, name)
 
 
 def test_expm_of_huge_finite_matrices_does_not_raise():
-    # a row-sum norm near the float maximum needs s = 1025 squarings, and
-    # 2.0**1025 once raised OverflowError; the scaling is now exact
-    A = np.zeros((3, 3, 3))
-    A[0, 0, 1] = 1.7e308  # nilpotent, so exp(A) = Id + A
-    A[1, 1, 2] = 0.5  # scaled to a subnormal and squared back exactly
-    A[2] = np.diag([1e308, 0.0, 0.0])  # exp(A) overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = expm(A)
-    assert np.array_equal(out[:2], np.eye(3) + A[:2])
-    assert not np.all(np.isfinite(out[2]))
+    # structure constants near the float maximum: legs of natural length
+    # close finitely, and legs of length 1 make ad_X overflow, which gives
+    # NaN rows, silently
+    for name, g in bianchi_frames(1.7e308, 29):
+        beta = WeightedDensity(0.0)
+        legs = _loop_legs(g, beta, np.random.default_rng(29), 5, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = closing_arc(g, beta, legs)
+            huge = closing_arc(g, beta, np.ones((2, 2, 3)))
+        assert np.all(np.isfinite(Z)), name
+        if name != "I":
+            assert not np.any(np.isfinite(huge)), name
 
 
 def test_expm_of_a_row_whose_sum_overflows_warns_nothing():
-    # each entry is finite but the row sum is not; it is left out of the
-    # squaring count without numpy's overflow warning, and the matrix is
-    # nilpotent, so exp(A) = Id + A
-    A = np.array([[0.0, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = expm(A)
-    assert np.array_equal(out, np.eye(3) + A)
+    # legs whose squares and products overflow: the row is NaN, with no
+    # warning, and the finite row beside it keeps its bits
+    for _, g in bianchi_frames(1.0, 30):
+        beta = WeightedDensity(0.0)
+        legs = np.array([[(1e308, 1e308, -1e308), (1e308, 1e308, 1e308)], [(0.3, -0.2, 0.1), (0.5, 0.4, -0.6)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Z = closing_arc(g, beta, legs)
+        assert not np.all(np.isfinite(Z[0]))
+        assert Z[1].tobytes() == closing_arc(g, beta, legs[1:])[0].tobytes()
+
+
+def test_closing_arc_rows_do_not_depend_on_the_batch():
+    # every operation is elementwise, so row k of a batch of 255 is bitwise
+    # the row computed alone, on every Bianchi type at every scale, with a
+    # NaN row in the batch
+    for scale in (1e-300, 1.0, 1e300):
+        for name, g in bianchi_frames(scale, 31):
+            beta = WeightedDensity(0.0)
+            legs = _loop_legs(g, beta, np.random.default_rng(31), 255, 0)
+            legs[7, 0, 1] = np.nan
+            Z = closing_arc(g, beta, legs)
+            for k in (0, 1, 7, 100, 254):
+                assert closing_arc(g, beta, legs[k : k + 1]).tobytes() == Z[k : k + 1].tobytes(), name
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-11, 3e-11])
+def test_closing_arc_moves_no_more_than_the_jacobi_defect(delta):
+    # the closed form uses n a = 0; structure constants that break it by a
+    # defect validate_geometry accepts move Z from the Taylor oracle by no
+    # more than that defect (relative to max|c|^2), in rotated class B frames
+    rng = np.random.default_rng(32)
+    for n, a in ((0.0, 0.0, 0.0), 1.0), ((0.0, 1.0, -1.0), 0.5), ((0.0, 1.5, 1.0), 0.7), ((0.0, 0.0, 1.0), 1.0):
+        c = from_bianchi((n[0] + delta, n[1], n[2]), (a, 0.0, 0.0))
+        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        g = validate_geometry(np.einsum("ia,jb,abc,kc->ijk", R, R, c, R), (0.0, 0.0, 0.0))
+        scale = np.max(np.abs(g.structure_constants))
+        defect = geometry._jacobi_defect(g.structure_constants) / scale**2
+        assert delta / 2 < defect <= 1e-10
+        beta = WeightedDensity(0.0)
+        legs = _loop_legs(g, beta, rng, 100, 0)
+        err = np.max(np.abs(closing_arc(g, beta, legs) - taylor_closing_arcs(g, legs)), axis=1)
+        assert np.max(err / np.linalg.norm(legs[:, 1], axis=1)) <= defect
 
 
 def test_loops_close_on_a_non_unimodular_algebra():
@@ -676,7 +788,7 @@ def test_loops_close_on_a_non_unimodular_algebra():
     beta = WeightedDensity(0.0)
     assert analyze(g, beta).verdict and flatness(g, beta) == 0.0
     assert np.max(np.abs(killing_connection(g, beta))) > 0.1
-    loops = loop_batch(g, beta, np.random.default_rng(28), 200, pairs=0).paths
+    loops = loop_paths(loop_batch(g, beta, np.random.default_rng(28), 200, pairs=0))
     assert np.max(loop_holonomy(transported(g, beta, loops))[1]) < 1e-13
     # negative control: open loops, the last arc lengthened by 1 %
     loops[:, 3] *= 1.01
@@ -700,7 +812,7 @@ def test_loop_model_works_in_any_frame(lam, sign, beta_sign, axis, angle, seed):
     rng = np.random.default_rng(seed)
     R = rotation(axis, angle)
     g = rotated_geometry(milnor_geometry(sign * np.asarray(lam)), R)
-    loops = loop_batch(g, WeightedDensity(0.0), rng, 5, pairs=0).paths
+    loops = loop_paths(loop_batch(g, WeightedDensity(0.0), rng, 5, pairs=0))
     assert np.max(closure_defect(g, loops)) < 1e-12
     # the round Gauduchon-Tod member, |beta| = lambda / 4, in the same frame
     g = rotated_geometry(milnor_geometry((sign * lam[0],) * 3), R)
@@ -743,7 +855,9 @@ def test_negative_definite_milnor_frame_is_flat_along_loops():
 
 
 def test_empty_loop_is_trivial():
-    H, dev = loop_holonomy(transported(ROUND, HALF, np.zeros((1, 0, 3))))
+    # a loop of four zero arcs: every step is the identity quaternion, so
+    # the holonomy is Id exactly
+    H, dev = loop_holonomy(transported(ROUND, HALF, np.zeros((1, 4, 3))))
     assert np.array_equal(H, np.eye(2)[None])
     assert np.array_equal(dev, [0.0])
 
@@ -764,13 +878,33 @@ def test_batched_holonomy_matches_per_arc_transports():
     for g, beta in cases:
         for n in (1, 3):
             batch = loop_batch(g, beta, rng, n)
-            loops = batch.paths[:n]
+            loops = loop_paths(batch)
             H, dev = loop_holonomy(batch)
             assert H.shape == (n, 2, 2) and dev.shape == (n,)
             assert np.max(np.abs(H - sample_transports(g, beta, loops))) < 1e-13
-            assert np.array_equal(dev, np.max(np.abs(H - np.eye(2)), axis=(-2, -1)))
-            legs = path_transports(g, beta, loops[:, :2])
-            assert np.max(np.abs(legs - sample_transports(g, beta, loops[:, :2]))) < 1e-13
+            # hypot of the quaternion entries, and the modulus of the matrix entries
+            np.testing.assert_allclose(dev, np.max(np.abs(H - np.eye(2)), axis=(-2, -1)), rtol=4e-16, atol=0)
+            legs = matrix_path_transports(g, beta, batch.legs)
+            assert np.max(np.abs(legs - sample_transports(g, beta, batch.legs))) < 1e-13
+
+
+def test_quaternion_holonomies_match_the_matrix_product():
+    # the loops' holonomies and both paths of each pair, composed on unit
+    # quaternions, against the per-arc product of complex 2x2 matrices
+    for g, beta in batch_cases():
+        for loops, pairs in BATCH_SIZES:
+            batch = loop_batch(g, beta, np.random.default_rng(34), loops, pairs)
+            X, Y = batch.legs[:, 0], batch.legs[:, 1]
+            want = np.concatenate(
+                [
+                    matrix_path_transports(g, beta, loop_paths(batch)),
+                    matrix_path_transports(g, beta, np.stack([X, Y, -X], axis=1)[loops:]),
+                    matrix_path_transports(g, beta, batch.closing[loops:, None]),
+                ]
+            )
+            got = _quaternion_matrices(batch.quaternions.T)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+            assert np.array_equal(loop_holonomy(batch)[0], got[:loops])
 
 
 def test_holonomy_trivial_on_round_sphere():
@@ -802,16 +936,16 @@ def test_path_independence_iff_flatness():
 def separate_calls(g, beta, rng, loops, pairs):
     """The oracle: killing's loop sections as separate calls, as before the fused batch.
 
-    Two consecutive loop_batch(..., pairs=0) draws on one rng, each closed
-    by its own expm, and three path_transports calls. Returns the loops,
-    their deviations max|H - Id|, the pairs' loops and the
+    Two consecutive loop_batch(..., pairs=0) draws on one rng, each closed by
+    its own closing_arc, transported by the per-arc matrix product. Returns
+    the loops, their deviations max|H - Id|, the pairs' loops and the
     path-independence residual.
     """
-    closed = loop_batch(g, beta, rng, loops, pairs=0).paths
-    deviation = np.max(np.abs(path_transports(g, beta, closed) - np.eye(2)), axis=(-2, -1))
-    pair_loops = loop_batch(g, beta, rng, loops=pairs, pairs=0).paths
-    first = path_transports(g, beta, pair_loops[:, :3])
-    second = path_transports(g, beta, -pair_loops[:, 3:])
+    closed = loop_paths(loop_batch(g, beta, rng, loops, pairs=0))
+    deviation = np.max(np.abs(matrix_path_transports(g, beta, closed) - np.eye(2)), axis=(-2, -1))
+    pair_loops = loop_paths(loop_batch(g, beta, rng, loops=pairs, pairs=0))
+    first = matrix_path_transports(g, beta, pair_loops[:, :3])
+    second = matrix_path_transports(g, beta, -pair_loops[:, 3:])
     return closed, deviation, pair_loops, float(np.max(np.abs(first - second), initial=0.0))
 
 
@@ -828,23 +962,19 @@ BATCH_SIZES = [(1, 5), (20, 5), (50, 5), (7, 0), (0, 8)]
 
 
 def test_loop_batch_draws_what_two_quadrilateral_loop_calls_draw():
+    # the legs are bitwise those of the separate draws, and so are the
+    # closing arcs, whose rows do not depend on the batch
     for g, beta in batch_cases():
-        unit = 1.0 / residual_scale(g, beta)
         for loops, pairs in BATCH_SIZES:
             batch = loop_batch(g, beta, np.random.default_rng(30), loops, pairs)
             closed, _, pair_loops, _ = separate_calls(g, beta, np.random.default_rng(30), loops, pairs)
-            n = loops + 2 * pairs
+            n = loops + pairs
             assert (batch.loops, batch.pairs) == (loops, pairs)
-            assert batch.paths.shape == (n, 4, 3) and batch.transports.shape == (n, 2, 2)
-            loop_paths, first, second = np.split(batch.paths, [loops, loops + pairs])
-            # X, Y and -X bitwise; the closing arcs share one expm, whose
-            # scaling may differ from either separate call's: rounding only
-            assert np.array_equal(loop_paths[:, :3], closed[:, :3])
-            assert np.array_equal(first[:, :3], pair_loops[:, :3])
-            assert np.max(np.abs(loop_paths[:, 3] - closed[:, 3]), initial=0.0) <= 1e-15 * unit
-            assert np.max(np.abs(second[:, 0] + pair_loops[:, 3]), initial=0.0) <= 1e-15 * unit
-            # the zero arcs padding the pairs' paths to four arcs
-            assert not np.any(first[:, 3]) and not np.any(second[:, 1:])
+            assert batch.legs.shape == (n, 2, 3) and batch.closing.shape == (n, 3)
+            assert batch.quaternions.shape == (4, loops + 2 * pairs)
+            separate = np.concatenate([closed, pair_loops])
+            assert batch.legs.tobytes() == np.ascontiguousarray(separate[:, :2]).tobytes()
+            assert np.ascontiguousarray(batch.closing).tobytes() == (-separate[:, 3]).tobytes()
 
 
 def test_loop_batch_sections_match_the_separate_calls():
@@ -861,15 +991,22 @@ def test_loop_batch_sections_match_the_separate_calls():
 
 def test_zero_arcs_pad_a_path_bitwise():
     # a zero arc is the identity quaternion exactly, and a Hamilton product
-    # with it multiplies by 0 and 1 and adds zeros, so padding moves no bit
+    # with it multiplies by 0 and 1 and adds zeros, so padding moves no bit:
+    # the pairs' paths X, Y, -X and Z need no zero arcs to line up with the
+    # loops' four
     rng = np.random.default_rng(32)
     for g, beta in batch_cases():
+        zero = _su2_quaternion(-_killing_coefficients(g, beta).T @ np.zeros((3, 20)))
+        assert np.array_equal(zero, np.broadcast_to([[1.0], [0.0], [0.0], [0.0]], (4, 20)))
+        q = _su2_quaternion(rng.standard_normal((3, 20)) / residual_scale(g, beta))
+        assert _hamilton(zero, q).tobytes() == q.tobytes()
+        assert _hamilton(q, zero).tobytes() == q.tobytes()
         for k in (0, 1, 2, 3):
             paths = rng.standard_normal((20, k, 3)) / residual_scale(g, beta)
-            want = path_transports(g, beta, paths)
+            want = quaternion_fold(g, beta, paths)
             for pad in range(1, 5 - k):
                 padded = np.concatenate([paths, np.zeros((20, pad, 3))], axis=1)
-                assert path_transports(g, beta, padded).tobytes() == want.tobytes()
+                assert quaternion_fold(g, beta, padded).tobytes() == want.tobytes()
 
 
 def test_path_independence_of_the_batch_trips_off_the_gauduchon_tod_family():
@@ -898,8 +1035,19 @@ def test_basis_pair_is_j_related_and_independent():
     psi1, psi2 = BASE_SPINORS
     assert np.max(np.abs(psi2 - j_structure(psi1))) == 0.0
     rng = np.random.default_rng(11)
-    samples = [loop[:k] for loop in loop_batch(ROUND, HALF, rng, 20, pairs=0).paths for k in (1, 2)]
+    samples = [leg[:k] for leg in loop_batch(ROUND, HALF, rng, 20, pairs=0).legs for k in (1, 2)]
     assert min_singular_value(sample_transports(ROUND, HALF, samples)) > 0.1
+
+
+def test_sections_are_the_transported_base_spinors():
+    # BASE_SPINORS are (1, 0) and (0, -1), so _sections gathers U[:, 0] and
+    # -U[:, 1]; the values are those of the products, up to the sign of a zero
+    assert np.array_equal(BASE_SPINORS, [[1.0, 0.0], [0.0, -1.0]])
+    rng = np.random.default_rng(35)
+    U = rng.standard_normal((12, 2, 2)) + 1j * rng.standard_normal((12, 2, 2))
+    U[3] = np.nan
+    want = np.stack([U @ psi for psi in BASE_SPINORS], axis=1)
+    assert np.array_equal(killing._sections(U), want, equal_nan=True)
 
 
 def test_flat_abelian_basis_and_residual():
@@ -912,7 +1060,7 @@ def test_flat_abelian_basis_and_residual():
 
 def test_killing_residual_second_order():
     rng = np.random.default_rng(13)
-    samples = [loop[:k] for loop in loop_batch(ROUND, HALF, rng, 10, pairs=0).paths for k in (1, 2)]
+    samples = [leg[:k] for leg in loop_batch(ROUND, HALF, rng, 10, pairs=0).legs for k in (1, 2)]
     transports = sample_transports(ROUND, HALF, samples)
     r5 = killing_residual(ROUND, HALF, transports, h=1e-5)
     assert r5 < 1e-7
@@ -998,7 +1146,7 @@ def test_batched_sample_sections_match_the_per_sample_loop():
     rng = np.random.default_rng(24)
     for g, beta in sample_cases():
         # one- and two-arc paths, interleaved as the killing command draws them
-        samples = [loop[:k] for loop in loop_batch(g, beta, rng, 8, pairs=0).paths for k in (1, 2)]
+        samples = [leg[:k] for leg in loop_batch(g, beta, rng, 8, pairs=0).legs for k in (1, 2)]
         transports = sample_transports(g, beta, samples)
         assert transports.shape == (16, 2, 2)
         sv = min_singular_value(transports)
@@ -1014,8 +1162,8 @@ def test_batched_sample_sections_match_the_per_sample_loop():
 
 
 def test_batched_sample_sections_fail_on_a_non_finite_transport():
-    loops = loop_batch(ROUND, HALF, np.random.default_rng(25), 4, pairs=0).paths
-    transports = sample_transports(ROUND, HALF, loops[:, :2])
+    legs = loop_batch(ROUND, HALF, np.random.default_rng(25), 4, pairs=0).legs
+    transports = sample_transports(ROUND, HALF, legs)
     assert min_singular_value(transports) > 0.1
     assert killing_residual(ROUND, HALF, transports) < 1e-7
     transports[2, 1, 0] = np.nan
