@@ -181,14 +181,6 @@ def weyl_connection(g):
     return lc + wt
 
 
-@functools.lru_cache(maxsize=1)
-def weyl_coefficients(g):
-    """Read-only Gamma of weyl_connection(g), built once per (immutable) geometry."""
-    gamma = weyl_connection(g)
-    gamma.setflags(write=False)
-    return gamma
-
-
 def curvature_package(g):
     """All curvature data of the Weyl structure in the frame.
 
@@ -196,7 +188,7 @@ def curvature_package(g):
         R4 = Ric^N kn c + F (x) c
     with Ric^N = -sym0 Ric - (1/12) R c + (1/2) F, which the tests check.
     """
-    gamma = weyl_coefficients(g)
+    gamma = weyl_connection(g)
     c = g.structure_constants
     r4 = (
         np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
@@ -264,9 +256,8 @@ def residual_scale(g, beta):
 
     Weight -2 residuals are normalized by its square, and loop lengths and
     killing_residual's step are taken in its inverse. The zero geometry has
-    all residuals 0, so its scale of 1 leaves them as they are. Computed
-    once per (immutable) geometry and density: a killing call reads it from
-    analyze, flatness, the loop lengths and killing_residual.
+    all residuals 0, so its scale of 1 leaves them as they are. Computed once
+    per (immutable) geometry and density, for analyze, flatness and killing.
     """
     scale = max(np.max(np.abs(g.structure_constants)), np.max(np.abs(g.theta)), abs(beta.value))
     return float(scale) or 1.0

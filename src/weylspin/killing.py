@@ -8,8 +8,9 @@ compose as real quaternions, by Hamilton products through a table read off the
 2x2 basis. Loops are quadrilaterals X, Y, -X, -Z with Z = Ad_exp(X) Y, so they
 close on every simply connected Lie group without a model of the group;
 closing_arc evaluates exp(ad_X) Y in closed form from the Bianchi decomposition
-of the structure constants. loop_batch draws, closes and transports the loops
-and path pairs of one killing check as one batch, which loop_holonomy and
+of the structure constants, built once per geometry with b, B_i = sum_k b[i, k] q_k
+(killing_data). loop_batch draws, closes and transports the loops and path pairs
+of one killing check as one batch, which loop_holonomy and
 path_independence_residual each read a slice of. A single arc runs the same
 closed form on Python floats (transport_operator), where numpy's per-call cost
 would dominate a 3-vector. The 2-dimensional Killing spinor space is spanned by
@@ -21,6 +22,8 @@ samples as arrays.
 import functools
 import math
 import operator
+import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,7 @@ from .geometry import (
     quadratic_form_24,
     residual_scale,
 )
-from .spinconn import killing_connection, weight0_matrices
+from .spinconn import killing_coefficients, killing_connection
 
 _ID2 = np.eye(2, dtype=complex)
 _Q = -E  # unit quaternion generators as 2x2 matrices: q_i q_j = eps_ijk q_k
@@ -110,6 +113,41 @@ class GroupArc:
 # transport
 
 
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # (u x v)_i = u_next v_last - u_last v_next
+KillingData = namedtuple("KillingData", "b columns steps e a u v adj")
+
+
+@functools.lru_cache(maxsize=1)
+def killing_data(g, beta):
+    """What a killing check reads of (g, beta), in closed form from x = form_coordinates(g, beta) / 2^e.
+
+    (e, m) = prescale(g, beta). b = 2^e spinconn.killing_coefficients(x), with
+    columns as Python floats, and steps = b / m = b / scale. For closing_arc,
+    on floats: N = n + [a]x, n = N/2 + N^T/2, a (3, 1) = (M[2, 1], M[0, 2],
+    M[1, 0]), M = N/2 - N^T/2, u[k, i] = n[k, i + 1] and v[k, i] = n[k, i + 2]
+    (indices mod 3) and adj(n), each (3, 3, 1). A sub-normal scale raises ShapeError.
+    """
+    scale, low = residual_scale(g, beta), sys.float_info.min
+    if scale < low:
+        raise ShapeError(f"killing covers scales from the smallest normal float, {low!r}, to the float"
+                         f" maximum; this geometry's scale is {scale!r}")
+    e, m = prescale(g, beta)
+    x = np.ldexp(form_coordinates(g, beta), -e).tolist()
+    b = killing_coefficients(x)
+    steps = b / m
+    with np.errstate(over="ignore"):  # b beyond the float range: its transports are NaN
+        b = np.ldexp(b, e)
+    for array in (b, steps):
+        array.setflags(write=False)
+    N = x[0:3], x[3:6], x[6:9]
+    n = [[0.5 * N[i][j] + 0.5 * N[j][i] for j in range(3)] for i in range(3)]  # symmetric, bit for bit
+    adj = [[n[i - 2][j - 2] * n[i - 1][j - 1] - n[i - 2][j - 1] * n[i - 1][j - 2] for j in range(3)]
+           for i in range(3)]
+    a = np.array([[0.5 * N[i][j] - 0.5 * N[j][i]] for i, j in ((2, 1), (0, 2), (1, 0))])
+    n, adj = np.array(n), np.array(adj)[..., None]
+    return KillingData(b, tuple(zip(*b.tolist())), steps, e, a, n[:, _NEXT, None], n[:, _LAST, None], adj)
+
+
 def transport_operator(g, beta, arc):
     """exp(-sum_i v_i B_i), the parallel transport of the Killing connection along arc.
 
@@ -117,19 +155,18 @@ def transport_operator(g, beta, arc):
     x = -sum_i v_i b[i, k] q_k of su(2), and its exponential is the unit
     quaternion [cos phi, (sin phi / phi) x], phi = |x|, exactly. x and the
     quaternion are formed on Python floats (_float_quaternion) from the
-    columns of b memoized per geometry, and the 2x2 matrix
-    p_0 Id + sum_k p_k q_k is formed from the four floats by _ENTRY_TERMS:
-    the values of _quaternion_matrices, up to the sign of a zero. An
-    exponent whose norm overflows gives NaN entries.
+    columns of b in killing_data, and the 2x2 matrix p_0 Id + sum_k p_k q_k from
+    the four floats by _ENTRY_TERMS: the values of p @ _QUATERNION_BASIS, up to
+    the sign of a zero. An exponent whose norm overflows gives NaN entries.
     """
     v1, v2, v3 = arc.vector
-    x = [-(v1 * b1 + v2 * b2 + v3 * b3) for b1, b2, b3 in _killing_columns(g, beta)]
+    x = [-(v1 * b1 + v2 * b2 + v3 * b3) for b1, b2, b3 in killing_data(g, beta).columns]
     p = _float_quaternion(x)
     return np.array([complex(a * p[i], b * p[j]) for i, a, j, b in _ENTRY_TERMS]).reshape(2, 2)
 
 
 def rk4_transport(g, beta, arc, psi0, steps=256):
-    """Independent cross-check: integrate psi' = -(sum v_i B_i) psi over unit time with RK4."""
+    """Cross-check: integrate psi' = -(sum v_i B_i) psi over unit time with RK4, B by the tensor chain."""
     B = killing_connection(g, beta)
     M = -np.einsum("i,iab->ab", np.asarray(arc.vector), B)
     h = 1.0 / steps
@@ -143,25 +180,6 @@ def rk4_transport(g, beta, arc, psi0, steps=256):
     return psi
 
 
-@functools.lru_cache(maxsize=1)
-def _killing_coefficients(g, beta):
-    """Real b[i, k] with B_i = sum_k b[i, k] q_k."""
-    b = _su2_coefficients(killing_connection(g, beta))
-    b.setflags(write=False)
-    return b
-
-
-@functools.lru_cache(maxsize=1)
-def _killing_columns(g, beta):
-    """The columns b[:, k] of _killing_coefficients as triples of Python floats."""
-    return tuple(zip(*_killing_coefficients(g, beta).tolist()))
-
-
-def _su2_coefficients(M):
-    """Real x_k = -tr(q_k M) / 2 of the sum x_k q_k part of M (..., 2, 2); any Id part is dropped."""
-    return -np.real(np.einsum("kab,...ba->...k", 0.5 * _Q, M))  # q_k halved first: no overflow
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing exponent gives NaN below
 def _su2_quaternion(x):
     """exp of sum x_k q_k for coefficients x (3, ...), as unit quaternions (4, ...).
@@ -172,7 +190,7 @@ def _su2_quaternion(x):
     does; every other phi keeps its bits. A non-finite phi gives NaN, silently.
     """
     x = np.asarray(x, dtype=float)
-    phi = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    phi = np.sqrt(np.add.reduce(x * x, axis=0))  # (x_0^2 + x_1^2) + x_2^2
     big = np.isinf(phi)
     if np.any(big):
         m = np.max(np.abs(x[:, big]), axis=0)
@@ -197,16 +215,10 @@ def _float_quaternion(x):
     return math.cos(phi), s * x[0], s * x[1], s * x[2]
 
 
-def _quaternion_matrices(p):
-    """Quaternions p (..., 4) as the (..., 2, 2) matrices p_0 Id + sum_k p_k q_k."""
-    return (p @ _QUATERNION_BASIS).reshape(p.shape[:-1] + (2, 2))
-
-
 # ---------------------------------------------------------------------------
 # loops
 
 
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # (u x v)_i = u_next v_last - u_last v_next
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
 _MODULUS_ROWS, _MODULUS_COLUMNS = np.array(sorted(set(zip(_RE_ROW.tolist(), _IM_ROW.tolist())))).T
 
@@ -216,35 +228,30 @@ def closing_arc(g, beta, legs):
     """Z = Ad_exp(X) Y = exp(ad_X) Y (N, 3) for the legs X, Y of legs (N, 2, 3), in closed form.
 
     c^k_ij = sum_l eps_ijl N[l, k] (N from form_coordinates), and N = n + [a]x
-    with n = N/2 + N^T/2 and a = (M[2, 1], M[0, 2], M[1, 0]), M = N/2 - N^T/2.
-    Then ad_X Y = n (X x Y) + (a.X) Y - (a.Y) X = U Y + V Y; the Jacobi identity
-    n a = 0 makes U and V commute, so exp(ad_X) = exp(U) exp(V), where V^2 = k V,
-    k = a.X, gives exp(V) Y = e^k Y - phi_1(k) (a.Y) X, phi_1(k) = expm1(k) / k,
-    and U^3 = -d U, d = X^T adj(n) X, gives exp(U) = Id + S(d) U + S(d/4)^2 U^2 / 2,
-    S(d) = sin(sqrt d) / sqrt d (sinh(sqrt -d) / sqrt -d for d < 0, S(0) = 1).
-    The legs are taken in units of 2^-e and N in units of 2^e, (e, m) =
-    prescale(g, beta): exact, and finite at every scale. Every operation is
-    elementwise on rows (3, N), so row k of Z depends on row k of legs alone.
-    A non-finite X makes its row NaN, a non-finite Y non-finite.
+    is killing_data's split. Then ad_X Y = n (X x Y) + (a.X) Y - (a.Y) X = U Y
+    + V Y; the Jacobi identity n a = 0 makes U and V commute, so exp(ad_X) =
+    exp(U) exp(V), where V^2 = k V, k = a.X, gives exp(V) Y = e^k Y - phi_1(k)
+    (a.Y) X, phi_1(k) = expm1(k) / k, and U^3 = -d U, d = X^T adj(n) X, gives
+    exp(U) = Id + S(d) U + S(d/4)^2 U^2 / 2, S(d) = sin(sqrt d) / sqrt d
+    (sinh(sqrt -d) / sqrt -d for d < 0, S(0) = 1). The legs are taken in
+    units of 2^-e and N in units of 2^e, (e, m) = prescale(g, beta): exact,
+    and finite at every normal scale. Every operation is elementwise on rows
+    (3, N), so row k of Z depends on row k of legs alone. A non-finite X
+    makes its row NaN, a non-finite Y non-finite.
     """
-    e, _ = prescale(g, beta)
-    N = np.ldexp(form_coordinates(g, beta)[:9].reshape(3, 3), -e)
-    n, M = 0.5 * N + 0.5 * N.T, 0.5 * N - 0.5 * N.T
-    u, v = n.take(_NEXT, axis=0), n.take(_LAST, axis=0)
-    adj = u.take(_NEXT, axis=1) * v.take(_LAST, axis=1) - u.take(_LAST, axis=1) * v.take(_NEXT, axis=1)
-    a1, a2, a3 = M[_LAST, _NEXT].tolist()
-    X, Y = XY = np.ldexp(legs.transpose(1, 2, 0), e, order="C")
-    k, aY = a1 * XY[:, 0] + a2 * XY[:, 1] + a3 * XY[:, 2]
+    data = killing_data(g, beta)
+    X, Y = XY = np.ldexp(legs.transpose(1, 2, 0), data.e, order="C")
+    # each sum over a middle or leading axis of 3 adds its terms in order, row by row
+    k, aY = np.add.reduce(data.a * XY, axis=1)
     phi1 = np.divide(np.expm1(k), k, out=np.ones_like(k), where=k != 0.0)
     W = np.exp(k) * Y - phi1 * aY * X  # exp(V) Y
-    U = u.T[..., None] * X.take(_LAST, axis=0) - v.T[..., None] * X.take(_NEXT, axis=0)  # n [X]x
-    UW = U[:, 0] * W[0] + U[:, 1] * W[1] + U[:, 2] * W[2]
-    UUW = U[:, 0] * UW[0] + U[:, 1] * UW[1] + U[:, 2] * UW[2]
-    AX = adj[:, :1] * X[0] + adj[:, 1:2] * X[1] + adj[:, 2:] * X[2]  # adj is symmetric
-    d = AX[0] * X[0] + AX[1] * X[1] + AX[2] * X[2]
+    U = data.u * X.take(_LAST, axis=0) - data.v * X.take(_NEXT, axis=0)  # n [X]x
+    UW = np.add.reduce(U * W, axis=1)
+    UUW = np.add.reduce(U * UW, axis=1)
+    d = np.add.reduce(np.add.reduce(data.adj * X, axis=1) * X, axis=0)  # X^T adj(n) X
     r = np.sqrt(np.abs(d)) * np.array([[1.0], [0.5]])  # sqrt|d| and sqrt|d / 4|
     s, half = np.divide(np.where(d > 0.0, np.sin(r), np.sinh(r)), r, out=np.ones_like(r), where=r != 0.0)
-    return np.ldexp(W + s * UW + 0.5 * half * half * UUW, -e).T
+    return np.ldexp(W + s * UW + 0.5 * half * half * UUW, -data.e).T
 
 
 def _hamilton(p, q):
@@ -262,12 +269,12 @@ def _loop_legs(g, beta, rng, loops, pairs):
     """The arcs X, Y (loops + pairs, 2, 3): loop directions, loop lengths, then the pairs'.
 
     Lengths are 0.4-1.2 in units of 1 / residual_scale(g, beta), so a loop spans
-    the same part of the group at every normal scale (at a subnormal one they
-    are near the float maximum, and a loop can overflow).
+    the same part of the group at every normal scale; killing_data refuses the
+    sub-normal ones, where they would overflow.
     """
     draws = [(rng.standard_normal((n, 2, 3)), rng.uniform(0.4, 1.2, (n, 2))) for n in (loops, pairs)]
     d, t = (np.concatenate(parts) for parts in zip(*draws))
-    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    d /= np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
     return (t / residual_scale(g, beta))[..., None] * d
 
 
@@ -296,7 +303,7 @@ def transport_loops(g, beta, legs, closing, loops):
     conj(q_X) (q_Y q_X), its second q_Z, and a loop's holonomy conj(q_Z) U_1.
     """
     arcs = np.concatenate([legs.transpose(2, 1, 0).reshape(3, -1), closing.T], axis=1)  # X | Y | Z
-    q = _su2_quaternion(-_killing_coefficients(g, beta).T @ arcs)
+    q = _su2_quaternion(-killing_data(g, beta).b.T @ arcs)
     q_x, q_y, q_z = q.reshape(4, 3, len(legs)).swapaxes(0, 1)
     first = _hamilton(_CONJUGATE * q_x, _hamilton(q_y, q_x))
     holonomy = _hamilton(_CONJUGATE * q_z[:, :loops], first[:, :loops])
@@ -316,9 +323,8 @@ def loop_batch(g, beta, rng, loops, pairs=5):
 
 
 def loop_holonomy(batch):
-    """Killing holonomies (loops, 2, 2) around the batch's loops, and their max|H - Id| (loops,)."""
-    H = batch.quaternions[:, : batch.loops]
-    return _quaternion_matrices(H.T), _entry_gap(H, np.eye(4, 1))  # gap to the identity
+    """max|H - Id| (loops,) of the Killing holonomies H around the batch's loops, off their quaternions."""
+    return _entry_gap(batch.quaternions[:, : batch.loops], np.eye(4, 1))  # gap to the identity
 
 
 def path_independence_residual(batch):
@@ -345,14 +351,14 @@ def sample_transports(g, beta, samples):
     GroupArc(v)), the per-arc entry that bench/run.py wraps to spot-check
     transports against RK4.
     """
-    out = []
-    for path in samples:
+    out = np.empty((len(samples), 2, 2), dtype=complex)
+    for n, path in enumerate(samples):
         U = _ID2
         for v in path.tolist() if isinstance(path, np.ndarray) else path:
             T = transport_operator(g, beta, GroupArc(v))
             U = T if U is _ID2 else T @ U
-        out.append(U)
-    return np.stack(out)
+        out[n] = U
+    return out
 
 
 def _sections(transports):
@@ -366,41 +372,41 @@ def _sections(transports):
 def min_singular_value(transports):
     """Smallest singular value of the normalized transported pair over a stack (N, 2, 2).
 
-    A non-finite transport reads NaN, which fails any bound.
+    The sections are the columns v of each transport, up to sign. Their Gram
+    matrix [[a, c], [c*, b]] normalized to unit diagonal has sigma_min^2 = 1 -
+    |c| / r = |det v|^2 / (r (r + |c|)), r = sqrt(a b), the form that does not
+    cancel for nearly parallel sections. A non-finite transport reads NaN.
     """
-    v = _sections(transports)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(transports).all():
         return float("nan")
-    m = np.swapaxes(v / np.linalg.norm(v, axis=-1, keepdims=True), -2, -1)
-    return float(np.min(np.linalg.svd(m, compute_uv=False)[:, -1]))
+    v = np.swapaxes(transports, -1, -2)  # (N, 2, 2): v[n, k] is column k
+    r = np.sqrt(np.prod(np.sum(v.real * v.real + v.imag * v.imag, axis=-1), axis=-1))  # |v_1| |v_2|
+    c = np.abs(np.sum(v[:, 0].conj() * v[:, 1], axis=-1))
+    det = np.abs(v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0])
+    return float(np.min(det / np.sqrt(r * (r + c))))
 
 
 def killing_residual(g, beta, transports, h=1e-5):
     """Finite-difference check of the Killing equation on transported sections.
 
     transports (N, 2, 2) carry both basis sections to N sample points (see
-    sample_transports). At each point the frame derivative e_i(psi) is
-    approximated by central differences of parallel transports over +-h/s,
-    and the report is
-        max_i ||e_i(psi) + A_i psi - beta e_i psi|| / (s ||psi||)
-    over all samples and both basis sections, with s = residual_scale(g, beta).
-    The step h is thus dimensionless and the report is O(h^2) at every scale.
-    It is taken in units of s, exponents +-h b / s, quotient by 2h and
-    A_i psi - beta e_i psi over s, so no 2h/s overflows its reciprocal near
-    the float maximum. All samples are evaluated as one array; a non-finite
-    sample makes the report NaN, which fails any bound.
+    sample_transports). The report is max_i ||e_i(psi) + B_i psi|| / (s ||psi||),
+    B_i = A_i - beta e_i, over all samples and both basis sections, with
+    e_i(psi) the central difference of transports over +-h/s, s =
+    residual_scale(g, beta): O(h^2) at every scale. It is taken in units of
+    s, exponents +-h b / s, quotient by 2h and B_i / s from killing_data's
+    steps, so no 2h/s overflows. A non-finite sample makes the report NaN.
     """
-    s = residual_scale(g, beta)
-    psi = _sections(transports)[..., None]  # (N, 2, 2, 1): sample, section, spinor
-    # plus and minus (3, 1, 1, 2, 2): steps of -h/s and +h/s along each e_i,
-    # single arcs, so on the float kernel
-    rows = (_killing_coefficients(g, beta) / s).tolist()
+    rows = killing_data(g, beta).steps.tolist()
+    psi = np.moveaxis(_sections(transports), -1, 0)[..., None]  # (2, N, 2, 1): component, sample, section
+    # the steps of -h/s and +h/s along each e_i (single arcs, so on the float kernel), and B_i / s
     steps = [_float_quaternion([sign * h * v for v in row]) for sign in (-1, 1) for row in rows]
-    plus, minus = _quaternion_matrices(np.array(steps)).reshape(2, 3, 1, 1, 2, 2)
-    A = weight0_matrices(g)[:, None, None]
-    fd = (plus @ psi - minus @ psi) / (2.0 * h)
-    defect = fd + (A @ psi - beta.value * (E[:, None, None] @ psi)) / s  # (3, N, 2, 2, 1)
-    return float(np.max(np.max(np.abs(defect), axis=(-2, -1)) / np.max(np.abs(psi), axis=(-2, -1))))
+    ops = (np.array(steps + [(0.0, *row) for row in rows]) @ _QUATERNION_BASIS).reshape(3, 3, 1, 1, 2, 2)
+    # M psi for each, entry by entry (the bits of M @ psi): axes e_i, sample, section, component
+    plus, minus, B = ops[..., 0] * psi[0] + ops[..., 1] * psi[1]
+    defect = np.abs((plus - minus) / (2.0 * h) + B)
+    size = np.abs(psi)[..., 0]
+    return float(np.max(np.maximum(defect[..., 0], defect[..., 1]) / np.maximum(size[0], size[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -465,23 +471,20 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     """Damped Newton search for a root of the Gauduchon-Tod residual system.
 
     One coordinate is pinned to quotient out the conformal rescaling freedom:
-    pin = (name or index 0..4, value), with value None meaning "keep x0's entry";
-    any other name or index raises ShapeError.
-    Newton steps solve the least-squares system for the stacked residual
-    vector of milnor_theta3_family, with simple backtracking (halve the step
-    while the residual norm does not decrease). Singular values of the
-    Jacobian below 1e-12 of the largest are dropped: the roots form curves,
-    along which the Jacobian loses rank, and a step along a singular value
-    of rounding size is rounding noise that backtracking cannot halve away. The residuals are the
-    quadratic form r(x) = (Q @ x) @ x of _family_quadratic_form, so each step
-    evaluates Q @ x once and takes the exact Jacobian 2 (Q @ x)[:, free]; no
-    geometry is built inside the iteration. Success means a max-norm residual
-    below tolerance within max_iterations, confirmed by gt_residual_vector
-    itself: residual_norm is max|gt_residual_vector| at the root, and the
-    report is geometry.gt_report on those residuals, never the form's.
-    Otherwise, or as soon as a residual or a Newton step overflows to a
-    non-finite value, NoConvergence carries the last iterate,
-    which is the best one (an accepted step always lowers the norm), and
+    pin = (name or index 0..4, value), value None keeping x0's entry; any other
+    name or index raises ShapeError. Newton steps solve the least-squares
+    system for the residuals of milnor_theta3_family, halving the step while
+    the residual norm does not decrease. Singular values of the Jacobian below
+    1e-12 of the largest are dropped: along the curves of roots the Jacobian
+    loses rank, and a step along a singular value of rounding size is noise
+    that backtracking cannot halve away. The residuals are the quadratic form
+    r(x) = (Q @ x) @ x of _family_quadratic_form, with the exact Jacobian 2 (Q
+    @ x)[:, free]; no geometry is built inside the iteration. Success means a
+    max-norm residual below tolerance within max_iterations, confirmed by
+    gt_residual_vector: residual_norm is its max-norm at the root, and the
+    report geometry.gt_report on its residuals, never the form's. Otherwise,
+    or once a residual or step is not finite, NoConvergence carries the last
+    iterate, the best one (an accepted step always lowers the norm), and
     gt_residual_vector's max-norm there.
     """
     x = np.asarray(x0, dtype=float).copy()

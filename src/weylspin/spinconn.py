@@ -10,16 +10,15 @@ The spin lift of the Weyl connection is
 validated by the Leibniz identity [A_i, v.] = (nabla_{e_i} v). rather than
 assumed. The Killing connection is B_i = A_i - beta e_i; its curvature
 vanishes exactly on Gauduchon-Tod geometries, which is the engine behind the
-2-dimensional solution space.
+2-dimensional solution space; killing reads B in closed form (killing_coefficients).
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import E
-from .geometry import form_rows, prescale, weyl_coefficients
+from .geometry import form_rows, prescale, weyl_connection
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,16 +30,8 @@ class KillingCurvature:
 def spin_connection(g):
     """Spinor connection matrices A_i (3, 2, 2) for the Weyl structure."""
     # a / 4 = gamma / 8 - gamma^T / 8 before the sums keeps them within max|gamma| (exact)
-    eighth = 0.125 * weyl_coefficients(g)
+    eighth = 0.125 * weyl_connection(g)
     return np.einsum("...ijk,jab,kbc->...iac", eighth - np.swapaxes(eighth, -2, -1), E, E)
-
-
-@functools.lru_cache(maxsize=1)
-def weight0_matrices(g):
-    """Read-only matrices A_i of spin_connection(g), built once per (immutable) geometry."""
-    mats = spin_connection(g)
-    mats.setflags(write=False)
-    return mats
 
 
 def commutator_curvature(mats, g):
@@ -51,8 +42,21 @@ def commutator_curvature(mats, g):
 
 
 def killing_connection(g, beta):
-    """Killing connection matrices B_i = A_i - beta e_i, (3, 2, 2)."""
-    return weight0_matrices(g) - beta.value * E
+    """Killing connection matrices B_i = A_i - beta e_i, (..., 3, 2, 2) for a batch of geometries."""
+    return spin_connection(g) - np.multiply.outer(beta.value, E)
+
+
+def killing_coefficients(x):
+    """b (3, 3) with B_i = sum_k b[i, k] q_k, q_k = -e_k, in closed form at x = (N, theta, beta) (13,).
+
+    b = (tr N / 4 + beta) Id - N^T / 2 - [theta]x / 2, [theta]x w = theta x w, is the
+    chain Gamma -> a -> A - beta E summed by hand (docs/CONVENTIONS.md), on Python
+    floats; the diagonal, (N_jj + N_kk - N_ii) / 4 + beta, rounds like the chain.
+    """
+    n11, n12, n13, n21, n22, n23, n31, n32, n33, t1, t2, t3, beta = map(float, x)
+    return np.array([[0.25 * (n22 + n33 - n11) + beta, -0.5 * (n21 - t3), -0.5 * (n31 + t2)],
+                     [-0.5 * (n12 + t3), 0.25 * (n33 + n11 - n22) + beta, -0.5 * (n32 - t1)],
+                     [-0.5 * (n13 - t2), -0.5 * (n23 + t1), 0.25 * (n11 + n22 - n33) + beta]])
 
 
 def killing_curvature(g, beta):
@@ -61,7 +65,7 @@ def killing_curvature(g, beta):
     B_i = A_i - beta e_i. A batch of geometries gives a batch of curvatures,
     and the residual is the max entry over all of them.
     """
-    curv = commutator_curvature(weight0_matrices(g) - np.multiply.outer(beta.value, E), g)
+    curv = commutator_curvature(spin_connection(g) - np.multiply.outer(beta.value, E), g)
     return KillingCurvature(curvature=curv, residual=float(np.max(np.abs(curv))))
 
 

@@ -164,7 +164,7 @@ def test_criterion_06_round_sphere_end_to_end():
         checks.append(killing_curvature(ROUND, beta).residual < 1e-12)
     beta = WeightedDensity(0.5)
     batch = loop_batch(ROUND, beta, rng, 50, pairs=0)
-    worst_dev = float(np.max(loop_holonomy(batch)[1]))
+    worst_dev = float(np.max(loop_holonomy(batch)))
     checks.append(worst_dev < 1e-9)
     transports = sample_transports(ROUND, beta, batch.legs)
     fd = killing_residual(ROUND, beta, transports[:20], h=1e-5)

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -290,14 +291,15 @@ def test_killing_sends_each_sample_arc_through_transport_operator(tmp_path, caps
 
 
 def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypatch):
-    # analyze reads the quadratic form; killing builds the connection once
+    # analyze reads the quadratic form, and killing the closed form of the
+    # Killing coefficients (killing_data): neither builds a spin connection
     geometry.quadratic_form_24()
     built = []
     original = spinconn.spin_connection
     spy = lambda g: built.append(g) or original(g)
     monkeypatch.setattr(spinconn, "spin_connection", spy)
     path = write(tmp_path, "round.json", ROUND_TEXT)
-    for argv, builds in ((["analyze", path], 0), (["killing", path, "--loops", "5"], 1)):
+    for argv, builds in ((["analyze", path], 0), (["killing", path, "--loops", "5"], 0)):
         built.clear()
         code, _, _ = run_cli(capsys, argv)
         assert code == 0
@@ -305,16 +307,16 @@ def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypa
 
 
 def test_one_weyl_connection_and_scale_per_geometry_and_command(tmp_path, capsys, monkeypatch):
-    # analyze and flatness read the quadratic form and need no Gamma, the
-    # transports need it once, and several places need the scale: each is
-    # computed once per geometry and read from its memo after that
+    # analyze and flatness read the quadratic form and the transports the
+    # closed form, so neither needs Gamma; several places need the scale,
+    # which is computed once per geometry and read from its memo after that
     geometry.quadratic_form_24()
     built = []
     original = geometry.weyl_connection
     spy = lambda g: built.append(g) or original(g)
     monkeypatch.setattr(geometry, "weyl_connection", spy)
     path = write(tmp_path, "round.json", ROUND_TEXT)
-    for argv, builds in ((["analyze", path], 0), (["killing", path, "--loops", "5"], 1)):
+    for argv, builds in ((["analyze", path], 0), (["killing", path, "--loops", "5"], 0)):
         built.clear()
         geometry.residual_scale.cache_clear()
         code, _, _ = run_cli(capsys, argv)
@@ -325,12 +327,16 @@ def test_one_weyl_connection_and_scale_per_geometry_and_command(tmp_path, capsys
 
 
 def test_memoized_connection_and_scale_keep_their_bits():
+    # the Killing connection that killing reads is killing_data's b: the
+    # closed form on the prescaled coordinates, scaled back, bit for bit
     g, beta = parse_geometry_file(BERGER_PATH)
-    gamma = geometry.weyl_coefficients(g)
-    assert gamma.tobytes() == geometry.weyl_connection(g).tobytes()
-    assert not gamma.flags.writeable
+    b = killing.killing_data(g, beta).b
+    e, _ = geometry.prescale(g, beta)
+    want = np.ldexp(spinconn.killing_coefficients(np.ldexp(geometry.form_coordinates(g, beta), -e)), e)
+    assert b.tobytes() == want.tobytes()
+    assert not b.flags.writeable
     with pytest.raises(ValueError):
-        gamma[0, 0, 0] = 1.0
+        b[0, 0] = 1.0
     want = max(np.max(np.abs(g.structure_constants)), np.max(np.abs(g.theta)), abs(beta.value))
     assert geometry.residual_scale(g, beta) == want
 
@@ -405,6 +411,55 @@ def test_commands_give_scale_free_verdicts_at_extreme_scales(tmp_path, capsys, l
     for command, *options in commands:
         got, out, err = run_cli(capsys, [command, path, *options])
         assert (got, out) == (2, "") and "Jacobi" in err
+
+
+SMALLEST_NORMAL = "2.2250738585072014e-308"
+
+
+def rotated_bianchi_v_files(tmp_path, scale, count):
+    """bianchi_v_flat.json in `count` random rotated frames, at max coefficient `scale`."""
+    g, beta = parse_geometry_file(os.path.join(os.path.dirname(BERGER_PATH), "bianchi_v_flat.json"))
+    rng = np.random.default_rng(36)
+    for k in range(count):
+        frame = rotated_geometry(g, rotation(rng.standard_normal(3), rng.uniform(0.0, 2.0 * np.pi)))
+        s = geometry.residual_scale(frame, beta)
+        c, theta = frame.structure_constants / s * scale, frame.theta / s * scale
+        text = json.dumps({"structure_constants": c.tolist(), "theta": theta.tolist(), "beta": beta.value})
+        yield write(tmp_path, f"bianchi-v-{k}.json", text)
+
+
+@pytest.mark.parametrize("lam", [6.5e-309, 1e-310])
+def test_killing_refuses_a_sub_normal_scale(tmp_path, capsys, lam):
+    # the loop lengths 0.4-1.2 / scale overflow below the smallest normal
+    # float: killing refuses the scale before any check, with exit 2 and an
+    # error naming the covered range, and no RuntimeWarning (v0.23.0 warned
+    # at both scales and died under -W error); analyze still passes
+    path = write(tmp_path, "tiny.json", json.dumps({"milnor_lambda": [lam] * 3, "beta": lam / 4.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, ["killing", path, "--loops", "5"])
+        assert run_cli(capsys, ["analyze", path])[0] == 0
+    assert (code, out) == (2, "")
+    assert SMALLEST_NORMAL in err and "float maximum" in err
+
+
+def test_killing_refuses_rotated_files_below_the_smallest_normal_scale(tmp_path, capsys):
+    # bianchi_v_flat in ten rotated frames at 1e-308: v0.23.0 exited 1 on 8
+    # of them, with a NaN holonomy; now each is refused with exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for path in rotated_bianchi_v_files(tmp_path, 1e-308, 10):
+            code, out, err = run_cli(capsys, ["killing", path, "--loops", "50"])
+            assert (code, out) == (2, "") and SMALLEST_NORMAL in err
+
+
+def test_killing_passes_rotated_files_just_above_the_smallest_normal_scale(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for path in rotated_bianchi_v_files(tmp_path, 2.3e-308, 10):
+            code, out, err = run_cli(capsys, ["killing", path, "--loops", "50"])
+            assert code == 0, err
+            assert json.loads(out)["verdict"] == "pass"
 
 
 def geometry_text(g, beta):

@@ -28,18 +28,17 @@ from weylspin.killing import (
     BASE_SPINORS,
     GroupArc,
     _HAMILTON,
+    _QUATERNION_BASIS,
+    _Q,
     _family_quadratic_form,
     _float_quaternion,
     _hamilton,
-    _killing_coefficients,
-    _killing_columns,
     _loop_legs,
-    _quaternion_matrices,
-    _su2_coefficients,
     _su2_quaternion,
     closing_arc,
     find_gt_parameters,
     gt_residual_vector,
+    killing_data,
     killing_residual,
     loop_batch,
     loop_holonomy,
@@ -51,7 +50,7 @@ from weylspin.killing import (
     transport_loops,
     transport_operator,
 )
-from weylspin.spinconn import flatness, killing_connection, killing_curvature, spin_connection
+from weylspin.spinconn import flatness, killing_connection, killing_curvature
 
 from test_spinconn import random_geometry
 
@@ -73,15 +72,25 @@ def rotated_geometry(g, R):
     return validate_geometry(c, R @ g.theta)
 
 
+def quaternion_matrices(p):
+    """Quaternions p (..., 4) as the (..., 2, 2) matrices p_0 Id + sum_k p_k q_k: the oracle for the entries."""
+    return (p @ _QUATERNION_BASIS).reshape(p.shape[:-1] + (2, 2))
+
+
+def su2_coefficients(M):
+    """Real x_k = -tr(q_k M) / 2 of the sum x_k q_k part of M (..., 2, 2); any Id part is dropped."""
+    return -np.real(np.einsum("kab,...ba->...k", 0.5 * _Q, M))  # q_k halved first: no overflow
+
+
 def su2_exp(x):
     """exp of sum x_k q_k for coefficients x (..., 3) as (..., 2, 2) matrices, by the batch kernel."""
-    return _quaternion_matrices(np.moveaxis(_su2_quaternion(np.moveaxis(x, -1, 0)), 0, -1))
+    return quaternion_matrices(np.moveaxis(_su2_quaternion(np.moveaxis(x, -1, 0)), 0, -1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows gives NaN, as in transport_loops
 def batch_transports(g, beta, vectors):
     """Transports (N, 2, 2) along single arcs, frame vectors (N, 3), by the batch kernel."""
-    return su2_exp(-np.asarray(vectors, dtype=float) @ _killing_coefficients(g, beta))
+    return su2_exp(-np.asarray(vectors, dtype=float) @ killing_data(g, beta).b)
 
 
 def random_psi(rng):
@@ -310,7 +319,7 @@ def test_single_arc_and_batch_routes_agree():
             assert np.max(np.abs(single - batch)) <= 2e-15
         # phi = 0 gives Id exactly: a zero length, or any arc on a vanishing connection
         arcs = [GroupArc((0.0, 0.0, 0.0))]
-        if not np.any(_killing_coefficients(g, beta)):
+        if not np.any(killing_data(g, beta).b):
             arcs.append(GroupArc(rng.standard_normal(3)))
         for arc in arcs:
             assert np.array_equal(transport_operator(g, beta, arc), np.eye(2))
@@ -323,13 +332,13 @@ def test_transport_operator_is_the_quaternion_basis_matrix():
     # the sign of a zero may differ
     rng = np.random.default_rng(44)
     for g, beta in single_arc_cases():
-        cols = _killing_columns(g, beta)
+        cols = killing_data(g, beta).columns
         scale = residual_scale(g, beta)
         vectors = rng.standard_normal((40, 3)) * rng.uniform(0.1, 3.0, (40, 1)) / scale
         for v in [*vectors, (0.0, 0.0, 0.0), (1.7e308, 0.0, 0.0)]:
             arc = GroupArc(v)
             x = [-sum(a * b for a, b in zip(arc.vector, col)) for col in cols]
-            want = _quaternion_matrices(np.array(_float_quaternion(x)))
+            want = quaternion_matrices(np.array(_float_quaternion(x)))
             assert np.array_equal(transport_operator(g, beta, arc), want, equal_nan=True)
 
 
@@ -393,9 +402,9 @@ def hamilton_product(p, q):
 def test_hamilton_table_is_the_matrix_product_and_write_locked():
     rng = np.random.default_rng(40)
     p, q = rng.standard_normal((2, 200, 4))
-    lhs = _quaternion_matrices(p) @ _quaternion_matrices(q)
+    lhs = quaternion_matrices(p) @ quaternion_matrices(q)
     scale = np.linalg.norm(p, axis=1) * np.linalg.norm(q, axis=1)
-    err = np.max(np.abs(lhs - _quaternion_matrices(hamilton_product(p, q))), axis=(1, 2))
+    err = np.max(np.abs(lhs - quaternion_matrices(hamilton_product(p, q))), axis=(1, 2))
     assert np.all(err <= 1e-15 * scale)
     # the table is read off the basis exactly: one unit entry per row
     assert np.array_equal(np.count_nonzero(_HAMILTON, axis=1), np.ones(16))
@@ -407,7 +416,7 @@ def test_hamilton_table_is_the_matrix_product_and_write_locked():
 
 def matrix_path_transports(g, beta, paths):
     """Transports (N, 2, 2) along paths (N, k, 3): the per-arc product of complex 2x2 matrices."""
-    steps = su2_exp(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta))
+    steps = su2_exp(-np.asarray(paths, dtype=float) @ killing_data(g, beta).b)
     out = np.broadcast_to(np.eye(2, dtype=complex), steps.shape[:1] + (2, 2))
     for j in range(steps.shape[1]):
         out = steps[:, j] @ out
@@ -416,7 +425,7 @@ def matrix_path_transports(g, beta, paths):
 
 def quaternion_fold(g, beta, paths):
     """Quaternion columns (4, N) of paths (N, k, 3), one _hamilton product per arc, later arcs left."""
-    steps = _su2_quaternion(np.moveaxis(-np.asarray(paths, dtype=float) @ _killing_coefficients(g, beta), -1, 0))
+    steps = _su2_quaternion(np.moveaxis(-np.asarray(paths, dtype=float) @ killing_data(g, beta).b, -1, 0))
     out = np.broadcast_to([[1.0], [0.0], [0.0], [0.0]], (4, len(paths)))
     for j in range(steps.shape[-1]):
         out = _hamilton(steps[..., j], out)
@@ -435,12 +444,12 @@ def test_quaternion_composition_matches_the_matrix_product(n, k):
         (validate_geometry(semidirect_constants(np.eye(2)), (0.0, 0.0, 0.0)), WeightedDensity(0.0)),
     ):
         paths = rng.standard_normal((n, k, 3)) / residual_scale(g, beta)
-        U = _quaternion_matrices(quaternion_fold(g, beta, paths).T)
+        U = quaternion_matrices(quaternion_fold(g, beta, paths).T)
         assert U.shape == (n, 2, 2)
         assert np.max(np.abs(U - matrix_path_transports(g, beta, paths)), initial=0.0) <= 1e-15 * k
         # the composed quaternions (Re tr U / 2, su(2) part) stay on the unit sphere
         q0 = np.real(np.trace(U, axis1=1, axis2=2)) / 2
-        norm = np.hypot(q0, np.linalg.norm(_su2_coefficients(U), axis=1))
+        norm = np.hypot(q0, np.linalg.norm(su2_coefficients(U), axis=1))
         assert np.max(np.abs(norm - 1.0), initial=0.0) < 1e-14
 
 
@@ -517,6 +526,11 @@ def test_quadrilateral_loops_close():
         assert_loops_close(g, loop_paths(batch), 1e-12)
 
 
+def holonomies(batch):
+    """The batch's loop holonomies (loops, 2, 2) as matrices, from its quaternions."""
+    return quaternion_matrices(batch.quaternions[:, : batch.loops].T)
+
+
 def transported(g, beta, loops):
     """A LoopBatch of the given loops X, Y, -X, -Z (N, 4, 3), with no pairs, for loop_holonomy."""
     loops = np.asarray(loops, dtype=float)
@@ -528,7 +542,7 @@ def test_open_path_raises():
     with pytest.raises(AssertionError, match="1 of 1 paths open"):
         assert_loops_close(ROUND, [[(0.0, 0.0, 0.7)]])
     # the same path as a loop whose legs X and Z are zero
-    _, deviation = loop_holonomy(transported(ROUND, HALF, [[(0.0, 0.0, 0.0), (0.0, 0.0, 0.7), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)]]))
+    deviation = loop_holonomy(transported(ROUND, HALF, [[(0.0, 0.0, 0.0), (0.0, 0.0, 0.7), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)]]))
     assert deviation[0] > 0.1
 
 
@@ -540,7 +554,7 @@ def test_one_open_loop_in_a_batch_raises():
     with pytest.raises(AssertionError, match="1 of 6 paths open"):
         assert_loops_close(ROUND, loops)
     # on the flat round connection only the open loop has a holonomy
-    _, deviation = loop_holonomy(transported(ROUND, HALF, loops))
+    deviation = loop_holonomy(transported(ROUND, HALF, loops))
     assert np.flatnonzero(deviation > 1e-10).tolist() == [3]
 
 
@@ -789,10 +803,10 @@ def test_loops_close_on_a_non_unimodular_algebra():
     assert analyze(g, beta).verdict and flatness(g, beta) == 0.0
     assert np.max(np.abs(killing_connection(g, beta))) > 0.1
     loops = loop_paths(loop_batch(g, beta, np.random.default_rng(28), 200, pairs=0))
-    assert np.max(loop_holonomy(transported(g, beta, loops))[1]) < 1e-13
+    assert np.max(loop_holonomy(transported(g, beta, loops))) < 1e-13
     # negative control: open loops, the last arc lengthened by 1 %
     loops[:, 3] *= 1.01
-    assert np.max(loop_holonomy(transported(g, beta, loops))[1]) > 1e-4
+    assert np.max(loop_holonomy(transported(g, beta, loops))) > 1e-4
 
 
 @settings(max_examples=40, deadline=None)
@@ -818,7 +832,7 @@ def test_loop_model_works_in_any_frame(lam, sign, beta_sign, axis, angle, seed):
     g = rotated_geometry(milnor_geometry((sign * lam[0],) * 3), R)
     beta = WeightedDensity(beta_sign * lam[0] / 4.0)
     batch = loop_batch(g, beta, rng, 5, pairs=3)
-    assert np.max(loop_holonomy(batch)[1]) < 1e-12
+    assert np.max(loop_holonomy(batch)) < 1e-12
     assert path_independence_residual(batch) < 1e-12
 
 
@@ -834,7 +848,7 @@ def test_verdicts_and_holonomy_are_gauge_invariant(s):
     assert analyze(g, beta).verdict
     assert flatness(g, beta) < 1e-10
     rng = np.random.default_rng(17)
-    _, dev = loop_holonomy(loop_batch(g, beta, rng, 5))
+    dev = loop_holonomy(loop_batch(g, beta, rng, 5))
     assert np.max(dev) < 1e-9
     # negative control: beta off by 2 % fails both verdicts at every scale
     g, beta = gauge_rescale(g0, WeightedDensity(1.02 * beta0.value), s)
@@ -850,16 +864,16 @@ def test_negative_definite_milnor_frame_is_flat_along_loops():
     assert killing_curvature(g, beta).residual < 1e-14
     rng = np.random.default_rng(16)
     batch = loop_batch(g, beta, rng, 20, pairs=8)
-    assert np.max(loop_holonomy(batch)[1]) < 1e-12
+    assert np.max(loop_holonomy(batch)) < 1e-12
     assert path_independence_residual(batch) < 1e-12
 
 
 def test_empty_loop_is_trivial():
     # a loop of four zero arcs: every step is the identity quaternion, so
     # the holonomy is Id exactly
-    H, dev = loop_holonomy(transported(ROUND, HALF, np.zeros((1, 4, 3))))
-    assert np.array_equal(H, np.eye(2)[None])
-    assert np.array_equal(dev, [0.0])
+    batch = transported(ROUND, HALF, np.zeros((1, 4, 3)))
+    assert np.array_equal(holonomies(batch), np.eye(2)[None])
+    assert np.array_equal(loop_holonomy(batch), [0.0])
 
 
 def test_batched_holonomy_matches_per_arc_transports():
@@ -879,7 +893,7 @@ def test_batched_holonomy_matches_per_arc_transports():
         for n in (1, 3):
             batch = loop_batch(g, beta, rng, n)
             loops = loop_paths(batch)
-            H, dev = loop_holonomy(batch)
+            H, dev = holonomies(batch), loop_holonomy(batch)
             assert H.shape == (n, 2, 2) and dev.shape == (n,)
             assert np.max(np.abs(H - sample_transports(g, beta, loops))) < 1e-13
             # hypot of the quaternion entries, and the modulus of the matrix entries
@@ -902,21 +916,21 @@ def test_quaternion_holonomies_match_the_matrix_product():
                     matrix_path_transports(g, beta, batch.closing[loops:, None]),
                 ]
             )
-            got = _quaternion_matrices(batch.quaternions.T)
+            got = quaternion_matrices(batch.quaternions.T)
             assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
-            assert np.array_equal(loop_holonomy(batch)[0], got[:loops])
+            assert np.array_equal(holonomies(batch), got[:loops])
 
 
 def test_holonomy_trivial_on_round_sphere():
     rng = np.random.default_rng(7)
-    _, dev = loop_holonomy(loop_batch(ROUND, HALF, rng, 50))
+    dev = loop_holonomy(loop_batch(ROUND, HALF, rng, 50))
     assert np.max(dev) < 1e-9
 
 
 def test_holonomy_negative_control():
     rng = np.random.default_rng(8)
     beta = WeightedDensity(0.3)  # not GT, curvature residual 0.32
-    _, dev = loop_holonomy(loop_batch(ROUND, beta, rng, 1))
+    dev = loop_holonomy(loop_batch(ROUND, beta, rng, 1))
     assert dev[0] > 1e-3
 
 
@@ -982,8 +996,8 @@ def test_loop_batch_sections_match_the_separate_calls():
         for loops, pairs in BATCH_SIZES:
             batch = loop_batch(g, beta, np.random.default_rng(31), loops, pairs)
             _, deviation, _, independence = separate_calls(g, beta, np.random.default_rng(31), loops, pairs)
-            H, dev = loop_holonomy(batch)
-            assert H.shape == (loops, 2, 2) and dev.shape == (loops,)
+            dev = loop_holonomy(batch)
+            assert dev.shape == (loops,)
             assert np.max(np.abs(dev - deviation), initial=0.0) <= 1e-15
             if pairs:
                 assert abs(path_independence_residual(batch) - independence) <= 1e-15
@@ -996,7 +1010,7 @@ def test_zero_arcs_pad_a_path_bitwise():
     # loops' four
     rng = np.random.default_rng(32)
     for g, beta in batch_cases():
-        zero = _su2_quaternion(-_killing_coefficients(g, beta).T @ np.zeros((3, 20)))
+        zero = _su2_quaternion(-killing_data(g, beta).b.T @ np.zeros((3, 20)))
         assert np.array_equal(zero, np.broadcast_to([[1.0], [0.0], [0.0], [0.0]], (4, 20)))
         q = _su2_quaternion(rng.standard_normal((3, 20)) / residual_scale(g, beta))
         assert _hamilton(zero, q).tobytes() == q.tobytes()
@@ -1017,7 +1031,7 @@ def test_path_independence_of_the_batch_trips_off_the_gauduchon_tod_family():
         for beta, certified in ((lam / 4.0, True), (1.02 * lam / 4.0, False)):
             batch = loop_batch(g, WeightedDensity(beta), np.random.default_rng(33), 20, pairs=5)
             indep = path_independence_residual(batch)
-            worst = float(np.max(loop_holonomy(batch)[1]))
+            worst = float(np.max(loop_holonomy(batch)))
             assert (indep < 1e-8, worst < 1e-8) == (certified, certified)
 
 
@@ -1091,12 +1105,13 @@ def per_sample_min_singular_value(g, beta, samples):
 
 def per_sample_killing_residual(g, beta, samples, h):
     # in units of s = residual_scale, as killing_residual takes it: exponents
-    # -+h b / s, a quotient by 2h, and A psi - beta e psi over s
+    # -+h b / s, a quotient by 2h, and (B / s) psi, B_i = sum_k b[i, k] q_k
+    # with the b that killing reads
     s = residual_scale(g, beta)
-    A = spin_connection(g)
-    B = killing_connection(g, beta)
-    plus = [su2_exp(-h * (_su2_coefficients(B[i]) / s)) for i in range(3)]
-    minus = [su2_exp(h * (_su2_coefficients(B[i]) / s)) for i in range(3)]
+    b = killing_data(g, beta).b
+    B = np.einsum("ik,kab->iab", b / s, _Q)
+    plus = [su2_exp(-h * (b[i] / s)) for i in range(3)]
+    minus = [su2_exp(h * (b[i] / s)) for i in range(3)]
     worst = 0.0
     for path in samples:
         U = per_sample_transport(g, beta, path)
@@ -1104,7 +1119,7 @@ def per_sample_killing_residual(g, beta, samples, h):
             psi = U @ psi0
             for i in range(3):
                 fd = (plus[i] @ psi - minus[i] @ psi) / (2.0 * h)
-                defect = fd + (A[i] @ psi - beta.value * (E[i] @ psi)) / s
+                defect = fd + B[i] @ psi
                 worst = max(worst, float(np.max(np.abs(defect))) / float(np.max(np.abs(psi))))
     return worst
 
@@ -1114,10 +1129,10 @@ def stepped_killing_residual(g, beta, samples, h):
     # exponents -+(h / s) b, a quotient by 2 h / s, the defect over s ||psi||
     s = residual_scale(g, beta)
     step = h / s
-    A = spin_connection(g)
-    B = killing_connection(g, beta)
-    plus = [su2_exp(-step * _su2_coefficients(B[i])) for i in range(3)]
-    minus = [su2_exp(step * _su2_coefficients(B[i])) for i in range(3)]
+    b = killing_data(g, beta).b
+    B = np.einsum("ik,kab->iab", b, _Q)
+    plus = [su2_exp(-step * b[i]) for i in range(3)]
+    minus = [su2_exp(step * b[i]) for i in range(3)]
     worst = 0.0
     for path in samples:
         U = per_sample_transport(g, beta, path)
@@ -1125,7 +1140,7 @@ def stepped_killing_residual(g, beta, samples, h):
             psi = U @ psi0
             for i in range(3):
                 fd = (plus[i] @ psi - minus[i] @ psi) / (2.0 * step)
-                defect = fd + A[i] @ psi - beta.value * (E[i] @ psi)
+                defect = fd + B[i] @ psi
                 worst = max(worst, float(np.max(np.abs(defect))) / (s * float(np.max(np.abs(psi)))))
     return worst
 
@@ -1159,6 +1174,70 @@ def test_batched_sample_sections_match_the_per_sample_loop():
             # up to 5.7e-9 relative at h = 1e-3 over 20 draws of these cases
             stepped = stepped_killing_residual(g, beta, samples, h)
             assert abs(got - stepped) <= 1e-7 * stepped
+
+
+def svd_min_singular_value(transports):
+    """The oracle: min over the stack of the SVD's smallest singular value of the normalized sections."""
+    v = np.stack([transports @ psi for psi in BASE_SPINORS], axis=-1)  # (N, 2, 2): columns the sections
+    v = v / np.linalg.norm(v, axis=-2, keepdims=True)
+    return float(np.min(np.linalg.svd(v, compute_uv=False)[:, -1]))
+
+
+def test_gram_min_singular_value_matches_the_svd():
+    # transports of certified geometries, whose sections are orthonormal, and
+    # random complex 2x2 matrices down to nearly parallel columns
+    rng = np.random.default_rng(37)
+    for g, beta in sample_cases():
+        samples = [leg[:k] for leg in loop_batch(g, beta, rng, 10, pairs=0).legs for k in (1, 2)]
+        transports = sample_transports(g, beta, samples)
+        assert abs(min_singular_value(transports) - svd_min_singular_value(transports)) <= 1e-15
+    for tilt in (1.0, 1e-2, 1e-5, 1e-8):
+        M = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+        M[:, :, 1] = M[:, :, 0] * (0.3 - 0.7j) + tilt * M[:, :, 1]
+        for k in range(len(M)):
+            assert abs(min_singular_value(M[k : k + 1]) - svd_min_singular_value(M[k : k + 1])) <= 1e-15
+
+
+def test_parallel_sections_fail_the_min_singular_value_bound():
+    # the second section a multiple of the first: the pair spans one line,
+    # min_singular_value reads 0 to rounding and fails killing's bound of 0.1
+    rng = np.random.default_rng(38)
+    M = rng.standard_normal((20, 2, 2)) + 1j * rng.standard_normal((20, 2, 2))
+    M[:, :, 1] = M[:, :, 0] * (2.0 - 1.5j)
+    sv = min_singular_value(M)
+    assert 0.0 <= sv <= 1e-15 and not sv > 0.1
+    M[5, :, 1] = [1e-9, 0.0]  # one sample nearly so, among independent ones
+    assert abs(min_singular_value(M[4:7]) - svd_min_singular_value(M[4:7])) <= 1e-15
+
+
+def test_killing_data_is_built_once_and_read_only():
+    rng = np.random.default_rng(2)
+    lam, theta = rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3)
+    g, beta = milnor_geometry(lam, theta), WeightedDensity(0.4)
+    data = killing_data(g, beta)
+    assert killing_data(g, beta) is data
+    for array in (data.b, data.steps):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    assert data.columns == tuple(zip(*data.b.tolist()))
+    assert np.array_equal(data.steps, data.b / residual_scale(g, beta))
+    # the cache is keyed on the geometry object: equal data is built anew
+    again = killing_data(milnor_geometry(lam, theta), beta)
+    assert again is not data and np.array_equal(again.b, data.b)
+
+
+def test_killing_data_holds_the_bianchi_split():
+    # n + [a]x is the prescaled N, n symmetric with adj(n) its adjugate, and
+    # u, v its rows next and last, in rotated frames of every Bianchi type
+    for _, g in bianchi_frames(3.0, 39):
+        beta = WeightedDensity(0.25)
+        data = killing_data(g, beta)
+        N = np.ldexp(geometry.form_coordinates(g, beta)[:9].reshape(3, 3), -data.e)
+        n = 0.5 * N + 0.5 * N.T
+        assert np.max(np.abs(n + cross_matrix(data.a[:, 0]) - N)) <= np.finfo(float).eps
+        assert np.max(np.abs(data.adj[..., 0] - np.cross(n[[1, 2, 0]], n[[2, 0, 1]]))) <= np.finfo(float).eps
+        assert np.array_equal(data.u[..., 0], n[[1, 2, 0]].T) and np.array_equal(data.v[..., 0], n[[2, 0, 1]].T)
 
 
 def test_batched_sample_sections_fail_on_a_non_finite_transport():

@@ -1,20 +1,27 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from weylspin import killing
 from weylspin.clifford import E, EPS
 from weylspin.geometry import (
+    HomogeneousWeylGeometry,
     WeightedDensity,
     analyze,
     curvature_package,
     density_derivative,
+    form_coordinates,
     milnor_geometry,
+    prescale,
+    validate_geometry,
 )
 from weylspin.spinconn import (
     commutator_curvature,
+    killing_coefficients,
     killing_connection,
     killing_curvature,
     spin_connection,
-    weight0_matrices,
 )
 from weylspin.tensors import kulkarni_nomizu
 
@@ -63,21 +70,6 @@ def test_round_sphere_connection_is_minus_half_clifford():
     assert np.max(np.abs(A + 0.5 * E)) < 1e-15
 
 
-def test_weight0_matrices_are_built_once_and_read_only():
-    rng = np.random.default_rng(2)
-    lam, theta = rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3)
-    g = milnor_geometry(lam, theta)
-    A = weight0_matrices(g)
-    assert weight0_matrices(g) is A
-    assert not A.flags.writeable
-    assert np.array_equal(A, spin_connection(g))
-    with pytest.raises(ValueError):
-        A[0, 0, 0] = 1.0
-    # the cache is keyed on the geometry object: equal data is built anew
-    A2 = weight0_matrices(milnor_geometry(lam, theta))
-    assert A2 is not A and np.array_equal(A2, A)
-
-
 def test_connection_matrices_traceless_at_weight_zero():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -110,6 +102,9 @@ def test_killing_connection_round_sphere():
     assert np.max(np.abs(B_plus + E)) < 1e-15  # B_i = -e_i
     B_minus = killing_connection(g, WeightedDensity(-0.5))
     assert np.max(np.abs(B_minus)) < 1e-15  # B = 0
+    # the closed form: b = Id (B_i = q_i = -e_i) and b = 0, exactly
+    assert np.array_equal(killing_coefficients(form_coordinates(g, WeightedDensity(0.5))), np.eye(3))
+    assert np.array_equal(killing_coefficients(form_coordinates(g, WeightedDensity(-0.5))), np.zeros((3, 3)))
 
 
 def test_killing_curvature_flat_on_round_sphere():
@@ -171,3 +166,93 @@ def test_commutator_curvature_antisymmetric():
     mats = spin_connection(g)
     curv = commutator_curvature(mats, g)
     assert np.max(np.abs(curv + np.einsum("ijab->jiab", curv))) < 1e-14
+
+
+# the closed form of the Killing coefficients ----------------------------------
+
+
+def chain_coefficients(g, beta):
+    """b of the tensor chain: b[i, k] = -tr(q_k B_i) / 2 of killing_connection, q_k = -e_k."""
+    return np.real(np.einsum("kab,...iba->...ik", 0.5 * E, killing_connection(g, beta)))
+
+
+def geometry_at(x):
+    """(g, beta) with form_coordinates x (13,), c^k_ij = sum_l eps_ijl N[l, k]; beta a bare value."""
+    c = np.einsum("ijl,...lk->...ijk", EPS, x[..., :9].reshape(x.shape[:-1] + (3, 3)))
+    return HomogeneousWeylGeometry(c, x[..., 9:12]), SimpleNamespace(value=x[..., 12])
+
+
+def test_killing_coefficients_equal_the_chain_bitwise_on_the_polarization_points():
+    # at e_k and e_k + e_l every term of both routes is a dyadic rational, so
+    # they agree bit for bit, the signs of zeros aside
+    n = 13
+    eye = np.eye(n)
+    k, l = np.triu_indices(n, 1)
+    points = np.concatenate([eye, eye[k] + eye[l]])
+    assert len(points) == 91
+    chain = chain_coefficients(*geometry_at(points))
+    for x, want in zip(points, chain):
+        assert np.array_equal(killing_coefficients(x), want), x
+
+
+def random_lie_algebras(rng, count):
+    """x (count, 13): N = R (n + [a]x) R^T with n a = 0, R random in SO(3), theta and beta random.
+
+    Half have a = 0 (unimodular), half a != 0 and n of rank at most 2 orthogonal to a.
+    """
+    out = []
+    for t in range(count):
+        a = rng.standard_normal(3) if t % 2 else np.zeros(3)
+        P = np.eye(3) - np.outer(a, a) / max(a @ a, 1e-300)
+        M = rng.standard_normal((3, 3))
+        n = P @ (M + M.T) @ P
+        cross = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        R *= np.sign(np.linalg.det(R))
+        out.append(np.concatenate([(R @ (n + cross) @ R.T).ravel(), rng.standard_normal(4)]))
+    return np.array(out)
+
+
+def closed_form_mismatch(scale, seed=7, count=40):
+    """Max |b - chain| / scale over random x scaled to max|x| = scale, b as killing reads it.
+
+    killing_data's steps, b / scale, against the chain at x / 2^e over m, with
+    (e, m) = prescale: the exact prescale keeps the chain finite at every
+    scale. Where the chain is finite at x itself (every scale but the float
+    maximum here), killing_data's b is held to it directly too.
+    """
+    worst = 0.0
+    for x in random_lie_algebras(np.random.default_rng(seed), count):
+        x = x / np.max(np.abs(x)) * scale
+        g = validate_geometry(np.einsum("ijl,lk->ijk", EPS, x[:9].reshape(3, 3)), x[9:12])
+        beta = WeightedDensity(x[12])
+        e, m = prescale(g, beta)
+        data = killing.killing_data(g, beta)
+        want = chain_coefficients(*geometry_at(np.ldexp(form_coordinates(g, beta), -e))) / m
+        worst = max(worst, float(np.max(np.abs(data.steps - want))))
+        if scale <= 1e300:
+            worst = max(worst, float(np.max(np.abs(data.b - chain_coefficients(g, beta)))) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-5, 1.0, 3e4, 1e150, 1e300, 1.7e308])
+def test_killing_coefficients_match_the_chain_at_every_scale(scale):
+    # rotated frames of unimodular and non-unimodular algebras with random
+    # theta and beta: the closed form rounds differently from the chain's
+    # sums, by at most a few units of the scale's last place
+    assert closed_form_mismatch(scale) <= 1e-15
+
+
+def test_a_flipped_theta_term_fails_the_chain_comparison(monkeypatch):
+    # the mutant b + [theta]x, whose [theta]x / 2 enters with the wrong sign,
+    # is caught by the comparison the closed form passes
+    def mutant(x):
+        t1, t2, t3 = x[9:12]
+        return killing_coefficients(x) + np.array([[0.0, -t3, t2], [t3, 0.0, -t1], [-t2, t1, 0.0]])
+
+    monkeypatch.setattr(killing, "killing_coefficients", mutant)
+    killing.killing_data.cache_clear()
+    assert closed_form_mismatch(1.0) > 0.01
+    monkeypatch.undo()
+    killing.killing_data.cache_clear()
+    assert closed_form_mismatch(1.0) <= 1e-15
