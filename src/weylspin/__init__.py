@@ -8,7 +8,7 @@ the Killing connection, and constructs the 2-dimensional Killing spinor space by
 parallel transport.
 """
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 from . import clifford, errors, geometry, identities, killing, spinconn, tensors
 

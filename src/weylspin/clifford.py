@@ -9,9 +9,9 @@ which satisfies both defining relations exactly, with entries in {0, +-1, +-i}:
 Each e_k has exactly one nonzero entry per row, a unit in {+-1, +-i}, so
 e_k psi is a swap (or not) of the two spinor components times one unit per
 component. clifford_apply applies it that way, from column and unit tables read
-off E; no floating-point operation in it rounds. A product e_a e_b has the same
-form, with a unit that is the product of two units, so clifford_pairs gives all
-nine e_a e_b psi from one gather of psi and is exact too.
+off E, and clifford_images gives all three e_a psi from one gather of psi; no
+floating-point operation in either rounds. A product e_a e_b has the same form,
+so clifford_pairs gives all nine e_a e_b psi from one gather and is exact too.
 
 The quaternionic structure J psi = e_2 conj(psi) is antilinear, squares to -Id,
 and commutes with Clifford multiplication by real frame vectors. Its existence
@@ -69,6 +69,17 @@ def clifford_apply(a, x):
     return out
 
 
+def clifford_images(x):
+    """e_a x for a = 0, 1, 2, on a new axis before the spinor axis.
+
+    out[..., a, s] = _UNIT[a, s] * x_{_COL[a, s]}: one gather and one unit
+    multiplication in place, so entry a equals clifford_apply(a, x) bit for bit.
+    """
+    out = np.take(np.asarray(x, dtype=complex), _COL, axis=-1)
+    out *= _UNIT
+    return out
+
+
 def clifford_pairs(x):
     """e_a e_b x for all nine pairs (a, b), on two new axes before the spinor axis.
 
@@ -102,7 +113,8 @@ def act(v, psi, batch=0):
 
     Real coefficients only; applying the same v twice gives -||v||^2 psi. With
     `batch` leading axes, v has shape B + (3,) and psi shape B + (..., 2), and
-    row b of the result is act(v[b], psi[b]).
+    row b of the result is act(v[b], psi[b]). The terms v_k (e_k psi), from
+    clifford_images, are added in the order k = 1, 2, 3.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[batch:] != (3,):
@@ -112,8 +124,9 @@ def act(v, psi, batch=0):
         raise ShapeError(f"spinor values need a trailing axis of length 2, got {psi.shape}")
     if psi.shape[:batch] != v.shape[:batch]:
         raise ShapeError(f"batch axes differ: {v.shape[:batch]} and {psi.shape[:batch]}")
-    v = v.reshape(v.shape[:batch] + (1,) * (psi.ndim - batch) + (3,))
-    return clifford_sum([v[..., k] * psi for k in range(3)])
+    v = v.reshape(v.shape[:batch] + (1,) * (psi.ndim - batch - 1) + (3, 1))
+    terms = v * clifford_images(psi)
+    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]
 
 
 def j_structure(psi):

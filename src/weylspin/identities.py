@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import E, EPS, act, clifford_apply, clifford_pairs, j_structure
+from .clifford import E, EPS, act, clifford_images, clifford_pairs, j_structure
 from .errors import ShapeError
 from .geometry import curvature_package, density_derivative
 from .tensors import alt, hodge_star, kulkarni_nomizu, metric, mu_contract, nu_embed, sym0
@@ -90,42 +90,26 @@ def _worst(d, batch):
     return np.max(np.abs(d), axis=tuple(range(batch, np.ndim(d))))
 
 
-def _tensor_spinor(T, psi, batch=0):
-    """Attach a spinor to a frame tensor: T (x) psi, row by row over the batch axes."""
-    T = np.asarray(T)
-    psi = np.asarray(psi, dtype=complex)
-    if T.shape[:batch] != psi.shape[:batch]:
-        raise ShapeError(f"batch axes differ: {T.shape[:batch]} and {psi.shape[:batch]}")
-    return T[..., None] * psi.reshape(psi.shape[:batch] + (1,) * (T.ndim - batch) + (2,))
-
-
 def clifford_relations_residual():
-    """Defect of e_i e_j + e_j e_i = -2 delta_ij over all generator pairs."""
-    return max(
-        float(np.max(np.abs(E[i] @ E[j] + E[j] @ E[i] + 2.0 * (i == j) * np.eye(2))))
-        for i in range(3)
-        for j in range(3)
-    )
+    """Defect of e_i e_j + e_j e_i = -2 delta_ij over all pairs, from one batched matmul."""
+    products = E[:, None] @ E  # products[i, j] = E[i] @ E[j]
+    d = products + products.swapaxes(0, 1) + 2.0 * _ID3[:, :, None, None] * np.eye(2)
+    return float(np.max(np.abs(d)))
 
 
 def product_rule_residual(psi):
     """Defect of e_i e_j psi = -eps_ijk e_k psi over all pairs i != j.
 
-    For i != j the sum over k has the one term k = 3 - i - j. Both sides are
-    built with clifford_apply, so each is exact and the defect of a finite
-    spinor is 0.
+    For i != j the sum over k has the one term k = 3 - i - j. The two sides
+    read clifford_pairs and clifford_images, so each is exact and the defect
+    of a finite spinor is 0.
     """
     batch = _batch(psi)
-    psi = np.asarray(psi, dtype=complex)
+    pairs, images = clifford_pairs(psi), clifford_images(psi)
     worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            k = 3 - i - j
-            lhs = clifford_apply(i, clifford_apply(j, psi))
-            rhs = -EPS[i, j, k] * clifford_apply(k, psi)
-            worst = np.maximum(worst, _worst(lhs - rhs, batch))
+    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        d = pairs[..., i, j, :] + EPS[i, j, 3 - i - j] * images[..., 3 - i - j, :]
+        worst = np.maximum(worst, _worst(d, batch))
     return worst
 
 
@@ -150,61 +134,58 @@ def _gradient(F, grad, batch):
     return 0.25 * star if grad is None else grad
 
 
-def _mu34(K, psi, batch=0):
-    """mu^{34}(K (x) psi) for a real rank-4 frame tensor K, row by row over the batch axes.
+def _mu_last(T, psi, n, batch=0):
+    """mu over the last n of T's frame slots, n in (0, 1, 2), of T (x) psi for a real T.
 
-    Entry (i, j) is sum_a sum_b K_ijab (e_a e_b psi), with the nine spinors
-    e_a e_b psi from clifford_pairs. The sum runs over b inside and a outside,
-    with in-place adds, which is the order in which mu_contract([3, 4], ...)
-    contracts slot 4 and then slot 3. Each e_a only permutes components and
-    multiplies them by units, so e_a (sum_b x_b) = sum_b e_a x_b and
-    K_ijab (e_a e_b psi) = e_a e_b (K_ijab psi) bit for bit: the result
-    equals mu_contract([3, 4], _tensor_spinor(K, psi, batch), batch), up to
-    the sign of an exact zero. The products are real, K times the float view
-    of the spinors, so no complex rank-4 tensor is built. Both factors are
-    copied with the batch axes last, so each product runs over the batch in
-    its inner loop.
+    sum_a sum_b T_..ab (e_a e_b psi) (clifford_pairs), sum_a T_..a (e_a psi)
+    (clifford_images) or T (x) psi, row by row over the batch axes; b runs
+    inside and a outside, with in-place adds, as mu_contract contracts the
+    last slot first. e_a only permutes components and multiplies them by
+    units, so this equals mu_contract of the complex T (x) psi up to the sign
+    of an exact zero, and that tensor is never built: each product is T times
+    the float view of the spinors, both copied batch-last so it runs over the
+    batch in its inner loop.
     """
-    K = np.asarray(K, dtype=float)
+    T = np.asarray(T, dtype=float)
     psi = np.asarray(psi, dtype=complex)
-    if K.shape != psi.shape[:batch] + (3, 3, 3, 3) or psi.shape[batch:] != (2,):
-        raise ShapeError(f"need shapes B + (3, 3, 3, 3) and B + (2,), got {K.shape}, {psi.shape}")
-    lead, last = range(batch), range(-batch, 0)
-    # K[a, b, i, j, 1, *B] and pairs[a, b, re/im of each component, *B]
-    K = np.ascontiguousarray(np.transpose(K, (batch + 2, batch + 3, batch, batch + 1, *lead)))
-    K = K[:, :, :, :, None]
-    pairs = np.ascontiguousarray(np.moveaxis(clifford_pairs(psi).view(float), lead, last))
+    rank, k = T.ndim - batch, T.ndim - n  # T's contracted slots are k, ..., k + n - 1
+    if T.shape != psi.shape[:batch] + (3,) * rank or psi.shape[batch:] != (2,) or rank < n:
+        raise ShapeError(f"need B + (3,)*r, r >= {n}, and B + (2,), got {T.shape}, {psi.shape}")
+    images = (np.ascontiguousarray, clifford_images, clifford_pairs)[n](psi)
+    lead, other = range(batch), range(batch, k)
+    # T[contracted, other slots, 1, *B] and images[contracted, re/im per component, *B]
+    T = np.ascontiguousarray(T[..., None].transpose(*range(k, k + n), *other, k + n, *lead))
+    images = np.ascontiguousarray(images.view(float).transpose(*range(batch, images.ndim), *lead))
 
-    def inner(a):  # sum_b K_ijab (e_a e_b psi)
-        term = K[a, 0] * pairs[a, 0]
-        for b in (1, 2):
-            term += K[a, b] * pairs[a, b]
-        return term
+    def total(T, images, n):  # sum over a of the total of the next n - 1 slots
+        if n == 0:
+            return T * images
+        out = total(T[0], images[0], n - 1)
+        for a in (1, 2):
+            out += total(T[a], images[a], n - 1)
+        return out
 
-    out = inner(0)
-    for a in (1, 2):
-        out += inner(a)
-    return np.ascontiguousarray(np.moveaxis(out, range(3, 3 + batch), lead)).view(complex)
+    out = total(T, images, n).transpose(*range(k + 1 - batch, k + 1), *range(k + 1 - batch))
+    return np.ascontiguousarray(out).view(complex)
 
 
 def dreieck_residual(omega, psi):
     """Defect of the Kulkarni-Nomizu contraction identity for (omega, psi).
 
-    The left side mu^{34}((omega kn c) (x) psi) is contracted by _mu34,
+    The left side mu^{34}((omega kn c) (x) psi) is contracted by _mu_last,
     against the nine spinors e_a e_b psi; omega is a real rank-2 frame tensor.
     """
     batch = _batch(psi)
     g = np.broadcast_to(metric(), np.shape(omega))
-    lhs = _mu34(kulkarni_nomizu(omega, g, batch), psi, batch)
-    m2 = mu_contract([2], _tensor_spinor(omega, psi, batch), batch)
-    rhs = 2.0 * alt(nu_embed(m2, batch), batch)
-    rhs -= 2.0 * _tensor_spinor(alt(omega, batch), psi, batch)
+    lhs = _mu_last(kulkarni_nomizu(omega, g, batch), psi, 2, batch)
+    rhs = 2.0 * alt(nu_embed(_mu_last(omega, psi, 1, batch), batch), batch)
+    rhs -= 2.0 * _mu_last(alt(omega, batch), psi, 0, batch)
     return _worst(lhs - rhs, batch)
 
 
 def _monopole_defect(F, psi, grad, batch=0):
     """F . psi + 8 grad . psi, which vanishes when grad = nabla beta."""
-    return mu_contract([1, 2], _tensor_spinor(F, psi, batch), batch) + 8.0 * act(grad, psi, batch)
+    return _mu_last(F, psi, 2, batch) + 8.0 * act(grad, psi, batch)
 
 
 def monopole_residual(F, psi):
@@ -217,10 +198,9 @@ def first_identity_expression(F, psi, grad=None):
     """Left side of the first identity as a rank-2 spinor-valued tensor."""
     batch = _batch(psi)
     grad = _gradient(F, grad, batch)
-    m2 = mu_contract([2], _tensor_spinor(F, psi, batch), batch)
-    term1 = 0.25 * alt(nu_embed(m2, batch), batch)
-    term2 = alt(np.einsum("...i,...js->...ijs", grad, nu_embed(psi, batch)), batch)
-    term3 = 0.5 * _tensor_spinor(F, psi, batch)
+    term1 = 0.25 * alt(nu_embed(_mu_last(F, psi, 1, batch), batch), batch)
+    term2 = alt(grad[..., :, None, None] * nu_embed(psi, batch)[..., None, :, :], batch)
+    term3 = 0.5 * _mu_last(F, psi, 0, batch)
     return term1 - term2 - term3
 
 
@@ -233,7 +213,7 @@ def second_identity_expression(F, psi, grad=None):
     batch = _batch(psi)
     grad = _gradient(F, grad, batch)
     bracket = nu_embed(act(grad, psi, batch), batch) - act(grad, nu_embed(psi, batch), batch)
-    return bracket - 0.5 * mu_contract([2], _tensor_spinor(F, psi, batch), batch)
+    return bracket - 0.5 * _mu_last(F, psi, 1, batch)
 
 
 def second_identity_residual(F, psi, grad=None):
@@ -261,16 +241,16 @@ def integrability_residual(g, beta, psi, pkg=None):
     grad = density_derivative(g, beta)
     psi = np.asarray(psi, dtype=complex)
 
-    lhs_full = mu_contract([2], _tensor_spinor(pkg.ric_prime, psi))
+    lhs_full = _mu_last(pkg.ric_prime, psi, 1)
     alt_grad_c = alt(np.einsum("i,jk->ijk", grad, _ID3))
     rhs_full = (
-        -mu_contract([1, 2], _tensor_spinor(alt_grad_c, psi))
+        -_mu_last(np.moveaxis(alt_grad_c, -1, 0), psi, 2)  # mu^{12}: slots 1, 2 moved last
         + (pkg.scalar / 3.0) * nu_embed(psi)
-        - mu_contract([2], _tensor_spinor(pkg.faraday, psi))
+        - _mu_last(pkg.faraday, psi, 1)
     )
     r_full = np.max(np.abs(lhs_full - rhs_full))
 
-    lhs_red = mu_contract([2], _tensor_spinor(sym0(pkg.ric_prime), psi))
+    lhs_red = _mu_last(sym0(pkg.ric_prime), psi, 1)
     r_red = np.max(np.abs(lhs_red - second_identity_expression(pkg.faraday, psi, grad)))
 
     r_scal = abs(pkg.scalar - 24.0 * beta.value * beta.value) * np.max(np.abs(psi))

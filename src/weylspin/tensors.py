@@ -27,10 +27,11 @@ Conventions pinned by the identity suite (see docs/CONVENTIONS.md):
 
 import numpy as np
 
-from .clifford import EPS, clifford_apply, clifford_sum
+from .clifford import clifford_images, clifford_sum
 from .errors import RankError, SlotError, SymmetryError
 
 _ID3 = np.eye(3)
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # (i, _NEXT[i], _PREV[i]) is cyclic
 
 
 def metric():
@@ -81,10 +82,11 @@ def kulkarni_nomizu(w, h, batch=0):
     """Kulkarni-Nomizu product of two rank-2 frame tensors.
 
     (w kn h) = [(23) + (12)(24)(34) - (24) - (12)(23)] applied to w (x) h,
-    permutations acting by slot relabeling. The einsum index maps below are
-    the four relabelings written out (the word (12)(24)(34) composes, right
-    to left, to the relabeling out[ijkl] = T[jlik]). With batch axes both
-    factors carry the same ones.
+    permutations acting by slot relabeling: out[ijkl] = t[ikjl] + t[jlik] -
+    t[ilkj] - t[jkil] (the word (12)(24)(34) composes, right to left, to the
+    relabeling out[ijkl] = T[jlik]). Both factors carry the same batch axes,
+    moved behind the frame slots so each product and sum runs over the batch
+    in its inner loop, and in front of the result again.
     """
     w = np.asarray(w)
     h = np.asarray(h)
@@ -94,11 +96,13 @@ def kulkarni_nomizu(w, h, batch=0):
             raise RankError(f"kulkarni_nomizu needs rank-2 tensors, got shape {a.shape}")
     if w.shape[:batch] != h.shape[:batch]:
         raise RankError(f"batch axes differ: {w.shape[:batch]} and {h.shape[:batch]}")
-    t = np.einsum("...ij,...kl->...ijkl", w, h)
-    out = np.einsum("...ikjl->...ijkl", t) + np.einsum("...jlik->...ijkl", t)
-    out -= np.einsum("...ilkj->...ijkl", t)
-    out -= np.einsum("...jkil->...ijkl", t)
-    return out
+    lead, rest = range(batch), range(4, 4 + batch)
+    w, h = (np.transpose(a, (batch, batch + 1, *lead)) for a in (w, h))
+    t = w[:, :, None, None] * h
+    out = t.transpose(0, 2, 1, 3, *rest) + t.transpose(2, 0, 3, 1, *rest)
+    out -= t.transpose(0, 3, 2, 1, *rest)
+    out -= t.transpose(2, 0, 1, 3, *rest)
+    return out.transpose(*rest, 0, 1, 2, 3)
 
 
 def mu_contract(slots, T, batch=0):
@@ -138,19 +142,21 @@ def nu_embed(x, batch=0):
 
     Accepts a bare spinor (rank 0) or any spinor-valued tensor; the new slot
     becomes slot 1, right after the batch axes. Entry i of that slot is
-    clifford_apply(i, x), so every value is exact.
+    clifford_apply(i, x), from clifford_images, so every value is exact.
     """
     x = np.asarray(x, dtype=complex)
     _, spinor = tensor_rank(x, batch)
     if not spinor:
         raise RankError("nu_embed needs a spinor or spinor-valued tensor")
-    return np.stack([clifford_apply(i, x) for i in range(3)], axis=batch)
+    out = clifford_images(x)
+    return out.transpose(*range(batch), out.ndim - 2, *range(batch, out.ndim - 2), out.ndim - 1)
 
 
 def hodge_star(F, batch=0):
     """Hodge star of an antisymmetric rank-2 frame tensor, (*F)_k = 1/2 eps_ijk F_ij.
 
-    A batch is refused if any one of its tensors is not antisymmetric.
+    Component i is 1/2 (F_jk - F_kj), (i, j, k) cyclic: the eps sum's two
+    nonzero terms. A batch is refused if any one tensor is not antisymmetric.
     """
     F = np.asarray(F)
     rank, spinor = tensor_rank(F, batch)
@@ -158,5 +164,5 @@ def hodge_star(F, batch=0):
         raise RankError(f"hodge_star needs a plain rank-2 tensor, got shape {F.shape}")
     if np.any(np.abs(F + np.swapaxes(F, -1, -2)) >= 1e-12):
         raise SymmetryError("hodge_star needs an antisymmetric input")
-    return 0.5 * np.einsum("ijk,...ij->...k", EPS, F)
+    return 0.5 * (F[..., _NEXT, _PREV] - F[..., _PREV, _NEXT])
 

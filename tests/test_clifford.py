@@ -11,6 +11,7 @@ from weylspin.clifford import (
     _PAIR_UNIT,
     act,
     clifford_apply,
+    clifford_images,
     clifford_pairs,
     clifford_sum,
     j_structure,
@@ -93,6 +94,33 @@ def test_clifford_pairs_apply_two_generators(x):
     for a in range(3):
         for b in range(3):
             assert np.array_equal(pairs[..., a, b, :], clifford_apply(a, clifford_apply(b, x)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spinor_arrays())
+def test_clifford_images_stack_the_three_generators(x):
+    images = clifford_images(x)
+    assert images.shape == x.shape[:-1] + (3, 2) and images.flags.c_contiguous
+    assert np.array_equal(images, np.stack([clifford_apply(a, x) for a in range(3)], axis=-2))
+
+
+def clifford_sum_act(v, psi, batch):
+    """act as it was before clifford_images: sum_k e_k (v_k psi), by clifford_sum."""
+    v = v.reshape(v.shape[:batch] + (1,) * (psi.ndim - batch) + (3,))
+    return clifford_sum([v[..., k] * psi for k in range(3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_act_equals_its_clifford_sum_form(data):
+    # 0-3 batch axes and a spinor or a rank-1 spinor-valued tensor, each
+    # argument a strided view
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=3)))
+    mid = data.draw(st.sampled_from([(), (3,)]))
+    psi = data.draw(arrays(np.complex128, lead + mid + (4,), elements=FINITE))[..., ::2]
+    reals = st.floats(-1e100, 1e100, allow_nan=False)
+    v = data.draw(arrays(np.float64, lead + (3, 2), elements=reals))[..., 1]
+    assert np.array_equal(act(v, psi, len(lead)), clifford_sum_act(v, psi, len(lead)))
 
 
 def test_pair_tables_are_the_generator_products_and_write_locked():

@@ -4,6 +4,7 @@ ties the first two together at arbitrary (not constrained) gradient vectors.
 """
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -27,9 +28,8 @@ from weylspin.identities import (
     CHUNK,
     SWEEPS,
     _broken_first_identity,
-    _mu34,
+    _mu_last,
     _sweep,
-    _tensor_spinor,
     _two_form_and_spinor,
     clifford_relations_residual,
     dreieck_residual,
@@ -52,6 +52,16 @@ from weylspin.tensors import hodge_star, kulkarni_nomizu, metric, mu_contract
 
 from test_clifford import spinor_arrays
 from test_killing import BERGER_PATH
+
+
+def _tensor_spinor(T, psi, batch=0):
+    """Attach a spinor to a frame tensor: T (x) psi, row by row over the batch
+    axes; the complex tensor the residuals contracted before _mu_last."""
+    T = np.asarray(T)
+    psi = np.asarray(psi, dtype=complex)
+    if T.shape[:batch] != psi.shape[:batch]:
+        raise ShapeError(f"batch axes differ: {T.shape[:batch]} and {psi.shape[:batch]}")
+    return T[..., None] * psi.reshape(psi.shape[:batch] + (1,) * (T.ndim - batch) + (2,))
 
 
 def test_check_functions_pass_on_random_draws():
@@ -347,7 +357,31 @@ def test_kn_contraction_equals_mu34_of_the_spinor_tensor(inputs):
     kn = kulkarni_nomizu(omega, np.broadcast_to(metric(), omega.shape), batch)
     for K in (kn, free):
         oracle = mu_contract([3, 4], _tensor_spinor(K, psi, batch), batch)
-        assert np.array_equal(_mu34(K, psi, batch), oracle)
+        assert np.array_equal(_mu_last(K, psi, 2, batch), oracle)
+
+
+@st.composite
+def real_slot_inputs(draw):
+    """(T, psi, n, slots): a real rank-2 or rank-4 T and a spinor with 0-3
+    shared batch axes, each a view of its own kind, and the number n of T's
+    last slots to contract with the mu_contract slots that name them."""
+    n, rank, slots = draw(st.sampled_from([(0, 2, []), (1, 2, [2]), (2, 2, [1, 2]), (2, 4, [3, 4])]))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    T = draw(kn_views(lead, (3,) * rank, np.float64, KN_REAL))
+    return T, draw(kn_views(lead, (2,), np.complex128, KN_COMPLEX)), n, slots
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_slot_inputs())
+def test_real_slot_contraction_equals_mu_of_the_spinor_tensor(inputs):
+    # the real tensor against psi's Clifford images, against mu_contract of
+    # the complex spinor tensor T (x) psi (T (x) psi itself for n = 0)
+    T, psi, n, slots = inputs
+    batch = psi.ndim - 1
+    oracle = _tensor_spinor(T, psi, batch)
+    if slots:
+        oracle = mu_contract(slots, oracle, batch)
+    assert np.array_equal(_mu_last(T, psi, n, batch), oracle)
 
 
 def test_kn_contraction_builds_no_complex_rank4_tensor():
@@ -389,12 +423,33 @@ def test_non_finite_row_fails_its_report(bad, imaginary):
         (monopole_residual, (F, psi), (bad_F, psi)),
         (monopole_residual, (F, psi), (F, bad_psi)),
     ]
+    for fn in (first_identity_residual, second_identity_residual, _broken_first_identity):
+        cases += [(fn, (F, psi), (bad_F, psi)), (fn, (F, psi), (F, bad_psi))]
     with np.errstate(all="ignore"):
         for fn, good, broken in cases:
             values, clean = fn(*broken), fn(*good)
             assert not make_report(fn.__name__, values[k], n, 1e-12).passed, fn.__name__
             others = np.arange(n) != k
             assert np.array_equal(values[others], clean[others])
+
+
+PINNED_SWEEPS = os.path.join(os.path.dirname(__file__), "data", "verify_algebra_v0.24.0.json")
+
+
+def test_verify_algebra_matches_v0_24_0_bit_for_bit():
+    # every report's residual (as float.hex), its worst_trial and the break
+    # control of v0.24.0, at seeds {0, 5, 123} x trials {1, 250, 257, 1000}
+    with open(PINNED_SWEEPS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    assert len(pinned) == 12
+    for key, want in pinned.items():
+        seed, trials = map(int, key.split(":"))
+        reports, control = verify_algebra(trials=trials, seed=seed)
+        got = [
+            {"name": r.name, "residual": float.hex(r.residual), "worst_trial": r.worst_trial}
+            for r in reports
+        ]
+        assert (got, float.hex(float(control))) == (want["reports"], want["break_control"]), key
 
 
 def test_worst_trial_replays_from_the_report(capsys):

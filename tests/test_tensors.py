@@ -22,6 +22,7 @@ from weylspin.tensors import (
 )
 
 from test_clifford import FINITE
+from test_identities import KN_REAL, kn_views
 
 
 def kn_oracle(w, h):
@@ -185,6 +186,40 @@ def test_nu_embed_equals_its_einsum_form(lead, rank, data):
     batch = len(lead)
     dense = np.moveaxis(np.einsum("ist,...t->i...s", E, x), 0, batch)
     assert np.array_equal(nu_embed(x, batch), dense)
+
+
+def kn_einsum(w, h):
+    """kulkarni_nomizu as it was before the trials moved innermost: the outer
+    product and its four relabelings as batch-first einsums."""
+    t = np.einsum("...ij,...kl->...ijkl", w, h)
+    out = np.einsum("...ikjl->...ijkl", t) + np.einsum("...jlik->...ijkl", t)
+    out -= np.einsum("...ilkj->...ijkl", t)
+    out -= np.einsum("...jkil->...ijkl", t)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=2).map(tuple), st.booleans(), st.data())
+def test_kulkarni_nomizu_equals_its_einsum_form(lead, metric_factor, data):
+    # 0-2 batch axes, each factor a view of its own kind; the sweep's second
+    # factor is the identity metric broadcast over the batch (strides 0)
+    w = data.draw(kn_views(lead, (3, 3), np.float64, KN_REAL))
+    if metric_factor:
+        h = np.broadcast_to(metric(), w.shape)
+    else:
+        h = data.draw(kn_views(lead, (3, 3), np.float64, KN_REAL))
+    kn = kulkarni_nomizu(w, h, len(lead))
+    assert kn.shape == lead + (3, 3, 3, 3)
+    assert np.array_equal(kn, kn_einsum(w, h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=3).map(tuple), st.data())
+def test_hodge_star_equals_its_einsum_form(lead, data):
+    # 0-3 batch axes; F is transposed in memory and reversed on its batch axes
+    a = data.draw(kn_views(lead, (3, 3), np.float64, KN_REAL))
+    F = np.swapaxes(a - np.swapaxes(a, -1, -2), -1, -2)[(slice(None, None, -1),) * len(lead)]
+    assert np.array_equal(hodge_star(F, len(lead)), 0.5 * np.einsum("ijk,...ij->...k", EPS, F))
 
 
 def vector_to_two_form(v):
