@@ -5,13 +5,11 @@ gauge metric with [e_i, e_j] = sum_k c^k_ij e_k (stored as c[i,j,k] = c^k_ij)
 and the Weyl 1-form theta in that frame. All coefficients are constants, so
 every curvature quantity is exact finite-dimensional algebra.
 
-Every Gauduchon-Tod residual and every entry of the Killing curvature is a
-homogeneous quadratic form in 13 coordinates of (g, beta). analyze and
-spinconn.flatness read them off one cached form, evaluated on coordinates
-prescaled by a power of two, so the normalized residuals are the same at
-every finite scale; gt_residual_vector, curvature_package and
-spinconn.killing_curvature stay the definitions the form is built from.
-residual_scale is the one unit: every residual (weight -2) is read in scale^2.
+Every Gauduchon-Tod residual is a homogeneous quadratic form in the 13
+coordinates x = (N, theta, beta) of (g, beta): analyze evaluates one cached
+form, built from gt_residual_vector, on x prescaled by a power of two, so its
+normalized residuals are the same at every finite scale. residual_scale is
+the one unit: every residual (weight -2) is read in scale^2.
 
 Sign and trace conventions (pinned by the curvature-decomposition and
 flatness-equivalence audits, see docs/CONVENTIONS.md):
@@ -81,10 +79,20 @@ class GTReport:
     verdict: bool
 
 
+def bianchi_split(N):
+    """(n, a) with N = n + [a]x, n symmetric bit for bit, as Python floats (Milnor; Ellis-MacCallum).
+
+    n = N/2 + N^T/2, a = (M[2, 1], M[0, 2], M[1, 0]), M = N/2 - N^T/2; for c^k_ij =
+    sum_l eps_ijl N[l, k] the Jacobi identity holds exactly when n a = 0.
+    """
+    n = [[0.5 * N[i][j] + 0.5 * N[j][i] for j in range(3)] for i in range(3)]
+    return n, [0.5 * N[i][j] - 0.5 * N[j][i] for i, j in ((2, 1), (0, 2), (1, 0))]
+
+
 def _jacobi_defect(c):
-    term = np.einsum("ijm,mkn->ijkn", c, c)
-    total = term + np.einsum("jkin->ijkn", term) + np.einsum("kijn->ijkn", term)
-    return float(np.max(np.abs(total)))
+    """max|[[e_i, e_j], e_k] + cyclic| of antisymmetric c, which is 2 max|n a| (bianchi_split)."""
+    n, a = bianchi_split(c.take(_N_ENTRIES).reshape(3, 3).tolist())
+    return 2.0 * max(abs(row[0] * a[0] + row[1] * a[1] + row[2] * a[2]) for row in n)
 
 
 def _finite_arrays(structure_constants, theta):
@@ -277,10 +285,7 @@ def prescale(g, beta):
 
 # The 13 coordinates x = (N, theta, beta) of a geometry: c^k_ij = sum_l eps_ijl N[l, k]
 # holds for every 3-dimensional Lie algebra, so row l of N is c[i, j] with (i, j, l) a
-# cyclic order of (0, 1, 2). Every Gauduchon-Tod residual and every entry of the Killing
-# curvature is a homogeneous quadratic form in x: c is linear in N, Gamma linear in
-# (N, theta), B linear in (Gamma, beta), and R4, F, nabla beta, 24 beta^2 and
-# [B_i, B_j] - c^k_ij B_k are quadratic.
+# cyclic order of (0, 1, 2). c and Gamma are linear in x; R4, F, nabla beta and 24 beta^2 quadratic.
 _N_ENTRIES = np.arange(27).reshape(3, 3, 3)[[1, 2, 0], [2, 0, 1]].ravel()  # of c, flattened
 
 
@@ -291,58 +296,33 @@ def form_coordinates(g, beta):
 
 @functools.lru_cache(maxsize=1)
 def quadratic_form_24():
-    """Read-only 24 Q (85, 13, 13), integers, symmetric in its last two axes: r(x) = (Q @ x) @ x.
+    """Read-only 24 Q (13, 13, 13), integers, symmetric in its last two axes: r(x) = (Q @ x) @ x.
 
-    r(x) stacks, at x = form_coordinates(g, beta), gt_residual_vector (rows
-    0-12) and the real (rows 13-48) and imaginary parts (rows 49-84) of
-    spinconn.killing_curvature's 36 entries. Each row is a homogeneous
-    quadratic in x, so Q is fixed by its values at the 91 points e_k and
-    e_k + e_l (k < l), which one batched evaluation of both formulas gives:
+    r(x) is gt_residual_vector at x = form_coordinates(g, beta). Each row is a
+    homogeneous quadratic in x, so Q is fixed by its values at the 91 points
+    e_k and e_k + e_l (k < l), which one batched evaluation gives:
         Q[:, k, k] = r(e_k),  Q[:, k, l] = (r(e_k + e_l) - r(e_k) - r(e_l)) / 2.
     Every coefficient is a multiple of 1/24, so 24 Q is rounded to the
     integers it is, which drops the rounding of the evaluations (about 1e-16
     where the exact coefficient is 0); a polarized 24 Q more than 1e-12 from
     integers is refused. Built on first use, not at import.
     """
-    from .spinconn import killing_curvature  # spinconn imports this module
-
     n = 13  # coordinates
     eye = np.eye(n)
     k, l = np.triu_indices(n, 1)
     x = np.concatenate([eye, eye[k] + eye[l]])
-    N = x[:, :9].reshape(-1, 3, 3)
-    g = HomogeneousWeylGeometry(np.einsum("ijl,plk->pijk", EPS, N), x[:, 9:12])
-    beta = SimpleNamespace(value=x[:, 12])  # the formulas read only beta.value
-    curv = killing_curvature(g, beta).curvature.reshape(len(x), 36)  # R^beta[i, j, a, b], C order
-    r = np.concatenate([gt_residual_vector(g, beta), curv.real, curv.imag], axis=1).T
-    r *= 24.0
+    g = HomogeneousWeylGeometry(np.einsum("ijl,plk->pijk", EPS, x[:, :9].reshape(-1, 3, 3)), x[:, 9:12])
+    r = 24.0 * gt_residual_vector(g, SimpleNamespace(value=x[:, 12])).T  # it reads only beta.value
     diag = r[:, :n]
     polarized = np.empty((len(r), n, n))
     polarized[:, range(n), range(n)] = diag
     polarized[:, k, l] = polarized[:, l, k] = 0.5 * (r[:, n:] - diag[:, k] - diag[:, l])
     form = np.rint(polarized)
-    polarized -= form
-    defect = float(np.max(np.abs(polarized, out=polarized)))
+    defect = float(np.max(np.abs(polarized - form)))
     if not defect <= 1e-12:
         raise RuntimeError(f"polarized 24 Q is {defect:.3e} from integers")
     form.setflags(write=False)
     return form
-
-
-@functools.lru_cache(maxsize=1)
-def form_rows(g, beta):
-    """Read-only rows r(x) / 2^(2e) (85,) of quadratic_form_24 / 24, at x = form_coordinates / 2^e.
-
-    (e, m) = prescale(g, beta), so the prescaled x has max|x| = m in
-    [1/2, 1) and its squares neither over- nor underflow at any scale; row
-    / m^2 is the row over residual_scale^2. Evaluated once per (immutable)
-    geometry and density: analyze and spinconn.flatness both read it.
-    """
-    e, _ = prescale(g, beta)
-    x = np.ldexp(form_coordinates(g, beta), -e)
-    rows = (quadratic_form_24() @ x) @ x / 24.0
-    rows.setflags(write=False)
-    return rows
 
 
 def _blocks(residuals):
@@ -376,8 +356,10 @@ def analyze(g, beta, tolerance=1e-9):
         n_ew   = ||sym0 Ric|| / scale^2
         n_scal = |R - 24 beta^2| / scale^2
         n_star = ||4 nabla beta - *F|| / scale^2
-    The verdict is True when every one is below the tolerance. They are
-    read off form_rows, the quadratic form's rows on the prescaled
-    coordinates, so they are finite at every finite scale.
+    The verdict is True when every one is below the tolerance. They are the
+    rows of quadratic_form_24 / 24 at x = form_coordinates / 2^e over m^2,
+    (e, m) = prescale(g, beta), so they are finite at every finite scale.
     """
-    return _report(_blocks(form_rows(g, beta)[:13]), g, beta, tolerance)
+    e, _ = prescale(g, beta)
+    x = np.ldexp(form_coordinates(g, beta), -e)
+    return _report(_blocks((quadratic_form_24() @ x) @ x / 24.0), g, beta, tolerance)

@@ -322,12 +322,12 @@ def verify_algebra(trials=1000, seed=0, tolerance=1e-12):
     random draws and the index of the draw that gave it. break_control is the
     max residual of the first identity when 4 nabla beta = *F is deliberately
     broken by 10%; a healthy suite has it far above the identity tolerances
-    (the analyzer treats it as a lower bound of 0.1).
+    (the analyzer treats it as a lower bound of 0.1), over max(trials, CHUNK) draws.
     """
     rng = np.random.default_rng(seed)
     reports = [make_report("clifford_relations", clifford_relations_residual(), 1, tolerance)]
     for name, residual_name, draw in SWEEPS:
         worst, worst_trial = _sweep(globals()[residual_name], draw, trials, rng)
         reports.append(make_report(name, worst, trials, tolerance, worst_trial))
-    break_control, _ = _sweep(_broken_first_identity, _two_form_and_spinor, trials, rng)
+    break_control, _ = _sweep(_broken_first_identity, _two_form_and_spinor, max(trials, CHUNK), rng)
     return reports, break_control

@@ -32,6 +32,7 @@ from .clifford import E, j_structure
 from .errors import NoConvergence, ShapeError
 from .geometry import (
     WeightedDensity,
+    bianchi_split,
     form_coordinates,
     gt_report,
     gt_residual_vector,
@@ -123,9 +124,9 @@ def killing_data(g, beta):
 
     (e, m) = prescale(g, beta). b = 2^e spinconn.killing_coefficients(x), with
     columns as Python floats, and steps = b / m = b / scale. For closing_arc,
-    on floats: N = n + [a]x, n = N/2 + N^T/2, a (3, 1) = (M[2, 1], M[0, 2],
-    M[1, 0]), M = N/2 - N^T/2, u[k, i] = n[k, i + 1] and v[k, i] = n[k, i + 2]
-    (indices mod 3) and adj(n), each (3, 3, 1). A sub-normal scale raises ShapeError.
+    on floats: geometry.bianchi_split's N = n + [a]x, with a (3, 1), u[k, i] =
+    n[k, i + 1] and v[k, i] = n[k, i + 2] (indices mod 3) and adj(n), each
+    (3, 3, 1). A sub-normal scale raises ShapeError.
     """
     scale, low = residual_scale(g, beta), sys.float_info.min
     if scale < low:
@@ -139,12 +140,10 @@ def killing_data(g, beta):
         b = np.ldexp(b, e)
     for array in (b, steps):
         array.setflags(write=False)
-    N = x[0:3], x[3:6], x[6:9]
-    n = [[0.5 * N[i][j] + 0.5 * N[j][i] for j in range(3)] for i in range(3)]  # symmetric, bit for bit
+    n, a = bianchi_split((x[0:3], x[3:6], x[6:9]))
     adj = [[n[i - 2][j - 2] * n[i - 1][j - 1] - n[i - 2][j - 1] * n[i - 1][j - 2] for j in range(3)]
            for i in range(3)]
-    a = np.array([[0.5 * N[i][j] - 0.5 * N[j][i]] for i, j in ((2, 1), (0, 2), (1, 0))])
-    n, adj = np.array(n), np.array(adj)[..., None]
+    n, a, adj = np.array(n), np.array(a)[:, None], np.array(adj)[..., None]
     return KillingData(b, tuple(zip(*b.tolist())), steps, e, a, n[:, _NEXT, None], n[:, _LAST, None], adj)
 
 
@@ -438,13 +437,12 @@ _MAX_HALVINGS = 20
 def _family_quadratic_form():
     """Read-only Q (13, 5, 5), symmetric in its last two axes, with r(x) = (Q @ x) @ x.
 
-    r(x) = gt_residual_vector(*milnor_theta3_family(x)): the slice P^T Q P
-    of the Gauduchon-Tod rows of geometry.quadratic_form_24 / 24, P picking
-    the family's coordinates: N = diag(l1, l2, l3) and theta = (0, 0, theta3)
-    among geometry.form_coordinates.
+    r(x) = gt_residual_vector(*milnor_theta3_family(x)): the slice P^T Q P of
+    geometry.quadratic_form_24 / 24, P picking the family's coordinates N =
+    diag(l1, l2, l3) and theta = (0, 0, theta3) among form_coordinates.
     """
     idx = [0, 4, 8, 11, 12]
-    Q = quadratic_form_24()[:13][:, idx][:, :, idx] / 24.0
+    Q = quadratic_form_24()[:, idx][:, :, idx] / 24.0
     Q.setflags(write=False)
     return Q
 

@@ -10,15 +10,21 @@ The spin lift of the Weyl connection is
 validated by the Leibniz identity [A_i, v.] = (nabla_{e_i} v). rather than
 assumed. The Killing connection is B_i = A_i - beta e_i; its curvature
 vanishes exactly on Gauduchon-Tod geometries, which is the engine behind the
-2-dimensional solution space; killing reads B in closed form (killing_coefficients).
+2-dimensional solution space. The commands read B as the 3x3 matrix b
+(killing_coefficients) and its curvature as 2 cof(b) - N b (curvature_coefficients);
+the spinor-matrix chain that these sum by hand is read by the benchmark and the tests.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import E
-from .geometry import form_rows, prescale, weyl_connection
+from .geometry import form_coordinates, prescale, weyl_connection
+
+# the q_k that meet in each entry of sum_k p_k q_k, read off E: (0, 1), real and imaginary, or (2,)
+_ENTRY_UNITS = tuple(sorted({tuple(np.flatnonzero(units).tolist()) for units in E.reshape(3, 4).T}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,23 +65,34 @@ def killing_coefficients(x):
                      [-0.5 * (n13 - t2), -0.5 * (n23 + t1), 0.25 * (n11 + n22 - n33) + beta]])
 
 
+def curvature_coefficients(x):
+    """F = 2 cof(b) - N b (3 lists of 3 floats): R^beta_(l+1, l+2) = sum_k F[l, k] q_k (indices mod 3).
+
+    b = killing_coefficients(x), and [q_k, q_l] = 2 eps_klm q_m and c^k_(l+1, l+2) = N[l, k]
+    at x = (N, theta, beta) (13,); R^beta_ji = -R^beta_ij and R^beta_ii = 0 are the rest.
+    """
+    b, N = killing_coefficients(x).tolist(), (x[0:3], x[3:6], x[6:9])
+    return [[2.0 * (b[l - 2][k - 2] * b[l - 1][k - 1] - b[l - 2][k - 1] * b[l - 1][k - 2])
+             - (N[l][0] * b[0][k] + N[l][1] * b[1][k] + N[l][2] * b[2][k]) for k in range(3)]
+            for l in range(3)]
+
+
 def killing_curvature(g, beta):
     """Curvature R^beta_ij = [B_i,B_j] - c^k_ij B_k and its max entry, the residual.
 
     B_i = A_i - beta e_i. A batch of geometries gives a batch of curvatures,
     and the residual is the max entry over all of them.
     """
-    curv = commutator_curvature(spin_connection(g) - np.multiply.outer(beta.value, E), g)
+    curv = commutator_curvature(killing_connection(g, beta), g)
     return KillingCurvature(curvature=curv, residual=float(np.max(np.abs(curv))))
 
 
 def flatness(g, beta):
     """Killing curvature residual over scale^2, normalized like the GT residuals.
 
-    Read off geometry.form_rows, the evaluation analyze reads too: the
-    moduli of the 36 entries of R^beta from their real parts (rows 13-48)
-    and imaginary parts (rows 49-84), on the prescaled coordinates.
+    The largest entry modulus of R^beta by curvature_coefficients at x =
+    form_coordinates / 2^e over m^2, (e, m) = prescale(g, beta): finite at every scale.
     """
-    rows = form_rows(g, beta)
-    _, m = prescale(g, beta)
-    return np.hypot(rows[13:49], rows[49:]).max().item() / (m * m)
+    e, m = prescale(g, beta)
+    F = curvature_coefficients(np.ldexp(form_coordinates(g, beta), -e).tolist())
+    return max(math.hypot(*(row[k] for k in units)) for row in F for units in _ENTRY_UNITS) / (m * m)

@@ -204,6 +204,17 @@ def test_killing_deterministic_output(capsys):
     assert strip(out1) == strip(out2)
 
 
+def test_short_sweeps_pass_the_break_control(capsys):
+    # the break control is taken over at least CHUNK draws: over one draw it
+    # read 0.080, 0.098, 0.090 and 0.035 at seeds 0, 5, 7 and 99, under its 0.1
+    for seed in (0, 5, 7, 99, 123):
+        for trials in (1, 2, 5):
+            code, out, _ = run_cli(capsys, ["verify-algebra", "--trials", str(trials), "--seed", str(seed)])
+            control = json.loads(out)["sections"][-1]
+            assert control["name"] == "first_identity_break_control"
+            assert (code, control["pass"]) == (0, True), (seed, trials, control["value"])
+
+
 def test_float_rendering_roundtrips(capsys):
     _, out, _ = run_cli(capsys, ["verify-algebra", "--trials", "25"])
     report = json.loads(out)
@@ -291,9 +302,10 @@ def test_killing_sends_each_sample_arc_through_transport_operator(tmp_path, caps
 
 
 def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypatch):
-    # analyze reads the quadratic form, and killing the closed form of the
-    # Killing coefficients (killing_data): neither builds a spin connection
-    geometry.quadratic_form_24()
+    # analyze reads the Gauduchon-Tod form, built from gt_residual_vector, and
+    # flatness and killing the closed forms of b and of its curvature: none
+    # builds a spin connection, even with the form built cold inside the call
+    geometry.quadratic_form_24.cache_clear()
     built = []
     original = spinconn.spin_connection
     spy = lambda g: built.append(g) or original(g)

@@ -7,6 +7,9 @@ the orthonormal frame is diag(2 mu_2 mu_3, 2 mu_3 mu_1, 2 mu_1 mu_2). The
 Heisenberg and round values below are special cases of the same formula.
 """
 
+import ast
+import hashlib
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylspin import geometry
-from weylspin.clifford import EPS
+from weylspin.clifford import E, EPS
 from weylspin.errors import JacobiViolation, ShapeError
 from weylspin.geometry import (
     WeightedDensity,
@@ -24,17 +27,17 @@ from weylspin.geometry import (
     curvature_package,
     density_derivative,
     form_coordinates,
-    form_rows,
     gauge_rescale,
     gt_residual_vector,
     milnor_constants,
     milnor_geometry,
+    prescale,
     quadratic_form_24,
     residual_scale,
     validate_geometry,
     weyl_connection,
 )
-from weylspin.spinconn import flatness, killing_curvature
+from weylspin.spinconn import curvature_coefficients, flatness, killing_curvature
 from weylspin.tensors import kulkarni_nomizu
 
 from test_killing import rotated_geometry, rotation, semidirect_constants
@@ -293,17 +296,22 @@ def test_gauge_covariance_of_normalized_residuals():
 # the quadratic form --------------------------------------------------------
 
 
-def formula_rows(g, beta):
-    """The 85 rows of the form by the formulas: GT residuals, then Re and Im of R^beta."""
-    curv = killing_curvature(g, beta).curvature.ravel()
-    return np.concatenate([gt_residual_vector(g, beta), curv.real, curv.imag])
-
-
 def form_defect(Q, g, beta):
-    """max|(Q @ x) @ x - formula_rows| / residual_scale^2 at x = form_coordinates(g, beta)."""
+    """max|(Q @ x) @ x - gt_residual_vector| / residual_scale^2 at x = form_coordinates(g, beta)."""
     x = form_coordinates(g, beta)
-    defect = float(np.max(np.abs((Q @ x) @ x - formula_rows(g, beta))))
+    defect = float(np.max(np.abs((Q @ x) @ x - gt_residual_vector(g, beta))))
     return defect / residual_scale(g, beta) ** 2
+
+
+def curvature_defect(g, beta):
+    """max|R^beta - sum_k F[l, k] q_k| / residual_scale^2 over the pairs (l + 1, l + 2), F = curvature_coefficients.
+
+    R^beta is killing_curvature's, and F is taken at x = form_coordinates(g, beta).
+    """
+    F = np.array(curvature_coefficients(form_coordinates(g, beta).tolist()))
+    closed = np.einsum("lk,kab->lab", F, -E)  # q_k = -e_k
+    pairs = killing_curvature(g, beta).curvature[[1, 2, 0], [2, 0, 1]]
+    return float(np.max(np.abs(pairs - closed))) / residual_scale(g, beta) ** 2
 
 
 # coefficients below 1e-100 are flushed to 0: their products are subnormal, where
@@ -355,24 +363,33 @@ def test_form_coordinates_are_the_structure_constants_exactly():
 @settings(max_examples=200, deadline=None)
 @given(geometries())
 def test_quadratic_form_is_the_two_formulas(case):
+    # the form is gt_residual_vector, and the closed form 2 cof(b) - N b is
+    # killing_curvature, each to rounding
     g, beta = case
     assert form_defect(quadratic_form_24() / 24.0, g, beta) < 1e-13
+    assert curvature_defect(g, beta) < 1e-13
+
+
+# sha256 of 24 Q (13, 13, 13), C order, as v0.25.0 stored it in rows 0-12 of its
+# (85, 13, 13) table: 313 nonzero integers and 111 zeros of negative sign
+GT_FORM_V0_25_0 = "811f9652ec01df6ffc2be891bdc65acc3ba5122131bd268fcd93eaebde4f7162"
 
 
 def test_quadratic_form_is_24ths_of_integers():
     Q24 = quadratic_form_24()
-    assert Q24.shape == (85, 13, 13)
+    assert Q24.shape == (13, 13, 13)
     assert not Q24.flags.writeable
     assert np.array_equal(Q24, np.swapaxes(Q24, 1, 2))
     assert np.array_equal(Q24, np.rint(Q24))
     assert np.array_equal(quadratic_form_24.__wrapped__(), Q24)  # a fresh build, same table
+    assert hashlib.sha256(np.ascontiguousarray(Q24).tobytes()).hexdigest() == GT_FORM_V0_25_0
 
 
 def test_quadratic_form_broken_entry_fails(monkeypatch):
-    # one coefficient off by 1/24 breaks the agreement with the formulas, and
+    # one coefficient off by 1/24 breaks the agreement with the formula, and
     # evaluations off by 1e-6 leave 24 Q up to 2.4e-5 from integers, which the build refuses
     Q = quadratic_form_24() / 24.0
-    Q[np.unravel_index(np.argmax(np.abs(Q[13:])), Q[13:].shape)] += 1.0 / 24.0
+    Q[np.unravel_index(np.argmax(np.abs(Q)), Q.shape)] += 1.0 / 24.0
     rng = np.random.default_rng(31)
     g = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3))
     assert form_defect(Q, g, WeightedDensity(0.4)) > 1e-3
@@ -382,20 +399,69 @@ def test_quadratic_form_broken_entry_fails(monkeypatch):
         quadratic_form_24.__wrapped__()
 
 
-def test_analyze_and_flatness_read_the_form_rows():
+def test_analyze_and_flatness_read_the_closed_forms():
+    # analyze's blocks are the form's rows and flatness the largest entry of
+    # R^beta, each over scale^2 to rounding; on Milnor frames and on random
+    # N, which need not satisfy Jacobi: both formulas are identities in x
     rng = np.random.default_rng(32)
-    for _ in range(50):
-        g = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3))
-        beta = WeightedDensity(float(rng.uniform(-1, 1)))
-        rows, s2 = form_rows(g, beta), residual_scale(g, beta) ** 2
-        want = formula_rows(g, beta) / s2
+    for t in range(100):
+        if t % 2:
+            x = rng.uniform(-2, 2, 13)
+            c = np.einsum("ijl,lk->ijk", EPS, x[:9].reshape(3, 3))
+            g, beta = geometry.HomogeneousWeylGeometry(c, x[9:12]), WeightedDensity(x[12])
+        else:
+            g = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3))
+            beta = WeightedDensity(float(rng.uniform(-1, 1)))
+        s2 = residual_scale(g, beta) ** 2
+        want = gt_residual_vector(g, beta) / s2
         rep = analyze(g, beta)
         got = [rep.n_ew, rep.n_scal, rep.n_star]
         blocks = [np.max(np.abs(want[:9])), abs(want[9]), np.max(np.abs(want[10:13]))]
         assert np.max(np.abs(np.subtract(got, blocks))) < 1e-14
         curv = np.max(np.abs(killing_curvature(g, beta).curvature)) / s2
         assert abs(flatness(g, beta) - curv) < 1e-14
-        assert not rows.flags.writeable
+
+
+def test_flatness_reads_no_form(monkeypatch):
+    # flatness is the largest entry modulus of the closed form, |F[l, 2]| and
+    # hypot(F[l, 0], F[l, 1]) in E's basis, and reads it with the form gone
+    g = milnor_geometry((2.0, 2.0, 1.9), (0.1, 0.0, 0.3))
+    beta = WeightedDensity(0.45)
+    e, m = prescale(g, beta)
+    F = curvature_coefficients(np.ldexp(form_coordinates(g, beta), -e).tolist())
+    moduli = [abs(row[2]) for row in F] + [np.hypot(row[0], row[1]) for row in F]
+    monkeypatch.setattr(geometry, "quadratic_form_24", None)
+    assert flatness(g, beta) == max(moduli) / (m * m)
+
+
+def test_geometry_imports_nothing_from_spinconn():
+    # the form is polarized from gt_residual_vector alone, and the Killing
+    # curvature is spinconn's closed form: geometry reads nothing of spinconn
+    tree = ast.parse(inspect.getsource(geometry))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"clifford", "errors", "tensors", "dataclasses", "types"}
+    assert not hasattr(geometry, "form_rows")
+
+
+def jacobi_oracle(c):
+    """max|[[e_i, e_j], e_k] + cyclic| over all 81 entries, by the tensor sum."""
+    term = np.einsum("ijm,mkn->ijkn", c, c)
+    total = term + np.einsum("jkin->ijkn", term) + np.einsum("kijn->ijkn", term)
+    return float(np.max(np.abs(total)))
+
+
+def test_jacobi_defect_is_twice_n_a():
+    # |Jacobi| = 2 max|n a| for every antisymmetric c, Jacobi or not, to rounding
+    rng = np.random.default_rng(34)
+    for _ in range(500):
+        c = np.einsum("ijl,lk->ijk", EPS, rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3))
+        want = jacobi_oracle(c)
+        assert want > 0.0
+        assert abs(_jacobi_defect(c) - want) <= 1e-14 * want
+    # exactly 0.0 on Milnor frames, where n is diagonal and a = 0
+    for lam in rng.standard_normal((50, 3)):
+        c = milnor_constants(lam)
+        assert _jacobi_defect(c) == 0.0 == jacobi_oracle(c)
 
 
 @pytest.mark.parametrize("k", [-1000, -540, 540, 1000])

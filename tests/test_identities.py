@@ -438,7 +438,9 @@ PINNED_SWEEPS = os.path.join(os.path.dirname(__file__), "data", "verify_algebra_
 
 def test_verify_algebra_matches_v0_24_0_bit_for_bit():
     # every report's residual (as float.hex), its worst_trial and the break
-    # control of v0.24.0, at seeds {0, 5, 123} x trials {1, 250, 257, 1000}
+    # control of v0.24.0, at seeds {0, 5, 123} x trials {1, 250, 257, 1000};
+    # the break controls at trials 1 and 250 are v0.26.0's, which takes the
+    # control over max(trials, CHUNK) draws
     with open(PINNED_SWEEPS, encoding="utf-8") as fh:
         pinned = json.load(fh)
     assert len(pinned) == 12

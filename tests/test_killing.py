@@ -1287,7 +1287,7 @@ def test_family_quadratic_form_is_the_slice_of_the_geometry_form():
     # N = diag(l1, l2, l3) and theta = (0, 0, theta3) among the 13 coordinates
     Q = _family_quadratic_form()
     idx = [0, 4, 8, 11, 12]
-    assert np.array_equal(Q, geometry.quadratic_form_24()[:13][:, idx][:, :, idx] / 24.0)
+    assert np.array_equal(Q, geometry.quadratic_form_24()[:, idx][:, :, idx] / 24.0)
     x = np.array([2.0, 1.5, 1.0, 0.3, 0.4])
     g, beta = milnor_theta3_family(x)
     assert np.array_equal(geometry.form_coordinates(g, beta)[idx], x)

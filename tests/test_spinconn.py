@@ -1,3 +1,4 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,8 @@ from weylspin.geometry import (
 )
 from weylspin.spinconn import (
     commutator_curvature,
+    curvature_coefficients,
+    flatness,
     killing_coefficients,
     killing_connection,
     killing_curvature,
@@ -256,3 +259,78 @@ def test_a_flipped_theta_term_fails_the_chain_comparison(monkeypatch):
     monkeypatch.undo()
     killing.killing_data.cache_clear()
     assert closed_form_mismatch(1.0) <= 1e-15
+
+
+# the closed form of the Killing curvature ------------------------------------
+
+
+def polarization_points():
+    """The 91 points e_k and e_k + e_l (k < l) of R^13, which fix a quadratic form."""
+    eye = np.eye(13)
+    k, l = np.triu_indices(13, 1)
+    return np.concatenate([eye, eye[k] + eye[l]])
+
+
+def curvature_closed_form(x, mutant=None):
+    """F = 2 cof(b) - N b (3, 3) in Fractions at x, b = killing_coefficients(x) taken exactly.
+
+    mutant "NTb" and "bN" take N^T b and b N for N b, and "cof" flips the sign of the cofactor term.
+    """
+    b = [[Fraction(v) for v in row] for row in killing_coefficients(x).tolist()]
+    N = [[Fraction(v) for v in x[3 * l : 3 * l + 3]] for l in range(3)]
+    if mutant == "NTb":
+        N = [list(col) for col in zip(*N)]
+    prod = lambda A, B: [[sum(A[i][j] * B[j][k] for j in range(3)) for k in range(3)] for i in range(3)]
+    Nb = prod(b, N) if mutant == "bN" else prod(N, b)
+    sign = -2 if mutant == "cof" else 2
+    return [[sign * (b[l - 2][k - 2] * b[l - 1][k - 1] - b[l - 2][k - 1] * b[l - 1][k - 2]) - Nb[l][k]
+             for k in range(3)] for l in range(3)]
+
+
+def chain_curvature_coefficients(points):
+    """(p_0, p) (..., 3) and (..., 3, 3): R^beta_(l+1, l+2) = p_0[l] Id + sum_k p[l, k] q_k, by the chain."""
+    pairs = killing_curvature(*geometry_at(points)).curvature[..., [1, 2, 0], [2, 0, 1], :, :]
+    p0 = 0.5 * np.trace(pairs, axis1=-2, axis2=-1)
+    return p0, np.einsum("kab,...lba->...lk", 0.5 * E, pairs)  # p_k = -tr(q_k M) / 2
+
+
+def closed_form_failures(formula):
+    """The polarization points where formula(x) (3, 3) is not the chain's su(2) coefficients, exactly.
+
+    Every term of the chain is a dyadic rational there, so its floats are exact;
+    both sides are quadratic in x, so agreement on all 91 points is agreement everywhere.
+    """
+    points = polarization_points()
+    p0, p = chain_curvature_coefficients(points)
+    assert not p0.any() and not p.imag.any()  # the identity part is exactly 0, the rest real
+    return [x for x, want in zip(points, p.real) if [[Fraction(v) for v in row] for row in want] != formula(x)]
+
+
+def test_curvature_closed_form_equals_the_chain_exactly():
+    assert len(polarization_points()) == 91
+    assert closed_form_failures(curvature_closed_form) == []
+    # the package's floats are the exact closed form at these points
+    exact = lambda x: [[Fraction(v) for v in row] for row in curvature_coefficients(x.tolist())]
+    assert closed_form_failures(exact) == []
+    for x in polarization_points():
+        assert exact(x) == curvature_closed_form(x)
+
+
+@pytest.mark.parametrize("mutant", ["NTb", "bN", "cof"])
+def test_curvature_closed_form_mutants_fail(mutant):
+    # N^T b, b N and -2 cof(b) each differ from the chain somewhere on the points
+    assert closed_form_failures(lambda x: curvature_closed_form(x, mutant)) != []
+
+
+def test_flatness_matches_the_chain_on_random_coordinates():
+    # 500 random x with no Jacobi identity imposed, at scales 2^-900 to 2^900:
+    # flatness is max|R^beta| / scale^2 of the chain to rounding
+    rng = np.random.default_rng(8)
+    for t in range(500):
+        x = rng.standard_normal(13)
+        g, _ = geometry_at(x)
+        beta = WeightedDensity(x[12])
+        want = float(np.max(np.abs(killing_curvature(g, beta).curvature))) / float(np.max(np.abs(x))) ** 2
+        k = int(rng.integers(-900, 901)) if t % 2 else 0
+        scaled = HomogeneousWeylGeometry(np.ldexp(g.structure_constants, k), np.ldexp(g.theta, k))
+        assert abs(flatness(scaled, WeightedDensity(float(np.ldexp(x[12], k)))) - want) <= 1e-14 * max(want, 1.0)
