@@ -1,9 +1,11 @@
 """Homogeneous 3-dimensional Weyl geometries in a fixed gauge.
 
-A geometry is a pair (structure constants, theta): an orthonormal frame of the
-gauge metric with [e_i, e_j] = sum_k c^k_ij e_k (stored as c[i,j,k] = c^k_ij)
-and the Weyl 1-form theta in that frame. All coefficients are constants, so
-every curvature quantity is exact finite-dimensional algebra.
+A geometry is a pair (N, theta): an orthonormal frame of the gauge metric with
+[e_i, e_j] = sum_k c^k_ij e_k, c^k_ij = sum_l eps_ijl N[l, k] as for every
+3-dimensional Lie algebra (Milnor; Ellis-MacCallum), and the Weyl 1-form theta
+in that frame. c[i,j,k] = c^k_ij is derived from N once per geometry, for the
+tensor chain. All coefficients are constants, so every curvature quantity is
+exact finite-dimensional algebra.
 
 Every Gauduchon-Tod residual is a homogeneous quadratic form in the 13
 coordinates x = (N, theta, beta) of (g, beta): analyze evaluates one cached
@@ -29,18 +31,31 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .clifford import EPS
 from .errors import JacobiViolation, ShapeError
 from .tensors import hodge_star, sym0
 
 _ID3 = np.eye(3)
-_LOWER = np.tril(np.ones((3, 3), dtype=bool), -1)[..., None]  # the entries c[i, j, k] with i > j
+_I, _J = np.array([1, 2, 0]), np.array([2, 0, 1])  # c[_I[l], _J[l]] = N[l]
 
 
 @dataclass(frozen=True, eq=False)
 class HomogeneousWeylGeometry:
-    structure_constants: np.ndarray  # (3,3,3), c[i,j,k] = c^k_ij, units 1/length
-    theta: np.ndarray  # (3,), units 1/length
+    """(N, theta) with c^k_ij = sum_l eps_ijl N[l, k]; either may carry the same leading batch axes."""
+
+    N: np.ndarray  # (..., 3, 3), units 1/length
+    theta: np.ndarray  # (..., 3), units 1/length
+
+    @functools.cached_property
+    def structure_constants(self):
+        """Read-only c (..., 3, 3, 3), c[i,j,k] = c^k_ij, exactly antisymmetric in (i, j).
+
+        c[1, 2] = N[0], c[2, 0] = N[1], c[0, 1] = N[2], and c[j, i] = -c[i, j].
+        """
+        c = np.zeros(self.N.shape[:-2] + (3, 3, 3))
+        c[..., _I, _J, :] = self.N
+        c[..., _J, _I, :] = -self.N
+        c.setflags(write=False)
+        return c
 
 
 @dataclass(frozen=True)
@@ -89,84 +104,69 @@ def bianchi_split(N):
     return n, [0.5 * N[i][j] - 0.5 * N[j][i] for i, j in ((2, 1), (0, 2), (1, 0))]
 
 
-def _jacobi_defect(c):
-    """max|[[e_i, e_j], e_k] + cyclic| of antisymmetric c, which is 2 max|n a| (bianchi_split)."""
-    n, a = bianchi_split(c.take(_N_ENTRIES).reshape(3, 3).tolist())
+def _jacobi_defect(N):
+    """max|[[e_i, e_j], e_k] + cyclic| of c^k_ij = sum_l eps_ijl N[l, k], which is 2 max|n a| (bianchi_split)."""
+    n, a = bianchi_split(N.tolist())
     return 2.0 * max(abs(row[0] * a[0] + row[1] * a[1] + row[2] * a[2]) for row in n)
 
 
-def _finite_arrays(structure_constants, theta):
-    """(c, theta, max|c|): float arrays of shapes (3,3,3) and (3,) with finite entries."""
-    c = np.asarray(structure_constants, dtype=float)
-    th = np.asarray(theta, dtype=float)
-    if c.shape != (3, 3, 3):
-        raise ShapeError(f"structure constants must have shape (3,3,3), got {c.shape}")
+def _finite_theta(values, theta):
+    """(theta as a new read-only float array (3,), max|values|); ShapeError unless both are finite."""
+    th = np.array(theta, dtype=float)
     if th.shape != (3,):
         raise ShapeError(f"theta must have shape (3,), got {th.shape}")
-    scale = np.max(np.abs(c))  # not finite exactly when some entry of c is not
-    if not (np.isfinite(scale) and np.all(np.isfinite(th))):
+    scale = np.abs(values).max()  # not finite exactly when some entry is not
+    if not (math.isfinite(scale) and np.isfinite(th).all()):
         raise ShapeError("geometry data must be finite")
-    return c, th, scale
-
-
-def _read_only_geometry(c, th):
-    c = c.copy()
-    th = th.copy()
-    c.setflags(write=False)
     th.setflags(write=False)
-    return HomogeneousWeylGeometry(c, th)
+    return th, scale
 
 
 def validate_geometry(structure_constants, theta):
-    """Build a validated geometry from raw arrays.
+    """Build a validated geometry from raw arrays, structure constants c (3,3,3) and theta (3,).
 
     Both bounds are relative to the scale s = max|c|, so a valid frame passes
     at any scale: antisymmetry violations up to 1e-12 s are symmetrized away,
     larger ones are rejected, and the Jacobi identity must hold to 1e-10 s^2.
-    The Jacobi defect is taken of c / 2^e, with s = m 2^e and 1/2 <= m < 1,
+    The Jacobi defect is taken of N / 2^e, with s = m 2^e and 1/2 <= m < 1,
     against 1e-10 m^2: the same verdict wherever s^2 is a normal float, and
     no over- or underflow of the quadratic defect at any finite scale. The
-    antisymmetric part is c - (c + c^T) / 2, which stays finite up to the
-    float maximum and keeps the bits of an exactly antisymmetric c; where a
-    pair's sum rounded, the entry below the diagonal is set to the negative
-    of the one above, so the result is exactly antisymmetric.
+    antisymmetric part is A = c - (c + c^T) / 2, which stays finite up to the
+    float maximum and keeps the bits of an exactly antisymmetric c; N is read
+    off its entries above the diagonal, N = (A[1, 2], -A[0, 2], A[0, 1]).
     """
-    c, th, scale = _finite_arrays(structure_constants, theta)
+    c = np.asarray(structure_constants, dtype=float)
+    if c.shape != (3, 3, 3):
+        raise ShapeError(f"structure constants must have shape (3,3,3), got {c.shape}")
+    th, scale = _finite_theta(c, theta)
     with np.errstate(over="ignore"):  # a sum that overflows is a skew above any bound
         sym = c + np.swapaxes(c, 0, 1)
     skew = np.max(np.abs(sym))
     if skew > 1e-12 * scale:
         raise ShapeError(f"structure constants not antisymmetric in the lower pair ({skew:.3e})")
-    c = c - 0.5 * sym
-    flip = -np.swapaxes(c, 0, 1)
-    c = np.where(_LOWER & (c != flip), flip, c)
+    A = c - 0.5 * sym
+    N = np.stack([A[1, 2], -A[0, 2], A[0, 1]])
     m, e = math.frexp(scale)
-    defect = _jacobi_defect(np.ldexp(c, -e))
+    defect = _jacobi_defect(np.ldexp(N, -e))
     if not defect <= 1e-10 * m * m:
         raise JacobiViolation(f"Jacobi identity fails by {defect / (m * m):.3e} max|c|^2")
-    return _read_only_geometry(c, th)
-
-
-def milnor_constants(lam):
-    """Structure constants c^k_ij = lambda_k eps_ijk of a Milnor frame."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (3,):
-        raise ShapeError(f"need three Milnor parameters, got shape {lam.shape}")
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i, j, k] = lam[k]
-        c[j, i, k] = -lam[k]
-    return c
+    N.setflags(write=False)
+    return HomogeneousWeylGeometry(N, th)
 
 
 def milnor_geometry(lam, theta=(0.0, 0.0, 0.0)):
-    """The geometry of a Milnor frame with parameters lam and Weyl form theta.
+    """The geometry of a Milnor frame, N = diag(lam), c^k_ij = lam_k eps_ijk, with Weyl form theta.
 
-    Milnor constants are antisymmetric and satisfy the Jacobi identity by
-    construction, so of validate_geometry's checks only shape and finiteness run.
+    N is symmetric, so the Jacobi identity holds by construction, and of
+    validate_geometry's checks only shape and finiteness run.
     """
-    c, th, _ = _finite_arrays(milnor_constants(lam), theta)
-    return _read_only_geometry(c, th)
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (3,):
+        raise ShapeError(f"need three Milnor parameters, got shape {lam.shape}")
+    th, _ = _finite_theta(lam, theta)
+    N = np.diag(lam)
+    N.setflags(write=False)
+    return HomogeneousWeylGeometry(N, th)
 
 
 def weyl_connection(g):
@@ -267,7 +267,7 @@ def residual_scale(g, beta):
     all residuals 0, so its scale of 1 leaves them as they are. Computed once
     per (immutable) geometry and density, for analyze, flatness and killing.
     """
-    scale = max(np.max(np.abs(g.structure_constants)), np.max(np.abs(g.theta)), abs(beta.value))
+    scale = max(np.max(np.abs(g.N)), np.max(np.abs(g.theta)), abs(beta.value))
     return float(scale) or 1.0
 
 
@@ -283,15 +283,12 @@ def prescale(g, beta):
     return e, m
 
 
-# The 13 coordinates x = (N, theta, beta) of a geometry: c^k_ij = sum_l eps_ijl N[l, k]
-# holds for every 3-dimensional Lie algebra, so row l of N is c[i, j] with (i, j, l) a
-# cyclic order of (0, 1, 2). c and Gamma are linear in x; R4, F, nabla beta and 24 beta^2 quadratic.
-_N_ENTRIES = np.arange(27).reshape(3, 3, 3)[[1, 2, 0], [2, 0, 1]].ravel()  # of c, flattened
-
-
 def form_coordinates(g, beta):
-    """x (13,) = (N.ravel(), theta, beta.value), read off exactly: N = c[[1, 2, 0], [2, 0, 1]]."""
-    return np.concatenate((g.structure_constants.take(_N_ENTRIES), g.theta, (beta.value,)))
+    """x (13,) = (N.ravel(), theta, beta.value).
+
+    c and Gamma are linear in x; R4, F, nabla beta and 24 beta^2 are quadratic.
+    """
+    return np.concatenate((g.N.ravel(), g.theta, (beta.value,)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -311,7 +308,7 @@ def quadratic_form_24():
     eye = np.eye(n)
     k, l = np.triu_indices(n, 1)
     x = np.concatenate([eye, eye[k] + eye[l]])
-    g = HomogeneousWeylGeometry(np.einsum("ijl,plk->pijk", EPS, x[:, :9].reshape(-1, 3, 3)), x[:, 9:12])
+    g = HomogeneousWeylGeometry(x[:, :9].reshape(-1, 3, 3), x[:, 9:12])
     r = 24.0 * gt_residual_vector(g, SimpleNamespace(value=x[:, 12])).T  # it reads only beta.value
     diag = r[:, :n]
     polarized = np.empty((len(r), n, n))

@@ -134,7 +134,7 @@ def killing_data(g, beta):
                          f" maximum; this geometry's scale is {scale!r}")
     e, m = prescale(g, beta)
     x = np.ldexp(form_coordinates(g, beta), -e).tolist()
-    b = killing_coefficients(x)
+    b = np.array(killing_coefficients(x))
     steps = b / m
     with np.errstate(over="ignore"):  # b beyond the float range: its transports are NaN
         b = np.ldexp(b, e)
@@ -226,7 +226,7 @@ _MODULUS_ROWS, _MODULUS_COLUMNS = np.array(sorted(set(zip(_RE_ROW.tolist(), _IM_
 def closing_arc(g, beta, legs):
     """Z = Ad_exp(X) Y = exp(ad_X) Y (N, 3) for the legs X, Y of legs (N, 2, 3), in closed form.
 
-    c^k_ij = sum_l eps_ijl N[l, k] (N from form_coordinates), and N = n + [a]x
+    c^k_ij = sum_l eps_ijl N[l, k] (g.N), and N = n + [a]x
     is killing_data's split. Then ad_X Y = n (X x Y) + (a.X) Y - (a.Y) X = U Y
     + V Y; the Jacobi identity n a = 0 makes U and V commute, so exp(ad_X) =
     exp(U) exp(V), where V^2 = k V, k = a.X, gives exp(V) Y = e^k Y - phi_1(k)

@@ -24,7 +24,7 @@ from .clifford import E
 from .geometry import form_coordinates, prescale, weyl_connection
 
 # the q_k that meet in each entry of sum_k p_k q_k, read off E: (0, 1), real and imaginary, or (2,)
-_ENTRY_UNITS = tuple(sorted({tuple(np.flatnonzero(units).tolist()) for units in E.reshape(3, 4).T}))
+(_RE, _IM), (_ALONE,) = sorted({tuple(np.flatnonzero(units).tolist()) for units in E.reshape(3, 4).T})
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,16 +53,16 @@ def killing_connection(g, beta):
 
 
 def killing_coefficients(x):
-    """b (3, 3) with B_i = sum_k b[i, k] q_k, q_k = -e_k, in closed form at x = (N, theta, beta) (13,).
+    """b (3 lists of 3 floats): B_i = sum_k b[i][k] q_k, q_k = -e_k, in closed form at x = (N, theta, beta).
 
     b = (tr N / 4 + beta) Id - N^T / 2 - [theta]x / 2, [theta]x w = theta x w, is the
     chain Gamma -> a -> A - beta E summed by hand (docs/CONVENTIONS.md), on Python
     floats; the diagonal, (N_jj + N_kk - N_ii) / 4 + beta, rounds like the chain.
     """
     n11, n12, n13, n21, n22, n23, n31, n32, n33, t1, t2, t3, beta = map(float, x)
-    return np.array([[0.25 * (n22 + n33 - n11) + beta, -0.5 * (n21 - t3), -0.5 * (n31 + t2)],
-                     [-0.5 * (n12 + t3), 0.25 * (n33 + n11 - n22) + beta, -0.5 * (n32 - t1)],
-                     [-0.5 * (n13 - t2), -0.5 * (n23 + t1), 0.25 * (n11 + n22 - n33) + beta]])
+    return [[0.25 * (n22 + n33 - n11) + beta, -0.5 * (n21 - t3), -0.5 * (n31 + t2)],
+            [-0.5 * (n12 + t3), 0.25 * (n33 + n11 - n22) + beta, -0.5 * (n32 - t1)],
+            [-0.5 * (n13 - t2), -0.5 * (n23 + t1), 0.25 * (n11 + n22 - n33) + beta]]
 
 
 def curvature_coefficients(x):
@@ -71,7 +71,7 @@ def curvature_coefficients(x):
     b = killing_coefficients(x), and [q_k, q_l] = 2 eps_klm q_m and c^k_(l+1, l+2) = N[l, k]
     at x = (N, theta, beta) (13,); R^beta_ji = -R^beta_ij and R^beta_ii = 0 are the rest.
     """
-    b, N = killing_coefficients(x).tolist(), (x[0:3], x[3:6], x[6:9])
+    b, N = killing_coefficients(x), (x[0:3], x[3:6], x[6:9])
     return [[2.0 * (b[l - 2][k - 2] * b[l - 1][k - 1] - b[l - 2][k - 1] * b[l - 1][k - 2])
              - (N[l][0] * b[0][k] + N[l][1] * b[1][k] + N[l][2] * b[2][k]) for k in range(3)]
             for l in range(3)]
@@ -95,4 +95,4 @@ def flatness(g, beta):
     """
     e, m = prescale(g, beta)
     F = curvature_coefficients(np.ldexp(form_coordinates(g, beta), -e).tolist())
-    return max(math.hypot(*(row[k] for k in units)) for row in F for units in _ENTRY_UNITS) / (m * m)
+    return max(max(math.hypot(row[_RE], row[_IM]), abs(row[_ALONE])) for row in F) / (m * m)

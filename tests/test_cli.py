@@ -19,13 +19,12 @@ from weylspin.geometry import (
     WeightedDensity,
     analyze,
     gauge_rescale,
-    milnor_constants,
     milnor_geometry,
 )
 from weylspin.killing import gt_residual_vector, milnor_theta3_family
 from weylspin.spinconn import flatness
 
-from test_killing import BERGER_PATH, rotated_geometry, rotation, semidirect_constants
+from test_killing import BERGER_PATH, milnor_constants, rotated_geometry, rotation, semidirect_constants
 
 ROUND_TEXT = '{"milnor_lambda": [2.0, 2.0, 2.0], "beta": 0.5}\n'
 PERTURBED_TEXT = '{"milnor_lambda": [2.0, 2.0, 2.0], "theta": [0.0, 0.0, 0.3], "beta": 0.5}\n'

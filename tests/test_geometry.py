@@ -10,6 +10,7 @@ Heisenberg and round values below are special cases of the same formula.
 import ast
 import hashlib
 import inspect
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,6 @@ from weylspin.geometry import (
     form_coordinates,
     gauge_rescale,
     gt_residual_vector,
-    milnor_constants,
     milnor_geometry,
     prescale,
     quadratic_form_24,
@@ -40,7 +40,8 @@ from weylspin.geometry import (
 from weylspin.spinconn import curvature_coefficients, flatness, killing_curvature
 from weylspin.tensors import kulkarni_nomizu
 
-from test_killing import rotated_geometry, rotation, semidirect_constants
+from test_killing import milnor_constants, rotated_geometry, rotation, semidirect_constants
+from test_spinconn import random_lie_algebras
 
 
 def ricci_oracle_diagonal(lam):
@@ -52,7 +53,9 @@ def ricci_oracle_diagonal(lam):
 
 
 def test_milnor_constants_entries():
-    c = milnor_constants((1.0, 2.0, 3.0))
+    g = milnor_geometry((1.0, 2.0, 3.0))
+    assert np.array_equal(g.N, np.diag([1.0, 2.0, 3.0]))
+    c = g.structure_constants
     assert c.shape == (3, 3, 3)
     assert c[1, 2, 0] == 1.0 and c[2, 1, 0] == -1.0
     assert c[2, 0, 1] == 2.0 and c[0, 2, 1] == -2.0
@@ -68,10 +71,12 @@ def test_milnor_constants_entries():
 def test_milnor_geometry_needs_no_algebra_checks(lam, theta):
     # milnor_geometry skips validate_geometry's skew and Jacobi checks; both
     # hold exactly by construction, so the two constructors agree bit for bit
-    c = milnor_constants(lam)
+    g = milnor_geometry(lam, theta)
+    c = g.structure_constants
     assert np.array_equal(c, -np.swapaxes(c, 0, 1))
-    assert _jacobi_defect(c) == 0.0
-    g, v = milnor_geometry(lam, theta), validate_geometry(c, theta)
+    assert _jacobi_defect(g.N) == 0.0
+    v = validate_geometry(c, theta)
+    assert g.N.tobytes() == v.N.tobytes()
     assert g.structure_constants.tobytes() == v.structure_constants.tobytes()
     assert g.theta.tobytes() == v.theta.tobytes()
 
@@ -131,6 +136,61 @@ def test_validation_bounds_are_relative_to_scale():
     assert np.array_equal(g.structure_constants, -np.swapaxes(g.structure_constants, 0, 1))
 
 
+def symmetrize_and_flip(c):
+    """v0.26.0's repair, the oracle: A = c - (c + c^T) / 2, each entry below the diagonal set to
+    the negative of the one above where the pair's sum rounded."""
+    c = c - 0.5 * (c + np.swapaxes(c, 0, 1))
+    flip = -np.swapaxes(c, 0, 1)
+    lower = np.tril(np.ones((3, 3), dtype=bool), -1)[..., None]
+    return np.where(lower & (c != flip), flip, c)
+
+
+def test_validated_constants_equal_the_symmetrize_and_flip_repair():
+    # N read off A above the diagonal gives the repaired c under ==, on Milnor
+    # frames and rotated frames of unimodular and class B algebras with skew
+    # up to 1e-13 of the scale at scales 1e-300 to 1e300; on Milnor frames the
+    # entries that are 0 take independent skews, and many pairs' sums round
+    rng = np.random.default_rng(35)
+    rounded = 0
+    for t, x in enumerate(random_lie_algebras(rng, 400)):
+        N = x[:9].reshape(3, 3) if t % 2 else np.diag(x[:3])
+        c = np.einsum("ijl,lk->ijk", EPS, N) * 10.0 ** rng.uniform(-300, 300)
+        c += 1e-13 * np.max(np.abs(c)) * rng.standard_normal(c.shape) * (rng.random(c.shape) < 0.5)
+        A = c - 0.5 * (c + np.swapaxes(c, 0, 1))
+        rounded += not np.array_equal(A, -np.swapaxes(A, 0, 1))
+        assert np.array_equal(validate_geometry(c, x[9:12]).structure_constants, symmetrize_and_flip(c))
+    assert rounded > 50
+    c = milnor_constants((2.0, 1.0, -0.5))
+    c[0, 1, 0], c[1, 0, 0] = -3.763370959790291e-14, -1.533471020548487e-15  # their sum rounds
+    assert np.array_equal(validate_geometry(c, np.zeros(3)).structure_constants, symmetrize_and_flip(c))
+
+
+def test_structure_constants_are_derived_once_read_only_and_antisymmetric():
+    rng = np.random.default_rng(36)
+    N = rng.standard_normal((4, 2, 3, 3))
+    batch = geometry.HomogeneousWeylGeometry(N, rng.standard_normal((4, 2, 3)))
+    single = geometry.HomogeneousWeylGeometry(N[1, 0], batch.theta[1, 0])
+    for g in (batch, single, milnor_geometry((1.0, 0.0, -2.0))):
+        c = g.structure_constants
+        assert g.structure_constants is c
+        assert c.shape == g.N.shape[:-2] + (3, 3, 3) and not c.flags.writeable
+        assert np.array_equal(c, -np.swapaxes(c, -3, -2))
+        assert np.array_equal(c, np.einsum("ijl,...lk->...ijk", EPS, g.N))
+    assert np.array_equal(batch.structure_constants[1, 0], single.structure_constants)
+
+
+def test_a_rotated_frame_has_its_n_conjugated():
+    # e'_i = sum_a R[i, a] e_a takes N to R N R^T for det R = 1, and to
+    # -R N R^T for det R = -1: N pairs the bracket with eps
+    rng = np.random.default_rng(37)
+    for x in random_lie_algebras(rng, 20):
+        g = validate_geometry(np.einsum("ijl,lk->ijk", EPS, x[:9].reshape(3, 3)), x[9:12])
+        R = rotation(rng.standard_normal(3), rng.uniform(0.0, 6.3))
+        want, bound = R @ g.N @ R.T, 1e-14 * np.max(np.abs(g.N))
+        assert np.max(np.abs(rotated_geometry(g, R).N - want)) <= bound
+        assert np.max(np.abs(rotated_geometry(g, -R).N + want)) <= bound
+
+
 def test_weighted_density_finite():
     with pytest.raises(ShapeError):
         WeightedDensity(np.nan)
@@ -143,6 +203,8 @@ def test_validated_geometry_is_immutable():
     g = milnor_geometry((1.5, -0.3, 2.0), (0.1, 0.2, 0.3))
     with pytest.raises(ValueError):
         g.structure_constants[0, 1, 2] = 1.0
+    with pytest.raises(ValueError):
+        g.N[0, 0] = 1.0
     with pytest.raises(ValueError):
         g.theta[0] = 1.0
 
@@ -340,11 +402,11 @@ def test_batched_formulas_equal_their_rows():
     # the form is built from one batched call of both formulas: each row must
     # be the one-geometry call, bit for bit
     rng = np.random.default_rng(33)
-    c = np.einsum("ijl,plk->pijk", EPS, rng.standard_normal((5, 3, 3)))
+    N = rng.standard_normal((5, 3, 3))
     theta, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
-    batch = geometry.HomogeneousWeylGeometry(c, theta), SimpleNamespace(value=b)
+    batch = geometry.HomogeneousWeylGeometry(N, theta), SimpleNamespace(value=b)
     rows = [
-        (geometry.HomogeneousWeylGeometry(*a), WeightedDensity(float(v))) for *a, v in zip(c, theta, b)
+        (geometry.HomogeneousWeylGeometry(*a), WeightedDensity(float(v))) for *a, v in zip(N, theta, b)
     ]
     assert np.array_equal(gt_residual_vector(*batch), [gt_residual_vector(*r) for r in rows])
     got = killing_curvature(*batch).curvature
@@ -356,6 +418,7 @@ def test_form_coordinates_are_the_structure_constants_exactly():
     g, beta = rotated_geometry(g, rotation((1, 2, 3), 0.7)), WeightedDensity(0.4)
     x = form_coordinates(g, beta)
     N = x[:9].reshape(3, 3)
+    assert np.array_equal(N, g.N)
     assert np.array_equal(np.einsum("ijl,lk->ijk", EPS, N), g.structure_constants)
     assert np.array_equal(x[9:], [*g.theta, beta.value])
 
@@ -385,6 +448,60 @@ def test_quadratic_form_is_24ths_of_integers():
     assert hashlib.sha256(np.ascontiguousarray(Q24).tobytes()).hexdigest() == GT_FORM_V0_25_0
 
 
+def covariant_gt_sum(x, mutant=None):
+    """The 13 Gauduchon-Tod residuals at x (13,) in Fractions, by sums of N, theta and beta alone.
+
+    With [theta]x w = theta x w and N = n + [a]x (bianchi_split, a = (M[2, 1], M[0, 2],
+    M[1, 0]), M = (N - N^T) / 2):
+        S = N N^T + N N - (tr N) N + theta theta^T + N^T [theta]x,  sym0 Ric = sym0 S,
+        R = tr(N N) - 2 tr(N N^T) + (tr N)^2 / 2 - 2 |theta|^2 + 8 a.theta,
+        4 nabla beta - *F = N theta - 4 beta theta.
+    mutant "cross" drops N^T [theta]x, and "a" flips the sign of 8 a.theta.
+    """
+    x = [Fraction(v) for v in x]
+    N, th, beta = [x[0:3], x[3:6], x[6:9]], x[9:12], x[12]
+    NT = [list(col) for col in zip(*N)]
+    mul = lambda A, B: [[sum(A[i][j] * B[j][k] for j in range(3)) for k in range(3)] for i in range(3)]
+    cross = [[0, -th[2], th[1]], [th[2], 0, -th[0]], [-th[1], th[0], 0]]
+    NNt, NN, NTc = mul(N, NT), mul(N, N), mul(NT, cross)
+    tr = N[0][0] + N[1][1] + N[2][2]
+    S = [[NNt[i][k] + NN[i][k] - tr * N[i][k] + th[i] * th[k] + (mutant != "cross") * NTc[i][k]
+          for k in range(3)] for i in range(3)]
+    trS = S[0][0] + S[1][1] + S[2][2]
+    sym0_ric = [(S[i][k] + S[k][i]) / 2 - (i == k) * trS / 3 for i in range(3) for k in range(3)]
+    a = [(N[2][1] - N[1][2]) / 2, (N[0][2] - N[2][0]) / 2, (N[1][0] - N[0][1]) / 2]
+    a_theta = a[0] * th[0] + a[1] * th[1] + a[2] * th[2]
+    scalar = (sum(NN[i][i] for i in range(3)) - 2 * sum(NNt[i][i] for i in range(3)) + tr * tr / 2
+              - 2 * sum(t * t for t in th) + (-8 if mutant == "a" else 8) * a_theta)
+    monopole = [sum(N[i][k] * th[k] for k in range(3)) - 4 * beta * th[i] for i in range(3)]
+    return sym0_ric + [scalar - 24 * beta * beta] + monopole
+
+
+def polarized_24(residuals):
+    """24 Q (13, 13, 13) in Fractions of a quadratic r(x) (13,), from its values at e_k and e_k + e_l."""
+    n = 13
+    eye = np.eye(n)
+    diag = [residuals(e) for e in eye]
+    Q = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for l in range(k, n):
+            rows = diag[k] if k == l else [(v - p - q) / 2 for v, p, q in
+                                           zip(residuals(eye[k] + eye[l]), diag[k], diag[l])]
+            for r in range(n):
+                Q[r][k][l] = Q[r][l][k] = 24 * rows[r]
+    return Q
+
+
+def test_quadratic_form_is_the_covariant_sum():
+    # the form is polarized from the tensor chain; the covariant sum of N, theta
+    # and beta is an independent route to it, exact in Fractions, and each of
+    # its two theta-N couplings is needed
+    want = [[[Fraction(v) for v in row] for row in block] for block in quadratic_form_24().tolist()]
+    assert polarized_24(covariant_gt_sum) == want
+    for mutant in ("cross", "a"):
+        assert polarized_24(lambda x: covariant_gt_sum(x, mutant)) != want
+
+
 def test_quadratic_form_broken_entry_fails(monkeypatch):
     # one coefficient off by 1/24 breaks the agreement with the formula, and
     # evaluations off by 1e-6 leave 24 Q up to 2.4e-5 from integers, which the build refuses
@@ -407,8 +524,7 @@ def test_analyze_and_flatness_read_the_closed_forms():
     for t in range(100):
         if t % 2:
             x = rng.uniform(-2, 2, 13)
-            c = np.einsum("ijl,lk->ijk", EPS, x[:9].reshape(3, 3))
-            g, beta = geometry.HomogeneousWeylGeometry(c, x[9:12]), WeightedDensity(x[12])
+            g, beta = geometry.HomogeneousWeylGeometry(x[:9].reshape(3, 3), x[9:12]), WeightedDensity(x[12])
         else:
             g = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3))
             beta = WeightedDensity(float(rng.uniform(-1, 1)))
@@ -435,11 +551,12 @@ def test_flatness_reads_no_form(monkeypatch):
 
 
 def test_geometry_imports_nothing_from_spinconn():
-    # the form is polarized from gt_residual_vector alone, and the Killing
-    # curvature is spinconn's closed form: geometry reads nothing of spinconn
+    # the form is polarized from gt_residual_vector alone, the Killing
+    # curvature is spinconn's closed form, and c is built from N by index
+    # assignment: geometry reads nothing of spinconn or clifford
     tree = ast.parse(inspect.getsource(geometry))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert imported == {"clifford", "errors", "tensors", "dataclasses", "types"}
+    assert imported == {"errors", "tensors", "dataclasses", "types"}
     assert not hasattr(geometry, "form_rows")
 
 
@@ -451,17 +568,17 @@ def jacobi_oracle(c):
 
 
 def test_jacobi_defect_is_twice_n_a():
-    # |Jacobi| = 2 max|n a| for every antisymmetric c, Jacobi or not, to rounding
+    # |Jacobi| = 2 max|n a| for every N, Jacobi or not, to rounding
     rng = np.random.default_rng(34)
     for _ in range(500):
-        c = np.einsum("ijl,lk->ijk", EPS, rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3))
-        want = jacobi_oracle(c)
+        N = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3)
+        want = jacobi_oracle(np.einsum("ijl,lk->ijk", EPS, N))
         assert want > 0.0
-        assert abs(_jacobi_defect(c) - want) <= 1e-14 * want
+        assert abs(_jacobi_defect(N) - want) <= 1e-14 * want
     # exactly 0.0 on Milnor frames, where n is diagonal and a = 0
     for lam in rng.standard_normal((50, 3)):
-        c = milnor_constants(lam)
-        assert _jacobi_defect(c) == 0.0 == jacobi_oracle(c)
+        g = milnor_geometry(lam)
+        assert _jacobi_defect(g.N) == 0.0 == jacobi_oracle(g.structure_constants)
 
 
 @pytest.mark.parametrize("k", [-1000, -540, 540, 1000])

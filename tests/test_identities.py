@@ -198,7 +198,7 @@ def test_integrability_gate_is_scale_relative(s):
     scale2 = residual_scale(g, beta) ** 2
     assert integrability_residual(g, beta, psi) / scale2 < 1e-12
     # negative control: the curvature of the same frame at theta3 = 0.3
-    lam = g0.structure_constants[[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    lam = np.diag(g0.N)
     off, _ = gauge_rescale(milnor_geometry(lam, (0.0, 0.0, 0.3)), beta0, s)
     raw = integrability_residual(g, beta, psi, pkg=curvature_package(off))
     assert 0.1 < raw / scale2 < 0.5

@@ -462,7 +462,7 @@ def su2_embedding(g):
     Milnor's n (c^k_ij = eps_ijl n[l, k]) is symmetric and definite on such a
     frame, and L = sign(det n) chol(adj(n) / 4) solves 2 cof(L) = n L.
     """
-    n = g.structure_constants[[1, 2, 0], [2, 0, 1]]
+    n = g.N
     adj = np.cross(n[[1, 2, 0]], n[[2, 0, 1]])
     return np.sign(np.linalg.det(n)) * np.linalg.cholesky(adj / 4.0)
 
@@ -474,7 +474,7 @@ def closure_defect(g, paths):
     multiply as unit quaternions exp(t d L) in the su(2) embedding otherwise.
     """
     paths = np.asarray(paths, dtype=float)
-    if not np.any(g.structure_constants):
+    if not np.any(g.N):
         return np.linalg.norm(paths.sum(axis=1), axis=-1)
     L = su2_embedding(g)
     end = np.broadcast_to(np.eye(2), paths.shape[:1] + (2, 2))
@@ -583,8 +583,9 @@ def cross_matrix(a):
 
 
 def from_bianchi(n, a):
-    """Structure constants c^k_ij = sum_l eps_ijl N[l, k] of N = n + [a]x."""
-    return np.einsum("ijl,lk->ijk", EPS, np.diag(n) + cross_matrix(a))
+    """(N, c) of N = n + [a]x, c^k_ij = sum_l eps_ijl N[l, k] by the tensor sum."""
+    N = np.diag(n) + cross_matrix(a)
+    return N, np.einsum("ijl,lk->ijk", EPS, N)
 
 
 # The eleven Bianchi types in the canonical form of Ellis and MacCallum: n
@@ -609,8 +610,8 @@ def bianchi_frames(scale, seed):
     rng = np.random.default_rng(seed)
     out = []
     for name, (n, a) in BIANCHI_TYPES.items():
-        c = from_bianchi(n, (a, 0.0, 0.0))
-        assert geometry._jacobi_defect(c) == 0.0
+        N, c = from_bianchi(n, (a, 0.0, 0.0))
+        assert geometry._jacobi_defect(N) == 0.0
         R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         for frame in (c, np.einsum("ia,jb,abc,kc->ijk", R, R, c, R)):
             big = np.max(np.abs(frame))
@@ -657,6 +658,11 @@ def test_expm_of_a_non_finite_matrix_is_non_finite(bad, entry):
         assert Z[1:].tobytes() == want[1:].tobytes()
 
 
+def milnor_constants(lam):
+    """A writable copy of the structure constants c^k_ij = lam_k eps_ijk of a Milnor frame."""
+    return milnor_geometry(lam).structure_constants.copy()
+
+
 def semidirect_constants(M):
     """[e1, e_j] = sum_k M[k - 1, j - 1] e_k and [e2, e3] = 0: Jacobi holds for any 2x2 M."""
     c = np.zeros((3, 3, 3))
@@ -682,8 +688,8 @@ def test_expm_on_non_unimodular_ad_matrices():
     legs = np.stack([X, np.zeros_like(X)], axis=1)
     for M in (np.eye(2), np.array([[1.0, -2.0], [0.5, 0.3]])):
         c = semidirect_constants(M)
-        assert geometry._jacobi_defect(c) == 0.0
         g = validate_geometry(c, (0.0, 0.0, 0.0))
+        assert geometry._jacobi_defect(g.N) == 0.0
         Ad = ad_matrices(g, legs)
         assert np.max(np.abs(Ad @ ad_matrices(g, -legs) - np.eye(3))) < 1e-13
         det = np.exp(np.trace(np.einsum("ni,ijk->nkj", X, c), axis1=-2, axis2=-1))
@@ -782,11 +788,11 @@ def test_closing_arc_moves_no_more_than_the_jacobi_defect(delta):
     # more than that defect (relative to max|c|^2), in rotated class B frames
     rng = np.random.default_rng(32)
     for n, a in ((0.0, 0.0, 0.0), 1.0), ((0.0, 1.0, -1.0), 0.5), ((0.0, 1.5, 1.0), 0.7), ((0.0, 0.0, 1.0), 1.0):
-        c = from_bianchi((n[0] + delta, n[1], n[2]), (a, 0.0, 0.0))
+        _, c = from_bianchi((n[0] + delta, n[1], n[2]), (a, 0.0, 0.0))
         R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         g = validate_geometry(np.einsum("ia,jb,abc,kc->ijk", R, R, c, R), (0.0, 0.0, 0.0))
-        scale = np.max(np.abs(g.structure_constants))
-        defect = geometry._jacobi_defect(g.structure_constants) / scale**2
+        scale = np.max(np.abs(g.N))
+        defect = geometry._jacobi_defect(g.N) / scale**2
         assert delta / 2 < defect <= 1e-10
         beta = WeightedDensity(0.0)
         legs = _loop_legs(g, beta, rng, 100, 0)

@@ -180,9 +180,9 @@ def chain_coefficients(g, beta):
 
 
 def geometry_at(x):
-    """(g, beta) with form_coordinates x (13,), c^k_ij = sum_l eps_ijl N[l, k]; beta a bare value."""
-    c = np.einsum("ijl,...lk->...ijk", EPS, x[..., :9].reshape(x.shape[:-1] + (3, 3)))
-    return HomogeneousWeylGeometry(c, x[..., 9:12]), SimpleNamespace(value=x[..., 12])
+    """(g, beta) with form_coordinates x (..., 13); beta a bare value."""
+    g = HomogeneousWeylGeometry(x[..., :9].reshape(x.shape[:-1] + (3, 3)), x[..., 9:12])
+    return g, SimpleNamespace(value=x[..., 12])
 
 
 def test_killing_coefficients_equal_the_chain_bitwise_on_the_polarization_points():
@@ -276,7 +276,7 @@ def curvature_closed_form(x, mutant=None):
 
     mutant "NTb" and "bN" take N^T b and b N for N b, and "cof" flips the sign of the cofactor term.
     """
-    b = [[Fraction(v) for v in row] for row in killing_coefficients(x).tolist()]
+    b = [[Fraction(v) for v in row] for row in killing_coefficients(x)]
     N = [[Fraction(v) for v in x[3 * l : 3 * l + 3]] for l in range(3)]
     if mutant == "NTb":
         N = [list(col) for col in zip(*N)]
@@ -332,5 +332,5 @@ def test_flatness_matches_the_chain_on_random_coordinates():
         beta = WeightedDensity(x[12])
         want = float(np.max(np.abs(killing_curvature(g, beta).curvature))) / float(np.max(np.abs(x))) ** 2
         k = int(rng.integers(-900, 901)) if t % 2 else 0
-        scaled = HomogeneousWeylGeometry(np.ldexp(g.structure_constants, k), np.ldexp(g.theta, k))
+        scaled = HomogeneousWeylGeometry(np.ldexp(g.N, k), np.ldexp(g.theta, k))
         assert abs(flatness(scaled, WeightedDensity(float(np.ldexp(x[12], k)))) - want) <= 1e-14 * max(want, 1.0)
