@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import JacobiViolation, NoConvergence, ParseError, ShapeError
-from .geometry import WeightedDensity, analyze, milnor_geometry, validate_geometry
+from .geometry import TOLERANCE, WeightedDensity, analyze, milnor_geometry, validate_geometry
 from .identities import verify_algebra
 from .killing import (
     PIN_INDEX,
@@ -38,9 +38,6 @@ from .killing import (
     sample_transports,
 )
 from .spinconn import flatness
-
-# analyze's default --tol, and the bound of killing's analyze sections
-ANALYZE_TOL = 1e-9
 
 # geometry file schema: each key and the shape its finite JSON numbers nest to
 _SCHEMA = {
@@ -219,7 +216,7 @@ def _cmd_killing(args):
     rng = np.random.default_rng(args.seed)
     # transports are only path-independent on a flat connection, so killing
     # goes on only where analyze would pass
-    sections = _geometry_sections(g, beta, ANALYZE_TOL)
+    sections = _geometry_sections(g, beta, TOLERANCE)
     if not all(s["pass"] for s in sections):
         return sections
 
@@ -298,7 +295,7 @@ def _pin(text):
 
 _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _NON_NEGATIVE = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_TOLERANCE = _checked(float, lambda t: 0.0 < t < math.inf, "a positive finite number")
+_POSITIVE = _checked(float, lambda t: 0.0 < t < math.inf, "a positive finite number")
 _X0 = _checked(
     lambda text: [float(p) for p in text.split(",")],
     lambda x0: len(x0) == 5,
@@ -325,12 +322,12 @@ def build_parser():
     p = sub.add_parser("verify-algebra", help="random sweeps over the identity suite")
     p.add_argument("--trials", type=_COUNT, default=1000)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
-    p.add_argument("--tol", type=_TOLERANCE, default=1e-12)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-12)
     p.set_defaults(func=_cmd_verify_algebra)
 
     p = sub.add_parser("analyze", help="Gauduchon-Tod residuals of a geometry file")
     p.add_argument("geometry")
-    p.add_argument("--tol", type=_TOLERANCE, default=ANALYZE_TOL)
+    p.add_argument("--tol", type=_POSITIVE, default=TOLERANCE)
     p.set_defaults(func=_cmd_analyze, seed=None)
 
     p = sub.add_parser("killing", help="build the Killing basis and test holonomy")
@@ -342,7 +339,7 @@ def build_parser():
     p = sub.add_parser("search-gt", help="Newton search for Gauduchon-Tod parameters")
     p.add_argument("--x0", type=_X0, required=True, help="l1,l2,l3,theta3,beta")
     p.add_argument("--pin", type=_PIN, default="lambda1", help="coordinate pin, e.g. lambda1=2")
-    p.add_argument("--tol", type=_TOLERANCE, default=1e-10)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     p.add_argument("--max-iter", type=_NON_NEGATIVE, default=50)
     p.set_defaults(func=_cmd_search_gt, seed=None)
     return parser

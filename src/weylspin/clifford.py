@@ -13,6 +13,10 @@ off E, and clifford_images gives all three e_a psi from one gather of psi; no
 floating-point operation in either rounds. A product e_a e_b has the same form,
 so clifford_pairs gives all nine e_a e_b psi from one gather and is exact too.
 
+QUATERNION_BASIS holds Id and q_k = -e_k (q_i q_j = eps_ijk q_k) as flattened rows, so
+p @ QUATERNION_BASIS is p_0 Id + sum_k p_k q_k; its entry k is +-p_i +- i p_j with
+(i, j) = ENTRY_PAIRS[k], of modulus hypot(p_i, p_j).
+
 The quaternionic structure J psi = e_2 conj(psi) is antilinear, squares to -Id,
 and commutes with Clifford multiplication by real frame vectors. Its existence
 is what forces the solution space of the Killing equation to be even-dimensional.
@@ -32,6 +36,11 @@ E = np.array(
     dtype=complex,
 )
 E.setflags(write=False)
+
+QUATERNION_BASIS = np.concatenate([np.eye(2, dtype=complex)[None], -E]).reshape(4, 4)
+QUATERNION_BASIS.setflags(write=False)
+# each column, one 2x2 entry, holds one real and one imaginary unit
+ENTRY_PAIRS = tuple(tuple(np.flatnonzero(column).tolist()) for column in QUATERNION_BASIS.T)
 
 EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -9,9 +9,10 @@ exact finite-dimensional algebra.
 
 Every Gauduchon-Tod residual is a homogeneous quadratic form in the 13
 coordinates x = (N, theta, beta) of (g, beta): analyze evaluates one cached
-form, built from gt_residual_vector, on x prescaled by a power of two, so its
-normalized residuals are the same at every finite scale. residual_scale is
-the one unit: every residual (weight -2) is read in scale^2.
+form, built from gt_residual_vector, on x prescaled by a power of two
+(prescaled, which flatness and killing read too), so its normalized residuals
+are the same at every finite scale, and holds them below TOLERANCE.
+residual_scale is the one unit: every residual (weight -2) is read in scale^2.
 
 Sign and trace conventions (pinned by the curvature-decomposition and
 flatness-equivalence audits, see docs/CONVENTIONS.md):
@@ -32,10 +33,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import JacobiViolation, ShapeError
-from .tensors import hodge_star, sym0
+from .tensors import NEXT, PREV, hodge_star, sym0
 
 _ID3 = np.eye(3)
-_I, _J = np.array([1, 2, 0]), np.array([2, 0, 1])  # c[_I[l], _J[l]] = N[l]
+TOLERANCE = 1e-9  # analyze's default bound on each normalized Gauduchon-Tod residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +50,11 @@ class HomogeneousWeylGeometry:
     def structure_constants(self):
         """Read-only c (..., 3, 3, 3), c[i,j,k] = c^k_ij, exactly antisymmetric in (i, j).
 
-        c[1, 2] = N[0], c[2, 0] = N[1], c[0, 1] = N[2], and c[j, i] = -c[i, j].
+        c[l + 1, l + 2] = N[l] (indices mod 3, tensors.NEXT and PREV), and c[j, i] = -c[i, j].
         """
         c = np.zeros(self.N.shape[:-2] + (3, 3, 3))
-        c[..., _I, _J, :] = self.N
-        c[..., _J, _I, :] = -self.N
+        c[..., NEXT, PREV, :] = self.N
+        c[..., PREV, NEXT, :] = -self.N
         c.setflags(write=False)
         return c
 
@@ -102,6 +103,17 @@ def bianchi_split(N):
     """
     n = [[0.5 * N[i][j] + 0.5 * N[j][i] for j in range(3)] for i in range(3)]
     return n, [0.5 * N[i][j] - 0.5 * N[j][i] for i, j in ((2, 1), (0, 2), (1, 0))]
+
+
+def cofactor(M):
+    """cof(M) (3 lists of 3 floats) of M (3 rows of 3 floats): row i is M[i+1] x M[i+2] (indices mod 3).
+
+    cof(M)^T M = det(M) Id, and a symmetric M's cofactor matrix is its adjugate.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = M
+    return [[e * i - f * h, f * g - d * i, d * h - e * g],
+            [h * c - i * b, i * a - g * c, g * b - h * a],
+            [b * f - c * e, c * d - a * f, a * e - b * d]]
 
 
 def _jacobi_defect(N):
@@ -271,24 +283,22 @@ def residual_scale(g, beta):
     return float(scale) or 1.0
 
 
-def prescale(g, beta):
-    """(e, m) with residual_scale(g, beta) = m 2^e, 1/2 <= m < 1.
-
-    Dividing a coordinate by 2^e and a weight -2 residual by 2^(2e) is exact
-    wherever the result is a normal float, so residuals normalized through
-    the prescale keep the bits of residual / scale^2, and stay finite and
-    nonzero at scales where scale^2 itself would over- or underflow.
-    """
-    m, e = math.frexp(residual_scale(g, beta))
-    return e, m
-
-
 def form_coordinates(g, beta):
     """x (13,) = (N.ravel(), theta, beta.value).
 
     c and Gamma are linear in x; R4, F, nabla beta and 24 beta^2 are quadratic.
     """
     return np.concatenate((g.N.ravel(), g.theta, (beta.value,)))
+
+
+def prescaled(g, beta):
+    """(x, e, m): x = form_coordinates / 2^e as 13 Python floats, residual_scale = m 2^e, 1/2 <= m < 1.
+
+    Dividing by 2^e is exact wherever the result is a normal float, so a weight -2 residual at x over
+    m^2 keeps the bits of residual / scale^2, finite and nonzero where scale^2 would over- or underflow.
+    """
+    m, e = math.frexp(residual_scale(g, beta))
+    return np.ldexp(form_coordinates(g, beta), -e).tolist(), e, m
 
 
 @functools.lru_cache(maxsize=1)
@@ -328,24 +338,23 @@ def _blocks(residuals):
     return np.array([r[:9].max(), r[9], r[10:].max()])
 
 
-def _report(scaled, g, beta, tolerance):
-    """GTReport from the block maxima scaled = raw / 2^(2e), (e, m) = prescale(g, beta)."""
-    _, m = prescale(g, beta)
+def _report(scaled, m, tolerance):
+    """GTReport from the block maxima scaled = raw / 2^(2e), with residual_scale = m 2^e (prescaled)."""
     n_ew, n_scal, n_star = (scaled / (m * m)).tolist()
     return GTReport(n_ew, n_scal, n_star, tolerance, max(n_ew, n_scal, n_star) < tolerance)
 
 
 def gt_report(g, beta, residuals):
-    """analyze's report, at its default tolerance, on the given residuals (13,) of (g, beta).
+    """analyze's report, at TOLERANCE, on the given residuals (13,) of (g, beta).
 
-    find_gt_parameters passes gt_residual_vector's, so that a root of its
-    quadratic form is confirmed by the formula, never by a form.
+    find_gt_parameters passes gt_residual_vector's, so that a root of its quadratic form is
+    confirmed by the formula, never by a form; only prescaled's (e, m) are read, no coordinates.
     """
-    e, _ = prescale(g, beta)
-    return _report(np.ldexp(_blocks(residuals), -2 * e), g, beta, 1e-9)
+    m, e = math.frexp(residual_scale(g, beta))
+    return _report(np.ldexp(_blocks(residuals), -2 * e), m, TOLERANCE)
 
 
-def analyze(g, beta, tolerance=1e-9):
+def analyze(g, beta, tolerance=TOLERANCE):
     """Gauduchon-Tod residual report for (g, beta).
 
     The max-norms of the three blocks of gt_residual_vector, each divided by
@@ -355,8 +364,7 @@ def analyze(g, beta, tolerance=1e-9):
         n_star = ||4 nabla beta - *F|| / scale^2
     The verdict is True when every one is below the tolerance. They are the
     rows of quadratic_form_24 / 24 at x = form_coordinates / 2^e over m^2,
-    (e, m) = prescale(g, beta), so they are finite at every finite scale.
+    (x, e, m) = prescaled(g, beta), so they are finite at every finite scale.
     """
-    e, _ = prescale(g, beta)
-    x = np.ldexp(form_coordinates(g, beta), -e)
-    return _report(_blocks((quadratic_form_24() @ x) @ x / 24.0), g, beta, tolerance)
+    x, _, m = prescaled(g, beta)
+    return _report(_blocks((quadratic_form_24() @ x) @ x / 24.0), m, tolerance)

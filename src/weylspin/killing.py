@@ -3,12 +3,13 @@
 Paths live on the simply connected group of the homogeneous geometry. An arc
 is the flow of a fixed frame vector v for unit parameter time (GroupArc); along
 it the Killing connection is the constant sum(v_i B_i), with every B_i in su(2),
-so transport is a unit quaternion given by a closed-form exponential. Arcs
-compose as real quaternions, by Hamilton products through a table read off the
-2x2 basis. Loops are quadrilaterals X, Y, -X, -Z with Z = Ad_exp(X) Y, so they
-close on every simply connected Lie group without a model of the group;
-closing_arc evaluates exp(ad_X) Y in closed form from the Bianchi decomposition
-of the structure constants, built once per geometry with b, B_i = sum_k b[i, k] q_k
+so transport is a unit quaternion p given by a closed-form exponential, the
+2x2 matrix p @ clifford.QUATERNION_BASIS. Arcs compose as real quaternions, by
+Hamilton products through a table read off that basis. Loops are
+quadrilaterals X, Y, -X, -Z with Z = Ad_exp(X) Y, so they close on every
+simply connected Lie group without a model of the group; closing_arc
+evaluates exp(ad_X) Y in closed form from the Bianchi decomposition of the
+structure constants, built once per geometry with b, B_i = sum_k b[i, k] q_k
 (killing_data). loop_batch draws, closes and transports the loops and path pairs
 of one killing check as one batch, which loop_holonomy and
 path_independence_residual each read a slice of. A single arc runs the same
@@ -28,45 +29,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import E, j_structure
+from .clifford import ENTRY_PAIRS, QUATERNION_BASIS, j_structure
 from .errors import NoConvergence, ShapeError
 from .geometry import (
     WeightedDensity,
     bianchi_split,
-    form_coordinates,
+    cofactor,
     gt_report,
     gt_residual_vector,
     milnor_geometry,
-    prescale,
+    prescaled,
     quadratic_form_24,
     residual_scale,
 )
 from .spinconn import killing_coefficients, killing_connection
+from .tensors import NEXT, PREV
 
 _ID2 = np.eye(2, dtype=complex)
-_Q = -E  # unit quaternion generators as 2x2 matrices: q_i q_j = eps_ijk q_k
-_QUATERNION_BASIS = np.concatenate([_ID2[None], _Q]).reshape(4, 4)  # rows Id, q_1, q_2, q_3
-_QUATERNION_BASIS.setflags(write=False)
-# Each column of _QUATERNION_BASIS, one entry of the flattened 2x2 matrix, holds one
-# real and one imaginary unit: entry k of p @ _QUATERNION_BASIS is complex(a p_i, b p_j)
-# for _ENTRY_TERMS[k] = (i, a, j, b). Read off the basis, so E stays the one written copy.
-_RE_ROW = np.argmax(_QUATERNION_BASIS.real != 0, axis=0)
-_IM_ROW = np.argmax(_QUATERNION_BASIS.imag != 0, axis=0)
-_ENTRY_TERMS = tuple(
-    zip(
-        _RE_ROW.tolist(),
-        _QUATERNION_BASIS.real[_RE_ROW, range(4)].tolist(),
-        _IM_ROW.tolist(),
-        _QUATERNION_BASIS.imag[_IM_ROW, range(4)].tolist(),
-    )
-)
 # The Hamilton product p * q = (p[:, None] * q[None]).reshape(16) @ _HAMILTON:
 # row 4a + b holds the coefficients of (basis a)(basis b) on the basis. The
-# rows of _QUATERNION_BASIS are orthogonal with squared norm 2, so projecting
+# rows of QUATERNION_BASIS are orthogonal with squared norm 2, so projecting
 # the 16 products onto them reads the table off exactly, with entries 0 and +-1.
 _HAMILTON = 0.5 * np.real(
-    (_QUATERNION_BASIS.reshape(4, 1, 2, 2) @ _QUATERNION_BASIS.reshape(1, 4, 2, 2)).reshape(16, 4)
-    @ _QUATERNION_BASIS.conj().T
+    (QUATERNION_BASIS.reshape(4, 1, 2, 2) @ QUATERNION_BASIS.reshape(1, 4, 2, 2)).reshape(16, 4)
+    @ QUATERNION_BASIS.conj().T
 )
 _HAMILTON.setflags(write=False)
 
@@ -114,26 +100,24 @@ class GroupArc:
 # transport
 
 
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # (u x v)_i = u_next v_last - u_last v_next
 KillingData = namedtuple("KillingData", "b columns steps e a u v adj")
 
 
 @functools.lru_cache(maxsize=1)
 def killing_data(g, beta):
-    """What a killing check reads of (g, beta), in closed form from x = form_coordinates(g, beta) / 2^e.
+    """What a killing check reads of (g, beta), in closed form from (x, e, m) = geometry.prescaled(g, beta).
 
-    (e, m) = prescale(g, beta). b = 2^e spinconn.killing_coefficients(x), with
-    columns as Python floats, and steps = b / m = b / scale. For closing_arc,
-    on floats: geometry.bianchi_split's N = n + [a]x, with a (3, 1), u[k, i] =
-    n[k, i + 1] and v[k, i] = n[k, i + 2] (indices mod 3) and adj(n), each
-    (3, 3, 1). A sub-normal scale raises ShapeError.
+    b = 2^e spinconn.killing_coefficients(x), with columns as Python floats, and
+    steps = b / m = b / scale. For closing_arc, on floats: geometry.bianchi_split's
+    N = n + [a]x, with a (3, 1), u[k, i] = n[k, i + 1] and v[k, i] = n[k, i + 2]
+    (tensors.NEXT and PREV) and adj(n) = geometry.cofactor(n) of the symmetric n,
+    each (3, 3, 1). A sub-normal scale raises ShapeError.
     """
     scale, low = residual_scale(g, beta), sys.float_info.min
     if scale < low:
         raise ShapeError(f"killing covers scales from the smallest normal float, {low!r}, to the float"
                          f" maximum; this geometry's scale is {scale!r}")
-    e, m = prescale(g, beta)
-    x = np.ldexp(form_coordinates(g, beta), -e).tolist()
+    x, e, m = prescaled(g, beta)
     b = np.array(killing_coefficients(x))
     steps = b / m
     with np.errstate(over="ignore"):  # b beyond the float range: its transports are NaN
@@ -141,10 +125,8 @@ def killing_data(g, beta):
     for array in (b, steps):
         array.setflags(write=False)
     n, a = bianchi_split((x[0:3], x[3:6], x[6:9]))
-    adj = [[n[i - 2][j - 2] * n[i - 1][j - 1] - n[i - 2][j - 1] * n[i - 1][j - 2] for j in range(3)]
-           for i in range(3)]
-    n, a, adj = np.array(n), np.array(a)[:, None], np.array(adj)[..., None]
-    return KillingData(b, tuple(zip(*b.tolist())), steps, e, a, n[:, _NEXT, None], n[:, _LAST, None], adj)
+    n, a, adj = np.array(n), np.array(a)[:, None], np.array(cofactor(n))[..., None]
+    return KillingData(b, tuple(zip(*b.tolist())), steps, e, a, n[:, NEXT, None], n[:, PREV, None], adj)
 
 
 def transport_operator(g, beta, arc):
@@ -153,15 +135,13 @@ def transport_operator(g, beta, arc):
     Every B_i is traceless and anti-Hermitian, so the exponent is the element
     x = -sum_i v_i b[i, k] q_k of su(2), and its exponential is the unit
     quaternion [cos phi, (sin phi / phi) x], phi = |x|, exactly. x and the
-    quaternion are formed on Python floats (_float_quaternion) from the
-    columns of b in killing_data, and the 2x2 matrix p_0 Id + sum_k p_k q_k from
-    the four floats by _ENTRY_TERMS: the values of p @ _QUATERNION_BASIS, up to
-    the sign of a zero. An exponent whose norm overflows gives NaN entries.
+    quaternion p are formed on Python floats (_float_quaternion) from the
+    columns of b in killing_data, and the 2x2 matrix p_0 Id + sum_k p_k q_k is
+    p @ clifford.QUATERNION_BASIS. An exponent whose norm overflows gives NaN entries.
     """
     v1, v2, v3 = arc.vector
     x = [-(v1 * b1 + v2 * b2 + v3 * b3) for b1, b2, b3 in killing_data(g, beta).columns]
-    p = _float_quaternion(x)
-    return np.array([complex(a * p[i], b * p[j]) for i, a, j, b in _ENTRY_TERMS]).reshape(2, 2)
+    return np.dot(_float_quaternion(x), QUATERNION_BASIS).reshape(2, 2)
 
 
 def rk4_transport(g, beta, arc, psi0, steps=256):
@@ -219,7 +199,7 @@ def _float_quaternion(x):
 
 
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])[:, None]
-_MODULUS_ROWS, _MODULUS_COLUMNS = np.array(sorted(set(zip(_RE_ROW.tolist(), _IM_ROW.tolist())))).T
+_ENTRY_COMPONENTS = np.transpose(sorted(set(ENTRY_PAIRS)))  # (2, 2): each distinct pair i, j
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite leg makes its row non-finite
@@ -233,7 +213,7 @@ def closing_arc(g, beta, legs):
     (a.Y) X, phi_1(k) = expm1(k) / k, and U^3 = -d U, d = X^T adj(n) X, gives
     exp(U) = Id + S(d) U + S(d/4)^2 U^2 / 2, S(d) = sin(sqrt d) / sqrt d
     (sinh(sqrt -d) / sqrt -d for d < 0, S(0) = 1). The legs are taken in
-    units of 2^-e and N in units of 2^e, (e, m) = prescale(g, beta): exact,
+    units of 2^-e and N in units of 2^e, (x, e, m) = prescaled(g, beta): exact,
     and finite at every normal scale. Every operation is elementwise on rows
     (3, N), so row k of Z depends on row k of legs alone. A non-finite X
     makes its row NaN, a non-finite Y non-finite.
@@ -244,7 +224,7 @@ def closing_arc(g, beta, legs):
     k, aY = np.add.reduce(data.a * XY, axis=1)
     phi1 = np.divide(np.expm1(k), k, out=np.ones_like(k), where=k != 0.0)
     W = np.exp(k) * Y - phi1 * aY * X  # exp(V) Y
-    U = data.u * X.take(_LAST, axis=0) - data.v * X.take(_NEXT, axis=0)  # n [X]x
+    U = data.u * X.take(PREV, axis=0) - data.v * X.take(NEXT, axis=0)  # n [X]x
     UW = np.add.reduce(U * W, axis=1)
     UUW = np.add.reduce(U * UW, axis=1)
     d = np.add.reduce(np.add.reduce(data.adj * X, axis=1) * X, axis=0)  # X^T adj(n) X
@@ -259,9 +239,8 @@ def _hamilton(p, q):
 
 
 def _entry_gap(p, q):
-    """max_k |M(p) - M(q)|_k (N,) for quaternion columns (4, N): |complex(a p_i, b p_j)| = hypot(p_i, p_j)."""
-    gap = p - q
-    return np.hypot(gap.take(_MODULUS_ROWS, axis=0), gap.take(_MODULUS_COLUMNS, axis=0)).max(axis=0)
+    """max_k |M(p) - M(q)|_k (N,) for quaternion columns (4, N): entry k's is hypot(p_i, p_j) (ENTRY_PAIRS)."""
+    return np.hypot(*(p - q)[_ENTRY_COMPONENTS]).max(axis=0)
 
 
 def _loop_legs(g, beta, rng, loops, pairs):
@@ -400,7 +379,7 @@ def killing_residual(g, beta, transports, h=1e-5):
     psi = np.moveaxis(_sections(transports), -1, 0)[..., None]  # (2, N, 2, 1): component, sample, section
     # the steps of -h/s and +h/s along each e_i (single arcs, so on the float kernel), and B_i / s
     steps = [_float_quaternion([sign * h * v for v in row]) for sign in (-1, 1) for row in rows]
-    ops = (np.array(steps + [(0.0, *row) for row in rows]) @ _QUATERNION_BASIS).reshape(3, 3, 1, 1, 2, 2)
+    ops = (np.array(steps + [(0.0, *row) for row in rows]) @ QUATERNION_BASIS).reshape(3, 3, 1, 1, 2, 2)
     # M psi for each, entry by entry (the bits of M @ psi): axes e_i, sample, section, component
     plus, minus, B = ops[..., 0] * psi[0] + ops[..., 1] * psi[1]
     defect = np.abs((plus - minus) / (2.0 * h) + B)

@@ -11,7 +11,8 @@ validated by the Leibniz identity [A_i, v.] = (nabla_{e_i} v). rather than
 assumed. The Killing connection is B_i = A_i - beta e_i; its curvature
 vanishes exactly on Gauduchon-Tod geometries, which is the engine behind the
 2-dimensional solution space. The commands read B as the 3x3 matrix b
-(killing_coefficients) and its curvature as 2 cof(b) - N b (curvature_coefficients);
+(killing_coefficients) and its curvature as 2 cof(b) - N b (curvature_coefficients,
+with geometry.cofactor), whose entry moduli flatness reads by clifford.ENTRY_PAIRS;
 the spinor-matrix chain that these sum by hand is read by the benchmark and the tests.
 """
 
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import E
-from .geometry import form_coordinates, prescale, weyl_connection
+from .clifford import E, ENTRY_PAIRS
+from .geometry import cofactor, prescaled, weyl_connection
 
-# the q_k that meet in each entry of sum_k p_k q_k, read off E: (0, 1), real and imaginary, or (2,)
-(_RE, _IM), (_ALONE,) = sorted({tuple(np.flatnonzero(units).tolist()) for units in E.reshape(3, 4).T})
+# the F_k that meet in each entry of sum_k F_k q_k: ENTRY_PAIRS less Id, on F's indices k - 1
+(_FIRST, _SECOND), (_ALONE,) = sorted({tuple(k - 1 for k in pair if k) for pair in ENTRY_PAIRS})
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,13 +69,12 @@ def killing_coefficients(x):
 def curvature_coefficients(x):
     """F = 2 cof(b) - N b (3 lists of 3 floats): R^beta_(l+1, l+2) = sum_k F[l, k] q_k (indices mod 3).
 
-    b = killing_coefficients(x), and [q_k, q_l] = 2 eps_klm q_m and c^k_(l+1, l+2) = N[l, k]
-    at x = (N, theta, beta) (13,); R^beta_ji = -R^beta_ij and R^beta_ii = 0 are the rest.
+    b = killing_coefficients(x), cof = geometry.cofactor, [q_k, q_l] = 2 eps_klm q_m and c^k_(l+1, l+2)
+    = N[l, k] at x = (N, theta, beta) (13,); R^beta_ji = -R^beta_ij and R^beta_ii = 0 are the rest.
     """
     b, N = killing_coefficients(x), (x[0:3], x[3:6], x[6:9])
-    return [[2.0 * (b[l - 2][k - 2] * b[l - 1][k - 1] - b[l - 2][k - 1] * b[l - 1][k - 2])
-             - (N[l][0] * b[0][k] + N[l][1] * b[1][k] + N[l][2] * b[2][k]) for k in range(3)]
-            for l in range(3)]
+    return [[2.0 * c - (n0 * b0 + n1 * b1 + n2 * b2) for c, b0, b1, b2 in zip(cof_row, *b)]
+            for cof_row, (n0, n1, n2) in zip(cofactor(b), N)]
 
 
 def killing_curvature(g, beta):
@@ -90,9 +90,9 @@ def killing_curvature(g, beta):
 def flatness(g, beta):
     """Killing curvature residual over scale^2, normalized like the GT residuals.
 
-    The largest entry modulus of R^beta by curvature_coefficients at x =
-    form_coordinates / 2^e over m^2, (e, m) = prescale(g, beta): finite at every scale.
+    The largest entry modulus of R^beta by curvature_coefficients at x over
+    m^2, (x, e, m) = geometry.prescaled(g, beta): finite at every scale.
     """
-    e, m = prescale(g, beta)
-    F = curvature_coefficients(np.ldexp(form_coordinates(g, beta), -e).tolist())
-    return max(max(math.hypot(row[_RE], row[_IM]), abs(row[_ALONE])) for row in F) / (m * m)
+    x, _, m = prescaled(g, beta)
+    F = curvature_coefficients(x)
+    return max(max(math.hypot(row[_FIRST], row[_SECOND]), abs(row[_ALONE])) for row in F) / (m * m)

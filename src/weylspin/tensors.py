@@ -31,7 +31,9 @@ from .clifford import clifford_images, clifford_sum
 from .errors import RankError, SlotError, SymmetryError
 
 _ID3 = np.eye(3)
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # (i, _NEXT[i], _PREV[i]) is cyclic
+NEXT, PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # (i, NEXT[i], PREV[i]) is cyclic: i + 1, i + 2 mod 3
+NEXT.setflags(write=False)
+PREV.setflags(write=False)
 
 
 def metric():
@@ -156,13 +158,15 @@ def hodge_star(F, batch=0):
     """Hodge star of an antisymmetric rank-2 frame tensor, (*F)_k = 1/2 eps_ijk F_ij.
 
     Component i is 1/2 (F_jk - F_kj), (i, j, k) cyclic: the eps sum's two
-    nonzero terms. A batch is refused if any one tensor is not antisymmetric.
+    nonzero terms. A tensor (any one of a batch) is refused when an entry of F + F^T exceeds 1e-12
+    of its own largest entry modulus, at every scale; non-finite entries compare false and pass.
     """
     F = np.asarray(F)
     rank, spinor = tensor_rank(F, batch)
     if rank != 2 or spinor:
         raise RankError(f"hodge_star needs a plain rank-2 tensor, got shape {F.shape}")
-    if np.any(np.abs(F + np.swapaxes(F, -1, -2)) >= 1e-12):
+    skew = np.abs(F + np.swapaxes(F, -1, -2))
+    if skew.any() and np.any(skew > 1e-12 * np.abs(F).max(axis=(-2, -1), keepdims=True)):
         raise SymmetryError("hodge_star needs an antisymmetric input")
-    return 0.5 * (F[..., _NEXT, _PREV] - F[..., _PREV, _NEXT])
+    return 0.5 * (F[..., NEXT, PREV] - F[..., PREV, NEXT])
 

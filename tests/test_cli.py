@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import weylspin
 from weylspin import geometry, killing, spinconn
-from weylspin.cli import ANALYZE_TOL, build_parser, main, parse_geometry_file
+from weylspin.cli import build_parser, main, parse_geometry_file
 from weylspin.errors import ParseError
 from weylspin.geometry import (
     WeightedDensity,
@@ -342,8 +343,9 @@ def test_memoized_connection_and_scale_keep_their_bits():
     # closed form on the prescaled coordinates, scaled back, bit for bit
     g, beta = parse_geometry_file(BERGER_PATH)
     b = killing.killing_data(g, beta).b
-    e, _ = geometry.prescale(g, beta)
-    want = np.ldexp(spinconn.killing_coefficients(np.ldexp(geometry.form_coordinates(g, beta), -e)), e)
+    x, e, _ = geometry.prescaled(g, beta)
+    assert x == np.ldexp(geometry.form_coordinates(g, beta), -e).tolist()
+    want = np.ldexp(spinconn.killing_coefficients(x), e)
     assert b.tobytes() == want.tobytes()
     assert not b.flags.writeable
     with pytest.raises(ValueError):
@@ -582,6 +584,19 @@ def test_killing_command_not_flat(tmp_path, capsys):
     assert sections["flatness"]["pass"] is False
 
 
+def test_one_gauduchon_tod_tolerance(tmp_path, capsys):
+    # analyze's default, a search report's bound, analyze --tol's default and
+    # the bound of killing's gate are all geometry.TOLERANCE
+    assert geometry.TOLERANCE == 1e-9
+    assert inspect.signature(analyze).parameters["tolerance"].default is geometry.TOLERANCE
+    assert killing.find_gt_parameters((2.0, 2.1, 1.9, 0.0, 0.4)).report.tolerance is geometry.TOLERANCE
+    assert build_parser().parse_args(["analyze", "g.json"]).tol is geometry.TOLERANCE
+    path = write(tmp_path, "round.json", ROUND_TEXT)
+    for argv in (["analyze", path], ["killing", path, "--loops", "2"]):
+        sections = json.loads(run_cli(capsys, argv)[1])["sections"]
+        assert [s["bound"] for s in sections[:4]] == [geometry.TOLERANCE] * 4
+
+
 @pytest.mark.parametrize("lambda3, code", [(2.0000000015, 0), (2.000000004, 1)])
 def test_killing_exit_code_equals_analyze_near_the_tolerance(tmp_path, capsys, lambda3, code):
     # at lambda3 = 2 + 4e-9 flatness reads 5.0e-10 but r_scal 2.0e-9, so no
@@ -592,7 +607,7 @@ def test_killing_exit_code_equals_analyze_near_the_tolerance(tmp_path, capsys, l
 
 
 def analyze_worst(g, beta):
-    """The largest of analyze's four sections, which its verdict holds below ANALYZE_TOL."""
+    """The largest of analyze's four sections, which its verdict holds below TOLERANCE."""
     rep = analyze(g, beta)
     return max(rep.n_ew, rep.n_scal, rep.n_star, flatness(g, beta))
 
@@ -611,10 +626,10 @@ def test_killing_exit_code_equals_analyze_across_the_tolerance(tmp_path, capsys)
             return gauge_rescale(g, WeightedDensity(0.5 + t * d_beta), s)
 
         inside, outside = 0.0, 1.0
-        assert analyze_worst(*member(inside)) < ANALYZE_TOL <= analyze_worst(*member(outside))
+        assert analyze_worst(*member(inside)) < geometry.TOLERANCE <= analyze_worst(*member(outside))
         for _ in range(60):
             mid = 0.5 * (inside + outside)
-            if analyze_worst(*member(mid)) < ANALYZE_TOL:
+            if analyze_worst(*member(mid)) < geometry.TOLERANCE:
                 inside = mid
             else:
                 outside = mid

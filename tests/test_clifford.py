@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from weylspin.clifford import (
+    ENTRY_PAIRS,
+    QUATERNION_BASIS,
     E,
     EPS,
     _PAIR_COL,
@@ -258,3 +260,18 @@ def test_j_orthogonality():
     rng = np.random.default_rng(13)
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     assert abs(np.vdot(psi, j_structure(psi))) < 1e-14
+
+
+def test_quaternion_basis_and_its_entry_pairs():
+    # rows Id, q_k = -e_k with q_i q_j = eps_ijk q_k; each 2x2 entry of
+    # p @ QUATERNION_BASIS holds p_i and p_j, (i, j) = ENTRY_PAIRS[k], as its
+    # real and imaginary parts, so its modulus is hypot(p_i, p_j), bit for bit
+    Q = QUATERNION_BASIS.reshape(4, 2, 2)
+    assert np.array_equal(Q[0], np.eye(2)) and np.array_equal(Q[1:], -E)
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        assert np.array_equal(Q[i] @ Q[j], Q[k])
+    p = np.random.default_rng(3).standard_normal((200, 4)) * 10.0 ** np.arange(-2, 2)
+    M = p @ QUATERNION_BASIS
+    for k, (i, j) in enumerate(ENTRY_PAIRS):
+        assert np.array_equal(np.hypot(p[:, i], p[:, j]), np.hypot(M[:, k].real, M[:, k].imag))
+        assert sorted(map(np.abs, (M[0, k].real, M[0, k].imag))) == sorted(np.abs(p[0, [i, j]]))

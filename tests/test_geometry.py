@@ -31,7 +31,7 @@ from weylspin.geometry import (
     gauge_rescale,
     gt_residual_vector,
     milnor_geometry,
-    prescale,
+    prescaled,
     quadratic_form_24,
     residual_scale,
     validate_geometry,
@@ -543,8 +543,9 @@ def test_flatness_reads_no_form(monkeypatch):
     # hypot(F[l, 0], F[l, 1]) in E's basis, and reads it with the form gone
     g = milnor_geometry((2.0, 2.0, 1.9), (0.1, 0.0, 0.3))
     beta = WeightedDensity(0.45)
-    e, m = prescale(g, beta)
-    F = curvature_coefficients(np.ldexp(form_coordinates(g, beta), -e).tolist())
+    x, e, m = prescaled(g, beta)
+    assert x == np.ldexp(form_coordinates(g, beta), -e).tolist()
+    F = curvature_coefficients(x)
     moduli = [abs(row[2]) for row in F] + [np.hypot(row[0], row[1]) for row in F]
     monkeypatch.setattr(geometry, "quadratic_form_24", None)
     assert flatness(g, beta) == max(moduli) / (m * m)
@@ -558,6 +559,24 @@ def test_geometry_imports_nothing_from_spinconn():
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert imported == {"errors", "tensors", "dataclasses", "types"}
     assert not hasattr(geometry, "form_rows")
+
+
+PERMUTATION_SIGNS = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
+
+
+def test_cofactor_is_exact_in_fractions():
+    # cof(M)^T M = det(M) Id exactly, on random integer matrices, symmetric or not
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        M = [[Fraction(int(v)) for v in row] for row in rng.integers(-50, 51, (3, 3))]
+        if rng.integers(2):
+            M = [[M[i][j] + M[j][i] for j in range(3)] for i in range(3)]
+        cof = geometry.cofactor(M)
+        det = sum(M[0][j] * cof[0][j] for j in range(3))
+        assert det == sum(s * M[0][p] * M[1][q] * M[2][r] for (p, q, r), s in PERMUTATION_SIGNS)
+        for j in range(3):
+            for k in range(3):
+                assert sum(cof[i][j] * M[i][k] for i in range(3)) == (det if j == k else 0)
 
 
 def jacobi_oracle(c):

@@ -2,6 +2,8 @@
 the Newton search over the five-parameter family.
 """
 
+import ast
+import inspect
 import math
 import os
 import warnings
@@ -12,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weylspin.clifford import EPS, E, j_structure
+from weylspin.clifford import EPS, QUATERNION_BASIS, E, j_structure
 from weylspin.errors import NoConvergence, ShapeError
-from weylspin import geometry, killing
+from weylspin import geometry, killing, spinconn
 from weylspin.cli import parse_geometry_file
 from weylspin.geometry import (
     WeightedDensity,
@@ -28,8 +30,6 @@ from weylspin.killing import (
     BASE_SPINORS,
     GroupArc,
     _HAMILTON,
-    _QUATERNION_BASIS,
-    _Q,
     _family_quadratic_form,
     _float_quaternion,
     _hamilton,
@@ -52,11 +52,13 @@ from weylspin.killing import (
 )
 from weylspin.spinconn import flatness, killing_connection, killing_curvature
 
+import test_spinconn
 from test_spinconn import random_geometry
 
 ROUND = milnor_geometry((2.0, 2.0, 2.0))
 HALF = WeightedDensity(0.5)
 BERGER_PATH = os.path.join(os.path.dirname(__file__), "..", "geometries", "berger_theta.json")
+Q = QUATERNION_BASIS[1:].reshape(3, 2, 2)  # q_k = -e_k, the unit quaternions
 
 
 def rotation(axis, angle):
@@ -74,12 +76,12 @@ def rotated_geometry(g, R):
 
 def quaternion_matrices(p):
     """Quaternions p (..., 4) as the (..., 2, 2) matrices p_0 Id + sum_k p_k q_k: the oracle for the entries."""
-    return (p @ _QUATERNION_BASIS).reshape(p.shape[:-1] + (2, 2))
+    return (p @ QUATERNION_BASIS).reshape(p.shape[:-1] + (2, 2))
 
 
 def su2_coefficients(M):
     """Real x_k = -tr(q_k M) / 2 of the sum x_k q_k part of M (..., 2, 2); any Id part is dropped."""
-    return -np.real(np.einsum("kab,...ba->...k", 0.5 * _Q, M))  # q_k halved first: no overflow
+    return -np.real(np.einsum("kab,...ba->...k", 0.5 * Q, M))  # q_k halved first: no overflow
 
 
 def su2_exp(x):
@@ -327,9 +329,9 @@ def test_single_arc_and_batch_routes_agree():
 
 
 def test_transport_operator_is_the_quaternion_basis_matrix():
-    # the 2x2 matrix is formed from the quaternion's four floats by the entry
-    # terms read off the basis; its values are _quaternion_matrices', and only
-    # the sign of a zero may differ
+    # the 2x2 matrix is np.dot of the quaternion's four floats with
+    # clifford.QUATERNION_BASIS, bit for bit, and its values are
+    # quaternion_matrices'
     rng = np.random.default_rng(44)
     for g, beta in single_arc_cases():
         cols = killing_data(g, beta).columns
@@ -338,8 +340,18 @@ def test_transport_operator_is_the_quaternion_basis_matrix():
         for v in [*vectors, (0.0, 0.0, 0.0), (1.7e308, 0.0, 0.0)]:
             arc = GroupArc(v)
             x = [-sum(a * b for a, b in zip(arc.vector, col)) for col in cols]
-            want = quaternion_matrices(np.array(_float_quaternion(x)))
-            assert np.array_equal(transport_operator(g, beta, arc), want, equal_nan=True)
+            U = transport_operator(g, beta, arc)
+            assert U.tobytes() == np.dot(_float_quaternion(x), QUATERNION_BASIS).reshape(2, 2).tobytes()
+            assert np.array_equal(U, quaternion_matrices(np.array(_float_quaternion(x))), equal_nan=True)
+
+
+def test_killing_reads_su2_from_the_quaternion_basis_alone():
+    # the 2x2 basis and its entry map live in clifford: killing takes
+    # QUATERNION_BASIS and ENTRY_PAIRS, and no Clifford generator E
+    tree = ast.parse(inspect.getsource(killing))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "clifford" for alias in node.names}
+    assert {"QUATERNION_BASIS", "ENTRY_PAIRS"} <= names and "E" not in names
 
 
 @pytest.mark.parametrize("phi", [1e-300, 5e-324, 1e-170])
@@ -1115,7 +1127,7 @@ def per_sample_killing_residual(g, beta, samples, h):
     # with the b that killing reads
     s = residual_scale(g, beta)
     b = killing_data(g, beta).b
-    B = np.einsum("ik,kab->iab", b / s, _Q)
+    B = np.einsum("ik,kab->iab", b / s, Q)
     plus = [su2_exp(-h * (b[i] / s)) for i in range(3)]
     minus = [su2_exp(h * (b[i] / s)) for i in range(3)]
     worst = 0.0
@@ -1136,7 +1148,7 @@ def stepped_killing_residual(g, beta, samples, h):
     s = residual_scale(g, beta)
     step = h / s
     b = killing_data(g, beta).b
-    B = np.einsum("ik,kab->iab", b, _Q)
+    B = np.einsum("ik,kab->iab", b, Q)
     plus = [su2_exp(-step * b[i]) for i in range(3)]
     minus = [su2_exp(step * b[i]) for i in range(3)]
     worst = 0.0
@@ -1231,6 +1243,35 @@ def test_killing_data_is_built_once_and_read_only():
     # the cache is keyed on the geometry object: equal data is built anew
     again = killing_data(milnor_geometry(lam, theta), beta)
     assert again is not data and np.array_equal(again.b, data.b)
+
+
+def negated_cofactor(M):
+    """A mutant geometry.cofactor: rows M[i+2] x M[i+1], the negative of each cofactor."""
+    return [[-v for v in row] for row in geometry.cofactor(M)]
+
+
+def transposed_cofactor(M):
+    """A mutant geometry.cofactor: the adjugate cof(M)^T in its place, equal to it for symmetric M."""
+    return [list(col) for col in zip(*geometry.cofactor(M))]
+
+
+@pytest.mark.parametrize("mutant", [negated_cofactor, transposed_cofactor])
+def test_a_mutant_cofactor_fails_the_chain_and_taylor_checks(monkeypatch, mutant):
+    # flatness reads 2 cof(b), which either mutant breaks against the chain;
+    # closing_arc reads adj(n) = cof(n) of a symmetric n, where only the
+    # negated cofactor differs, and the Taylor oracle catches it
+    monkeypatch.setattr(spinconn, "cofactor", mutant)
+    monkeypatch.setattr(killing, "cofactor", mutant)
+    killing_data.cache_clear()
+    with pytest.raises(AssertionError):
+        test_spinconn.test_flatness_matches_the_chain_on_random_coordinates()
+    if mutant is negated_cofactor:
+        with pytest.raises(AssertionError):
+            test_expm_matches_the_term_by_term_taylor_series()
+    else:
+        test_expm_matches_the_term_by_term_taylor_series()
+    monkeypatch.undo()
+    killing_data.cache_clear()
 
 
 def test_killing_data_holds_the_bianchi_split():

@@ -14,7 +14,7 @@ from weylspin.geometry import (
     density_derivative,
     form_coordinates,
     milnor_geometry,
-    prescale,
+    prescaled,
     validate_geometry,
 )
 from weylspin.spinconn import (
@@ -220,7 +220,7 @@ def closed_form_mismatch(scale, seed=7, count=40):
     """Max |b - chain| / scale over random x scaled to max|x| = scale, b as killing reads it.
 
     killing_data's steps, b / scale, against the chain at x / 2^e over m, with
-    (e, m) = prescale: the exact prescale keeps the chain finite at every
+    (x, e, m) = prescaled: the exact prescale keeps the chain finite at every
     scale. Where the chain is finite at x itself (every scale but the float
     maximum here), killing_data's b is held to it directly too.
     """
@@ -229,7 +229,7 @@ def closed_form_mismatch(scale, seed=7, count=40):
         x = x / np.max(np.abs(x)) * scale
         g = validate_geometry(np.einsum("ijl,lk->ijk", EPS, x[:9].reshape(3, 3)), x[9:12])
         beta = WeightedDensity(x[12])
-        e, m = prescale(g, beta)
+        _, e, m = prescaled(g, beta)
         data = killing.killing_data(g, beta)
         want = chain_coefficients(*geometry_at(np.ldexp(form_coordinates(g, beta), -e))) / m
         worst = max(worst, float(np.max(np.abs(data.steps - want))))

@@ -247,6 +247,27 @@ def test_hodge_star_rejects_symmetric_part():
         hodge_star(np.eye(3))
 
 
+def test_hodge_star_bounds_the_skew_relative_to_the_tensor():
+    # an antisymmetric F at 1e300 with one entry moved by one unit in the last
+    # place is antisymmetric to rounding, and passes
+    F = 1e300 * np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 3.0], [2.0, -3.0, 0.0]])
+    F[1, 2] = np.nextafter(F[1, 2], np.inf)
+    assert np.allclose(hodge_star(F), [3e300, 2e300, 1e300], rtol=1e-15, atol=0.0)
+    # a tensor at 1e-300 with a skew of half its largest entry is refused,
+    # alone and beside a tensor of order 1 in a batch
+    G = np.array([[0.0, 1e-300, 0.0], [-0.5e-300, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(SymmetryError):
+        hodge_star(G)
+    with pytest.raises(SymmetryError):
+        hodge_star(np.stack([np.eye(3)[[1, 2, 0]] - np.eye(3)[[2, 0, 1]], G]), 1)
+    # non-finite entries pass the check and reach *F (inf - inf is NaN, as under
+    # find_gt_parameters' errstate)
+    H = np.array([[0.0, np.inf, 0.0], [-np.inf, 0.0, np.nan], [0.0, 1.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        star = hodge_star(H)
+    assert np.isnan(star[0]) and star[2] == np.inf
+
+
 def test_metric_is_identity():
     assert np.array_equal(metric(), np.eye(3))
 
