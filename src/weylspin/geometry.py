@@ -7,12 +7,15 @@ in that frame. c[i,j,k] = c^k_ij is derived from N once per geometry, for the
 tensor chain. All coefficients are constants, so every curvature quantity is
 exact finite-dimensional algebra.
 
-Every Gauduchon-Tod residual is a homogeneous quadratic form in the 13
-coordinates x = (N, theta, beta) of (g, beta): analyze evaluates one cached
-form, built from gt_residual_vector, on x prescaled by a power of two
-(prescaled, which flatness and killing read too), so its normalized residuals
-are the same at every finite scale, and holds them below TOLERANCE.
-residual_scale is the one unit: every residual (weight -2) is read in scale^2.
+The Killing connection b (killing_coefficients), its curvature F = 2 cof(b) - N b
+(curvature_coefficients) and the 13 Gauduchon-Tod residuals, a fixed linear map of
+F plus a Jacobi term (gt_coefficients), are closed forms in the coordinates
+x = (N, theta, beta) of (g, beta). analyze reads the residuals, and spinconn.flatness
+the curvature, at x prescaled by a power of two (prescaled, which killing reads too),
+so they are the same at every finite scale; analyze holds them below TOLERANCE.
+residual_scale is the one unit: every residual (weight -2) is read in scale^2. The
+tensor chain, weyl_connection to gt_residual_vector, is what the tests hold these
+closed forms to and what search-gt confirms its roots by.
 
 Sign and trace conventions (pinned by the curvature-decomposition and
 flatness-equivalence audits, see docs/CONVENTIONS.md):
@@ -28,7 +31,6 @@ flatness-equivalence audits, see docs/CONVENTIONS.md):
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,20 +43,20 @@ TOLERANCE = 1e-9  # analyze's default bound on each normalized Gauduchon-Tod res
 
 @dataclass(frozen=True, eq=False)
 class HomogeneousWeylGeometry:
-    """(N, theta) with c^k_ij = sum_l eps_ijl N[l, k]; either may carry the same leading batch axes."""
+    """(N, theta) with c^k_ij = sum_l eps_ijl N[l, k]."""
 
-    N: np.ndarray  # (..., 3, 3), units 1/length
-    theta: np.ndarray  # (..., 3), units 1/length
+    N: np.ndarray  # (3, 3), units 1/length
+    theta: np.ndarray  # (3,), units 1/length
 
     @functools.cached_property
     def structure_constants(self):
-        """Read-only c (..., 3, 3, 3), c[i,j,k] = c^k_ij, exactly antisymmetric in (i, j).
+        """Read-only c (3, 3, 3), c[i,j,k] = c^k_ij, exactly antisymmetric in (i, j).
 
         c[l + 1, l + 2] = N[l] (indices mod 3, tensors.NEXT and PREV), and c[j, i] = -c[i, j].
         """
-        c = np.zeros(self.N.shape[:-2] + (3, 3, 3))
-        c[..., NEXT, PREV, :] = self.N
-        c[..., PREV, NEXT, :] = -self.N
+        c = np.zeros((3, 3, 3))
+        c[NEXT, PREV] = self.N
+        c[PREV, NEXT] = -self.N
         c.setflags(write=False)
         return c
 
@@ -96,13 +98,13 @@ class GTReport:
 
 
 def bianchi_split(N):
-    """(n, a) with N = n + [a]x, n symmetric bit for bit, as Python floats (Milnor; Ellis-MacCallum).
+    """(n, a) with N = n + [a]x, n symmetric bit for bit, as lists (Milnor; Ellis-MacCallum).
 
     n = N/2 + N^T/2, a = (M[2, 1], M[0, 2], M[1, 0]), M = N/2 - N^T/2; for c^k_ij =
     sum_l eps_ijl N[l, k] the Jacobi identity holds exactly when n a = 0.
     """
-    n = [[0.5 * N[i][j] + 0.5 * N[j][i] for j in range(3)] for i in range(3)]
-    return n, [0.5 * N[i][j] - 0.5 * N[j][i] for i, j in ((2, 1), (0, 2), (1, 0))]
+    n = [[N[i][j] / 2 + N[j][i] / 2 for j in range(3)] for i in range(3)]
+    return n, [N[i][j] / 2 - N[j][i] / 2 for i, j in ((2, 1), (0, 2), (1, 0))]
 
 
 def cofactor(M):
@@ -116,10 +118,15 @@ def cofactor(M):
             [b * f - c * e, c * d - a * f, a * e - b * d]]
 
 
+def _jacobi_vector(N):
+    """n a (3,) of N = n + [a]x (bianchi_split), 0 exactly where c^k_ij = sum_l eps_ijl N[l, k] is a Lie algebra."""
+    n, a = bianchi_split(N)
+    return [row[0] * a[0] + row[1] * a[1] + row[2] * a[2] for row in n]
+
+
 def _jacobi_defect(N):
-    """max|[[e_i, e_j], e_k] + cyclic| of c^k_ij = sum_l eps_ijl N[l, k], which is 2 max|n a| (bianchi_split)."""
-    n, a = bianchi_split(N.tolist())
-    return 2.0 * max(abs(row[0] * a[0] + row[1] * a[1] + row[2] * a[2]) for row in n)
+    """max|[[e_i, e_j], e_k] + cyclic| of c^k_ij = sum_l eps_ijl N[l, k], which is 2 max|n a| (_jacobi_vector)."""
+    return 2.0 * max(map(abs, _jacobi_vector(N.tolist())))
 
 
 def _finite_theta(values, theta):
@@ -185,18 +192,15 @@ def weyl_connection(g):
     """Connection coefficients Gamma[i,j,k] = Gamma^k_ij of the Weyl connection.
 
     Torsion-free for the bracket (Gamma^k_ij - Gamma^k_ji = c^k_ij) and
-    conformally metric with nabla g = -2 theta (x) g. Like every formula from
-    here to gt_residual_vector (and spinconn's), it also takes a geometry
-    whose arrays carry leading batch axes, with a density whose value is an
-    array over the same axes, and gives each row the unbatched result.
+    conformally metric with nabla g = -2 theta (x) g.
     """
     # halving c first, and one nonzero term per entry of the theta part, keeps every
     # partial sum within max|c|; halving is exact wherever nothing is subnormal
     half = 0.5 * g.structure_constants
     th = g.theta
-    lc = half - np.einsum("...jki->...ijk", half) + np.einsum("...kij->...ijk", half)
-    wt = np.einsum("...i,jk->...ijk", th, _ID3) + (
-        np.einsum("...j,ik->...ijk", th, _ID3) - np.einsum("ij,...k->...ijk", _ID3, th)
+    lc = half - np.einsum("jki->ijk", half) + np.einsum("kij->ijk", half)
+    wt = np.einsum("i,jk->ijk", th, _ID3) + (
+        np.einsum("j,ik->ijk", th, _ID3) - np.einsum("ij,k->ijk", _ID3, th)
     )
     return lc + wt
 
@@ -211,22 +215,21 @@ def curvature_package(g):
     gamma = weyl_connection(g)
     c = g.structure_constants
     r4 = (
-        np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
-        - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
-        - np.einsum("...ijm,...mkl->...ijkl", c, gamma)
+        np.einsum("jkm,iml->ijkl", gamma, gamma)
+        - np.einsum("ikm,jml->ijkl", gamma, gamma)
+        - np.einsum("ijm,mkl->ijkl", c, gamma)
     )
-    ric = np.einsum("...zxyz->...xy", r4)
-    scal = ric.trace(axis1=-2, axis2=-1)
-    faraday = -np.einsum("...k,...ijk->...ij", g.theta, c)
-    s0 = sym0(ric, ric.ndim - 2)
-    scal_id = scal[..., None, None]
-    ric_n = -s0 - (scal_id / 12.0) * _ID3 + 0.5 * faraday
-    ric_prime = s0 + (scal_id / 3.0) * _ID3 - 0.5 * faraday
+    ric = np.einsum("zxyz->xy", r4)
+    scal = float(ric.trace())
+    faraday = -np.einsum("k,ijk->ij", g.theta, c)
+    s0 = sym0(ric)
+    ric_n = -s0 - (scal / 12.0) * _ID3 + 0.5 * faraday
+    ric_prime = s0 + (scal / 3.0) * _ID3 - 0.5 * faraday
     return CurvaturePackage(
         full_curvature=r4,
         ricci=ric,
         sym0_ricci=s0,
-        scalar=scal if scal.ndim else float(scal),
+        scalar=scal,
         faraday=faraday,
         ric_n=ric_n,
         ric_prime=ric_prime,
@@ -240,7 +243,7 @@ def density_derivative(g, beta):
     flatness of the Killing connection coincide (the opposite sign fails that
     audit).
     """
-    return -g.theta * np.asarray(beta.value)[..., None]
+    return -g.theta * beta.value
 
 
 def gauge_rescale(g, beta, s):
@@ -257,17 +260,9 @@ def gauge_rescale(g, beta, s):
 def gt_residual_vector(g, beta):
     """Stacked Gauduchon-Tod residuals: sym0 Ric (9), R - 24 beta^2, 4 grad - *F (3)."""
     pkg = curvature_package(g)
-    grad = density_derivative(g, beta)
-    batch = pkg.ricci.shape[:-2]
-    star_f = hodge_star(pkg.faraday, len(batch))
-    return np.concatenate(
-        [
-            pkg.sym0_ricci.reshape(batch + (9,)),
-            np.asarray(pkg.scalar - 24.0 * beta.value * beta.value)[..., None],
-            4.0 * grad - star_f,
-        ],
-        axis=-1,
-    )
+    scalar = pkg.scalar - 24.0 * beta.value * beta.value
+    monopole = 4.0 * density_derivative(g, beta) - hodge_star(pkg.faraday)
+    return np.concatenate([pkg.sym0_ricci.ravel(), [scalar], monopole])
 
 
 @functools.lru_cache(maxsize=1)
@@ -301,46 +296,55 @@ def prescaled(g, beta):
     return np.ldexp(form_coordinates(g, beta), -e).tolist(), e, m
 
 
-@functools.lru_cache(maxsize=1)
-def quadratic_form_24():
-    """Read-only 24 Q (13, 13, 13), integers, symmetric in its last two axes: r(x) = (Q @ x) @ x.
+def killing_coefficients(x):
+    """b (3 lists of 3): B_i = sum_k b[i][k] q_k, q_k = -e_k, in closed form at x = (N, theta, beta) (13,).
 
-    r(x) is gt_residual_vector at x = form_coordinates(g, beta). Each row is a
-    homogeneous quadratic in x, so Q is fixed by its values at the 91 points
-    e_k and e_k + e_l (k < l), which one batched evaluation gives:
-        Q[:, k, k] = r(e_k),  Q[:, k, l] = (r(e_k + e_l) - r(e_k) - r(e_l)) / 2.
-    Every coefficient is a multiple of 1/24, so 24 Q is rounded to the
-    integers it is, which drops the rounding of the evaluations (about 1e-16
-    where the exact coefficient is 0); a polarized 24 Q more than 1e-12 from
-    integers is refused. Built on first use, not at import.
+    b = (tr N / 4 + beta) Id - N^T / 2 - [theta]x / 2, [theta]x w = theta x w, is the
+    chain Gamma -> a -> A - beta E summed by hand (docs/CONVENTIONS.md), in x's own
+    arithmetic, as are curvature_coefficients and gt_coefficients: on Python floats the
+    diagonal, (N_jj + N_kk - N_ii) / 4 + beta, rounds like the chain, and on Fractions
+    every value is exact.
     """
-    n = 13  # coordinates
-    eye = np.eye(n)
-    k, l = np.triu_indices(n, 1)
-    x = np.concatenate([eye, eye[k] + eye[l]])
-    g = HomogeneousWeylGeometry(x[:, :9].reshape(-1, 3, 3), x[:, 9:12])
-    r = 24.0 * gt_residual_vector(g, SimpleNamespace(value=x[:, 12])).T  # it reads only beta.value
-    diag = r[:, :n]
-    polarized = np.empty((len(r), n, n))
-    polarized[:, range(n), range(n)] = diag
-    polarized[:, k, l] = polarized[:, l, k] = 0.5 * (r[:, n:] - diag[:, k] - diag[:, l])
-    form = np.rint(polarized)
-    defect = float(np.max(np.abs(polarized - form)))
-    if not defect <= 1e-12:
-        raise RuntimeError(f"polarized 24 Q is {defect:.3e} from integers")
-    form.setflags(write=False)
-    return form
+    n11, n12, n13, n21, n22, n23, n31, n32, n33, t1, t2, t3, beta = x
+    return [[(n22 + n33 - n11) / 4 + beta, -(n21 - t3) / 2, -(n31 + t2) / 2],
+            [-(n12 + t3) / 2, (n33 + n11 - n22) / 4 + beta, -(n32 - t1) / 2],
+            [-(n13 - t2) / 2, -(n23 + t1) / 2, (n11 + n22 - n33) / 4 + beta]]
 
 
-def _blocks(residuals):
-    """max|.| of the three Gauduchon-Tod blocks of 13 residuals: sym0 Ric, scalar, monopole."""
-    r = np.abs(residuals)
-    return np.array([r[:9].max(), r[9], r[10:].max()])
+def curvature_coefficients(x):
+    """F = 2 cof(b) - N b (3 lists of 3): R^beta_(l+1, l+2) = sum_k F[l, k] q_k (indices mod 3).
+
+    b = killing_coefficients(x), [q_k, q_l] = 2 eps_klm q_m and c^k_(l+1, l+2) = N[l, k]
+    at x = (N, theta, beta) (13,); R^beta_ji = -R^beta_ij and R^beta_ii = 0 are the rest.
+    """
+    b, N = killing_coefficients(x), (x[0:3], x[3:6], x[6:9])
+    return [[2 * c - (n0 * b0 + n1 * b1 + n2 * b2) for c, b0, b1, b2 in zip(cof_row, *b)]
+            for cof_row, (n0, n1, n2) in zip(cofactor(b), N)]
 
 
-def _report(scaled, m, tolerance):
-    """GTReport from the block maxima scaled = raw / 2^(2e), with residual_scale = m 2^e (prescaled)."""
-    n_ew, n_scal, n_star = (scaled / (m * m)).tolist()
+def gt_coefficients(x):
+    """The 13 Gauduchon-Tod residuals at x (13,), in gt_residual_vector's order, read off the Killing curvature.
+
+    With F = curvature_coefficients(x) = n_F + [a_F]x and N = n + [a]x (bianchi_split),
+    they are a fixed linear map of F plus the Jacobi vector n a, for every x:
+        sym0 Ric      = F + F^T - 2/3 tr F Id = 2 n_F - 2/3 tr F Id,
+        R - 24 beta^2 = -4 tr F,
+        4 nabla beta - *F = 2 ax F + 2 n a = 4 a_F + 2 n a,
+    ax F = (F[2][1] - F[1][2], F[0][2] - F[2][0], F[1][0] - F[0][1]). So where n a = 0,
+    on a Lie algebra, all 13 vanish exactly where F does: Gauduchon-Tod is flatness.
+    """
+    F = curvature_coefficients(x)
+    n_f, a_f = bianchi_split(F)
+    trace = F[0][0] + F[1][1] + F[2][2]
+    sym0_ric = [2 * n_f[i][j] - (2 * trace / 3 if i == j else 0) for i in range(3) for j in range(3)]
+    jacobi = _jacobi_vector((x[0:3], x[3:6], x[6:9]))
+    return sym0_ric + [-4 * trace] + [4 * v + 2 * w for v, w in zip(a_f, jacobi)]
+
+
+def _report(residuals, m, tolerance):
+    """GTReport from the 13 residuals over 2^(2e), residual_scale = m 2^e (prescaled): block maxima over m^2."""
+    r, s = [abs(v) for v in residuals], m * m
+    n_ew, n_scal, n_star = max(r[:9]) / s, r[9] / s, max(r[10:]) / s
     return GTReport(n_ew, n_scal, n_star, tolerance, max(n_ew, n_scal, n_star) < tolerance)
 
 
@@ -348,23 +352,24 @@ def gt_report(g, beta, residuals):
     """analyze's report, at TOLERANCE, on the given residuals (13,) of (g, beta).
 
     find_gt_parameters passes gt_residual_vector's, so that a root of its quadratic form is
-    confirmed by the formula, never by a form; only prescaled's (e, m) are read, no coordinates.
+    confirmed by the tensor chain, never by a closed form; only prescaled's (e, m) are read,
+    no coordinates.
     """
     m, e = math.frexp(residual_scale(g, beta))
-    return _report(np.ldexp(_blocks(residuals), -2 * e), m, TOLERANCE)
+    return _report(np.ldexp(residuals, -2 * e).tolist(), m, TOLERANCE)
 
 
 def analyze(g, beta, tolerance=TOLERANCE):
     """Gauduchon-Tod residual report for (g, beta).
 
-    The max-norms of the three blocks of gt_residual_vector, each divided by
+    The max-norms of the three blocks of the residuals, each divided by
     residual_scale^2 (all three have conformal weight -2):
         n_ew   = ||sym0 Ric|| / scale^2
         n_scal = |R - 24 beta^2| / scale^2
         n_star = ||4 nabla beta - *F|| / scale^2
-    The verdict is True when every one is below the tolerance. They are the
-    rows of quadratic_form_24 / 24 at x = form_coordinates / 2^e over m^2,
-    (x, e, m) = prescaled(g, beta), so they are finite at every finite scale.
+    The verdict is True when every one is below the tolerance. They are
+    gt_coefficients at x = form_coordinates / 2^e over m^2, (x, e, m) =
+    prescaled(g, beta), so they are finite at every finite scale.
     """
     x, _, m = prescaled(g, beta)
-    return _report(_blocks((quadratic_form_24() @ x) @ x / 24.0), m, tolerance)
+    return _report(gt_coefficients(x), m, tolerance)

@@ -35,14 +35,15 @@ from .geometry import (
     WeightedDensity,
     bianchi_split,
     cofactor,
+    gt_coefficients,
     gt_report,
     gt_residual_vector,
+    killing_coefficients,
     milnor_geometry,
     prescaled,
-    quadratic_form_24,
     residual_scale,
 )
-from .spinconn import killing_coefficients, killing_connection
+from .spinconn import killing_connection
 from .tensors import NEXT, PREV
 
 _ID2 = np.eye(2, dtype=complex)
@@ -107,7 +108,7 @@ KillingData = namedtuple("KillingData", "b columns steps e a u v adj")
 def killing_data(g, beta):
     """What a killing check reads of (g, beta), in closed form from (x, e, m) = geometry.prescaled(g, beta).
 
-    b = 2^e spinconn.killing_coefficients(x), with columns as Python floats, and
+    b = 2^e geometry.killing_coefficients(x), with columns as Python floats, and
     steps = b / m = b / scale. For closing_arc, on floats: geometry.bianchi_split's
     N = n + [a]x, with a (3, 1), u[k, i] = n[k, i + 1] and v[k, i] = n[k, i + 2]
     (tensors.NEXT and PREV) and adj(n) = geometry.cofactor(n) of the symmetric n,
@@ -416,12 +417,30 @@ _MAX_HALVINGS = 20
 def _family_quadratic_form():
     """Read-only Q (13, 5, 5), symmetric in its last two axes, with r(x) = (Q @ x) @ x.
 
-    r(x) = gt_residual_vector(*milnor_theta3_family(x)): the slice P^T Q P of
-    geometry.quadratic_form_24 / 24, P picking the family's coordinates N =
-    diag(l1, l2, l3) and theta = (0, 0, theta3) among form_coordinates.
+    r(x) is geometry.gt_coefficients at the form_coordinates of milnor_theta3_family(x),
+    N = diag(l1, l2, l3) and theta = (0, 0, theta3), the Gauduchon-Tod residuals. Each
+    row is a homogeneous quadratic in x, so Q is fixed by its values at the 15 points
+    e_k and e_k + e_l (k < l):
+        Q[:, k, k] = r(e_k),  Q[:, k, l] = (r(e_k + e_l) - r(e_k) - r(e_l)) / 2.
+    Every coefficient is a multiple of 1/24, so 24 Q is rounded to the integers it is,
+    which drops the rounding of the evaluations; a polarized 24 Q more than 1e-12 from
+    integers is refused. Built on first use, not at import, with no zero of negative sign.
     """
-    idx = [0, 4, 8, 11, 12]
-    Q = quadratic_form_24()[:, idx][:, :, idx] / 24.0
+    idx = [0, 4, 8, 11, 12]  # l1, l2, l3, theta3 and beta among the 13 coordinates
+    n = len(idx)
+    eye, (k, l) = np.eye(n), np.triu_indices(n, 1)
+    points = np.zeros((n + len(k), 13))
+    points[:, idx] = np.concatenate([eye, eye[k] + eye[l]])
+    r = 24 * np.array([gt_coefficients(x) for x in points.tolist()]).T
+    diag = r[:, :n]
+    polarized = np.empty((len(r), n, n))
+    polarized[:, range(n), range(n)] = diag
+    polarized[:, k, l] = polarized[:, l, k] = (r[:, n:] - diag[:, k] - diag[:, l]) / 2
+    form = np.rint(polarized)
+    defect = float(np.max(np.abs(polarized - form)))
+    if not defect <= 1e-12:
+        raise RuntimeError(f"polarized 24 Q is {defect:.3e} from integers")
+    Q = form / 24 + 0.0
     Q.setflags(write=False)
     return Q
 

@@ -165,7 +165,8 @@ def hodge_star(F, batch=0):
     rank, spinor = tensor_rank(F, batch)
     if rank != 2 or spinor:
         raise RankError(f"hodge_star needs a plain rank-2 tensor, got shape {F.shape}")
-    skew = np.abs(F + np.swapaxes(F, -1, -2))
+    with np.errstate(over="ignore"):  # a sum that overflows is a skew above any bound
+        skew = np.abs(F + np.swapaxes(F, -1, -2))
     if skew.any() and np.any(skew > 1e-12 * np.abs(F).max(axis=(-2, -1), keepdims=True)):
         raise SymmetryError("hodge_star needs an antisymmetric input")
     return 0.5 * (F[..., NEXT, PREV] - F[..., PREV, NEXT])

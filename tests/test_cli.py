@@ -241,6 +241,22 @@ def test_analyze_pass_and_fail(tmp_path, capsys):
     assert max(s["value"] for s in report["sections"]) > 1e-3
 
 
+def test_analyze_fails_a_residual_on_the_tolerance(tmp_path, capsys):
+    # --tol equal to the largest Gauduchon-Tod residual fails that section and
+    # exits 1; the next float up passes all four (flatness is below it)
+    path = write(tmp_path, "pert.json", PERTURBED_TEXT)
+    _, out, _ = run_cli(capsys, ["analyze", path])
+    values = {s["name"]: s["value"] for s in json.loads(out)["sections"]}
+    worst = max(values["r_ew"], values["r_scal"], values["r_star"])
+    assert values["flatness"] < worst
+    code, out, _ = run_cli(capsys, ["analyze", path, "--tol", repr(worst)])
+    assert code == 1
+    failed = [(s["name"], s["value"], s["bound"]) for s in json.loads(out)["sections"] if not s["pass"]]
+    assert [(value, bound) for _, value, bound in failed] == [(worst, worst)]
+    code, _, _ = run_cli(capsys, ["analyze", path, "--tol", repr(math.nextafter(worst, math.inf))])
+    assert code == 0
+
+
 def test_analyze_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["analyze", str(tmp_path / "missing.json")])
     assert code == 2
@@ -302,10 +318,8 @@ def test_killing_sends_each_sample_arc_through_transport_operator(tmp_path, caps
 
 
 def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypatch):
-    # analyze reads the Gauduchon-Tod form, built from gt_residual_vector, and
-    # flatness and killing the closed forms of b and of its curvature: none
-    # builds a spin connection, even with the form built cold inside the call
-    geometry.quadratic_form_24.cache_clear()
+    # analyze and flatness read the closed form F of the Killing curvature,
+    # and killing that of b: none builds a spin connection
     built = []
     original = spinconn.spin_connection
     spy = lambda g: built.append(g) or original(g)
@@ -319,10 +333,9 @@ def test_one_spin_connection_per_geometry_and_command(tmp_path, capsys, monkeypa
 
 
 def test_one_weyl_connection_and_scale_per_geometry_and_command(tmp_path, capsys, monkeypatch):
-    # analyze and flatness read the quadratic form and the transports the
-    # closed form, so neither needs Gamma; several places need the scale,
-    # which is computed once per geometry and read from its memo after that
-    geometry.quadratic_form_24()
+    # analyze, flatness and the transports read closed forms, so none needs
+    # Gamma; several places need the scale, which is computed once per
+    # geometry and read from its memo after that
     built = []
     original = geometry.weyl_connection
     spy = lambda g: built.append(g) or original(g)
@@ -345,7 +358,7 @@ def test_memoized_connection_and_scale_keep_their_bits():
     b = killing.killing_data(g, beta).b
     x, e, _ = geometry.prescaled(g, beta)
     assert x == np.ldexp(geometry.form_coordinates(g, beta), -e).tolist()
-    want = np.ldexp(spinconn.killing_coefficients(x), e)
+    want = np.ldexp(geometry.killing_coefficients(x), e)
     assert b.tobytes() == want.tobytes()
     assert not b.flags.writeable
     with pytest.raises(ValueError):
@@ -751,8 +764,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_builds_no_quadratic_form():
-    # the form is built on first use, so importing the command line costs nothing more
-    code = "import weylspin.cli, weylspin.geometry as g; print(g.quadratic_form_24.cache_info().currsize)"
+    # search-gt's family form is built on first use, so importing the command line costs nothing more
+    code = "import weylspin.cli, weylspin.killing as k; print(k._family_quadratic_form.cache_info().currsize)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True

@@ -10,8 +10,8 @@ Heisenberg and round values below are special cases of the same formula.
 import ast
 import hashlib
 import inspect
+import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,23 +25,24 @@ from weylspin.geometry import (
     WeightedDensity,
     _jacobi_defect,
     analyze,
+    curvature_coefficients,
     curvature_package,
     density_derivative,
     form_coordinates,
     gauge_rescale,
+    gt_coefficients,
     gt_residual_vector,
     milnor_geometry,
     prescaled,
-    quadratic_form_24,
     residual_scale,
     validate_geometry,
     weyl_connection,
 )
-from weylspin.spinconn import curvature_coefficients, flatness, killing_curvature
+from weylspin.spinconn import flatness, killing_curvature
 from weylspin.tensors import kulkarni_nomizu
 
 from test_killing import milnor_constants, rotated_geometry, rotation, semidirect_constants
-from test_spinconn import random_lie_algebras
+from test_spinconn import chain_polarization, geometry_at, random_lie_algebras
 
 
 def ricci_oracle_diagonal(lam):
@@ -167,16 +168,13 @@ def test_validated_constants_equal_the_symmetrize_and_flip_repair():
 
 def test_structure_constants_are_derived_once_read_only_and_antisymmetric():
     rng = np.random.default_rng(36)
-    N = rng.standard_normal((4, 2, 3, 3))
-    batch = geometry.HomogeneousWeylGeometry(N, rng.standard_normal((4, 2, 3)))
-    single = geometry.HomogeneousWeylGeometry(N[1, 0], batch.theta[1, 0])
-    for g in (batch, single, milnor_geometry((1.0, 0.0, -2.0))):
+    single = geometry.HomogeneousWeylGeometry(rng.standard_normal((3, 3)), rng.standard_normal(3))
+    for g in (single, milnor_geometry((1.0, 0.0, -2.0))):
         c = g.structure_constants
         assert g.structure_constants is c
-        assert c.shape == g.N.shape[:-2] + (3, 3, 3) and not c.flags.writeable
-        assert np.array_equal(c, -np.swapaxes(c, -3, -2))
-        assert np.array_equal(c, np.einsum("ijl,...lk->...ijk", EPS, g.N))
-    assert np.array_equal(batch.structure_constants[1, 0], single.structure_constants)
+        assert c.shape == (3, 3, 3) and not c.flags.writeable
+        assert np.array_equal(c, -np.swapaxes(c, 0, 1))
+        assert np.array_equal(c, np.einsum("ijl,lk->ijk", EPS, g.N))
 
 
 def test_a_rotated_frame_has_its_n_conjugated():
@@ -311,6 +309,20 @@ def test_analyze_negative_control():
     assert max(rep.n_ew, rep.n_scal, rep.n_star) > 1e-3
 
 
+def test_a_residual_on_the_tolerance_fails():
+    # the verdict is strict: a tolerance equal to the largest normalized
+    # residual fails, and the next float up passes
+    cases = [(milnor_geometry((2.0, 2.0, 2.0), (0.0, 0.0, 0.3)), WeightedDensity(0.5)),
+             (milnor_geometry((2.0, 2.0, 1.9), (0.1, 0.0, 0.3)), WeightedDensity(0.45)),
+             (milnor_geometry((1.0, -0.5, 2.0), (0.3, 0.1, -0.2)), WeightedDensity(0.4))]
+    for g, beta in cases:
+        rep = analyze(g, beta)
+        worst = max(rep.n_ew, rep.n_scal, rep.n_star)
+        assert worst > 0.0
+        assert not analyze(g, beta, tolerance=worst).verdict
+        assert analyze(g, beta, tolerance=math.nextafter(worst, math.inf)).verdict
+
+
 def test_analyze_requires_weight_minus_one():
     # beta has weight -1 by construction: a density of any other weight is
     # refused where it is built, so analyze, flatness and the form, which
@@ -358,10 +370,10 @@ def test_gauge_covariance_of_normalized_residuals():
 # the quadratic form --------------------------------------------------------
 
 
-def form_defect(Q, g, beta):
-    """max|(Q @ x) @ x - gt_residual_vector| / residual_scale^2 at x = form_coordinates(g, beta)."""
+def gt_defect(g, beta, residuals=gt_coefficients):
+    """max|residuals(x) - gt_residual_vector| / residual_scale^2 at x = form_coordinates(g, beta)."""
     x = form_coordinates(g, beta)
-    defect = float(np.max(np.abs((Q @ x) @ x - gt_residual_vector(g, beta))))
+    defect = float(np.max(np.abs(np.subtract(residuals(x.tolist()), gt_residual_vector(g, beta)))))
     return defect / residual_scale(g, beta) ** 2
 
 
@@ -398,21 +410,6 @@ def geometries(draw):
     return g, WeightedDensity(draw(coefficient))
 
 
-def test_batched_formulas_equal_their_rows():
-    # the form is built from one batched call of both formulas: each row must
-    # be the one-geometry call, bit for bit
-    rng = np.random.default_rng(33)
-    N = rng.standard_normal((5, 3, 3))
-    theta, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
-    batch = geometry.HomogeneousWeylGeometry(N, theta), SimpleNamespace(value=b)
-    rows = [
-        (geometry.HomogeneousWeylGeometry(*a), WeightedDensity(float(v))) for *a, v in zip(N, theta, b)
-    ]
-    assert np.array_equal(gt_residual_vector(*batch), [gt_residual_vector(*r) for r in rows])
-    got = killing_curvature(*batch).curvature
-    assert np.array_equal(got, [killing_curvature(*r).curvature for r in rows])
-
-
 def test_form_coordinates_are_the_structure_constants_exactly():
     g = milnor_geometry((1.0, -0.5, 2.0), (0.3, 0.1, -0.2))
     g, beta = rotated_geometry(g, rotation((1, 2, 3), 0.7)), WeightedDensity(0.4)
@@ -426,11 +423,17 @@ def test_form_coordinates_are_the_structure_constants_exactly():
 @settings(max_examples=200, deadline=None)
 @given(geometries())
 def test_quadratic_form_is_the_two_formulas(case):
-    # the form is gt_residual_vector, and the closed form 2 cof(b) - N b is
+    # the quadratic form r(x) that gt_coefficients reads off F is
+    # gt_residual_vector, and the closed form F = 2 cof(b) - N b is
     # killing_curvature, each to rounding
     g, beta = case
-    assert form_defect(quadratic_form_24() / 24.0, g, beta) < 1e-13
+    assert gt_defect(g, beta) < 1e-13
     assert curvature_defect(g, beta) < 1e-13
+
+
+def chain_form_24():
+    """24 Q (13, 13, 13) of the tensor chain's gt_residual_vector, polarized at the 91 points, unrounded."""
+    return chain_polarization(lambda x: gt_residual_vector(*geometry_at(x)), 13)
 
 
 # sha256 of 24 Q (13, 13, 13), C order, as v0.25.0 stored it in rows 0-12 of its
@@ -439,13 +442,13 @@ GT_FORM_V0_25_0 = "811f9652ec01df6ffc2be891bdc65acc3ba5122131bd268fcd93eaebde4f7
 
 
 def test_quadratic_form_is_24ths_of_integers():
-    Q24 = quadratic_form_24()
-    assert Q24.shape == (13, 13, 13)
-    assert not Q24.flags.writeable
+    # the chain's residuals, polarized, are 24ths of integers to 1e-12, and
+    # rounded they are the table that v0.25.0 to v0.28.0 stored, bit for bit
+    Q24 = chain_form_24()
+    assert np.max(np.abs(Q24 - np.rint(Q24))) <= 1e-12
+    Q24 = np.rint(Q24)
     assert np.array_equal(Q24, np.swapaxes(Q24, 1, 2))
-    assert np.array_equal(Q24, np.rint(Q24))
-    assert np.array_equal(quadratic_form_24.__wrapped__(), Q24)  # a fresh build, same table
-    assert hashlib.sha256(np.ascontiguousarray(Q24).tobytes()).hexdigest() == GT_FORM_V0_25_0
+    assert hashlib.sha256(Q24.tobytes()).hexdigest() == GT_FORM_V0_25_0
 
 
 def covariant_gt_sum(x, mutant=None):
@@ -495,31 +498,89 @@ def polarized_24(residuals):
 def test_quadratic_form_is_the_covariant_sum():
     # the form is polarized from the tensor chain; the covariant sum of N, theta
     # and beta is an independent route to it, exact in Fractions, and each of
-    # its two theta-N couplings is needed
-    want = [[[Fraction(v) for v in row] for row in block] for block in quadratic_form_24().tolist()]
+    # its two theta-N couplings is needed; gt_coefficients, in Fractions, is
+    # the same form read off the Killing curvature
+    want = [[[Fraction(v) for v in row] for row in block] for block in np.rint(chain_form_24()).tolist()]
     assert polarized_24(covariant_gt_sum) == want
     for mutant in ("cross", "a"):
         assert polarized_24(lambda x: covariant_gt_sum(x, mutant)) != want
+    assert polarized_24(lambda x: gt_coefficients([Fraction(v) for v in x])) == want
 
 
-def test_quadratic_form_broken_entry_fails(monkeypatch):
-    # one coefficient off by 1/24 breaks the agreement with the formula, and
-    # evaluations off by 1e-6 leave 24 Q up to 2.4e-5 from integers, which the build refuses
-    Q = quadratic_form_24() / 24.0
-    Q[np.unravel_index(np.argmax(np.abs(Q)), Q.shape)] += 1.0 / 24.0
+def exact_rational_coordinates(rng, count):
+    """count points x (13,) of small rationals as Fractions: N a Lie algebra for even t, generic (not one) for odd t.
+
+    The Lie algebras alternate between symmetric N (unimodular, a = 0) and
+    n = [[p, q, 0], [q, r, 0], [0, 0, 0]] with a = (0, 0, a3), so n a = 0 exactly.
+    """
+    out = []
+    for t in range(count):
+        x = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-40, 41, 13), rng.integers(1, 17, 13))]
+        if t % 2 == 0:
+            N = [x[0:3], x[3:6], x[6:9]]
+            if t % 4 == 0:
+                N = [[N[i][j] + N[j][i] for j in range(3)] for i in range(3)]
+            else:
+                p, q, r, a3, zero = x[0], x[1], x[4], x[8], Fraction(0)
+                N = [[p, q + a3, zero], [q - a3, r, zero], [zero, zero, zero]]
+            x[0:9] = [v for row in N for v in row]
+            assert geometry._jacobi_vector(N) == [0, 0, 0]
+        out.append(x)
+    return out
+
+
+# mutants of gt_coefficients' map: (source fragment, replacement)
+GT_MAP_MUTANTS = {
+    "drop 2 n a": ("4 * v + 2 * w", "4 * v"),
+    "+4 tr F": ("[-4 * trace]", "[4 * trace]"),
+    "1/3 for 2/3": ("2 * trace / 3", "trace / 3"),
+    "flipped ax F": ("4 * v + 2 * w", "-4 * v + 2 * w"),
+}
+
+
+def mutated_gt_coefficients(fragment, replacement):
+    """geometry.gt_coefficients with one source fragment replaced, compiled in geometry's namespace."""
+    source = inspect.getsource(geometry.gt_coefficients)
+    assert source.count(fragment) == 1
+    namespace = dict(vars(geometry))
+    exec(source.replace(fragment, replacement), namespace)
+    return namespace["gt_coefficients"]
+
+
+def gt_map_mismatches(formula, points):
+    """The points x (Fractions) where formula(x) is not covariant_gt_sum(x) exactly."""
+    return [x for x in points if formula(x) != covariant_gt_sum(x)]
+
+
+def test_gt_coefficients_are_the_covariant_sum_in_fractions():
+    # exact on random rationals, half of them with an N that is no Lie
+    # algebra: the map from F is an identity in x; each mutant of the map
+    # (the Jacobi term dropped, +4 tr F, 1/3 for 2/3, ax F of the wrong sign)
+    # fails it, and the mutant that drops the Jacobi term passes on Lie algebras alone
+    points = exact_rational_coordinates(np.random.default_rng(40), 200)
+    assert gt_map_mismatches(gt_coefficients, points) == []
+    for name, (fragment, replacement) in GT_MAP_MUTANTS.items():
+        mismatches = gt_map_mismatches(mutated_gt_coefficients(fragment, replacement), points)
+        assert mismatches, name
+        if name == "drop 2 n a":
+            assert all(geometry._jacobi_vector([x[0:3], x[3:6], x[6:9]]) != [0, 0, 0] for x in mismatches)
+
+
+def test_quadratic_form_broken_entry_fails():
+    # one coefficient off by 1/24 breaks the agreement with the formula
+    Q = np.rint(chain_form_24()) / 24.0
     rng = np.random.default_rng(31)
-    g = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3))
-    assert form_defect(Q, g, WeightedDensity(0.4)) > 1e-3
-    formula = geometry.gt_residual_vector  # the form is polarized from it
-    monkeypatch.setattr(geometry, "gt_residual_vector", lambda g, beta: formula(g, beta) + 1e-6)
-    with pytest.raises(RuntimeError, match="from integers"):
-        quadratic_form_24.__wrapped__()
+    g, beta = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3)), WeightedDensity(0.4)
+    assert gt_defect(g, beta, lambda x: (Q @ x) @ x) < 1e-13
+    Q[np.unravel_index(np.argmax(np.abs(Q)), Q.shape)] += 1.0 / 24.0
+    assert gt_defect(g, beta, lambda x: (Q @ x) @ x) > 1e-3
 
 
 def test_analyze_and_flatness_read_the_closed_forms():
-    # analyze's blocks are the form's rows and flatness the largest entry of
-    # R^beta, each over scale^2 to rounding; on Milnor frames and on random
-    # N, which need not satisfy Jacobi: both formulas are identities in x
+    # analyze's blocks are the exact residuals (the covariant sum, in
+    # Fractions) and flatness the largest entry of R^beta, each over scale^2
+    # to rounding; on Milnor frames and on random N, which need not satisfy
+    # Jacobi: both formulas are identities in x
     rng = np.random.default_rng(32)
     for t in range(100):
         if t % 2:
@@ -528,36 +589,37 @@ def test_analyze_and_flatness_read_the_closed_forms():
         else:
             g = milnor_geometry(rng.uniform(-2, 2, 3), rng.uniform(-1, 1, 3))
             beta = WeightedDensity(float(rng.uniform(-1, 1)))
-        s2 = residual_scale(g, beta) ** 2
-        want = gt_residual_vector(g, beta) / s2
+        s2 = Fraction(residual_scale(g, beta)) ** 2
+        want = [abs(v) / s2 for v in covariant_gt_sum(form_coordinates(g, beta))]
         rep = analyze(g, beta)
         got = [rep.n_ew, rep.n_scal, rep.n_star]
-        blocks = [np.max(np.abs(want[:9])), abs(want[9]), np.max(np.abs(want[10:13]))]
+        blocks = [float(max(want[:9])), float(want[9]), float(max(want[10:13]))]
         assert np.max(np.abs(np.subtract(got, blocks))) < 1e-14
-        curv = np.max(np.abs(killing_curvature(g, beta).curvature)) / s2
+        curv = np.max(np.abs(killing_curvature(g, beta).curvature)) / float(s2)
         assert abs(flatness(g, beta) - curv) < 1e-14
 
 
 def test_flatness_reads_no_form(monkeypatch):
     # flatness is the largest entry modulus of the closed form, |F[l, 2]| and
-    # hypot(F[l, 0], F[l, 1]) in E's basis, and reads it with the form gone
+    # hypot(F[l, 0], F[l, 1]) in E's basis, and reads it with the
+    # Gauduchon-Tod map gone
     g = milnor_geometry((2.0, 2.0, 1.9), (0.1, 0.0, 0.3))
     beta = WeightedDensity(0.45)
     x, e, m = prescaled(g, beta)
     assert x == np.ldexp(form_coordinates(g, beta), -e).tolist()
     F = curvature_coefficients(x)
     moduli = [abs(row[2]) for row in F] + [np.hypot(row[0], row[1]) for row in F]
-    monkeypatch.setattr(geometry, "quadratic_form_24", None)
+    monkeypatch.setattr(geometry, "gt_coefficients", None)
     assert flatness(g, beta) == max(moduli) / (m * m)
 
 
 def test_geometry_imports_nothing_from_spinconn():
-    # the form is polarized from gt_residual_vector alone, the Killing
-    # curvature is spinconn's closed form, and c is built from N by index
-    # assignment: geometry reads nothing of spinconn or clifford
+    # b, its curvature F and the Gauduchon-Tod map are closed forms in x, and
+    # c is built from N by index assignment: geometry reads nothing of
+    # spinconn or clifford
     tree = ast.parse(inspect.getsource(geometry))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert imported == {"errors", "tensors", "dataclasses", "types"}
+    assert imported == {"errors", "tensors", "dataclasses"}
     assert not hasattr(geometry, "form_rows")
 
 

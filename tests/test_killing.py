@@ -3,6 +3,7 @@ the Newton search over the five-parameter family.
 """
 
 import ast
+import hashlib
 import inspect
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from weylspin.clifford import EPS, QUATERNION_BASIS, E, j_structure
 from weylspin.errors import NoConvergence, ShapeError
-from weylspin import geometry, killing, spinconn
+from weylspin import geometry, killing
 from weylspin.cli import parse_geometry_file
 from weylspin.geometry import (
     WeightedDensity,
@@ -1245,14 +1246,17 @@ def test_killing_data_is_built_once_and_read_only():
     assert again is not data and np.array_equal(again.b, data.b)
 
 
+COFACTOR = geometry.cofactor  # the mutants below replace geometry.cofactor and read this one
+
+
 def negated_cofactor(M):
     """A mutant geometry.cofactor: rows M[i+2] x M[i+1], the negative of each cofactor."""
-    return [[-v for v in row] for row in geometry.cofactor(M)]
+    return [[-v for v in row] for row in COFACTOR(M)]
 
 
 def transposed_cofactor(M):
     """A mutant geometry.cofactor: the adjugate cof(M)^T in its place, equal to it for symmetric M."""
-    return [list(col) for col in zip(*geometry.cofactor(M))]
+    return [list(col) for col in zip(*COFACTOR(M))]
 
 
 @pytest.mark.parametrize("mutant", [negated_cofactor, transposed_cofactor])
@@ -1260,7 +1264,7 @@ def test_a_mutant_cofactor_fails_the_chain_and_taylor_checks(monkeypatch, mutant
     # flatness reads 2 cof(b), which either mutant breaks against the chain;
     # closing_arc reads adj(n) = cof(n) of a symmetric n, where only the
     # negated cofactor differs, and the Taylor oracle catches it
-    monkeypatch.setattr(spinconn, "cofactor", mutant)
+    monkeypatch.setattr(geometry, "cofactor", mutant)
     monkeypatch.setattr(killing, "cofactor", mutant)
     killing_data.cache_clear()
     with pytest.raises(AssertionError):
@@ -1330,14 +1334,34 @@ def test_family_quadratic_form_is_the_residual():
     assert form_defect(Q, xs) < 1e-13
 
 
-def test_family_quadratic_form_is_the_slice_of_the_geometry_form():
-    # N = diag(l1, l2, l3) and theta = (0, 0, theta3) among the 13 coordinates
+# sha256 of Q (13, 5, 5), C order, as v0.28.0 built it from the chain's form, with
+# its 15 zeros of negative sign made positive
+FAMILY_FORM_V0_28_0 = "3ed75ab74a7b3944a066253d732d642585e5a064c79b79f77ac22c36b101f720"
+
+
+def test_family_quadratic_form_is_the_chains_polarization():
+    # N = diag(l1, l2, l3) and theta = (0, 0, theta3) among the 13 coordinates:
+    # the form read off the Killing curvature is the tensor chain's, polarized
+    # on the family and rounded, and v0.28.0's table bit for bit, with no -0.0
     Q = _family_quadratic_form()
+    chain = test_spinconn.chain_polarization(lambda x: gt_residual_vector(*milnor_theta3_family(x)), 5)
+    assert np.max(np.abs(chain - np.rint(chain))) <= 1e-12
+    assert np.array_equal(Q, np.rint(chain) / 24.0)
+    assert hashlib.sha256(Q.tobytes()).hexdigest() == FAMILY_FORM_V0_28_0
+    assert not np.signbit(Q[Q == 0.0]).any()
+    assert np.array_equal(_family_quadratic_form.__wrapped__(), Q)  # a fresh build, same table
     idx = [0, 4, 8, 11, 12]
-    assert np.array_equal(Q, geometry.quadratic_form_24()[:, idx][:, :, idx] / 24.0)
     x = np.array([2.0, 1.5, 1.0, 0.3, 0.4])
     g, beta = milnor_theta3_family(x)
     assert np.array_equal(geometry.form_coordinates(g, beta)[idx], x)
+
+
+def test_family_quadratic_form_refuses_residuals_off_by_rounding(monkeypatch):
+    # residuals off by 1e-6 leave 24 Q up to 2.4e-5 from integers, which the build refuses
+    formula = killing.gt_coefficients  # the form is polarized from it
+    monkeypatch.setattr(killing, "gt_coefficients", lambda x: [v + 1e-6 for v in formula(x)])
+    with pytest.raises(RuntimeError, match="from integers"):
+        _family_quadratic_form.__wrapped__()
 
 
 def test_family_quadratic_form_broken_entry_fails():

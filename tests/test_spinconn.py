@@ -1,5 +1,4 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,18 +9,18 @@ from weylspin.geometry import (
     HomogeneousWeylGeometry,
     WeightedDensity,
     analyze,
+    curvature_coefficients,
     curvature_package,
     density_derivative,
     form_coordinates,
+    killing_coefficients,
     milnor_geometry,
     prescaled,
     validate_geometry,
 )
 from weylspin.spinconn import (
     commutator_curvature,
-    curvature_coefficients,
     flatness,
-    killing_coefficients,
     killing_connection,
     killing_curvature,
     spin_connection,
@@ -176,13 +175,12 @@ def test_commutator_curvature_antisymmetric():
 
 def chain_coefficients(g, beta):
     """b of the tensor chain: b[i, k] = -tr(q_k B_i) / 2 of killing_connection, q_k = -e_k."""
-    return np.real(np.einsum("kab,...iba->...ik", 0.5 * E, killing_connection(g, beta)))
+    return np.real(np.einsum("kab,iba->ik", 0.5 * E, killing_connection(g, beta)))
 
 
 def geometry_at(x):
-    """(g, beta) with form_coordinates x (..., 13); beta a bare value."""
-    g = HomogeneousWeylGeometry(x[..., :9].reshape(x.shape[:-1] + (3, 3)), x[..., 9:12])
-    return g, SimpleNamespace(value=x[..., 12])
+    """(g, beta) with form_coordinates x (13,)."""
+    return HomogeneousWeylGeometry(x[:9].reshape(3, 3), x[9:12]), WeightedDensity(x[12])
 
 
 def test_killing_coefficients_equal_the_chain_bitwise_on_the_polarization_points():
@@ -193,7 +191,7 @@ def test_killing_coefficients_equal_the_chain_bitwise_on_the_polarization_points
     k, l = np.triu_indices(n, 1)
     points = np.concatenate([eye, eye[k] + eye[l]])
     assert len(points) == 91
-    chain = chain_coefficients(*geometry_at(points))
+    chain = [chain_coefficients(*geometry_at(x)) for x in points]
     for x, want in zip(points, chain):
         assert np.array_equal(killing_coefficients(x), want), x
 
@@ -264,10 +262,10 @@ def test_a_flipped_theta_term_fails_the_chain_comparison(monkeypatch):
 # the closed form of the Killing curvature ------------------------------------
 
 
-def polarization_points():
-    """The 91 points e_k and e_k + e_l (k < l) of R^13, which fix a quadratic form."""
-    eye = np.eye(13)
-    k, l = np.triu_indices(13, 1)
+def polarization_points(n=13):
+    """The points e_k, then e_k + e_l (k < l), of R^n, which fix a quadratic form: 91 for n = 13."""
+    eye = np.eye(n)
+    k, l = np.triu_indices(n, 1)
     return np.concatenate([eye, eye[k] + eye[l]])
 
 
@@ -288,10 +286,22 @@ def curvature_closed_form(x, mutant=None):
 
 
 def chain_curvature_coefficients(points):
-    """(p_0, p) (..., 3) and (..., 3, 3): R^beta_(l+1, l+2) = p_0[l] Id + sum_k p[l, k] q_k, by the chain."""
-    pairs = killing_curvature(*geometry_at(points)).curvature[..., [1, 2, 0], [2, 0, 1], :, :]
+    """(p_0, p) (points, 3) and (points, 3, 3): R^beta_(l+1, l+2) = p_0[l] Id + sum_k p[l, k] q_k, by the chain."""
+    pairs = np.array([killing_curvature(*geometry_at(x)).curvature[[1, 2, 0], [2, 0, 1]] for x in points])
     p0 = 0.5 * np.trace(pairs, axis1=-2, axis2=-1)
     return p0, np.einsum("kab,...lba->...lk", 0.5 * E, pairs)  # p_k = -tr(q_k M) / 2
+
+
+def chain_polarization(residuals, n):
+    """24 Q (rows, n, n) of a quadratic r (rows,) on R^n, unrounded, from its values at polarization_points(n)."""
+    points = polarization_points(n)
+    k, l = np.triu_indices(n, 1)
+    r = 24.0 * np.array([residuals(x) for x in points]).T
+    diag = r[:, :n]
+    polarized = np.empty((len(r), n, n))
+    polarized[:, range(n), range(n)] = diag
+    polarized[:, k, l] = polarized[:, l, k] = 0.5 * (r[:, n:] - diag[:, k] - diag[:, l])
+    return polarized
 
 
 def closed_form_failures(formula):

@@ -2,6 +2,8 @@
 its brute-force permutation oracle, mu contractions, nu embedding, Hodge star.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,19 @@ def test_hodge_star_bounds_the_skew_relative_to_the_tensor():
     with np.errstate(invalid="ignore"):
         star = hodge_star(H)
     assert np.isnan(star[0]) and star[2] == np.inf
+
+
+def test_hodge_star_refuses_an_overflowing_skew_without_a_warning():
+    # F[0, 1] = F[1, 0] = 1e308 is finite, and F + F^T overflows to inf: a skew
+    # above any bound, refused as SymmetryError with no overflow warning
+    F = np.zeros((3, 3))
+    F[0, 1] = F[1, 0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SymmetryError):
+            hodge_star(F)
+        with pytest.raises(SymmetryError):
+            hodge_star(np.stack([np.zeros((3, 3)), F]), 1)
 
 
 def test_metric_is_identity():
