@@ -255,7 +255,9 @@ def _cmd_search_gt(args):
         _bound_section("final_residual", residual, args.tol, "below"),
         _bound_section("iterations", iterations, args.max_iter + 0.5, "below"),
     ]
-    if found is not None:
+    if found is None:
+        sections[0]["pass"] = False  # a search that did not converge fails, whatever its best residual
+    else:
         sections += _gt_sections(found.report)
     return sections
 

@@ -15,7 +15,7 @@ the curvature, at x prescaled by a power of two (prescaled, which killing reads 
 so they are the same at every finite scale; analyze holds them below TOLERANCE.
 residual_scale is the one unit: every residual (weight -2) is read in scale^2. The
 tensor chain, weyl_connection to gt_residual_vector, is what the tests hold these
-closed forms to and what search-gt confirms its roots by.
+closed forms to; no command runs it.
 
 Sign and trace conventions (pinned by the curvature-decomposition and
 flatness-equivalence audits, see docs/CONVENTIONS.md):
@@ -341,24 +341,6 @@ def gt_coefficients(x):
     return sym0_ric + [-4 * trace] + [4 * v + 2 * w for v, w in zip(a_f, jacobi)]
 
 
-def _report(residuals, m, tolerance):
-    """GTReport from the 13 residuals over 2^(2e), residual_scale = m 2^e (prescaled): block maxima over m^2."""
-    r, s = [abs(v) for v in residuals], m * m
-    n_ew, n_scal, n_star = max(r[:9]) / s, r[9] / s, max(r[10:]) / s
-    return GTReport(n_ew, n_scal, n_star, tolerance, max(n_ew, n_scal, n_star) < tolerance)
-
-
-def gt_report(g, beta, residuals):
-    """analyze's report, at TOLERANCE, on the given residuals (13,) of (g, beta).
-
-    find_gt_parameters passes gt_residual_vector's, so that a root of its quadratic form is
-    confirmed by the tensor chain, never by a closed form; only prescaled's (e, m) are read,
-    no coordinates.
-    """
-    m, e = math.frexp(residual_scale(g, beta))
-    return _report(np.ldexp(residuals, -2 * e).tolist(), m, TOLERANCE)
-
-
 def analyze(g, beta, tolerance=TOLERANCE):
     """Gauduchon-Tod residual report for (g, beta).
 
@@ -372,4 +354,6 @@ def analyze(g, beta, tolerance=TOLERANCE):
     prescaled(g, beta), so they are finite at every finite scale.
     """
     x, _, m = prescaled(g, beta)
-    return _report(gt_coefficients(x), m, tolerance)
+    r, s = [abs(v) for v in gt_coefficients(x)], m * m
+    n_ew, n_scal, n_star = max(r[:9]) / s, r[9] / s, max(r[10:]) / s
+    return GTReport(n_ew, n_scal, n_star, tolerance, max(n_ew, n_scal, n_star) < tolerance)

@@ -33,11 +33,10 @@ from .clifford import ENTRY_PAIRS, QUATERNION_BASIS, j_structure
 from .errors import NoConvergence, ShapeError
 from .geometry import (
     WeightedDensity,
+    analyze,
     bianchi_split,
     cofactor,
     gt_coefficients,
-    gt_report,
-    gt_residual_vector,
     killing_coefficients,
     milnor_geometry,
     prescaled,
@@ -462,6 +461,11 @@ def _pin_index(name):
     return idx
 
 
+def _search_scale(x):
+    """residual_scale's rule on the family's coordinates x (5,): max|x|, and 1 for x = 0."""
+    return float(np.max(np.abs(x))) or 1.0
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught and reported below
 def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iterations=50):
     """Damped Newton search for a root of the Gauduchon-Tod residual system.
@@ -475,13 +479,17 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     loses rank, and a step along a singular value of rounding size is noise
     that backtracking cannot halve away. The residuals are the quadratic form
     r(x) = (Q @ x) @ x of _family_quadratic_form, with the exact Jacobian 2 (Q
-    @ x)[:, free]; no geometry is built inside the iteration. Success means a
-    max-norm residual below tolerance within max_iterations, confirmed by
-    gt_residual_vector: residual_norm is its max-norm at the root, and the
-    report geometry.gt_report on its residuals, never the form's. Otherwise,
-    or once a residual or step is not finite, NoConvergence carries the last
-    iterate, the best one (an accepted step always lowers the norm), and
-    gt_residual_vector's max-norm there.
+    @ x)[:, free]; no geometry is built inside the iteration. It runs at the
+    start's own scale, on x0 / 2^e with x0's scale (residual_scale's rule)
+    = m 2^e, 1/2 <= m < 1, and the root is the iterate times 2^e: both exact,
+    so a start scaled by a power of two gives its root scaled by the same.
+    Success means max|r(x)| < tolerance s^2, s the iterate's scale, within
+    max_iterations, confirmed by analyze at the root: residual_norm is the
+    largest of its three normalized blocks, and report its GTReport. A root
+    whose residual_norm is not below tolerance is refused. Otherwise, or once
+    a residual or step is not finite, NoConvergence carries the last iterate,
+    the best one (an accepted step always lowers the norm), and analyze's
+    largest block there.
     """
     x = np.asarray(x0, dtype=float).copy()
     name, value = pin
@@ -492,36 +500,42 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
         raise ShapeError("search start must be finite")
     free = [k for k in range(x.size) if k != idx]
     Q = _family_quadratic_form()
+    _, e = math.frexp(_search_scale(x))
+    x = np.ldexp(x, -e)
 
-    def stop(why, iterations):
-        norm = float(np.max(np.abs(gt_residual_vector(*milnor_theta3_family(x)))))
-        return NoConvergence(
+    def finish(iterations, why=None):
+        """End the search at the root, the iterate times 2^e, with one analyze call.
+
+        A root of the form (why None) that analyze holds below tolerance is returned as the
+        GTSearchResult; any other end raises NoConvergence, saying why.
+        """
+        root = tuple(np.ldexp(x, e).tolist())
+        report = analyze(*milnor_theta3_family(root))
+        norm = max(report.n_ew, report.n_scal, report.n_star)
+        if why is None and norm < tolerance:
+            return GTSearchResult(root, norm, iterations, report)
+        why = why or "the form's root fails the formula"
+        raise NoConvergence(
             f"{why}, best residual {norm:.3e}",
-            best_params=tuple(x),
+            best_params=root,
             best_residual=norm,
             iterations=iterations,
         )
 
-    def converged(iterations):
-        g, beta = milnor_theta3_family(x)
-        residuals = gt_residual_vector(g, beta)
-        norm = float(np.max(np.abs(residuals)))
-        if not norm < tolerance:
-            raise stop("root of the quadratic form fails gt_residual_vector", iterations)
-        return GTSearchResult(tuple(x), norm, iterations, gt_report(g, beta, residuals))
-
     qx = Q @ x
     r = qx @ x
     norm = float(np.max(np.abs(r)))
-    for it in range(max_iterations):
-        if norm < tolerance:
-            return converged(it)
+    for it in range(max_iterations + 1):
+        if norm < tolerance * _search_scale(x) ** 2:
+            return finish(it)
+        if it == max_iterations:
+            return finish(it, f"iteration cap {max_iterations} hit")
         jac = 2.0 * qx[:, free]
         if not (np.isfinite(norm) and np.all(np.isfinite(jac))):
-            raise stop("non-finite residual", it)
+            return finish(it, "non-finite residual")
         step, *_ = np.linalg.lstsq(jac, -r, rcond=1e-12)
         if not np.all(np.isfinite(step)):
-            raise stop("non-finite Newton step", it)
+            return finish(it, "non-finite Newton step")
         t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             xt = x.copy()
@@ -533,8 +547,5 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
                 break
             t *= 0.5
         else:
-            raise stop("backtracking stalled", it)
+            return finish(it, "backtracking stalled")
         x, qx, r, norm = xt, qxt, rt, nt
-    if norm < tolerance:
-        return converged(max_iterations)
-    raise stop(f"iteration cap {max_iterations} hit", max_iterations)

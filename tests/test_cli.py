@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 import weylspin
-from weylspin import geometry, killing, spinconn
+from weylspin import cli, geometry, killing, spinconn
 from weylspin.cli import build_parser, main, parse_geometry_file
-from weylspin.errors import ParseError
+from weylspin.errors import NoConvergence, ParseError
 from weylspin.geometry import (
     WeightedDensity,
     analyze,
     gauge_rescale,
     milnor_geometry,
 )
-from weylspin.killing import gt_residual_vector, milnor_theta3_family
+from weylspin.killing import milnor_theta3_family
 from weylspin.spinconn import flatness
 
 from test_killing import BERGER_PATH, milnor_constants, rotated_geometry, rotation, semidirect_constants
@@ -674,14 +674,49 @@ def test_search_gt_iteration_cap(capsys):
     assert report["verdict"] == "fail"
 
 
+def printed_root(err):
+    """The parameters search-gt logs to stderr."""
+    line = next(l for l in err.splitlines() if l.startswith("[search-gt] parameters:"))
+    return [float(v) for v in line.partition(":")[2].split(",")]
+
+
 def test_search_gt_final_residual_is_the_formula_at_the_root(capsys):
+    # the r_* sections are analyze's on the printed root, and final_residual their largest
     code, out, err = run_cli(capsys, ["search-gt", "--pin", "lambda1=2", "--x0", "2,2,1.8,0.3,0.4"])
     assert code == 0
-    line = next(l for l in err.splitlines() if l.startswith("[search-gt] parameters:"))
-    params = [float(v) for v in line.partition(":")[2].split(",")]
-    final = json.loads(out)["sections"][0]
-    assert final["name"] == "final_residual"
-    assert final["value"] == float(np.max(np.abs(gt_residual_vector(*milnor_theta3_family(params)))))
+    sections = {s["name"]: s for s in json.loads(out)["sections"]}
+    report = analyze(*milnor_theta3_family(printed_root(err)))
+    r = [sections[name]["value"] for name in ("r_ew", "r_scal", "r_star")]
+    assert r == [report.n_ew, report.n_scal, report.n_star]
+    assert sections["final_residual"]["value"] == max(r)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e100])
+def test_search_gt_tol_is_relative_to_the_starts_scale(capsys, scale):
+    # one start at eight scales: --tol bounds the residuals over the root's scale^2,
+    # so each converges, and each printed root passes analyze
+    x0 = ",".join(repr(scale * v) for v in (2.0, 2.1, 1.9, 0.0, 0.4))
+    code, out, err = run_cli(capsys, ["search-gt", "--x0", x0, "--pin", "lambda1"])
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    params = printed_root(err)
+    assert params[0] == scale * 2.0
+    assert analyze(*milnor_theta3_family(params)).verdict
+
+
+def test_search_gt_that_did_not_converge_fails(capsys, monkeypatch):
+    # a NoConvergence whose best residual is below --tol still fails, with no r_* sections
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("stalled", best_params=(2.0,) * 5, best_residual=0.0, iterations=3)
+
+    monkeypatch.setattr(cli, "find_gt_parameters", no_convergence)
+    code, out, err = run_cli(capsys, ["search-gt", "--x0", "2,2,2,0,0.5"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert [(s["name"], s["value"], s["pass"]) for s in report["sections"]] == [
+        ("final_residual", 0.0, False), ("iterations", 3.0, True)
+    ]
+    assert "no convergence" in err
 
 
 def test_successive_calls_share_no_parser_state(capsys):
@@ -711,14 +746,14 @@ def test_search_gt_usage_errors(capsys):
 
 
 def test_search_gt_overflow_fails_with_a_report(capsys):
-    # lambda1 or beta at 1e200: the quadratic residuals overflow, and the
-    # formula reads the start as nan or inf
+    # lambda1 or beta at 1e200 overflowed the quadratic residuals before the search
+    # ran at the start's own scale; from these starts it still does not converge
     for x0 in ("1e200,2,2,0,0.5", "1,1,1,1,1e200"):
         code, out, err = run_cli(capsys, ["search-gt", "--x0", x0])
         assert code == 1
-        final = json.loads(out)["sections"][0]
-        assert final["name"] == "final_residual" and final["pass"] is False
-        assert not math.isfinite(final["value"])
+        sections = json.loads(out)["sections"]
+        assert [s["name"] for s in sections] == ["final_residual", "iterations"]
+        assert sections[0]["pass"] is False and math.isfinite(sections[0]["value"])
         assert "no convergence" in err
 
 
@@ -776,9 +811,11 @@ def test_cli_import_builds_no_quadratic_form():
 def test_benchmark_span_names_resolve_in_the_package():
     # bench/tracing.py skips a name the package does not define, so a rename
     # would read 0 in every per-layer metric of that span without an error;
-    # triangle_loop and group_endpoint left the package in 0.11.0, and expm
-    # in 0.23.0, when closing_arc came back as the closed-form closing arc
-    dropped = {"killing.triangle_loop", "killing.group_endpoint", "killing.expm"}
+    # triangle_loop and group_endpoint left the package in 0.11.0, expm in
+    # 0.23.0, when closing_arc came back as the closed-form closing arc, and
+    # killing's binding of gt_residual_vector in 0.30.0, when search-gt began
+    # to confirm its roots with analyze
+    dropped = {"killing.triangle_loop", "killing.group_endpoint", "killing.expm", "killing.gt_residual_vector"}
     path = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
     with open(path, encoding="utf-8") as fh:
         names = [metric["name"] for metric in json.load(fh)["per_layer"]]

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 from weylspin.clifford import EPS, QUATERNION_BASIS, E, j_structure
 from weylspin.errors import NoConvergence, ShapeError
-from weylspin import geometry, killing
+from weylspin import geometry, killing, spinconn
 from weylspin.cli import parse_geometry_file
 from weylspin.geometry import (
     WeightedDensity,
     analyze,
     gauge_rescale,
+    gt_residual_vector,
     milnor_geometry,
     residual_scale,
     validate_geometry,
@@ -38,7 +39,6 @@ from weylspin.killing import (
     _su2_quaternion,
     closing_arc,
     find_gt_parameters,
-    gt_residual_vector,
     killing_data,
     killing_residual,
     loop_batch,
@@ -1462,9 +1462,48 @@ def test_search_is_deterministic():
     assert a.residual_norm == b.residual_norm
 
 
+def analyze_at(params):
+    """analyze's GTReport at milnor_theta3_family(params) and the largest of its three blocks."""
+    report = analyze(*milnor_theta3_family(params))
+    return report, max(report.n_ew, report.n_scal, report.n_star)
+
+
 def test_search_reports_the_formula_residual_at_its_root():
+    # residual_norm and the report are analyze's at the root, normalized by its scale
     res = find_gt_parameters((2.0, 2.0, 1.8, 0.3, 0.4), pin=("lambda1", 2.0))
-    assert res.residual_norm == float(np.max(np.abs(family_residual(res.params))))
+    assert (res.report, res.residual_norm) == analyze_at(res.params)
+    assert res.residual_norm < 1e-10
+
+
+def test_search_runs_at_the_starts_own_scale():
+    # a start scaled by a power of two takes the same steps: the same iterations,
+    # residual_norm and report, and its root scaled bit for bit, from 2^-600 to 2^600,
+    # where the raw quadratic residuals would underflow or overflow
+    x0 = (2.2, 1.9, 2.1, 0.05, 0.4)
+    base = find_gt_parameters(x0)
+    assert base.iterations > 1 and base.report.verdict
+    for k in (3, -3, 40, -40, 600, -600):
+        res = find_gt_parameters(np.ldexp(x0, k))
+        assert res.params == tuple(np.ldexp(base.params, k).tolist()), k
+        assert (res.iterations, res.residual_norm, res.report) == (base.iterations, base.residual_norm, base.report)
+
+
+def test_search_stops_on_the_residual_over_the_iterates_scale():
+    # rho is the form's max-norm at the start over max|x0|^2: a tolerance 1 % above
+    # it stops at once and one 1 % below takes a step, at every scale of the start
+    x0 = np.array([2.2, 1.9, 2.1, 0.05, 0.4])
+    Q = _family_quadratic_form()
+    rho = float(np.max(np.abs((Q @ x0) @ x0))) / 2.2**2
+    for k in (0, -30, 30):
+        assert find_gt_parameters(np.ldexp(x0, k), tolerance=1.01 * rho).iterations == 0
+        assert find_gt_parameters(np.ldexp(x0, k), tolerance=0.99 * rho).iterations > 0
+
+
+def test_search_from_the_zero_start_converges_at_once():
+    # all residuals of the zero start are 0, and its scale is 1, not 0
+    res = find_gt_parameters((0.0, 0.0, 0.0, 0.0, 0.0))
+    assert (res.params, res.iterations, res.residual_norm) == ((0.0,) * 5, 0, 0.0)
+    assert res.report.verdict
 
 
 def test_search_does_not_stall_near_a_root_curve():
@@ -1483,26 +1522,33 @@ def test_search_does_not_stall_near_a_root_curve():
 
 
 def test_search_evaluates_the_formula_only_at_its_root(monkeypatch):
+    # the search iterates on the form and confirms its root with one analyze call;
+    # it runs no tensor chain
     _family_quadratic_form()
     calls = []
-    package = geometry.curvature_package
-    monkeypatch.setattr(geometry, "curvature_package", lambda g: calls.append(g) or package(g))
+    count = lambda name, fn: lambda *args: calls.append(name) or fn(*args)
+    monkeypatch.setattr(killing, "analyze", count("analyze", analyze))
+    monkeypatch.setattr(geometry, "curvature_package", count("chain", geometry.curvature_package))
+    connection = count("chain", geometry.weyl_connection)
+    for module in (geometry, spinconn):
+        monkeypatch.setattr(module, "weyl_connection", connection)
     res = find_gt_parameters((2.2, 1.9, 2.1, 0.05, 0.4), pin=("lambda1", 2.0))
     assert res.iterations > 1
-    assert len(calls) == 1
+    assert calls == ["analyze"]
 
 
 def test_search_root_of_a_wrong_form_raises_no_convergence(monkeypatch):
-    # a form that vanishes at x, where the residual formula reads 1.56: the
-    # search stops at once, and the formula turns its "root" down
+    # a form that vanishes at x, where analyze reads 0.39: the search stops at
+    # once, and analyze turns its "root" down
     x = np.array([2.0, 2.0, 1.8, 0.3, 0.4])
     Q = _family_quadratic_form()
     wrong = Q - np.einsum("i,k,l->ikl", (Q @ x) @ x, x, x) / (x @ x) ** 2
     monkeypatch.setattr(killing, "_family_quadratic_form", lambda: wrong)
-    with pytest.raises(NoConvergence) as info:
+    with pytest.raises(NoConvergence, match="the form's root fails the formula") as info:
         find_gt_parameters(x, pin=("lambda1", 2.0))
     assert info.value.iterations == 0
-    assert info.value.best_residual == float(np.max(np.abs(family_residual(x))))
+    assert info.value.best_params == tuple(x)
+    assert info.value.best_residual == analyze_at(x)[1]
     assert info.value.best_residual > 1e-2
 
 
@@ -1517,8 +1563,10 @@ def test_transport_sequence_operator_orders_left():
 
 
 def test_search_overflow_raises_no_convergence():
-    # the residuals are quadratic, so lambda1 = 1e200 overflows them
+    # lambda1 = 1e200 would overflow the quadratic residuals, but the search runs at
+    # the start's own scale: it stalls, with analyze's finite residual at its best iterate
     with pytest.raises(NoConvergence) as info:
         find_gt_parameters((1e200, 2.0, 2.0, 0.0, 0.5))
     assert info.value.best_params[0] == 1e200
-    assert not info.value.best_residual < 1e-10
+    assert info.value.best_residual == analyze_at(info.value.best_params)[1]
+    assert 1e-10 < info.value.best_residual < math.inf
