@@ -8,7 +8,7 @@ the Killing connection, and constructs the 2-dimensional Killing spinor space by
 parallel transport.
 """
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 from . import clifford, errors, geometry, identities, killing, spinconn, tensors
 

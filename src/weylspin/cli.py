@@ -220,8 +220,8 @@ def _cmd_killing(args):
     if not all(s["pass"] for s in sections):
         return sections
 
-    # the loops and the path pairs are drawn, closed and transported as one batch
-    batch = loop_batch(g, beta, rng, args.loops, pairs=5)
+    # the loops are drawn, closed and transported along both halves as one batch
+    batch = loop_batch(g, beta, rng, args.loops)
     worst_dev = float(np.max(loop_holonomy(batch)))
     sections.append(_bound_section("max_holonomy_deviation", worst_dev, 1e-9, "below"))
 

@@ -267,15 +267,19 @@ def gt_residual_vector(g, beta):
 
 @functools.lru_cache(maxsize=1)
 def residual_scale(g, beta):
-    """The geometry's unit of 1/length: max coefficient magnitude, and 1 for the zero geometry.
+    """The geometry's unit of 1/length, scale_of(form_coordinates): max|coefficient|, 1 for the zero geometry.
 
     Weight -2 residuals are normalized by its square, and loop lengths and
     killing_residual's step are taken in its inverse. The zero geometry has
     all residuals 0, so its scale of 1 leaves them as they are. Computed once
     per (immutable) geometry and density, for analyze, flatness and killing.
     """
-    scale = max(np.max(np.abs(g.N)), np.max(np.abs(g.theta)), abs(beta.value))
-    return float(scale) or 1.0
+    return scale_of(form_coordinates(g, beta))
+
+
+def scale_of(x):
+    """max|x_k| over the coordinates x, and 1 where every one is 0."""
+    return float(np.max(np.abs(x))) or 1.0
 
 
 def form_coordinates(g, beta):

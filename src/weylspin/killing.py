@@ -10,19 +10,19 @@ quadrilaterals X, Y, -X, -Z with Z = Ad_exp(X) Y, so they close on every
 simply connected Lie group without a model of the group; closing_arc
 evaluates exp(ad_X) Y in closed form from the Bianchi decomposition of the
 structure constants, built once per geometry with b, B_i = sum_k b[i, k] q_k
-(killing_data). loop_batch draws, closes and transports the loops and path pairs
-of one killing check as one batch, which loop_holonomy and
-path_independence_residual each read a slice of. A single arc runs the same
-closed form on Python floats (transport_operator), where numpy's per-call cost
-would dominate a 3-vector. The 2-dimensional Killing spinor space is spanned by
-the transports of the base pair (1, 0), J (1, 0): sample_transports gives them
-as an (N, 2, 2) stack, and min_singular_value and killing_residual check all N
-samples as arrays.
+(killing_data). loop_batch draws, closes and transports the loops of one
+killing check as one batch, which holds the transports along each loop's two
+halves, the path X, Y, -X and the arc Z: loop_holonomy reads the holonomies
+off them, and path_independence_residual how far the halves disagree. A
+single arc runs the same closed form on Python floats (transport_operator),
+where numpy's per-call cost would dominate a 3-vector. The 2-dimensional
+Killing spinor space is spanned by the transports of the base pair (1, 0),
+J (1, 0): sample_transports gives them as an (N, 2, 2) stack, and
+min_singular_value and killing_residual check all N samples as arrays.
 """
 
 import functools
 import math
-import operator
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -41,6 +41,7 @@ from .geometry import (
     milnor_geometry,
     prescaled,
     residual_scale,
+    scale_of,
 )
 from .spinconn import killing_connection
 from .tensors import NEXT, PREV
@@ -243,72 +244,68 @@ def _entry_gap(p, q):
     return np.hypot(*(p - q)[_ENTRY_COMPONENTS]).max(axis=0)
 
 
-def _loop_legs(g, beta, rng, loops, pairs):
-    """The arcs X, Y (loops + pairs, 2, 3): loop directions, loop lengths, then the pairs'.
+def _loop_legs(g, beta, rng, loops):
+    """The arcs X, Y (loops, 2, 3) of `loops` loops: one draw of directions, then one of lengths.
 
     Lengths are 0.4-1.2 in units of 1 / residual_scale(g, beta), so a loop spans
     the same part of the group at every normal scale; killing_data refuses the
     sub-normal ones, where they would overflow.
     """
-    draws = [(rng.standard_normal((n, 2, 3)), rng.uniform(0.4, 1.2, (n, 2))) for n in (loops, pairs)]
-    d, t = (np.concatenate(parts) for parts in zip(*draws))
+    d = rng.standard_normal((loops, 2, 3))
+    t = rng.uniform(0.4, 1.2, (loops, 2))
     d /= np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
     return (t / residual_scale(g, beta))[..., None] * d
 
 
 @dataclass(frozen=True, eq=False)
 class LoopBatch:
-    """Loops and path pairs with their transports as unit quaternions.
+    """Loops X, Y, -X, -Z with the transports along their two halves as unit quaternions.
 
-    Row r of legs (loops + pairs, 2, 3) holds X, Y and row r of closing Z: the
-    loops X, Y, -X, -Z, then the pairs, whose paths X, Y, -X and Z both end at
-    exp(X) exp(Y) exp(-X). quaternions (4, loops + 2 pairs) holds, as columns,
-    the loops' holonomies, then the pairs' first and second transports.
+    Row r of legs (N, 2, 3) holds X, Y and row r of closing Z. Both halves of
+    loop r, the path X, Y, -X and the arc Z, end at exp(X) exp(Y) exp(-X):
+    column r of first (4, N) is the transport along the path, and of second
+    (4, N) the transport along the arc.
     """
 
     legs: np.ndarray
     closing: np.ndarray
-    quaternions: np.ndarray
-    loops: int
-    pairs: int
+    first: np.ndarray
+    second: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows makes its column NaN
-def transport_loops(g, beta, legs, closing, loops):
-    """The LoopBatch of legs (N, 2, 3) and closing arcs (N, 3), the first `loops` rows loops.
+def transport_loops(g, beta, legs, closing):
+    """The LoopBatch of the loops with legs (N, 2, 3) and closing arcs (N, 3).
 
-    The transport along -v is conj q_v bitwise, so a pair's first path is U_1 =
-    conj(q_X) (q_Y q_X), its second q_Z, and a loop's holonomy conj(q_Z) U_1.
+    The transport along -v is conj q_v bitwise, so a loop's first half is
+    conj(q_X) (q_Y q_X) and its second q_Z.
     """
     arcs = np.concatenate([legs.transpose(2, 1, 0).reshape(3, -1), closing.T], axis=1)  # X | Y | Z
     q = _su2_quaternion(-killing_data(g, beta).b.T @ arcs)
     q_x, q_y, q_z = q.reshape(4, 3, len(legs)).swapaxes(0, 1)
-    first = _hamilton(_CONJUGATE * q_x, _hamilton(q_y, q_x))
-    holonomy = _hamilton(_CONJUGATE * q_z[:, :loops], first[:, :loops])
-    quaternions = np.concatenate([holonomy, first[:, loops:], q_z[:, loops:]], axis=1)
-    return LoopBatch(legs, closing, quaternions, loops, len(legs) - loops)
+    return LoopBatch(legs, closing, _hamilton(_CONJUGATE * q_x, _hamilton(q_y, q_x)), q_z)
 
 
-def loop_batch(g, beta, rng, loops, pairs=5):
-    """Draw `loops` closed loops and `pairs` path pairs, and transport them as one LoopBatch.
+def loop_batch(g, beta, rng, loops):
+    """Draw `loops` closed loops and transport them as one LoopBatch.
 
     X, Y, -X reaches exp(X) exp(Y) exp(-X) = exp(Ad_exp(X) Y), so the arc -Z,
     Z = closing_arc(X, Y), returns to the identity on every simply connected
-    group. The loops' legs are drawn first, so pairs=0 gives the loops alone.
+    group.
     """
-    legs = _loop_legs(g, beta, rng, loops, pairs)
-    return transport_loops(g, beta, legs, closing_arc(g, beta, legs), loops)
+    legs = _loop_legs(g, beta, rng, loops)
+    return transport_loops(g, beta, legs, closing_arc(g, beta, legs))
 
 
 def loop_holonomy(batch):
-    """max|H - Id| (loops,) of the Killing holonomies H around the batch's loops, off their quaternions."""
-    return _entry_gap(batch.quaternions[:, : batch.loops], np.eye(4, 1))  # gap to the identity
+    """max|H - Id| (N,) of the Killing holonomies H = conj(second) first around the batch's loops."""
+    holonomy = _hamilton(_CONJUGATE * batch.second, batch.first)
+    return _entry_gap(holonomy, np.eye(4, 1))  # gap to the identity
 
 
 def path_independence_residual(batch):
-    """Max transport disagreement between the two paths of each of the batch's pairs."""
-    first, second = batch.quaternions[:, batch.loops :].reshape(4, 2, batch.pairs).swapaxes(0, 1)
-    return float(_entry_gap(first, second).max())
+    """max|first - second| over the batch's loops: how far their two halves' transports disagree."""
+    return float(_entry_gap(batch.first, batch.second).max())
 
 
 # ---------------------------------------------------------------------------
@@ -445,25 +442,10 @@ def _family_quadratic_form():
 
 
 def _pin_index(name):
-    """The coordinate a pin names: a PIN_INDEX key, or an integer 0..4 that is not a bool."""
-    if isinstance(name, str):
-        if name not in PIN_INDEX:
-            raise ShapeError(f"unknown pin {name!r}, expected one of {', '.join(PIN_INDEX)}")
-        return PIN_INDEX[name]
-    if isinstance(name, (bool, np.bool_)):
-        raise ShapeError(f"pin {name!r} is a bool, not an index 0..4")
-    try:
-        idx = operator.index(name)
-    except TypeError as exc:
-        raise ShapeError(f"pin {name!r} is not an integer index 0..4") from exc
-    if not 0 <= idx < len(PIN_INDEX):
-        raise ShapeError(f"pin index {idx} is not one of 0..{len(PIN_INDEX) - 1}")
-    return idx
-
-
-def _search_scale(x):
-    """residual_scale's rule on the family's coordinates x (5,): max|x|, and 1 for x = 0."""
-    return float(np.max(np.abs(x))) or 1.0
+    """The coordinate a pin names, a PIN_INDEX key; ShapeError for anything else."""
+    if not (isinstance(name, str) and name in PIN_INDEX):
+        raise ShapeError(f"unknown pin {name!r}, expected one of {', '.join(PIN_INDEX)}")
+    return PIN_INDEX[name]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught and reported below
@@ -471,16 +453,16 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     """Damped Newton search for a root of the Gauduchon-Tod residual system.
 
     One coordinate is pinned to quotient out the conformal rescaling freedom:
-    pin = (name or index 0..4, value), value None keeping x0's entry; any other
-    name or index raises ShapeError. Newton steps solve the least-squares
-    system for the residuals of milnor_theta3_family, halving the step while
+    pin = (a PIN_INDEX name, value), value None keeping x0's entry; any other
+    pin raises ShapeError. Newton steps solve the least-squares system for
+    the residuals of milnor_theta3_family, halving the step while
     the residual norm does not decrease. Singular values of the Jacobian below
     1e-12 of the largest are dropped: along the curves of roots the Jacobian
     loses rank, and a step along a singular value of rounding size is noise
     that backtracking cannot halve away. The residuals are the quadratic form
     r(x) = (Q @ x) @ x of _family_quadratic_form, with the exact Jacobian 2 (Q
     @ x)[:, free]; no geometry is built inside the iteration. It runs at the
-    start's own scale, on x0 / 2^e with x0's scale (residual_scale's rule)
+    start's own scale, on x0 / 2^e with x0's scale (geometry.scale_of)
     = m 2^e, 1/2 <= m < 1, and the root is the iterate times 2^e: both exact,
     so a start scaled by a power of two gives its root scaled by the same.
     Success means max|r(x)| < tolerance s^2, s the iterate's scale, within
@@ -500,7 +482,7 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
         raise ShapeError("search start must be finite")
     free = [k for k in range(x.size) if k != idx]
     Q = _family_quadratic_form()
-    _, e = math.frexp(_search_scale(x))
+    _, e = math.frexp(scale_of(x))
     x = np.ldexp(x, -e)
 
     def finish(iterations, why=None):
@@ -526,7 +508,7 @@ def find_gt_parameters(x0, pin=("lambda1", None), tolerance=1e-10, max_iteration
     r = qx @ x
     norm = float(np.max(np.abs(r)))
     for it in range(max_iterations + 1):
-        if norm < tolerance * _search_scale(x) ** 2:
+        if norm < tolerance * scale_of(x) ** 2:
             return finish(it)
         if it == max_iterations:
             return finish(it, f"iteration cap {max_iterations} hit")

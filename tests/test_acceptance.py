@@ -163,7 +163,7 @@ def test_criterion_06_round_sphere_end_to_end():
         checks.append(abs(pkg.scalar - 24.0 * b * b) < 1e-12)
         checks.append(killing_curvature(ROUND, beta).residual < 1e-12)
     beta = WeightedDensity(0.5)
-    batch = loop_batch(ROUND, beta, rng, 50, pairs=0)
+    batch = loop_batch(ROUND, beta, rng, 50)
     worst_dev = float(np.max(loop_holonomy(batch)))
     checks.append(worst_dev < 1e-9)
     transports = sample_transports(ROUND, beta, batch.legs)

@@ -368,8 +368,8 @@ def test_memoized_connection_and_scale_keep_their_bits():
 
 
 def test_one_loop_batch_per_certified_killing_call(tmp_path, capsys, monkeypatch):
-    # the loops and the path-independence pairs close through one closing_arc
-    # call and are transported by one transport_loops call
+    # the loops close through one closing_arc call, and both halves of every
+    # loop are transported by one transport_loops call
     calls = []
     for name in ("closing_arc", "transport_loops"):
         original = getattr(killing, name)
@@ -571,6 +571,36 @@ def test_killing_reports_match_v0_16_0_to_rounding(capsys):
         for g, w in zip(got["sections"], want["sections"]):
             assert {**g, "value": None} == {**w, "value": None}, (name, g["name"])
             assert abs(g["value"] - w["value"]) <= 1e-14, (name, g["name"])
+
+
+PINNED_REPORTS = os.path.join(os.path.dirname(__file__), "data", "killing_reports_v0.30.0.json")
+
+
+def test_killing_reports_match_v0_30_0_bit_for_bit(tmp_path, capsys):
+    # the v0.30.0 reports of `killing FILE --seed S --loops L`, S in {0, 3} and L
+    # in {1, 7, 50, 250}, on the shipped files and four rotated and rescaled
+    # copies (the file's "inputs"), values as float.hex: exit codes, verdicts,
+    # section names and pass flags are exact, and so is every value but
+    # path_independence, which v0.30.0 read off five extra path pairs and now
+    # reads off the loops' own halves, at rounding level
+    with open(PINNED_REPORTS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    paths = {f: os.path.join(GEOMETRY_DIR, f) for f in os.listdir(GEOMETRY_DIR) if f.endswith(".json")}
+    paths |= {name: write(tmp_path, name, json.dumps(data)) for name, data in pinned["inputs"].items()}
+    assert sorted({r["file"] for r in pinned["reports"]}) == sorted(paths)
+    assert len(pinned["reports"]) == len(paths) * 2 * 4
+    for want in pinned["reports"]:
+        argv = ["killing", paths[want["file"]], "--seed", str(want["seed"]), "--loops", str(want["loops"])]
+        code, out, _ = run_cli(capsys, argv)
+        got = json.loads(out)
+        case = (want["file"], want["seed"], want["loops"])
+        assert (code, got["verdict"]) == (want["exit"], want["verdict"]), case
+        assert [(s["name"], s["pass"]) for s in got["sections"]] == [(n, p) for n, _, p in want["sections"]], case
+        for s, (name, value, _) in zip(got["sections"], want["sections"]):
+            if name == "path_independence":
+                assert abs(s["value"] - float.fromhex(value)) <= 1e-14, case
+            else:
+                assert float.hex(s["value"]) == value, (case, name)
 
 
 @pytest.mark.parametrize("source, certified", agreement_cases())

@@ -527,27 +527,27 @@ def test_su2_embedding_is_a_homomorphism():
 
 def loop_paths(batch):
     """The batch's loops as paths (loops, 4, 3) of arc frame vectors X, Y, -X, -Z."""
-    legs, Z = batch.legs[: batch.loops], batch.closing[: batch.loops]
-    return np.stack([legs[:, 0], legs[:, 1], -legs[:, 0], -Z], axis=1)
+    legs = batch.legs
+    return np.stack([legs[:, 0], legs[:, 1], -legs[:, 0], -batch.closing], axis=1)
 
 
 def test_quadrilateral_loops_close():
     rng = np.random.default_rng(4)
     for g in oracle_frames():
-        batch = loop_batch(g, WeightedDensity(0.0), rng, 50, pairs=0)
+        batch = loop_batch(g, WeightedDensity(0.0), rng, 50)
         assert batch.legs.shape == (50, 2, 3) and batch.closing.shape == (50, 3)
         assert_loops_close(g, loop_paths(batch), 1e-12)
 
 
 def holonomies(batch):
-    """The batch's loop holonomies (loops, 2, 2) as matrices, from its quaternions."""
-    return quaternion_matrices(batch.quaternions[:, : batch.loops].T)
+    """The batch's loop holonomies conj(second) first (loops, 2, 2) as matrices, as loop_holonomy forms them."""
+    return quaternion_matrices(_hamilton(killing._CONJUGATE * batch.second, batch.first).T)
 
 
 def transported(g, beta, loops):
-    """A LoopBatch of the given loops X, Y, -X, -Z (N, 4, 3), with no pairs, for loop_holonomy."""
+    """A LoopBatch of the given loops X, Y, -X, -Z (N, 4, 3), for loop_holonomy."""
     loops = np.asarray(loops, dtype=float)
-    return transport_loops(g, beta, loops[:, :2], -loops[:, 3], len(loops))
+    return transport_loops(g, beta, loops[:, :2], -loops[:, 3])
 
 
 def test_open_path_raises():
@@ -560,7 +560,7 @@ def test_open_path_raises():
 
 
 def test_one_open_loop_in_a_batch_raises():
-    loops = loop_paths(loop_batch(ROUND, HALF, np.random.default_rng(19), 6, pairs=0))
+    loops = loop_paths(loop_batch(ROUND, HALF, np.random.default_rng(19), 6))
     assert_loops_close(ROUND, loops)
     loops[3, 3] *= 1.001
     assert np.flatnonzero(closure_defect(ROUND, loops) > 1e-10).tolist() == [3]
@@ -578,14 +578,14 @@ def test_quadrilateral_loop_lengths_scale_with_the_geometry():
         (milnor_geometry((20.0, 20.0, 20.0)), WeightedDensity(5.0), 20.0),
         (milnor_geometry((0.0, 0.0, 0.0)), WeightedDensity(0.0), 1.0),
     ):
-        legs = loop_batch(g, beta, np.random.default_rng(18), 200, pairs=0).legs
+        legs = loop_batch(g, beta, np.random.default_rng(18), 200).legs
         lengths = np.linalg.norm(legs, axis=-1)
         assert 0.4 <= np.min(lengths) * scale and np.max(lengths) * scale <= 1.2
 
 
 def test_abelian_quadrilateral_loops_close():
     g = milnor_geometry((0.0, 0.0, 0.0))
-    batch = loop_batch(g, WeightedDensity(0.0), np.random.default_rng(5), 10, pairs=0)
+    batch = loop_batch(g, WeightedDensity(0.0), np.random.default_rng(5), 10)
     # ad_X = 0, so Z = Y exactly and the four arcs sum to zero
     assert np.array_equal(batch.closing, batch.legs[:, 1])
     assert np.max(closure_defect(g, loop_paths(batch))) < 1e-15
@@ -661,7 +661,7 @@ def test_expm_of_a_non_finite_matrix_is_non_finite(bad, entry):
     # rows keep their bits
     for _, g in bianchi_frames(1.0, 28):
         beta = WeightedDensity(0.0)
-        legs = _loop_legs(g, beta, np.random.default_rng(28), 3, 0)
+        legs = _loop_legs(g, beta, np.random.default_rng(28), 3)
         want = closing_arc(g, beta, legs)
         legs[(0, *entry)] = bad
         with warnings.catch_warnings():
@@ -744,7 +744,7 @@ def test_expm_matches_the_term_by_term_taylor_series():
     for scale in (1e-300, 1e-150, 1e-5, 1.0, 3e4, 1e150, 1e300, 1.7e308):
         for name, g in bianchi_frames(scale, 42):
             beta = WeightedDensity(0.0)
-            legs = _loop_legs(g, beta, np.random.default_rng(42), 40, 0)
+            legs = _loop_legs(g, beta, np.random.default_rng(42), 40)
             Z = closing_arc(g, beta, legs)
             want = taylor_closing_arcs(g, legs)
             err = np.max(np.abs(Z - want), axis=1) / np.max(np.abs(legs[:, 1]), axis=1)
@@ -757,7 +757,7 @@ def test_expm_of_huge_finite_matrices_does_not_raise():
     # NaN rows, silently
     for name, g in bianchi_frames(1.7e308, 29):
         beta = WeightedDensity(0.0)
-        legs = _loop_legs(g, beta, np.random.default_rng(29), 5, 0)
+        legs = _loop_legs(g, beta, np.random.default_rng(29), 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Z = closing_arc(g, beta, legs)
@@ -787,7 +787,7 @@ def test_closing_arc_rows_do_not_depend_on_the_batch():
     for scale in (1e-300, 1.0, 1e300):
         for name, g in bianchi_frames(scale, 31):
             beta = WeightedDensity(0.0)
-            legs = _loop_legs(g, beta, np.random.default_rng(31), 255, 0)
+            legs = _loop_legs(g, beta, np.random.default_rng(31), 255)
             legs[7, 0, 1] = np.nan
             Z = closing_arc(g, beta, legs)
             for k in (0, 1, 7, 100, 254):
@@ -808,7 +808,7 @@ def test_closing_arc_moves_no_more_than_the_jacobi_defect(delta):
         defect = geometry._jacobi_defect(g.N) / scale**2
         assert delta / 2 < defect <= 1e-10
         beta = WeightedDensity(0.0)
-        legs = _loop_legs(g, beta, rng, 100, 0)
+        legs = _loop_legs(g, beta, rng, 100)
         err = np.max(np.abs(closing_arc(g, beta, legs) - taylor_closing_arcs(g, legs)), axis=1)
         assert np.max(err / np.linalg.norm(legs[:, 1], axis=1)) <= defect
 
@@ -821,7 +821,7 @@ def test_loops_close_on_a_non_unimodular_algebra():
     beta = WeightedDensity(0.0)
     assert analyze(g, beta).verdict and flatness(g, beta) == 0.0
     assert np.max(np.abs(killing_connection(g, beta))) > 0.1
-    loops = loop_paths(loop_batch(g, beta, np.random.default_rng(28), 200, pairs=0))
+    loops = loop_paths(loop_batch(g, beta, np.random.default_rng(28), 200))
     assert np.max(loop_holonomy(transported(g, beta, loops))) < 1e-13
     # negative control: open loops, the last arc lengthened by 1 %
     loops[:, 3] *= 1.01
@@ -845,12 +845,12 @@ def test_loop_model_works_in_any_frame(lam, sign, beta_sign, axis, angle, seed):
     rng = np.random.default_rng(seed)
     R = rotation(axis, angle)
     g = rotated_geometry(milnor_geometry(sign * np.asarray(lam)), R)
-    loops = loop_paths(loop_batch(g, WeightedDensity(0.0), rng, 5, pairs=0))
+    loops = loop_paths(loop_batch(g, WeightedDensity(0.0), rng, 5))
     assert np.max(closure_defect(g, loops)) < 1e-12
     # the round Gauduchon-Tod member, |beta| = lambda / 4, in the same frame
     g = rotated_geometry(milnor_geometry((sign * lam[0],) * 3), R)
     beta = WeightedDensity(beta_sign * lam[0] / 4.0)
-    batch = loop_batch(g, beta, rng, 5, pairs=3)
+    batch = loop_batch(g, beta, rng, 5)
     assert np.max(loop_holonomy(batch)) < 1e-12
     assert path_independence_residual(batch) < 1e-12
 
@@ -882,7 +882,7 @@ def test_negative_definite_milnor_frame_is_flat_along_loops():
     assert analyze(g, beta).verdict
     assert killing_curvature(g, beta).residual < 1e-14
     rng = np.random.default_rng(16)
-    batch = loop_batch(g, beta, rng, 20, pairs=8)
+    batch = loop_batch(g, beta, rng, 20)
     assert np.max(loop_holonomy(batch)) < 1e-12
     assert path_independence_residual(batch) < 1e-12
 
@@ -922,22 +922,17 @@ def test_batched_holonomy_matches_per_arc_transports():
 
 
 def test_quaternion_holonomies_match_the_matrix_product():
-    # the loops' holonomies and both paths of each pair, composed on unit
-    # quaternions, against the per-arc product of complex 2x2 matrices
+    # the loops' holonomies and both halves of each loop, the path X, Y, -X
+    # and the arc Z, composed on unit quaternions, against the per-arc product
+    # of complex 2x2 matrices
     for g, beta in batch_cases():
-        for loops, pairs in BATCH_SIZES:
-            batch = loop_batch(g, beta, np.random.default_rng(34), loops, pairs)
-            X, Y = batch.legs[:, 0], batch.legs[:, 1]
-            want = np.concatenate(
-                [
-                    matrix_path_transports(g, beta, loop_paths(batch)),
-                    matrix_path_transports(g, beta, np.stack([X, Y, -X], axis=1)[loops:]),
-                    matrix_path_transports(g, beta, batch.closing[loops:, None]),
-                ]
-            )
-            got = quaternion_matrices(batch.quaternions.T)
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
-            assert np.array_equal(holonomies(batch), got[:loops])
+        for loops in LOOP_COUNTS:
+            batch = loop_batch(g, beta, np.random.default_rng(34), loops)
+            assert batch.first.shape == batch.second.shape == (4, loops)
+            first, second = matrix_halves(g, beta, batch)
+            assert np.max(np.abs(quaternion_matrices(batch.first.T) - first)) <= 1e-15
+            assert np.max(np.abs(quaternion_matrices(batch.second.T) - second)) <= 1e-15
+            assert np.max(np.abs(holonomies(batch) - matrix_path_transports(g, beta, loop_paths(batch)))) <= 1e-15
 
 
 def test_holonomy_trivial_on_round_sphere():
@@ -957,29 +952,21 @@ def test_path_independence_iff_flatness():
     rng = np.random.default_rng(9)
     flat_res = killing_curvature(ROUND, HALF).residual
     assert flat_res < 1e-10
-    assert path_independence_residual(loop_batch(ROUND, HALF, rng, 0, pairs=8)) < 1e-8
+    assert path_independence_residual(loop_batch(ROUND, HALF, rng, 8)) < 1e-8
     beta = WeightedDensity(0.3)
     assert killing_curvature(ROUND, beta).residual > 1e-10
-    assert path_independence_residual(loop_batch(ROUND, beta, rng, 0, pairs=8)) > 1e-8
+    assert path_independence_residual(loop_batch(ROUND, beta, rng, 8)) > 1e-8
 
 
-# the fused loop batch ---------------------------------------------------------
+# the loop batch ---------------------------------------------------------------
 
 
-def separate_calls(g, beta, rng, loops, pairs):
-    """The oracle: killing's loop sections as separate calls, as before the fused batch.
-
-    Two consecutive loop_batch(..., pairs=0) draws on one rng, each closed by
-    its own closing_arc, transported by the per-arc matrix product. Returns
-    the loops, their deviations max|H - Id|, the pairs' loops and the
-    path-independence residual.
-    """
-    closed = loop_paths(loop_batch(g, beta, rng, loops, pairs=0))
-    deviation = np.max(np.abs(matrix_path_transports(g, beta, closed) - np.eye(2)), axis=(-2, -1))
-    pair_loops = loop_paths(loop_batch(g, beta, rng, loops=pairs, pairs=0))
-    first = matrix_path_transports(g, beta, pair_loops[:, :3])
-    second = matrix_path_transports(g, beta, -pair_loops[:, 3:])
-    return closed, deviation, pair_loops, float(np.max(np.abs(first - second), initial=0.0))
+def matrix_halves(g, beta, batch):
+    """The oracle: the transports (N, 2, 2) along both halves of the batch's loops, the path X, Y, -X
+    and the arc Z, each by the per-arc product of complex 2x2 matrices."""
+    X, Y = batch.legs[:, 0], batch.legs[:, 1]
+    first = matrix_path_transports(g, beta, np.stack([X, Y, -X], axis=1))
+    return first, matrix_path_transports(g, beta, batch.closing[:, None])
 
 
 def batch_cases():
@@ -991,42 +978,62 @@ def batch_cases():
     ]
 
 
-BATCH_SIZES = [(1, 5), (20, 5), (50, 5), (7, 0), (0, 8)]
+LOOP_COUNTS = [1, 5, 7, 20, 50]
 
 
-def test_loop_batch_draws_what_two_quadrilateral_loop_calls_draw():
-    # the legs are bitwise those of the separate draws, and so are the
-    # closing arcs, whose rows do not depend on the batch
+class RecordingGenerator:
+    """A numpy Generator that records each draw's method name and size."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            self.draws.append((name, args[-1] if args else kwargs["size"]))
+            return method(*args, **kwargs)
+
+        return draw
+
+
+def test_loop_batch_draws_one_direction_and_one_length_per_leg():
+    # one standard_normal draw of the directions and one uniform draw of the
+    # lengths, in that order: the legs are the unit directions times lengths
+    # 0.4-1.2 / scale, and the closing arcs are bitwise closing_arc's
     for g, beta in batch_cases():
-        for loops, pairs in BATCH_SIZES:
-            batch = loop_batch(g, beta, np.random.default_rng(30), loops, pairs)
-            closed, _, pair_loops, _ = separate_calls(g, beta, np.random.default_rng(30), loops, pairs)
-            n = loops + pairs
-            assert (batch.loops, batch.pairs) == (loops, pairs)
-            assert batch.legs.shape == (n, 2, 3) and batch.closing.shape == (n, 3)
-            assert batch.quaternions.shape == (4, loops + 2 * pairs)
-            separate = np.concatenate([closed, pair_loops])
-            assert batch.legs.tobytes() == np.ascontiguousarray(separate[:, :2]).tobytes()
-            assert np.ascontiguousarray(batch.closing).tobytes() == (-separate[:, 3]).tobytes()
+        scale = residual_scale(g, beta)
+        for loops in LOOP_COUNTS:
+            rng = RecordingGenerator(30)
+            batch = loop_batch(g, beta, rng, loops)
+            assert rng.draws == [("standard_normal", (loops, 2, 3)), ("uniform", (loops, 2))]
+            want = np.random.default_rng(30)
+            d, t = want.standard_normal((loops, 2, 3)), want.uniform(0.4, 1.2, (loops, 2))
+            assert batch.legs.shape == (loops, 2, 3) and batch.closing.shape == (loops, 3)
+            np.testing.assert_allclose(batch.legs * scale, d / np.linalg.norm(d, axis=-1, keepdims=True) * t[..., None], rtol=1e-15)
+            assert np.ascontiguousarray(batch.closing).tobytes() == closing_arc(g, beta, batch.legs).tobytes()
 
 
 def test_loop_batch_sections_match_the_separate_calls():
+    # the sections against the per-arc matrix products of each loop's halves,
+    # each arc a separate su2_exp: the holonomy max|H - Id| with H the product
+    # around the loop, and path independence max|U_1 - U_2| over the halves
     for g, beta in batch_cases():
-        for loops, pairs in BATCH_SIZES:
-            batch = loop_batch(g, beta, np.random.default_rng(31), loops, pairs)
-            _, deviation, _, independence = separate_calls(g, beta, np.random.default_rng(31), loops, pairs)
+        for loops in LOOP_COUNTS:
+            batch = loop_batch(g, beta, np.random.default_rng(31), loops)
+            deviation = np.max(np.abs(matrix_path_transports(g, beta, loop_paths(batch)) - np.eye(2)), axis=(-2, -1))
+            first, second = matrix_halves(g, beta, batch)
             dev = loop_holonomy(batch)
             assert dev.shape == (loops,)
-            assert np.max(np.abs(dev - deviation), initial=0.0) <= 1e-15
-            if pairs:
-                assert abs(path_independence_residual(batch) - independence) <= 1e-15
+            assert np.max(np.abs(dev - deviation)) <= 1e-15
+            independence = float(np.max(np.abs(first - second)))
+            assert abs(path_independence_residual(batch) - independence) <= 1e-15
 
 
 def test_zero_arcs_pad_a_path_bitwise():
     # a zero arc is the identity quaternion exactly, and a Hamilton product
-    # with it multiplies by 0 and 1 and adds zeros, so padding moves no bit:
-    # the pairs' paths X, Y, -X and Z need no zero arcs to line up with the
-    # loops' four
+    # with it multiplies by 0 and 1 and adds zeros, so padding a path with
+    # zero arcs moves no bit of its transport
     rng = np.random.default_rng(32)
     for g, beta in batch_cases():
         zero = _su2_quaternion(-killing_data(g, beta).b.T @ np.zeros((3, 20)))
@@ -1048,10 +1055,30 @@ def test_path_independence_of_the_batch_trips_off_the_gauduchon_tod_family():
     for lam in (2.0, 200.0):
         g = milnor_geometry((lam, lam, lam))
         for beta, certified in ((lam / 4.0, True), (1.02 * lam / 4.0, False)):
-            batch = loop_batch(g, WeightedDensity(beta), np.random.default_rng(33), 20, pairs=5)
+            batch = loop_batch(g, WeightedDensity(beta), np.random.default_rng(33), 20)
             indep = path_independence_residual(batch)
             worst = float(np.max(loop_holonomy(batch)))
             assert (indep < 1e-8, worst < 1e-8) == (certified, certified)
+
+
+def test_path_independence_of_the_halves_trips_off_the_flat_geometries():
+    # the negative control with the gate bypassed: the halves of killing's own
+    # loops disagree far above the 1e-9 bound on every non-flat geometry (round
+    # with beta = 0.51, perturbed.json, Nil and Bianchi V with theta = 0), and
+    # agree to rounding on every shipped flat file; a residual that compared a
+    # half with itself would read 0 on all of them
+    non_flat = [
+        (ROUND, WeightedDensity(0.51)),
+        parse_geometry_file(os.path.join(os.path.dirname(BERGER_PATH), "perturbed.json")),
+        (milnor_geometry((1.0, 0.0, 0.0)), WeightedDensity(0.0)),
+        (validate_geometry(semidirect_constants(np.eye(2)), (0.0, 0.0, 0.0)), WeightedDensity(0.0)),
+    ]
+    for loops in (1, 20, 50):
+        for g, beta in non_flat:
+            assert flatness(g, beta) > 1e-3
+            assert path_independence_residual(loop_batch(g, beta, np.random.default_rng(35), loops)) > 1e-9
+        for g, beta in single_arc_cases()[:4]:
+            assert path_independence_residual(loop_batch(g, beta, np.random.default_rng(35), loops)) < 1e-12
 
 
 # the basis ------------------------------------------------------------------
@@ -1068,7 +1095,7 @@ def test_basis_pair_is_j_related_and_independent():
     psi1, psi2 = BASE_SPINORS
     assert np.max(np.abs(psi2 - j_structure(psi1))) == 0.0
     rng = np.random.default_rng(11)
-    samples = [leg[:k] for leg in loop_batch(ROUND, HALF, rng, 20, pairs=0).legs for k in (1, 2)]
+    samples = [leg[:k] for leg in loop_batch(ROUND, HALF, rng, 20).legs for k in (1, 2)]
     assert min_singular_value(sample_transports(ROUND, HALF, samples)) > 0.1
 
 
@@ -1093,7 +1120,7 @@ def test_flat_abelian_basis_and_residual():
 
 def test_killing_residual_second_order():
     rng = np.random.default_rng(13)
-    samples = [leg[:k] for leg in loop_batch(ROUND, HALF, rng, 10, pairs=0).legs for k in (1, 2)]
+    samples = [leg[:k] for leg in loop_batch(ROUND, HALF, rng, 10).legs for k in (1, 2)]
     transports = sample_transports(ROUND, HALF, samples)
     r5 = killing_residual(ROUND, HALF, transports, h=1e-5)
     assert r5 < 1e-7
@@ -1180,7 +1207,7 @@ def test_batched_sample_sections_match_the_per_sample_loop():
     rng = np.random.default_rng(24)
     for g, beta in sample_cases():
         # one- and two-arc paths, interleaved as the killing command draws them
-        samples = [leg[:k] for leg in loop_batch(g, beta, rng, 8, pairs=0).legs for k in (1, 2)]
+        samples = [leg[:k] for leg in loop_batch(g, beta, rng, 8).legs for k in (1, 2)]
         transports = sample_transports(g, beta, samples)
         assert transports.shape == (16, 2, 2)
         sv = min_singular_value(transports)
@@ -1207,7 +1234,7 @@ def test_gram_min_singular_value_matches_the_svd():
     # random complex 2x2 matrices down to nearly parallel columns
     rng = np.random.default_rng(37)
     for g, beta in sample_cases():
-        samples = [leg[:k] for leg in loop_batch(g, beta, rng, 10, pairs=0).legs for k in (1, 2)]
+        samples = [leg[:k] for leg in loop_batch(g, beta, rng, 10).legs for k in (1, 2)]
         transports = sample_transports(g, beta, samples)
         assert abs(min_singular_value(transports) - svd_min_singular_value(transports)) <= 1e-15
     for tilt in (1.0, 1e-2, 1e-5, 1e-8):
@@ -1292,7 +1319,7 @@ def test_killing_data_holds_the_bianchi_split():
 
 
 def test_batched_sample_sections_fail_on_a_non_finite_transport():
-    legs = loop_batch(ROUND, HALF, np.random.default_rng(25), 4, pairs=0).legs
+    legs = loop_batch(ROUND, HALF, np.random.default_rng(25), 4).legs
     transports = sample_transports(ROUND, HALF, legs)
     assert min_singular_value(transports) > 0.1
     assert killing_residual(ROUND, HALF, transports) < 1e-7
@@ -1419,29 +1446,34 @@ def test_search_converges_from_perturbed_guess():
 
 
 def test_search_pin_by_index_and_value_none():
-    res = find_gt_parameters((2.0, 2.1, 1.95, 0.01, 0.45), pin=(4, None))
+    # a pin is a PIN_INDEX name: value None keeps x0's entry, and the index
+    # of the same coordinate is refused as an unknown pin
+    res = find_gt_parameters((2.0, 2.1, 1.95, 0.01, 0.45), pin=("beta", None))
     assert res.params[4] == 0.45
     assert res.residual_norm < 1e-10
+    with pytest.raises(ShapeError, match="unknown pin 4"):
+        find_gt_parameters((2.0, 2.1, 1.95, 0.01, 0.45), pin=(4, None))
 
 
 @pytest.mark.parametrize("pin", [(-1, 0.4), (-6, 2.0), (5, None), (7, None)])
 def test_search_rejects_a_pin_index_out_of_range(pin):
-    # x[-1] = 0.4 would set beta and then leave all five coordinates free, and
-    # an index past the end would pin nothing: the conformal freedom would stay
-    with pytest.raises(ShapeError, match="pin index"):
+    # no index is a pin: x[-1] = 0.4 would set beta and then leave all five
+    # coordinates free, and an index past the end would pin nothing
+    with pytest.raises(ShapeError, match="unknown pin"):
         find_gt_parameters((2.2, 1.9, 2.1, 0.05, 0.4), pin=pin)
 
 
 @pytest.mark.parametrize("name", [1.5, True, np.True_, "lambda4", "1", None, (1,)])
 def test_search_rejects_a_pin_that_names_no_coordinate(name):
     # 1.5 and True would pin lambda2 by truncation, "lambda4" was a KeyError
-    with pytest.raises(ShapeError, match="pin"):
+    with pytest.raises(ShapeError, match="unknown pin"):
         find_gt_parameters((2.2, 1.9, 2.1, 0.05, 0.4), pin=(name, None))
 
 
 def test_search_pin_by_numpy_integer():
-    res = find_gt_parameters((2.0, 2.1, 1.95, 0.01, 0.45), pin=(np.int64(4), None))
-    assert res.params == find_gt_parameters((2.0, 2.1, 1.95, 0.01, 0.45), pin=("beta", None)).params
+    # np.int64(4) is an index, not a name, and is refused like 4
+    with pytest.raises(ShapeError, match="unknown pin"):
+        find_gt_parameters((2.0, 2.1, 1.95, 0.01, 0.45), pin=(np.int64(4), None))
 
 
 def test_search_no_convergence_payload():
