@@ -6,11 +6,14 @@ weight-0 real Killing spinors and Gauduchon-Tod geometry in dimension 3, checks
 the Gauduchon-Tod conditions on homogeneous Weyl geometries, proves flatness of
 the Killing connection, and constructs the 2-dimensional Killing spinor space by
 parallel transport.
+
+Submodules are imported on first access (PEP 562), so `import weylspin` loads
+none of them, and a command that reads no array loads no numpy.
 """
 
-__version__ = "0.31.0"
+import importlib
 
-from . import clifford, errors, geometry, identities, killing, spinconn, tensors
+__version__ = "0.32.0"
 
 __all__ = [
     "__version__",
@@ -22,3 +25,10 @@ __all__ = [
     "spinconn",
     "tensors",
 ]
+
+
+def __getattr__(name):
+    """Import the submodule `name` the first time it is read as an attribute."""
+    if name in __all__ and name != "__version__":
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

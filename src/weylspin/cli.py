@@ -11,6 +11,12 @@ verdict pass, 1 means a check failed, 2 means a usage or input problem: a bad
 geometry file (see parse_geometry_file), or an argument that cannot earn a
 pass (--trials or --loops below 1, --max-iter or --seed below 0, a --tol that
 is not positive and finite, a malformed --x0 or --pin).
+
+Importing this module loads no numpy: parsing a file, analyze and its flatness
+section run on Python floats (geometry), so an analyze run never loads it. The
+commands that compute with arrays, killing, verify-algebra and search-gt, import
+their modules (killing, identities, and numpy with them) when they run, and pay
+numpy's import, about 70 ms, on a process's first such call.
 """
 
 import argparse
@@ -20,24 +26,17 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .errors import JacobiViolation, NoConvergence, ParseError, ShapeError
-from .geometry import TOLERANCE, WeightedDensity, analyze, milnor_geometry, validate_geometry
-from .identities import verify_algebra
-from .killing import (
+from .geometry import (
     PIN_INDEX,
-    find_gt_parameters,
-    killing_data,
-    killing_residual,
-    loop_batch,
-    loop_holonomy,
-    min_singular_value,
-    path_independence_residual,
-    sample_transports,
+    TOLERANCE,
+    WeightedDensity,
+    analyze,
+    flatness,
+    milnor_geometry,
+    validate_geometry,
 )
-from .spinconn import flatness
 
 # geometry file schema: each key and the shape its finite JSON numbers nest to
 _SCHEMA = {
@@ -200,6 +199,8 @@ def _log(msg):
 
 
 def _cmd_verify_algebra(args):
+    from .identities import verify_algebra
+
     reports, break_control = verify_algebra(trials=args.trials, seed=args.seed, tolerance=args.tol)
     return [_identity_section(r) for r in reports] + [
         _bound_section("first_identity_break_control", break_control, 0.1, "above")
@@ -211,6 +212,18 @@ def _cmd_analyze(args):
 
 
 def _cmd_killing(args):
+    import numpy as np
+
+    from .killing import (
+        killing_data,
+        killing_residual,
+        loop_batch,
+        loop_holonomy,
+        min_singular_value,
+        path_independence_residual,
+        sample_transports,
+    )
+
     g, beta = parse_geometry_file(args.geometry)
     killing_data(g, beta)  # built once for every stage below; a sub-normal scale is refused here
     rng = np.random.default_rng(args.seed)
@@ -241,6 +254,8 @@ def _cmd_killing(args):
 
 
 def _cmd_search_gt(args):
+    from .killing import find_gt_parameters
+
     try:
         found = find_gt_parameters(
             args.x0, pin=args.pin, tolerance=args.tol, max_iterations=args.max_iter

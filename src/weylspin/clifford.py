@@ -15,7 +15,9 @@ so clifford_pairs gives all nine e_a e_b psi from one gather and is exact too.
 
 QUATERNION_BASIS holds Id and q_k = -e_k (q_i q_j = eps_ijk q_k) as flattened rows, so
 p @ QUATERNION_BASIS is p_0 Id + sum_k p_k q_k; its entry k is +-p_i +- i p_j with
-(i, j) = ENTRY_PAIRS[k], of modulus hypot(p_i, p_j).
+(i, j) = ENTRY_PAIRS[k], of modulus hypot(p_i, p_j). ENTRY_PAIRS is written as a
+literal in geometry, whose flatness reads it without loading numpy; the tests pin
+it to QUATERNION_BASIS's nonzero pattern.
 
 The quaternionic structure J psi = e_2 conj(psi) is antilinear, squares to -Id,
 and commutes with Clifford multiplication by real frame vectors. Its existence
@@ -25,6 +27,7 @@ is what forces the solution space of the Killing equation to be even-dimensional
 import numpy as np
 
 from .errors import ShapeError
+from .geometry import ENTRY_PAIRS
 
 # e_k = i * sigma_k
 E = np.array(
@@ -39,8 +42,6 @@ E.setflags(write=False)
 
 QUATERNION_BASIS = np.concatenate([np.eye(2, dtype=complex)[None], -E]).reshape(4, 4)
 QUATERNION_BASIS.setflags(write=False)
-# each column, one 2x2 entry, holds one real and one imaginary unit
-ENTRY_PAIRS = tuple(tuple(np.flatnonzero(column).tolist()) for column in QUATERNION_BASIS.T)
 
 EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -3,19 +3,27 @@
 A geometry is a pair (N, theta): an orthonormal frame of the gauge metric with
 [e_i, e_j] = sum_k c^k_ij e_k, c^k_ij = sum_l eps_ijl N[l, k] as for every
 3-dimensional Lie algebra (Milnor; Ellis-MacCallum), and the Weyl 1-form theta
-in that frame. c[i,j,k] = c^k_ij is derived from N once per geometry, for the
-tensor chain. All coefficients are constants, so every curvature quantity is
-exact finite-dimensional algebra.
+in that frame. It is held as its 12 coordinates, Python floats; the arrays N,
+theta and c[i,j,k] = c^k_ij are built on first read, for the tensor chain. All
+coefficients are constants, so every curvature quantity is exact
+finite-dimensional algebra.
 
 The Killing connection b (killing_coefficients), its curvature F = 2 cof(b) - N b
 (curvature_coefficients) and the 13 Gauduchon-Tod residuals, a fixed linear map of
 F plus a Jacobi term (gt_coefficients), are closed forms in the coordinates
-x = (N, theta, beta) of (g, beta). analyze reads the residuals, and spinconn.flatness
+x = (N, theta, beta) of (g, beta). analyze reads the residuals, and flatness
 the curvature, at x prescaled by a power of two (prescaled, which killing reads too),
 so they are the same at every finite scale; analyze holds them below TOLERANCE.
 residual_scale is the one unit: every residual (weight -2) is read in scale^2. The
 tensor chain, weyl_connection to gt_residual_vector, is what the tests hold these
 closed forms to; no command runs it.
+
+This module loads no numpy at import. Validation, the closed forms, analyze and
+flatness are arithmetic on 13 floats, where numpy's import (about 70 ms) would
+cost far more than the work; so a geometry's arrays, the tensor chain and
+gauge_rescale import numpy when first called, and the command line's analyze runs
+without it. clifford, tensors, spinconn, identities and killing compute with
+arrays and import numpy at module level.
 
 Sign and trace conventions (pinned by the curvature-decomposition and
 flatness-equivalence audits, see docs/CONVENTIONS.md):
@@ -30,23 +38,82 @@ flatness-equivalence audits, see docs/CONVENTIONS.md):
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import JacobiViolation, ShapeError
-from .tensors import NEXT, PREV, hodge_star, sym0
 
-_ID3 = np.eye(3)
 TOLERANCE = 1e-9  # analyze's default bound on each normalized Gauduchon-Tod residual
+# entry k of a 2x2 matrix p_0 Id + sum_k p_k q_k (clifford.QUATERNION_BASIS) holds
+# +-p_i +- i p_j, (i, j) = ENTRY_PAIRS[k]: one real and one imaginary unit per entry
+ENTRY_PAIRS = ((0, 3), (1, 2), (1, 2), (0, 3))
+# search-gt's coordinates (l1, l2, l3, theta3, beta) by name, the only names a pin takes
+PIN_INDEX = {"lambda1": 0, "lambda2": 1, "lambda3": 2, "theta3": 3, "beta": 4}
+# where c[j, i, k] sits in c flattened row by row (c[i, j, k] at 9 i + 3 j + k), in the order of c[i, j, k]
+_TRANSPOSED = [9 * j + 3 * i + k for i in range(3) for j in range(3) for k in range(3)]
 
 
-@dataclass(frozen=True, eq=False)
+def _text(items):
+    """Whether any of items is a str or bytes, which float() or iteration would read as numbers."""
+    return any(issubclass(t, (str, bytes)) for t in set(map(type, items)))
+
+
+def _floats(value, shape, what):
+    """value as a flat list of finite Python floats, row by row; ShapeError unless it nests to shape.
+
+    An ndarray is read through .tolist(), and any other value as nested sequences.
+    Text is refused at every level: float() would read "1" as 1.0.
+    """
+    items = [value.tolist() if hasattr(value, "tolist") else value]
+    try:
+        for n in shape:
+            if _text(items) or set(map(len, items)) != {n}:  # len() of a number raises TypeError
+                raise TypeError(f"not {n} entries")
+            items = [v for row in items for v in row]
+        if _text(items):
+            raise TypeError("text is not a number")
+        values = list(map(float, items))
+    except (TypeError, ValueError) as exc:  # a nested, missing or non-numeric entry
+        raise ShapeError(f"{what} must have shape {shape}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ShapeError("geometry data must be finite")
+    return values
+
+
+def _read_only(values):
+    """values as a new read-only float array."""
+    import numpy as np
+
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class HomogeneousWeylGeometry:
-    """(N, theta) with c^k_ij = sum_l eps_ijl N[l, k]."""
+    """(N, theta) with c^k_ij = sum_l eps_ijl N[l, k], held as coordinates (12 floats).
 
-    N: np.ndarray  # (3, 3), units 1/length
-    theta: np.ndarray  # (3,), units 1/length
+    coordinates are N (3, 3) row by row, then theta (3,), finite Python floats in
+    units of 1/length; the constructor takes N and theta as arrays or nested
+    sequences. N, theta and structure_constants are read-only arrays built on
+    first read, the only parts of a geometry that import numpy.
+    """
+
+    coordinates: tuple
+
+    def __init__(self, N, theta):
+        coordinates = _floats(N, (3, 3), "N") + _floats(theta, (3,), "theta")
+        object.__setattr__(self, "coordinates", tuple(coordinates))
+
+    @functools.cached_property
+    def N(self):
+        """Read-only N (3, 3)."""
+        return _read_only(self.coordinates[:9]).reshape(3, 3)
+
+    @functools.cached_property
+    def theta(self):
+        """Read-only theta (3,)."""
+        return _read_only(self.coordinates[9:])
 
     @functools.cached_property
     def structure_constants(self):
@@ -54,6 +121,10 @@ class HomogeneousWeylGeometry:
 
         c[l + 1, l + 2] = N[l] (indices mod 3, tensors.NEXT and PREV), and c[j, i] = -c[i, j].
         """
+        import numpy as np
+
+        from .tensors import NEXT, PREV
+
         c = np.zeros((3, 3, 3))
         c[NEXT, PREV] = self.N
         c[PREV, NEXT] = -self.N
@@ -69,7 +140,7 @@ class WeightedDensity:
     weight: float = -1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise ShapeError("density value must be finite")
         if self.weight != -1:
             raise ShapeError(f"beta must have weight -1, got weight {self.weight}")
@@ -77,13 +148,13 @@ class WeightedDensity:
 
 @dataclass(frozen=True, eq=False)
 class CurvaturePackage:
-    full_curvature: np.ndarray  # (3,3,3,3)
-    ricci: np.ndarray  # (3,3), possibly non-symmetric
-    sym0_ricci: np.ndarray  # (3,3)
+    full_curvature: "np.ndarray"  # (3,3,3,3)
+    ricci: "np.ndarray"  # (3,3), possibly non-symmetric
+    sym0_ricci: "np.ndarray"  # (3,3)
     scalar: float
-    faraday: np.ndarray  # (3,3) antisymmetric
-    ric_n: np.ndarray  # (3,3)
-    ric_prime: np.ndarray  # (3,3)
+    faraday: "np.ndarray"  # (3,3) antisymmetric
+    ric_n: "np.ndarray"  # (3,3)
+    ric_prime: "np.ndarray"  # (3,3)
 
 
 @dataclass(frozen=True)
@@ -125,24 +196,12 @@ def _jacobi_vector(N):
 
 
 def _jacobi_defect(N):
-    """max|[[e_i, e_j], e_k] + cyclic| of c^k_ij = sum_l eps_ijl N[l, k], which is 2 max|n a| (_jacobi_vector)."""
-    return 2.0 * max(map(abs, _jacobi_vector(N.tolist())))
-
-
-def _finite_theta(values, theta):
-    """(theta as a new read-only float array (3,), max|values|); ShapeError unless both are finite."""
-    th = np.array(theta, dtype=float)
-    if th.shape != (3,):
-        raise ShapeError(f"theta must have shape (3,), got {th.shape}")
-    scale = np.abs(values).max()  # not finite exactly when some entry is not
-    if not (math.isfinite(scale) and np.isfinite(th).all()):
-        raise ShapeError("geometry data must be finite")
-    th.setflags(write=False)
-    return th, scale
+    """max|[[e_i, e_j], e_k] + cyclic| of c^k_ij = sum_l eps_ijl N[l, k] (3 rows), which is 2 max|n a| (_jacobi_vector)."""
+    return 2.0 * max(map(abs, _jacobi_vector(N)))
 
 
 def validate_geometry(structure_constants, theta):
-    """Build a validated geometry from raw arrays, structure constants c (3,3,3) and theta (3,).
+    """Build a validated geometry from raw data, structure constants c (3,3,3) and theta (3,).
 
     Both bounds are relative to the scale s = max|c|, so a valid frame passes
     at any scale: antisymmetry violations up to 1e-12 s are symmetrized away,
@@ -153,23 +212,23 @@ def validate_geometry(structure_constants, theta):
     antisymmetric part is A = c - (c + c^T) / 2, which stays finite up to the
     float maximum and keeps the bits of an exactly antisymmetric c; N is read
     off its entries above the diagonal, N = (A[1, 2], -A[0, 2], A[0, 1]).
+    Every entry is checked finite first: Python's max, unlike numpy's, skips
+    a NaN that is not its first argument.
     """
-    c = np.asarray(structure_constants, dtype=float)
-    if c.shape != (3, 3, 3):
-        raise ShapeError(f"structure constants must have shape (3,3,3), got {c.shape}")
-    th, scale = _finite_theta(c, theta)
-    with np.errstate(over="ignore"):  # a sum that overflows is a skew above any bound
-        sym = c + np.swapaxes(c, 0, 1)
-    skew = np.max(np.abs(sym))
+    c = _floats(structure_constants, (3, 3, 3), "structure constants")  # c[i, j, k] at 9 i + 3 j + k
+    th = _floats(theta, (3,), "theta")
+    scale = max(map(abs, c))
+    # c + c^T: a sum that overflows is inf, a skew above any bound
+    sym = list(map(operator.add, c, [c[t] for t in _TRANSPOSED]))
+    skew = max(map(abs, sym))
     if skew > 1e-12 * scale:
         raise ShapeError(f"structure constants not antisymmetric in the lower pair ({skew:.3e})")
-    A = c - 0.5 * sym
-    N = np.stack([A[1, 2], -A[0, 2], A[0, 1]])
+    A = [u - 0.5 * v for u, v in zip(c, sym)]
+    N = [A[15:18], [-v for v in A[6:9]], A[3:6]]  # A[1, 2], -A[0, 2], A[0, 1]
     m, e = math.frexp(scale)
-    defect = _jacobi_defect(np.ldexp(N, -e))
+    defect = _jacobi_defect([[math.ldexp(v, -e) for v in row] for row in N])
     if not defect <= 1e-10 * m * m:
         raise JacobiViolation(f"Jacobi identity fails by {defect / (m * m):.3e} max|c|^2")
-    N.setflags(write=False)
     return HomogeneousWeylGeometry(N, th)
 
 
@@ -179,13 +238,8 @@ def milnor_geometry(lam, theta=(0.0, 0.0, 0.0)):
     N is symmetric, so the Jacobi identity holds by construction, and of
     validate_geometry's checks only shape and finiteness run.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (3,):
-        raise ShapeError(f"need three Milnor parameters, got shape {lam.shape}")
-    th, _ = _finite_theta(lam, theta)
-    N = np.diag(lam)
-    N.setflags(write=False)
-    return HomogeneousWeylGeometry(N, th)
+    l1, l2, l3 = _floats(lam, (3,), "Milnor parameters")
+    return HomogeneousWeylGeometry(((l1, 0.0, 0.0), (0.0, l2, 0.0), (0.0, 0.0, l3)), theta)
 
 
 def weyl_connection(g):
@@ -194,13 +248,15 @@ def weyl_connection(g):
     Torsion-free for the bracket (Gamma^k_ij - Gamma^k_ji = c^k_ij) and
     conformally metric with nabla g = -2 theta (x) g.
     """
+    import numpy as np
+
     # halving c first, and one nonzero term per entry of the theta part, keeps every
     # partial sum within max|c|; halving is exact wherever nothing is subnormal
     half = 0.5 * g.structure_constants
-    th = g.theta
+    th, eye = g.theta, np.eye(3)
     lc = half - np.einsum("jki->ijk", half) + np.einsum("kij->ijk", half)
-    wt = np.einsum("i,jk->ijk", th, _ID3) + (
-        np.einsum("j,ik->ijk", th, _ID3) - np.einsum("ij,k->ijk", _ID3, th)
+    wt = np.einsum("i,jk->ijk", th, eye) + (
+        np.einsum("j,ik->ijk", th, eye) - np.einsum("ij,k->ijk", eye, th)
     )
     return lc + wt
 
@@ -212,6 +268,10 @@ def curvature_package(g):
         R4 = Ric^N kn c + F (x) c
     with Ric^N = -sym0 Ric - (1/12) R c + (1/2) F, which the tests check.
     """
+    import numpy as np
+
+    from .tensors import sym0
+
     gamma = weyl_connection(g)
     c = g.structure_constants
     r4 = (
@@ -223,8 +283,9 @@ def curvature_package(g):
     scal = float(ric.trace())
     faraday = -np.einsum("k,ijk->ij", g.theta, c)
     s0 = sym0(ric)
-    ric_n = -s0 - (scal / 12.0) * _ID3 + 0.5 * faraday
-    ric_prime = s0 + (scal / 3.0) * _ID3 - 0.5 * faraday
+    eye = np.eye(3)
+    ric_n = -s0 - (scal / 12.0) * eye + 0.5 * faraday
+    ric_prime = s0 + (scal / 3.0) * eye - 0.5 * faraday
     return CurvaturePackage(
         full_curvature=r4,
         ricci=ric,
@@ -253,12 +314,18 @@ def gauge_rescale(g, beta, s):
     theta and the weight -1 density beta all pick up e^{-s}. All
     dimensionless verdicts are invariant.
     """
+    import numpy as np
+
     f = float(np.exp(-s))
     return validate_geometry(g.structure_constants * f, g.theta * f), WeightedDensity(beta.value * f)
 
 
 def gt_residual_vector(g, beta):
     """Stacked Gauduchon-Tod residuals: sym0 Ric (9), R - 24 beta^2, 4 grad - *F (3)."""
+    import numpy as np
+
+    from .tensors import hodge_star
+
     pkg = curvature_package(g)
     scalar = pkg.scalar - 24.0 * beta.value * beta.value
     monopole = 4.0 * density_derivative(g, beta) - hodge_star(pkg.faraday)
@@ -278,16 +345,16 @@ def residual_scale(g, beta):
 
 
 def scale_of(x):
-    """max|x_k| over the coordinates x, and 1 where every one is 0."""
-    return float(np.max(np.abs(x))) or 1.0
+    """max|x_k| over the finite coordinates x, and 1 where every one is 0."""
+    return float(max(map(abs, x))) or 1.0
 
 
 def form_coordinates(g, beta):
-    """x (13,) = (N.ravel(), theta, beta.value).
+    """x = (N row by row, theta, beta.value), a tuple of 13 Python floats.
 
     c and Gamma are linear in x; R4, F, nabla beta and 24 beta^2 are quadratic.
     """
-    return np.concatenate((g.N.ravel(), g.theta, (beta.value,)))
+    return (*g.coordinates, float(beta.value))
 
 
 def prescaled(g, beta):
@@ -297,7 +364,7 @@ def prescaled(g, beta):
     m^2 keeps the bits of residual / scale^2, finite and nonzero where scale^2 would over- or underflow.
     """
     m, e = math.frexp(residual_scale(g, beta))
-    return np.ldexp(form_coordinates(g, beta), -e).tolist(), e, m
+    return [math.ldexp(v, -e) for v in form_coordinates(g, beta)], e, m
 
 
 def killing_coefficients(x):
@@ -324,6 +391,21 @@ def curvature_coefficients(x):
     b, N = killing_coefficients(x), (x[0:3], x[3:6], x[6:9])
     return [[2 * c - (n0 * b0 + n1 * b1 + n2 * b2) for c, b0, b1, b2 in zip(cof_row, *b)]
             for cof_row, (n0, n1, n2) in zip(cofactor(b), N)]
+
+
+# the F_k that meet in each entry of sum_k F_k q_k: ENTRY_PAIRS less Id, on F's indices k - 1
+(_FIRST, _SECOND), (_ALONE,) = sorted({tuple(k - 1 for k in pair if k) for pair in ENTRY_PAIRS})
+
+
+def flatness(g, beta):
+    """Killing curvature residual over scale^2, normalized like the GT residuals.
+
+    The largest entry modulus of R^beta by curvature_coefficients at x over m^2,
+    (x, e, m) = prescaled(g, beta): finite at every scale.
+    """
+    x, _, m = prescaled(g, beta)
+    F = curvature_coefficients(x)
+    return max(max(math.hypot(row[_FIRST], row[_SECOND]), abs(row[_ALONE])) for row in F) / (m * m)
 
 
 def gt_coefficients(x):

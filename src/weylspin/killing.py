@@ -32,6 +32,7 @@ import numpy as np
 from .clifford import ENTRY_PAIRS, QUATERNION_BASIS, j_structure
 from .errors import NoConvergence, ShapeError
 from .geometry import (
+    PIN_INDEX,
     WeightedDensity,
     analyze,
     bianchi_split,
@@ -291,8 +292,10 @@ def loop_batch(g, beta, rng, loops):
 
     X, Y, -X reaches exp(X) exp(Y) exp(-X) = exp(Ad_exp(X) Y), so the arc -Z,
     Z = closing_arc(X, Y), returns to the identity on every simply connected
-    group.
+    group. A batch holds at least one loop: a count below 1 raises ShapeError.
     """
+    if loops < 1:
+        raise ShapeError(f"a loop batch needs at least 1 loop, got {loops}")
     legs = _loop_legs(g, beta, rng, loops)
     return transport_loops(g, beta, legs, closing_arc(g, beta, legs))
 
@@ -394,9 +397,6 @@ class GTSearchResult:
     residual_norm: float
     iterations: int
     report: object  # GTReport at the solution
-
-
-PIN_INDEX = {"lambda1": 0, "lambda2": 1, "lambda3": 2, "theta3": 3, "beta": 4}
 
 
 def milnor_theta3_family(params):

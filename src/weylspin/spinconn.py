@@ -12,21 +12,19 @@ assumed. The Killing connection is B_i = A_i - beta e_i; its curvature
 vanishes exactly on Gauduchon-Tod geometries, which is the engine behind the
 2-dimensional solution space. The commands read B as the 3x3 matrix b
 (geometry.killing_coefficients) and its curvature as F = 2 cof(b) - N b
-(geometry.curvature_coefficients), whose entry moduli flatness reads by
-clifford.ENTRY_PAIRS; the spinor-matrix chain that these sum by hand is read by
-the benchmark and the tests.
+(geometry.curvature_coefficients), whose entry moduli geometry.flatness reads by
+ENTRY_PAIRS; the spinor-matrix chain that these sum by hand is read by the
+benchmark and the tests. The chain computes with arrays, so this module imports
+numpy; flatness, re-exported here, lives in geometry, which does not, so that
+analyze runs without numpy.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import E, ENTRY_PAIRS
-from .geometry import curvature_coefficients, prescaled, weyl_connection
-
-# the F_k that meet in each entry of sum_k F_k q_k: ENTRY_PAIRS less Id, on F's indices k - 1
-(_FIRST, _SECOND), (_ALONE,) = sorted({tuple(k - 1 for k in pair if k) for pair in ENTRY_PAIRS})
+from .clifford import E
+from .geometry import flatness, weyl_connection  # flatness is re-exported from here
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +56,3 @@ def killing_curvature(g, beta):
     """Curvature R^beta_ij = [B_i,B_j] - c^k_ij B_k (3, 3, 2, 2), B_i = A_i - beta e_i, and its max entry."""
     curv = commutator_curvature(killing_connection(g, beta), g)
     return KillingCurvature(curvature=curv, residual=float(np.max(np.abs(curv))))
-
-
-def flatness(g, beta):
-    """Killing curvature residual over scale^2, normalized like the GT residuals.
-
-    The largest entry modulus of R^beta by geometry.curvature_coefficients at
-    x over m^2, (x, e, m) = geometry.prescaled(g, beta): finite at every scale.
-    """
-    x, _, m = prescaled(g, beta)
-    F = curvature_coefficients(x)
-    return max(max(math.hypot(row[_FIRST], row[_SECOND]), abs(row[_ALONE])) for row in F) / (m * m)

@@ -738,7 +738,7 @@ def test_search_gt_that_did_not_converge_fails(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise NoConvergence("stalled", best_params=(2.0,) * 5, best_residual=0.0, iterations=3)
 
-    monkeypatch.setattr(cli, "find_gt_parameters", no_convergence)
+    monkeypatch.setattr(killing, "find_gt_parameters", no_convergence)  # search-gt imports it when it runs
     code, out, err = run_cli(capsys, ["search-gt", "--x0", "2,2,2,0,0.5"])
     assert code == 1
     report = json.loads(out)
@@ -819,13 +819,51 @@ def test_arguments_that_cannot_earn_a_pass_exit_2(tmp_path, capsys, argv):
     assert out == ""
 
 
-def test_cli_import_does_not_load_scipy():
-    code = "import sys, weylspin.cli; print('scipy' in sys.modules)"
+def fresh_process(argv):
+    """stdout of `python argv...` in a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, check=True).stdout
+
+
+ANALYZE_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+import weylspin
+after = {"weylspin": loaded()}
+import weylspin.cli
+after["weylspin.cli"] = loaded()
+codes = []
+for path in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(weylspin.cli.main(["analyze", path]))
+after["analyze"] = loaded()
+killing = type(weylspin.killing).__name__  # a submodule, imported when it is first read
+print(json.dumps({"after": after, "codes": codes, "killing": killing, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_analyze_loads_neither_numpy_nor_scipy():
+    # importing the package and the command line, and analyze on every shipped
+    # file, load no numpy (and no scipy): they run on Python floats. The
+    # submodules stay reachable as attributes, and reading one loads numpy
+    shipped = sorted(f for f in os.listdir(GEOMETRY_DIR) if f.endswith(".json"))
+    paths = [os.path.join(GEOMETRY_DIR, f) for f in shipped]
+    result = json.loads(fresh_process(["-c", ANALYZE_WITHOUT_NUMPY, *paths]))
+    assert result["after"] == {"weylspin": [], "weylspin.cli": [], "analyze": []}
+    assert result["codes"] == [1 if f == "perturbed.json" else 0 for f in shipped] and len(shipped) == 5
+    assert result["killing"] == "module" and result["numpy"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["killing", os.path.join(GEOMETRY_DIR, "berger_theta.json")], ["verify-algebra", "--trials", "5"],
+     ["search-gt", "--x0", "2.2,1.9,2.1,0.05,0.4"]],
+    ids=["killing", "verify-algebra", "search-gt"],
+)
+def test_array_commands_pass_in_a_fresh_process(argv):
+    # the commands that compute with arrays import numpy when they run; each
+    # still passes (exit 0, check=True) as the first command of a process
+    assert json.loads(fresh_process(["-m", "weylspin.cli", *argv]))["verdict"] == "pass"
 
 
 def test_cli_import_builds_no_quadratic_form():

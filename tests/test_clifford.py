@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from weylspin import geometry
 from weylspin.clifford import (
     ENTRY_PAIRS,
     QUATERNION_BASIS,
@@ -275,3 +276,14 @@ def test_quaternion_basis_and_its_entry_pairs():
     for k, (i, j) in enumerate(ENTRY_PAIRS):
         assert np.array_equal(np.hypot(p[:, i], p[:, j]), np.hypot(M[:, k].real, M[:, k].imag))
         assert sorted(map(np.abs, (M[0, k].real, M[0, k].imag))) == sorted(np.abs(p[0, [i, j]]))
+
+
+def test_entry_pairs_are_the_quaternion_basis_nonzero_pattern():
+    # ENTRY_PAIRS is written as a literal in geometry, whose flatness reads it
+    # with no numpy loaded; it is the nonzero pattern of QUATERNION_BASIS's
+    # columns, one real and one imaginary unit per 2x2 entry
+    assert ENTRY_PAIRS is geometry.ENTRY_PAIRS
+    assert ENTRY_PAIRS == tuple(tuple(np.flatnonzero(column).tolist()) for column in QUATERNION_BASIS.T)
+    for k, (i, j) in enumerate(ENTRY_PAIRS):
+        units = QUATERNION_BASIS[[i, j], k]
+        assert np.array_equal(np.abs(units), [1.0, 1.0]) and sorted(np.abs(units.real)) == [0.0, 1.0]

@@ -108,6 +108,73 @@ def test_validate_geometry_errors():
         validate_geometry(big, np.zeros(3))
 
 
+# every position a geometry's data can hold a non-finite value at: the 27
+# entries of c, the 3 of theta, the 3 Milnor parameters and beta
+DATA_POSITIONS = (
+    [("c", k) for k in range(27)] + [("theta", k) for k in range(3)] + [("lambda", k) for k in range(3)] + [("beta", 0)]
+)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where, k", DATA_POSITIONS, ids=[f"{w}{k}" for w, k in DATA_POSITIONS])
+def test_a_non_finite_entry_anywhere_is_refused(where, k, bad):
+    # validation runs on Python floats, and Python's max skips a NaN that is
+    # not its first argument (max(1.0, nan) is 1.0), so finiteness is checked
+    # entry by entry: a NaN or infinity at any position raises ShapeError,
+    # from an array and from nested lists alike
+    c, theta, lam = milnor_constants((2.0, 1.0, -0.5)), np.array([0.3, -0.1, 0.2]), np.array([2.0, 1.0, -0.5])
+    if where == "beta":
+        with pytest.raises(ShapeError):
+            WeightedDensity(bad)
+        return
+    {"c": c.reshape(-1), "theta": theta, "lambda": lam}[where][k] = bad
+    for as_given in (lambda a: a, np.ndarray.tolist):
+        if where != "lambda":
+            with pytest.raises(ShapeError, match="finite"):
+                validate_geometry(as_given(c), as_given(theta))
+        if where != "c":
+            with pytest.raises(ShapeError, match="finite"):
+                milnor_geometry(as_given(lam), as_given(theta))
+
+
+@pytest.mark.parametrize(
+    "c, theta, lam",
+    [
+        ([[[0.0] * 3] * 3] * 2 + [[[0.0] * 3] * 2 + [[0.0] * 2]], [[0.0], 0.0, 0.0], [[1.0, 2.0], 3.0, 4.0]),  # ragged
+        (np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3)),  # a (3, 3) array
+        ("c" * 27, "000", "123"),  # text, which float() would read character by character
+        ([[[0.0] * 3] * 3] * 2 + [[[0.0] * 3] * 2 + [[0.0, "0", 0.0]]], [0.0, "0", 0.0], ["1", 2.0, 3.0]),  # one text entry
+        (np.zeros(27), np.zeros(4), np.zeros(2)),  # the wrong length
+    ],
+    ids=["ragged", "3x3", "string", "text-entry", "length"],
+)
+def test_wrong_shapes_are_refused(c, theta, lam):
+    with pytest.raises(ShapeError, match="shape"):
+        validate_geometry(c, np.zeros(3))
+    with pytest.raises(ShapeError, match="shape"):
+        validate_geometry(milnor_constants((1.0, 2.0, 3.0)), theta)
+    with pytest.raises(ShapeError, match="shape"):
+        milnor_geometry(lam)
+    with pytest.raises(ShapeError, match="shape"):
+        milnor_geometry((1.0, 2.0, 3.0), theta)
+
+
+def test_an_array_and_the_same_nested_lists_give_the_same_bits():
+    # validation reads an array through tolist(), so both give the same
+    # coordinates: N, theta and the prescaled coordinates agree bit for bit,
+    # over frames with a skew that is symmetrized away and scales 1e-300 to 1e300
+    rng = np.random.default_rng(38)
+    for x in random_lie_algebras(rng, 100):
+        c = np.einsum("ijl,lk->ijk", EPS, x[:9].reshape(3, 3)) * 10.0 ** rng.uniform(-300, 300)
+        c += 1e-13 * np.max(np.abs(c)) * rng.standard_normal(c.shape)
+        theta, beta = x[9:12] * np.max(np.abs(c)), WeightedDensity(float(x[12] * np.max(np.abs(c))))
+        pairs = [(validate_geometry(c, theta), validate_geometry(c.tolist(), theta.tolist())),
+                 (milnor_geometry(x[:3], theta), milnor_geometry(x[:3].tolist(), tuple(theta.tolist())))]
+        for g, h in pairs:
+            assert g.N.tobytes() == h.N.tobytes() and g.theta.tobytes() == h.theta.tobytes()
+            assert [v.hex() for v in prescaled(g, beta)[0]] == [v.hex() for v in prescaled(h, beta)[0]]
+
+
 def test_jacobi_violation():
     # brackets [e1,e2]=e1, [e2,e3]=e2, [e3,e1]=e3 cycle and fail Jacobi
     c = np.zeros((3, 3, 3))
@@ -373,7 +440,7 @@ def test_gauge_covariance_of_normalized_residuals():
 def gt_defect(g, beta, residuals=gt_coefficients):
     """max|residuals(x) - gt_residual_vector| / residual_scale^2 at x = form_coordinates(g, beta)."""
     x = form_coordinates(g, beta)
-    defect = float(np.max(np.abs(np.subtract(residuals(x.tolist()), gt_residual_vector(g, beta)))))
+    defect = float(np.max(np.abs(np.subtract(residuals(x), gt_residual_vector(g, beta)))))
     return defect / residual_scale(g, beta) ** 2
 
 
@@ -382,7 +449,7 @@ def curvature_defect(g, beta):
 
     R^beta is killing_curvature's, and F is taken at x = form_coordinates(g, beta).
     """
-    F = np.array(curvature_coefficients(form_coordinates(g, beta).tolist()))
+    F = np.array(curvature_coefficients(form_coordinates(g, beta)))
     closed = np.einsum("lk,kab->lab", F, -E)  # q_k = -e_k
     pairs = killing_curvature(g, beta).curvature[[1, 2, 0], [2, 0, 1]]
     return float(np.max(np.abs(pairs - closed))) / residual_scale(g, beta) ** 2
@@ -414,6 +481,8 @@ def test_form_coordinates_are_the_structure_constants_exactly():
     g = milnor_geometry((1.0, -0.5, 2.0), (0.3, 0.1, -0.2))
     g, beta = rotated_geometry(g, rotation((1, 2, 3), 0.7)), WeightedDensity(0.4)
     x = form_coordinates(g, beta)
+    assert len(x) == 13 and all(type(v) is float for v in x)  # Python floats, no array
+    x = np.array(x)
     N = x[:9].reshape(3, 3)
     assert np.array_equal(N, g.N)
     assert np.array_equal(np.einsum("ijl,lk->ijk", EPS, N), g.structure_constants)

@@ -1014,6 +1014,17 @@ def test_loop_batch_draws_one_direction_and_one_length_per_leg():
             assert np.ascontiguousarray(batch.closing).tobytes() == closing_arc(g, beta, batch.legs).tobytes()
 
 
+@pytest.mark.parametrize("loops", [0, -1])
+def test_loop_batch_refuses_fewer_than_one_loop(loops):
+    # an empty batch has no worst loop to report: it is refused by name, like
+    # the command line's --loops below 1, and draws nothing
+    g, beta = milnor_geometry((2.0, 2.0, 2.0)), WeightedDensity(0.5)
+    rng = RecordingGenerator(30)
+    with pytest.raises(ShapeError, match="at least 1 loop"):
+        loop_batch(g, beta, rng, loops)
+    assert rng.draws == []
+
+
 def test_loop_batch_sections_match_the_separate_calls():
     # the sections against the per-arc matrix products of each loop's halves,
     # each arc a separate su2_exp: the holonomy max|H - Id| with H the product
@@ -1311,7 +1322,7 @@ def test_killing_data_holds_the_bianchi_split():
     for _, g in bianchi_frames(3.0, 39):
         beta = WeightedDensity(0.25)
         data = killing_data(g, beta)
-        N = np.ldexp(geometry.form_coordinates(g, beta)[:9].reshape(3, 3), -data.e)
+        N = np.ldexp(np.reshape(geometry.form_coordinates(g, beta)[:9], (3, 3)), -data.e)
         n = 0.5 * N + 0.5 * N.T
         assert np.max(np.abs(n + cross_matrix(data.a[:, 0]) - N)) <= np.finfo(float).eps
         assert np.max(np.abs(data.adj[..., 0] - np.cross(n[[1, 2, 0]], n[[2, 0, 1]]))) <= np.finfo(float).eps
@@ -1380,7 +1391,7 @@ def test_family_quadratic_form_is_the_chains_polarization():
     idx = [0, 4, 8, 11, 12]
     x = np.array([2.0, 1.5, 1.0, 0.3, 0.4])
     g, beta = milnor_theta3_family(x)
-    assert np.array_equal(geometry.form_coordinates(g, beta)[idx], x)
+    assert np.array_equal(np.take(geometry.form_coordinates(g, beta), idx), x)
 
 
 def test_family_quadratic_form_refuses_residuals_off_by_rounding(monkeypatch):
