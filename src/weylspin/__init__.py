@@ -13,7 +13,7 @@ none of them, and a command that reads no array loads no numpy.
 
 import importlib
 
-__version__ = "0.32.0"
+__version__ = "0.33.0"
 
 __all__ = [
     "__version__",

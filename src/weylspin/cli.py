@@ -12,8 +12,11 @@ geometry file (see parse_geometry_file), or an argument that cannot earn a
 pass (--trials or --loops below 1, --max-iter or --seed below 0, a --tol that
 is not positive and finite, a malformed --x0 or --pin).
 
-Importing this module loads no numpy: parsing a file, analyze and its flatness
-section run on Python floats (geometry), so an analyze run never loads it. The
+Importing this module loads argparse, json and the package's errors and
+geometry modules beside what Python loads at start-up: no numpy, and no
+dataclasses or the inspect module it imports (geometry's records are a plain
+class and named tuples). Parsing a file, analyze and its flatness
+section run on Python floats (geometry), so an analyze run never loads numpy. The
 commands that compute with arrays, killing, verify-algebra and search-gt, import
 their modules (killing, identities, and numpy with them) when they run, and pay
 numpy's import, about 70 ms, on a process's first such call.

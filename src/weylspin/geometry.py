@@ -18,12 +18,16 @@ residual_scale is the one unit: every residual (weight -2) is read in scale^2. T
 tensor chain, weyl_connection to gt_residual_vector, is what the tests hold these
 closed forms to; no command runs it.
 
-This module loads no numpy at import. Validation, the closed forms, analyze and
-flatness are arithmetic on 13 floats, where numpy's import (about 70 ms) would
-cost far more than the work; so a geometry's arrays, the tensor chain and
-gauge_rescale import numpy when first called, and the command line's analyze runs
-without it. clifford, tensors, spinconn, identities and killing compute with
-arrays and import numpy at module level.
+Importing this module loads errors and the standard library's collections,
+functools, math and operator, which site already loads at start-up, and no numpy.
+Validation, the closed forms, analyze and flatness are arithmetic on 13 floats,
+where numpy's import (about 70 ms) would cost far more than the work; so a
+geometry's arrays, the tensor chain and gauge_rescale import numpy when first
+called, and the command line's analyze runs without it. The records are a plain
+class (HomogeneousWeylGeometry) and named tuples, not dataclasses: dataclasses and
+the inspect module it imports, with the cost of building each class, were about
+half of the command line's import. clifford, tensors, spinconn, identities and
+killing compute with arrays and import numpy at module level.
 
 Sign and trace conventions (pinned by the curvature-decomposition and
 flatness-equivalence audits, see docs/CONVENTIONS.md):
@@ -36,10 +40,10 @@ flatness-equivalence audits, see docs/CONVENTIONS.md):
   * (nabla beta)_i = -theta_i beta  for a frame-constant density of weight -1
 """
 
+import collections
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import JacobiViolation, ShapeError
 
@@ -75,6 +79,8 @@ def _floats(value, shape, what):
         values = list(map(float, items))
     except (TypeError, ValueError) as exc:  # a nested, missing or non-numeric entry
         raise ShapeError(f"{what} must have shape {shape}") from exc
+    except OverflowError as exc:  # a number beyond the float range, such as the integer 10**400
+        raise ShapeError("geometry data must be finite") from exc
     if not all(map(math.isfinite, values)):
         raise ShapeError("geometry data must be finite")
     return values
@@ -89,21 +95,28 @@ def _read_only(values):
     return array
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class HomogeneousWeylGeometry:
     """(N, theta) with c^k_ij = sum_l eps_ijl N[l, k], held as coordinates (12 floats).
 
     coordinates are N (3, 3) row by row, then theta (3,), finite Python floats in
     units of 1/length; the constructor takes N and theta as arrays or nested
     sequences. N, theta and structure_constants are read-only arrays built on
-    first read, the only parts of a geometry that import numpy.
+    first read, the only parts of a geometry that import numpy. A geometry is
+    immutable and equal only to itself: the per-geometry caches key on it.
     """
-
-    coordinates: tuple
 
     def __init__(self, N, theta):
         coordinates = _floats(N, (3, 3), "N") + _floats(theta, (3,), "theta")
         object.__setattr__(self, "coordinates", tuple(coordinates))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a geometry is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a geometry is immutable: cannot delete {name!r}")
+
+    def __repr__(self):
+        return f"HomogeneousWeylGeometry(coordinates={self.coordinates!r})"
 
     @functools.cached_property
     def N(self):
@@ -132,40 +145,31 @@ class HomogeneousWeylGeometry:
         return c
 
 
-@dataclass(frozen=True)
-class WeightedDensity:
-    """A frame-constant density beta of conformal weight -1, the only weight it takes."""
+class WeightedDensity(collections.namedtuple("WeightedDensity", "value weight")):
+    """A frame-constant density beta of conformal weight -1, the only weight it takes.
 
-    value: float  # units 1/length
-    weight: float = -1.0
+    value is a finite Python float, in units 1/length, and weight is -1.0; a number of
+    any other type is read through float(), and text, a non-finite value or another
+    weight raise ShapeError.
+    """
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ShapeError("density value must be finite")
-        if self.weight != -1:
-            raise ShapeError(f"beta must have weight -1, got weight {self.weight}")
+    __slots__ = ()
 
-
-@dataclass(frozen=True, eq=False)
-class CurvaturePackage:
-    full_curvature: "np.ndarray"  # (3,3,3,3)
-    ricci: "np.ndarray"  # (3,3), possibly non-symmetric
-    sym0_ricci: "np.ndarray"  # (3,3)
-    scalar: float
-    faraday: "np.ndarray"  # (3,3) antisymmetric
-    ric_n: "np.ndarray"  # (3,3)
-    ric_prime: "np.ndarray"  # (3,3)
+    def __new__(cls, value, weight=-1.0):
+        (value,) = _floats(value, (), "density value")
+        if weight != -1:
+            raise ShapeError(f"beta must have weight -1, got weight {weight}")
+        return super().__new__(cls, value, -1.0)
 
 
-@dataclass(frozen=True)
-class GTReport:
-    """Gauduchon-Tod residuals over residual_scale^2: Einstein-Weyl, scalar pinning, monopole."""
+# curvature_package's arrays: R4 (3,3,3,3), Ric (3,3) possibly non-symmetric, sym0 Ric (3,3),
+# R, F (3,3) antisymmetric, Ric^N (3,3) and Ric' (3,3)
+CurvaturePackage = collections.namedtuple(
+    "CurvaturePackage", "full_curvature ricci sym0_ricci scalar faraday ric_n ric_prime"
+)
 
-    n_ew: float
-    n_scal: float
-    n_star: float
-    tolerance: float
-    verdict: bool
+GTReport = collections.namedtuple("GTReport", "n_ew n_scal n_star tolerance verdict")
+GTReport.__doc__ = """Gauduchon-Tod residuals over residual_scale^2: Einstein-Weyl, scalar pinning, monopole."""
 
 
 def bianchi_split(N):

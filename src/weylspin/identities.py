@@ -26,7 +26,7 @@ geometry, where Killing spinors exist; no command evaluates them yet, and the
 tests call integrability_residual on certified geometries.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,14 +38,10 @@ from .tensors import alt, hodge_star, kulkarni_nomizu, metric, mu_contract, nu_e
 _ID3 = np.eye(3)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    residual: float
-    trials: int
-    tolerance: float
-    passed: bool
-    worst_trial: int | None = None  # index of the draw that gave `residual`; None when draw-free
+# worst_trial is the index of the draw that gave residual, None when the check draws nothing
+IdentityReport = namedtuple(
+    "IdentityReport", "name residual trials tolerance passed worst_trial", defaults=(None,)
+)
 
 
 def make_report(name, residual, trials, tolerance, worst_trial=None):

@@ -25,7 +25,6 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,19 +77,20 @@ def _float_triple(v):
             v = float(x), float(y), float(z)
     except (TypeError, ValueError) as exc:  # not iterable, nested, text, or not 3 numbers
         raise ShapeError("arc vector must be 3 numbers, shape (3,)") from exc
+    except OverflowError as exc:  # a number beyond the float range, such as the integer 10**400
+        raise ShapeError("arc vector must be finite") from exc
     if not all(map(math.isfinite, v)):
         raise ShapeError("arc vector must be finite")
     return v
 
 
-@dataclass(frozen=True)
-class GroupArc:
+class GroupArc(namedtuple("GroupArc", "vector")):
     """The flow of the frame vector `vector` (three finite floats) for unit parameter time."""
 
-    vector: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _float_triple(self.vector))
+    def __new__(cls, vector):
+        return super().__new__(cls, _float_triple(vector))
 
     @property
     def length(self):
@@ -258,20 +258,14 @@ def _loop_legs(g, beta, rng, loops):
     return (t / residual_scale(g, beta))[..., None] * d
 
 
-@dataclass(frozen=True, eq=False)
-class LoopBatch:
-    """Loops X, Y, -X, -Z with the transports along their two halves as unit quaternions.
+LoopBatch = namedtuple("LoopBatch", "legs closing first second")
+LoopBatch.__doc__ = """Loops X, Y, -X, -Z with the transports along their two halves as unit quaternions.
 
-    Row r of legs (N, 2, 3) holds X, Y and row r of closing Z. Both halves of
-    loop r, the path X, Y, -X and the arc Z, end at exp(X) exp(Y) exp(-X):
-    column r of first (4, N) is the transport along the path, and of second
-    (4, N) the transport along the arc.
-    """
-
-    legs: np.ndarray
-    closing: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
+Row r of legs (N, 2, 3) holds X, Y and row r of closing Z. Both halves of
+loop r, the path X, Y, -X and the arc Z, end at exp(X) exp(Y) exp(-X):
+column r of first (4, N) is the transport along the path, and of second
+(4, N) the transport along the arc.
+"""
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows makes its column NaN
@@ -391,12 +385,8 @@ def killing_residual(g, beta, transports, h=1e-5):
 # Gauduchon-Tod parameter search
 
 
-@dataclass(frozen=True)
-class GTSearchResult:
-    params: tuple
-    residual_norm: float
-    iterations: int
-    report: object  # GTReport at the solution
+# a converged search: its root, residual norm and Newton steps, and the GTReport at the root
+GTSearchResult = namedtuple("GTSearchResult", "params residual_norm iterations report")
 
 
 def milnor_theta3_family(params):

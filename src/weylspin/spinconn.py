@@ -19,18 +19,15 @@ numpy; flatness, re-exported here, lives in geometry, which does not, so that
 analyze runs without numpy.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .clifford import E
 from .geometry import flatness, weyl_connection  # flatness is re-exported from here
 
-
-@dataclass(frozen=True, eq=False)
-class KillingCurvature:
-    curvature: np.ndarray  # (3,3,2,2)
-    residual: float
+# R^beta (3, 3, 2, 2) and its max entry modulus
+KillingCurvature = namedtuple("KillingCurvature", "curvature residual")
 
 
 def spin_connection(g):

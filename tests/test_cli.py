@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -827,7 +828,7 @@ def fresh_process(argv):
 
 ANALYZE_WITHOUT_NUMPY = """
 import contextlib, io, json, sys
-loaded = lambda: sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+loaded = lambda: sorted(m for m in ("numpy", "scipy", "dataclasses", "inspect") if m in sys.modules)
 import weylspin
 after = {"weylspin": loaded()}
 import weylspin.cli
@@ -844,14 +845,28 @@ print(json.dumps({"after": after, "codes": codes, "killing": killing, "numpy": "
 
 def test_analyze_loads_neither_numpy_nor_scipy():
     # importing the package and the command line, and analyze on every shipped
-    # file, load no numpy (and no scipy): they run on Python floats. The
-    # submodules stay reachable as attributes, and reading one loads numpy
+    # file, load no numpy (and no scipy): they run on Python floats. Nor do they
+    # load dataclasses or the inspect module it imports: the records are plain
+    # classes and named tuples. The submodules stay reachable as attributes, and
+    # reading one loads numpy
     shipped = sorted(f for f in os.listdir(GEOMETRY_DIR) if f.endswith(".json"))
     paths = [os.path.join(GEOMETRY_DIR, f) for f in shipped]
     result = json.loads(fresh_process(["-c", ANALYZE_WITHOUT_NUMPY, *paths]))
     assert result["after"] == {"weylspin": [], "weylspin.cli": [], "analyze": []}
     assert result["codes"] == [1 if f == "perturbed.json" else 0 for f in shipped] and len(shipped) == 5
     assert result["killing"] == "module" and result["numpy"]
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses, with the inspect module it imports, cost about half of
+    # `import weylspin.cli`; the package's records are plain classes and named tuples
+    package = os.path.dirname(weylspin.__file__)
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            nodes = list(ast.walk(ast.parse(fh.read())))
+        modules = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+        modules += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level == 0]
+        assert "dataclasses" not in {m.partition(".")[0] for m in modules}, name
 
 
 @pytest.mark.parametrize(

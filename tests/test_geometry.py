@@ -257,9 +257,54 @@ def test_a_rotated_frame_has_its_n_conjugated():
 
 
 def test_weighted_density_finite():
-    with pytest.raises(ShapeError):
-        WeightedDensity(np.nan)
+    # the value is read like every other coordinate, through float(): held as a
+    # Python float, with text refused, as float("0.5") would read it as a number
+    for bad in (np.nan, "0.5", b"0.5", [0.5], None):
+        with pytest.raises(ShapeError):
+            WeightedDensity(bad)
     assert WeightedDensity(0.5).weight == -1.0
+    for value in (np.float64(0.5), np.float32(0.5), np.array(0.5), Fraction(1, 2), 0.5):
+        beta = WeightedDensity(value)
+        assert type(beta.value) is float and beta == WeightedDensity(0.5)
+    assert type(WeightedDensity(0.5, -1).weight) is float
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "-int", "fraction"])
+def test_a_number_beyond_the_float_range_is_refused(huge):
+    # float() raises OverflowError on these, which every reader reports as a ShapeError
+    c, zero = milnor_constants((2.0, 1.0, -0.5)).tolist(), [0.0, 0.0, 0.0]
+    c[0][1][2] = huge
+    for build in (
+        lambda: milnor_geometry([huge, 1.0, 1.0]),
+        lambda: milnor_geometry([2.0, 1.0, 1.0], [0.0, huge, 0.0]),
+        lambda: validate_geometry(c, zero),
+        lambda: geometry.HomogeneousWeylGeometry([[huge, 0.0, 0.0], zero, zero], zero),
+        lambda: WeightedDensity(huge),
+    ):
+        with pytest.raises(ShapeError, match="finite"):
+            build()
+
+
+def test_records_are_immutable_and_compare_as_documented():
+    # a geometry is equal only to itself, so two with the same coordinates are two
+    # cache keys; a density, a curvature package and a report are tuples of values
+    g, beta = milnor_geometry((2.0, 2.0, 2.0), (0.0, 0.0, 0.3)), WeightedDensity(0.5)
+    twin = milnor_geometry((2.0, 2.0, 2.0), (0.0, 0.0, 0.3))
+    assert twin.coordinates == g.coordinates and twin != g and g == g and len({g, twin}) == 2
+    geometry.residual_scale.cache_clear()
+    for key in (g, twin, g):
+        geometry.residual_scale(key, beta)
+    assert geometry.residual_scale.cache_info().misses == 3
+    same = WeightedDensity(0.5, -1.0)
+    assert beta == same and hash(beta) == hash(same)
+    g.N  # a cached array is stored past __setattr__, and is then as immutable as the rest
+    for record in (g, beta, curvature_package(g), analyze(g, beta)):
+        for name in ("coordinates", "N", "value", "weight", "ricci", "verdict", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert g.coordinates == twin.coordinates and beta == (0.5, -1.0)
 
 
 def test_validated_geometry_is_immutable():
@@ -688,7 +733,7 @@ def test_geometry_imports_nothing_from_spinconn():
     # spinconn or clifford
     tree = ast.parse(inspect.getsource(geometry))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert imported == {"errors", "tensors", "dataclasses"}
+    assert imported == {"errors", "tensors"}
     assert not hasattr(geometry, "form_rows")
 
 

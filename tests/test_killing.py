@@ -199,7 +199,7 @@ def test_group_arc_rejects_non_finite_input(direction, length):
         GroupArc([length * c for c in direction])
 
 
-@pytest.mark.parametrize("v", [(np.nan, 0.0, 0.0), (0.0, -np.inf, 1.0)])
+@pytest.mark.parametrize("v", [(np.nan, 0.0, 0.0), (0.0, -np.inf, 1.0), (10**400, 0, 0), [0.0, 1.0, -(10**400)]])
 def test_arc_from_vector_rejects_non_finite_input(v):
     with pytest.raises(ShapeError):
         GroupArc(v)
@@ -1437,6 +1437,30 @@ def test_family_quadratic_form_vanishes_on_the_gt_variety():
     # off the variety the form does not vanish
     x = np.array([2.0, 2.0, 1.5, 0.5, 0.5])
     assert np.max(np.abs((Q @ x) @ x)) > 1e-2
+
+
+def test_array_module_records_are_immutable():
+    # every record is a named tuple: fields cannot be assigned or deleted, and
+    # nothing else can be attached
+    from weylspin.identities import make_report
+
+    g, beta = milnor_geometry((2.0, 2.0, 2.0)), HALF
+    records = [
+        GroupArc((0.0, 3.0, 4.0)),
+        loop_batch(g, beta, np.random.default_rng(0), 2),
+        find_gt_parameters((2.0, 2.0, 2.0, 0.0, 0.5)),
+        killing_curvature(g, beta),
+        make_report("kn_contraction", 0.0, 10, 1e-12),
+        killing_data(g, beta),
+    ]
+    for record in records:
+        for name in (*record._fields, "length", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert records[0] == GroupArc([0, 3, 4]) and records[0].length == 5.0
+    assert records[4].worst_trial is None and records[4].passed
 
 
 def test_search_from_exact_root_takes_no_steps():
